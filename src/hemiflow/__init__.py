@@ -8,7 +8,7 @@ existence tests, and the region-classified descent flow in parameter
 space.
 """
 
-from .bubbles import BubbleParam, InteractionMatrix, delta, epsilon, phi_approx
+from .bubbles import BubbleParam, delta, epsilon, phi_approx
 from .census import CensusEntry, ExistenceVerdict, enumerate_census, existence_check
 from .constants import ConstantsTable, compute_constants
 from .fields import ScalarField
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Bar", "BoundarySpherePoint", "BubbleParam", "CensusEntry", "Configuration",
     "ConstantsTable", "CriticalPointRecord", "ExistenceVerdict", "FlowParams",
-    "HalfSpacePoint", "InteractionMatrix", "PseudogradientFlow", "ReducedModel",
+    "HalfSpacePoint", "PseudogradientFlow", "ReducedModel",
     "ScalarField", "SpherePoint", "Trajectory", "check_assumptions", "classify",
     "compute_constants", "delta", "enumerate_census", "epsilon", "existence_check",
     "find_critical_points", "geodesic_distance", "phi_approx",

@@ -205,30 +205,6 @@ def barycentric_pairing(bi: BubbleParam, bj: BubbleParam, b_coords) -> float:
     return float(gi @ vi + gj @ vj)
 
 
-@dataclass(frozen=True)
-class InteractionMatrix:
-    """Symmetric, zero-diagonal matrix of pairwise interaction coefficients."""
-
-    eps: np.ndarray
-
-    @staticmethod
-    def build(bubbles, max_allowed: float | None = None) -> "InteractionMatrix":
-        m = len(bubbles)
-        eps = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                val = epsilon(bubbles[i], bubbles[j])
-                if max_allowed is not None and val >= max_allowed:
-                    raise InvalidConfiguration(
-                        f"interaction eps[{i}][{j}] = {val} exceeds the neighborhood scale"
-                    )
-                eps[i, j] = eps[j, i] = val
-        return InteractionMatrix(eps)
-
-    def row_sums(self) -> np.ndarray:
-        return self.eps.sum(axis=1)
-
-
 def delta_chart_identity_error(b: BubbleParam, x: SpherePoint) -> float:
     """|delta(b, x) - conformal_factor^{-(n-2)/2} * flat_bubble(chart x)|.
 

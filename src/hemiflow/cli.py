@@ -130,7 +130,12 @@ def cmd_flow(cfg: RunConfig, args) -> int:
         state_doc = json.loads(Path(args.state).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read state file {args.state}: {exc}") from exc
-    state = Configuration.from_json(state_doc)
+    try:
+        state = Configuration.from_json(state_doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid state file {args.state}: {exc!r}") from exc
+    if any(b.n != cfg.n for b in state.bubbles):
+        raise ConfigError(f"state file {args.state}: points must have {cfg.n + 1} coordinates")
     traj = flow.integrate(state, args.t_max)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,9 @@ Schema (all keys optional except ``field``):
     }
 
 Scalar values can be overridden from the command line; the field family
-itself always comes from the file.
+itself always comes from the file.  ``seeds_per_dim`` (at least 8) and
+``seed`` are validated and stamped into artifacts, but the landscape is an
+exact enumeration and does not depend on them.
 """
 
 from __future__ import annotations
@@ -29,6 +31,17 @@ from pathlib import Path
 from .errors import ConfigError
 from .fields import ScalarField
 from .flow import FlowParams
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+# settable flow parameters and the type each is converted to
+_FLOW_TYPES = {"M0": float, "M2": float, "M4": float, "eta": float, "eps": float,
+              "max_qp": int, "strict_lambda_sign": _flag}
 
 
 @dataclass
@@ -79,12 +92,13 @@ class RunConfig:
         if "field" not in doc:
             raise ConfigError("configuration must provide a 'field' section")
         flow_doc = doc.get("flow", {})
-        known = {"M0", "M2", "M4", "eta", "eps", "max_qp", "strict_lambda_sign"}
-        unknown = set(flow_doc) - known
+        if not isinstance(flow_doc, dict):
+            raise ConfigError("'flow' must be an object")
+        unknown = set(flow_doc) - _FLOW_TYPES.keys()
         if unknown:
             raise ConfigError(f"unknown flow parameters: {sorted(unknown)}")
-        flow = FlowParams(**flow_doc)
         try:
+            flow = FlowParams(**{k: _FLOW_TYPES[k](v) for k, v in flow_doc.items()})
             return RunConfig(
                 n=int(doc.get("dimension", 5)),
                 field_spec=dict(doc["field"]),

@@ -96,18 +96,6 @@ def geodesic_distance(p: SpherePoint, q: SpherePoint) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def geodesic_distance_coords(u, v) -> float:
-    c = float(np.dot(u, v))
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
-def tangent_project(point_coords, vec):
-    """Project an ambient vector onto the tangent plane at a sphere point."""
-    p = np.asarray(point_coords, dtype=float)
-    v = np.asarray(vec, dtype=float)
-    return v - np.dot(v, p) * p
-
-
 def geodesic_step(point_coords, tangent, t: float):
     """Exact exponential-map step along a tangent vector (not necessarily unit)."""
     p = np.asarray(point_coords, dtype=float)

@@ -1,11 +1,12 @@
 """Critical points of the curvature candidate and their classification.
 
 Two searches run separately: the field K on the closed upper hemisphere
-(tangent gradient of the ambient polynomial restricted to the sphere) and
-its boundary trace K_1 on the equator sphere.  Roots are found by batched
-Newton iteration from a quasi-uniform seed cloud, deduplicated, polished,
-and classified by the exact signs of the Laplacian and the outward normal
-derivative:
+and its boundary trace K_1 on the equator sphere.  For the degree-2 family
+both are exact: the critical points of x -> b.x + x.Q.x on a sphere follow
+from one symmetric eigendecomposition and a one-dimensional secular
+equation, so the root list is complete by construction (and checked by the
+Poincare-Hopf count on the equator).  Roots are classified by the exact
+signs of the Laplacian and the outward normal derivative:
 
     interior points with vanishing gradient and negative Laplacian,
     boundary points with positive normal derivative,
@@ -23,11 +24,8 @@ import numpy as np
 
 from .errors import AmbiguousSign, DegenerateCriticalPoint
 from .fields import ScalarField
-from .geometry import (BoundarySpherePoint, SpherePoint, geodesic_distance_coords,
-                       tangent_basis)
+from .geometry import BoundarySpherePoint, SpherePoint, tangent_basis
 
-GRAD_TOL = 1e-11
-DEDUP_DIST = 1e-6
 DEGENERACY_FLOOR = 1e-8
 ZERO_TOL = 1e-9
 
@@ -87,138 +85,139 @@ class CriticalPointRecord:
 
 
 # ---------------------------------------------------------------------------
-# Batched Newton search
+# Exact enumeration
 # ---------------------------------------------------------------------------
 
-def _seed_cloud(dim: int, count: int, seed: int, equator: bool) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((count, dim))
-    if equator:
-        pts[:, -1] = 0.0
-    else:
-        pts[:, -1] = np.abs(pts[:, -1])
-    pts = pts[np.linalg.norm(pts, axis=1) > 1e-8]
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    poles = np.concatenate([np.eye(dim), -np.eye(dim)])
-    if equator:
-        poles = poles[np.abs(poles[:, -1]) < 0.5]
-    else:
-        poles[:, -1] = np.abs(poles[:, -1])
-    return np.concatenate([pts, poles])
+def _bisect(g, a: float, b: float) -> float:
+    """Sign change of a monotone g between a (where g <= 0) and b (where
+    g > 0), in either order, to adjacent floats.  Only points strictly
+    between a and b are evaluated, so either may be a pole."""
+    while True:
+        mid = 0.5 * (a + b)
+        if mid in (a, b):
+            return mid
+        if g(mid) <= 0.0:
+            a = mid
+        else:
+            b = mid
 
 
-def _newton_on_sphere(K: ScalarField, seeds: np.ndarray, equator: bool, iters: int = 40):
-    """Batched Newton for the tangent gradient in ambient form.
+def _sphere_critical_points(b: np.ndarray, Q: np.ndarray, height_floor: float | None = None):
+    """Every critical point of x -> b.x + x.Q.x on the unit sphere of R^d.
 
-    The Riemannian Hessian P (D^2 K) P - <dK, v> P is made invertible by
-    adding the projectors onto the constrained directions; the resulting
-    step is automatically tangent.
+    The Lagrange condition b + 2Qx = 2 mu x reads (mu - w_i) y_i = c_i in
+    the eigenbasis Q = V diag(w) V^T, with y = V^T x and c = V^T b / 2
+    (the constrained eigenvalue problem of Gander, Golub & von Matt, Linear
+    Algebra Appl. 114/115, 1989).  Eigenvalues equal to rounding form one
+    cluster g with weight s_g = |c_g|^2.  The roots are
+
+    * secular: f(mu) = sum_g s_g / (mu - w_g)^2 = 1 over the clusters with
+      s_g > 0; one root lies beyond each outer pole, and f is convex between
+      consecutive poles, so it has 0 or 2 roots there;
+    * eigenvector branches: for a cluster with c_g = 0, mu = w_g and the
+      cluster part of y has length sqrt(1 - |y|^2) when that is real; a
+      cluster of dimension >= 2 then carries a continuum of critical points.
+
+    With ``height_floor`` only points whose last coordinate exceeds it are
+    returned, and only a continuum reaching above it raises.
     """
-    pts = seeds.copy()
-    dim = pts.shape[1]
-    amb = 2.0 * K.quadratic
-    eye = np.eye(dim)
-    e_up = eye[-1]
-    for _ in range(iters):
-        grads = K.linear + pts @ amb                    # ambient gradients
-        radial = np.einsum("ki,ki->k", grads, pts)
-        gt = grads - radial[:, None] * pts
-        if equator:
-            gt[:, -1] = 0.0
-        proj = eye[None, :, :] - np.einsum("ki,kj->kij", pts, pts)
-        if equator:
-            proj = proj - np.einsum("i,j->ij", e_up, e_up)[None, :, :]
-        hess = np.einsum("kab,bc,kcd->kad", proj, amb, proj) - radial[:, None, None] * proj
-        hess = hess + np.einsum("ki,kj->kij", pts, pts)
-        if equator:
-            hess = hess + np.einsum("i,j->ij", e_up, e_up)[None, :, :]
-        try:
-            steps = np.linalg.solve(hess, -gt[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            if float(np.max(np.linalg.norm(gt, axis=1))) < 1e3 * GRAD_TOL:
+    w, V = np.linalg.eigh(Q)
+    c = V.T @ b / 2.0
+    tol = 1e-12 * max(float(np.abs(w).max()), float(np.linalg.norm(c)))
+    labels = np.concatenate([[0], np.cumsum(np.diff(w) > tol)])
+    poles = np.bincount(labels, w) / np.bincount(labels)
+    weights = np.bincount(labels, c * c)
+    active = weights > tol * tol
+    live = active[labels]
+
+    def lift(mu):
+        y = np.zeros_like(c)
+        y[live] = c[live] / (mu - poles[labels[live]])
+        return y
+
+    p = [float(v) for v in poles[active]]
+    s = [float(v) for v in weights[active]]
+
+    def f(mu):
+        return sum(sk / (mu - pk) ** 2 for sk, pk in zip(s, p)) - 1.0
+
+    def df(mu):
+        return -2.0 * sum(sk / (mu - pk) ** 3 for sk, pk in zip(s, p))
+
+    mus = []
+    if p:
+        reach = 2.0 * np.sqrt(sum(s))
+        mus = [_bisect(f, p[0] - reach, p[0]), _bisect(f, p[-1] + reach, p[-1])]
+        for lo, hi in zip(p[:-1], p[1:]):
+            m = _bisect(df, lo, hi)
+            if f(m) <= 0.0:
+                mus += [_bisect(f, m, lo), _bisect(f, m, hi)]
+    ys = [lift(mu) for mu in mus]
+    for g in np.flatnonzero(~active):
+        y = lift(poles[g])
+        r2 = 1.0 - float(y @ y)
+        if r2 <= 0.0:
+            continue
+        members = np.flatnonzero(labels == g)
+        if len(members) >= 2:
+            # highest point of the sphere V y + sqrt(r2) * span(V[:, members])
+            top = (V @ y)[-1] + np.sqrt(r2) * np.linalg.norm(V[-1, members])
+            if height_floor is None or top > height_floor:
                 raise DegenerateCriticalPoint(
                     "tangent gradient vanishes on a continuum; the field has no "
                     "isolated critical points")
-            steps = np.linalg.solve(hess + 1e-10 * eye[None, :, :], -gt[:, :, None])[:, :, 0]
-        nrm = np.linalg.norm(steps, axis=1, keepdims=True)
-        steps = np.where(nrm > 0.5, steps * (0.5 / np.maximum(nrm, 1e-300)), steps)
-        pts = pts + steps
-        if equator:
-            pts[:, -1] = 0.0
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    grads = K.linear + pts @ amb
-    radial = np.einsum("ki,ki->k", grads, pts)
-    gt = grads - radial[:, None] * pts
-    if equator:
-        gt[:, -1] = 0.0
-    ok = (np.linalg.norm(gt, axis=1) <= GRAD_TOL) & (pts[:, -1] >= -1e-12)
-    return _dedup([v for v in pts[ok]])
+            continue
+        for sign in (1.0, -1.0):
+            ys.append(y.copy())
+            ys[-1][members[0]] = sign * np.sqrt(r2)
+    xs = [V @ (y / np.linalg.norm(y)) for y in ys]
+    return [x for x in xs if height_floor is None or x[-1] > height_floor]
 
 
-def _dedup(points):
-    kept = []
-    for v in points:
-        if all(geodesic_distance_coords(v, w) >= DEDUP_DIST for w in kept):
-            kept.append(v)
-    kept.sort(key=lambda v: tuple(np.round(v, 9)))
-    return kept
-
-
-def find_critical_points(K: ScalarField, seeds_per_dim: int = 10, seed: int = 2024,
-                         strict: bool = True):
+def find_critical_points(K: ScalarField, seeds_per_dim: int = 10, seed: int = 2024):
     """Locate and classify all critical points of K and of its boundary trace.
 
     Boundary-located roots of the full field coincide with roots of the
     trace having vanishing normal derivative, so the equator search owns
     every boundary record; the hemisphere search keeps interior roots only.
-    Raises :class:`DegenerateCriticalPoint` when ``strict`` and a Hessian
-    eigenvalue sits below the nondegeneracy floor.
+    Both are exact enumerations, so ``seeds_per_dim`` (validated to be at
+    least 8) and ``seed`` no longer affect the result.  Raises
+    :class:`DegenerateCriticalPoint` when a Hessian eigenvalue sits below the
+    nondegeneracy floor, when the critical set is a continuum, or when the
+    trace roots fail the Poincare-Hopf count on the equator sphere.
     """
     if seeds_per_dim < 8:
         raise ValueError("seeds_per_dim must be at least 8")
     n = K.n
-    count = seeds_per_dim**2 * (n + 1) * 4
+    b, Q = K.linear, K.quadratic
+    roots = [(v, False) for v in _sphere_critical_points(b, Q, height_floor=1e-9)]
+    roots += [(np.append(z, 0.0), True) for z in _sphere_critical_points(b[:n], Q[:n, :n])]
     records = []
-
-    interior_roots = _newton_on_sphere(K, _seed_cloud(n + 1, count, seed, False), False)
-    for v in interior_roots:
-        if abs(v[-1]) <= 1e-9:
-            continue  # boundary-located roots are owned by the trace search
-        pt = SpherePoint(v)
-        basis = tangent_basis(v)
-        hess = K.tangent_hessian(pt, basis)
+    for v, on_equator in roots:
+        if on_equator:
+            pt = BoundarySpherePoint(v)
+            hess = K.boundary_hessian(pt, tangent_basis(v, within_equator=True))
+            nu = K.normal_derivative(pt)
+        else:
+            pt = SpherePoint(v)
+            hess = K.tangent_hessian(pt, tangent_basis(v))
+            nu = None
         evals = np.linalg.eigvalsh(hess)
-        nondeg = bool(np.min(np.abs(evals)) >= DEGENERACY_FLOOR)
-        if strict and not nondeg:
-            raise DegenerateCriticalPoint(f"degenerate interior critical point at {v}")
+        if np.min(np.abs(evals)) < DEGENERACY_FLOOR:
+            where = "boundary" if on_equator else "interior"
+            raise DegenerateCriticalPoint(f"degenerate {where} critical point at {v}")
         lap = K.laplace_beltrami(pt)
         records.append(CriticalPointRecord(
-            location=pt, kind="interior_of_K",
+            location=pt, kind="boundary_of_K1" if on_equator else "interior_of_K",
             morse_index=int(np.sum(evals < 0)), value=K.value(pt), laplacian=lap,
-            normal_derivative=None, nondegenerate=nondeg,
-            classification="K_in_minus" if lap < 0 else "other",
+            normal_derivative=nu, nondegenerate=True,
+            classification=(_classify_boundary(nu, lap) if on_equator
+                            else "K_in_minus" if lap < 0 else "other"),
             hessian_eigenvalues=tuple(float(x) for x in evals),
         ))
-
-    boundary_roots = _newton_on_sphere(K, _seed_cloud(n + 1, count, seed + 1, True), True)
-    for v in boundary_roots:
-        pt = BoundarySpherePoint(v)
-        basis = tangent_basis(v, within_equator=True)
-        hess = K.boundary_hessian(pt, basis)
-        evals = np.linalg.eigvalsh(hess)
-        nondeg = bool(np.min(np.abs(evals)) >= DEGENERACY_FLOOR)
-        if strict and not nondeg:
-            raise DegenerateCriticalPoint(f"degenerate boundary critical point at {v}")
-        lap = K.laplace_beltrami(pt)
-        nu = K.normal_derivative(pt)
-        records.append(CriticalPointRecord(
-            location=pt, kind="boundary_of_K1",
-            morse_index=int(np.sum(evals < 0)), value=K.value(pt), laplacian=lap,
-            normal_derivative=nu, nondegenerate=nondeg,
-            classification=_classify_boundary(nu, lap),
-            hessian_eigenvalues=tuple(float(x) for x in evals),
-        ))
-
+    if poincare_hopf_boundary(records, n) != 1 + (-1) ** (n - 1):
+        raise DegenerateCriticalPoint(
+            "trace critical points fail the Poincare-Hopf count on the equator sphere")
     records.sort(key=lambda r: tuple(np.round(r.location.coords, 9)))
     return records
 

@@ -795,10 +795,3 @@ class GradientComponents:
 
     def __post_init__(self):
         assert self.r1 >= 0.0 and self.r1_boundary >= 0.0
-
-
-def wset_sign_convention() -> str:
-    """Documented orientation of the normal-form deviations."""
-    return ("deviations along negative Hessian directions of the matched "
-            "critical value raise the normal-form value; positive directions "
-            "lower it and are counted by the index")

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hemiflow.bubbles import (BubbleParam, InteractionMatrix,
-                              barycentric_pairing, bubble_normalization, delta,
-                              delta_chart_identity_error, epsilon, epsilon_da,
+from hemiflow.bubbles import (BubbleParam, barycentric_pairing, bubble_normalization,
+                              delta, delta_chart_identity_error, epsilon, epsilon_da,
                               epsilon_dlambda, greens_regular_part, phi_approx)
 from hemiflow.errors import BoundaryPoint, InvalidConfiguration
 from hemiflow.geometry import (BoundarySpherePoint, SpherePoint, geodesic_distance,
@@ -222,18 +221,3 @@ class TestBarycentricMechanism:
             vals.append(e * (lam * 1.3 * lam) ** ((N - 2) / 2) * d ** (N - 2))
         assert abs(vals[-1] / vals[-2] - 1.0) < 0.05
         assert abs(vals[-2] / vals[-3] - 1.0) < 0.05
-
-
-class TestInteractionMatrix:
-    def test_symmetric_zero_diagonal(self):
-        rng = np.random.default_rng(12)
-        bubbles = [rand_bubble(rng, 20.0, 60.0) for _ in range(4)]
-        mat = InteractionMatrix.build(bubbles)
-        assert np.allclose(mat.eps, mat.eps.T)
-        assert np.allclose(np.diag(mat.eps), 0.0)
-
-    def test_neighborhood_scale_enforced(self):
-        b1 = BubbleParam(BoundarySpherePoint(E[0]), 10.0)
-        b2 = BubbleParam(BoundarySpherePoint(E[0]), 10.0)
-        with pytest.raises(InvalidConfiguration):
-            InteractionMatrix.build([b1, b2], max_allowed=0.1)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hemiflow.cli import main
 
 from _fixtures import N
@@ -113,6 +115,13 @@ class TestExitCodes:
             "flow": {"M9": 1.0}}))
         assert main(["--config", str(path), "census"]) == 2
 
+    @pytest.mark.parametrize("flow", [{"M0": "abc"}, {"strict_lambda_sign": "no"}, 5],
+                             ids=["M0_string", "flag_string", "not_an_object"])
+    def test_mistyped_flow_section(self, tmp_path, capsys, flow):
+        cfgp = write_config(tmp_path, extra={"flow": flow})
+        assert main(["--config", str(cfgp), "census"]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -147,3 +156,18 @@ class TestFlowStateErrors:
             "q": 1, "p": 0, "eps": 0.1,
             "bubbles": [{"alpha": 0.05, "point": [1, 0, 0, 0, 0, 0], "lambda": 2.0}]}))
         assert main(["--config", str(cfgp), "flow", "--state", str(state)]) == 1
+
+    @pytest.mark.parametrize("state", [
+        {"p": 0, "eps": 0.1,
+         "bubbles": [{"alpha": 0.05, "point": [1, 0, 0, 0, 0, 0], "lambda": 80.0}]},
+        {"q": 1, "p": 0, "eps": 0.1,
+         "bubbles": [{"alpha": 0.05, "point": [2, 0, 0, 0, 0, 0], "lambda": 80.0}]},
+        {"q": 1, "p": 0, "eps": 0.1,
+         "bubbles": [{"alpha": 0.05, "point": [1, 0, 0, 0, 0], "lambda": 80.0}]},
+    ], ids=["missing_q", "non_unit_point", "wrong_dimension"])
+    def test_malformed_state(self, tmp_path, capsys, state):
+        cfgp = write_config(tmp_path)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        assert main(["--config", str(cfgp), "flow", "--state", str(path)]) == 2
+        assert "configuration error:" in capsys.readouterr().err

@@ -3,15 +3,75 @@ import json
 import numpy as np
 import pytest
 
+from hemiflow import landscape
 from hemiflow.errors import AmbiguousSign, DegenerateCriticalPoint
-from hemiflow.fields import ScalarField, hemisphere_grid
+from hemiflow.fields import ScalarField
 from hemiflow.landscape import (CriticalPointRecord, _classify_boundary,
                                 check_assumptions, classify, find_critical_points,
                                 hemisphere_index_tally, load_records,
                                 poincare_hopf_boundary, save_records)
 
 from _fixtures import (E, N, field_boundary_max, field_diag, field_h3_quadratic_flat,
-                       field_linear)
+                       field_interior_min, field_linear)
+
+# a division at a pole of the secular function must fail, not warn
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def field_general() -> ScalarField:
+    """Linear terms along every axis and two cross terms: every critical
+    point is a secular root, none sits on a coordinate pole."""
+    lin = [0.01, -0.008, 0.006, 0.003, -0.005, 0.004]
+    diag = [0.02, 0.035, 0.05, 0.01, 0.065, 0.08]
+    terms = [(f"x{i+1}", c) for i, c in enumerate(lin)]
+    terms += [(f"x{i+1}^2", c) for i, c in enumerate(diag)]
+    return ScalarField(N, 1.0, terms + [("x1*x3", 0.004), ("x2*x6", -0.003)])
+
+
+def rotated_terms(eigenvalues, seed):
+    """Monomial terms of x.Q.x with Q = R diag(eigenvalues) R^T, R random."""
+    R, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((N + 1, N + 1)))
+    Q = R @ np.diag(eigenvalues) @ R.T
+    return ([(f"x{i+1}^2", Q[i, i]) for i in range(N + 1)]
+            + [(f"x{i+1}*x{j+1}", 2.0 * Q[i, j]) for i in range(N + 1) for j in range(i + 1, N + 1)])
+
+
+def assert_critical(K, records):
+    for r in records:
+        g = (K.boundary_gradient(r.location) if r.is_boundary
+             else K.tangent_gradient(r.location))
+        assert np.linalg.norm(g) < 1e-13
+
+
+def multiplier_scan(b, Q, count=200000):
+    """Critical points of x -> b.x + x.Q.x on the unit sphere, found without
+    the enumeration's eigendecomposition: sign changes of |x(mu)|^2 - 1 over a
+    dense grid of Lagrange multipliers, x(mu) = (mu - Q)^{-1} b / 2 from
+    direct solves, plus every coordinate pole with vanishing gradient.  This
+    is complete when the eigenvector-branch roots (b orthogonal to an
+    eigenspace) all lie on coordinate poles, as for the fields tested here."""
+    dim = len(b)
+
+    def lift(mus):
+        rhs = np.broadcast_to(b / 2.0, (len(mus), dim))[..., None]
+        return np.linalg.solve(mus[:, None, None] * np.eye(dim) - Q, rhs)[..., 0]
+
+    reach = 1.1 * (np.linalg.norm(Q, 2) + np.linalg.norm(b))  # bounds |mu|
+    mus = np.linspace(-reach, reach, count)
+    phi = np.sum(lift(mus) ** 2, axis=1) - 1.0
+    k = np.flatnonzero((phi[:-1] < 0) != (phi[1:] < 0))
+    # linear interpolation inside each bracket, then one more solve
+    xs = list(lift(mus[k] - phi[k] * (mus[k + 1] - mus[k]) / (phi[k + 1] - phi[k])))
+    for e in np.concatenate([np.eye(dim), -np.eye(dim)]):
+        g = b + 2.0 * Q @ e
+        if np.linalg.norm(g - (g @ e) * e) < 1e-12:
+            xs.append(e)
+    roots = []
+    for x in xs:
+        x = x / np.linalg.norm(x)
+        if all(np.linalg.norm(x - y) > 1e-6 for y in roots):
+            roots.append(x)
+    return roots
 
 
 @pytest.fixture(scope="module")
@@ -63,28 +123,60 @@ class TestDegenerateField:
         with pytest.raises(DegenerateCriticalPoint):
             find_critical_points(ScalarField.constant(N), 8)
 
+    @pytest.mark.parametrize("terms", [
+        [("x1^2", 0.02), ("x2^2", 0.02), ("x3^2", 0.03)],  # circle in the x1-x2 plane
+        [("x6^2", 0.02)],                                   # the whole equator
+        # eigh splits the repeated eigenvalue by rounding
+        rotated_terms([0.01, 0.03, 0.03, 0.05, 0.07, 0.09], seed=3),
+    ], ids=["equal_x1_x2", "x6_only", "rotated_repeated"])
+    def test_continuum_raises(self, terms):
+        with pytest.raises(DegenerateCriticalPoint, match="continuum"):
+            find_critical_points(ScalarField(N, 1.0, terms), 8)
+
+    def test_continuum_below_equator_is_outside_the_domain(self):
+        # x2^2 and x3^2 share their coefficient and the linear terms avoid
+        # both, so a circle of critical points spans e2, e3 at a negative
+        # height; the closed upper hemisphere keeps ten isolated ones
+        K = ScalarField(N, 1.0, [
+            ("x1", 0.01), ("x6", -0.01), ("x1^2", 0.04), ("x2^2", 0.04), ("x3^2", 0.04),
+            ("x4^2", 0.05), ("x5^2", -0.05), ("x6^2", 0.03), ("x1*x6", 0.02)])
+        with pytest.raises(DegenerateCriticalPoint, match="continuum"):
+            landscape._sphere_critical_points(K.linear, K.quadratic)
+        records = find_critical_points(K, 8)
+        assert len(records) == 10
+        assert_critical(K, records)
+
     def test_seed_floor(self):
         with pytest.raises(ValueError):
             find_critical_points(field_linear(), 4)
 
 
 class TestCraftedQuadratic:
-    def test_full_root_list_against_grid_scan(self, diag_records):
-        # every dense-scan cluster contains exactly one found root and
-        # every found root is hit by the scan
-        K = field_diag()
-        pts = hemisphere_grid(N, 40)
-        g = K.linear + pts @ (2.0 * K.quadratic)
-        rad = np.einsum("ki,ki->k", g, pts)
-        gt = g - rad[:, None] * pts
-        # treat near-boundary points through the trace gradient as well
-        cand = pts[np.linalg.norm(gt, axis=1) < 2e-3]
-        found = np.array([r.location.coords for r in diag_records])
-        dist = np.arccos(np.clip(cand @ found.T, -1, 1))
-        assert dist.min(axis=1).max() < 2e-3
-        hit = np.zeros(len(found), dtype=bool)
-        hit[np.unique(np.argmin(dist, axis=1))] = True
-        assert hit.all()
+    @pytest.mark.parametrize("make_field", [
+        field_diag, field_boundary_max, field_interior_min, field_h3_quadratic_flat,
+        field_general], ids=lambda make: make.__name__)
+    def test_full_root_list_against_grid_scan(self, make_field):
+        # the scan and the enumeration agree root for root, on the equator
+        # (trace) and in the open hemisphere (full field)
+        K = make_field()
+        records = find_critical_points(K, 8)
+        trace = [r.location.coords[:N] for r in records if r.is_boundary]
+        inner = [r.location.coords for r in records if not r.is_boundary]
+        scan_trace = multiplier_scan(K.linear[:N], K.quadratic[:N, :N])
+        # roots on the equator belong to the trace search
+        scan_inner = [x for x in multiplier_scan(K.linear, K.quadratic) if x[-1] > 1e-6]
+        for found, scanned in ((trace, scan_trace), (inner, scan_inner)):
+            assert len(found) == len(scanned)
+            for x in found:
+                assert min(np.linalg.norm(x - y) for y in scanned) < 1e-4
+            for y in scanned:
+                assert min(np.linalg.norm(x - y) for x in found) < 1e-4
+        assert_critical(K, records)
+
+    def test_seed_arguments_do_not_change_records(self):
+        K = field_general()
+        first = [r.to_json() for r in find_critical_points(K, 8, seed=1)]
+        assert first == [r.to_json() for r in find_critical_points(K, 12, seed=7)]
 
     def test_expected_count_and_kinds(self, diag_records):
         assert len(diag_records) == 11
@@ -173,6 +265,13 @@ class TestIndexSums:
         expected = 1 + (-1) ** (N - 1)
         assert poincare_hopf_boundary(linear_records, N) == expected
         assert poincare_hopf_boundary(diag_records, N) == expected
+
+    def test_incomplete_root_list_raises(self, monkeypatch):
+        enumerate_roots = landscape._sphere_critical_points
+        monkeypatch.setattr(landscape, "_sphere_critical_points",
+                            lambda b, Q, **kw: enumerate_roots(b, Q, **kw)[:-1])
+        with pytest.raises(DegenerateCriticalPoint, match="Poincare-Hopf"):
+            find_critical_points(field_diag(), 8)
 
     def test_interior_tally_reported(self, diag_records):
         assert hemisphere_index_tally(diag_records) == (-1) ** N
