@@ -185,41 +185,40 @@ class ScalarField:
     # -- chart pullback (exact rational calculus) ----------------------------
 
     def chart_data(self, chart, x):
-        """Value, gradient, Hessian of the pullback K o chart^{-1} at chart point x.
+        """Value, gradient, Hessian of the pullback K o chart^{-1} at chart points.
 
-        The pullback through p(x) = ((1-|x|^2), 2x)/(1+|x|^2) (composed with the
-        chart rotation) is rational; first and second derivatives are assembled
-        from the exact derivatives of p.
+        ``x`` is one point (n,), giving (float, (n,), (n, n)), or a batch (k, n),
+        giving arrays (k,), (k, n), (k, n, n) whose row i belongs to x[i].  The
+        pullback through p(x) = ((1-|x|^2), 2x)/d, d = 1+|x|^2 (composed with the
+        chart rotation) is rational.  With dK(p) = (g_0, g_v) and c = g_0 + g_v.x,
+        sum_a g_a d^2 p_a = -4c/d^2 I - 4(g_v x^T + x g_v^T)/d^2 + 16c/d^3 x x^T.
         """
         x = np.asarray(x, dtype=float)
-        nn = x.shape[0]
+        xs = x.reshape(-1, x.shape[-1])
+        nn = xs.shape[1]
         rot = chart.rotation
-        s = float(x @ x)
-        d = 1.0 + s
-        p = np.concatenate(([1.0 - s], 2.0 * x)) / d
-        # dp/dx: row alpha of J is the gradient of p_alpha.
-        jac = np.zeros((nn + 1, nn))
-        jac[0] = -4.0 * x / d**2
-        jac[1:] = 2.0 * np.eye(nn) / d
-        jac[1:] += -4.0 * np.outer(x, x) / d**2
-        # second derivatives of each p_alpha
-        hess_p = np.zeros((nn + 1, nn, nn))
-        eye = np.eye(nn)
-        hess_p[0] = -4.0 * eye / d**2 + 16.0 * np.outer(x, x) / d**3
-        for k in range(nn):
-            hp = np.zeros((nn, nn))
-            hp -= 4.0 * (np.outer(eye[k], x) + np.outer(x, eye[k])) / d**2
-            hp -= 4.0 * x[k] * eye / d**2
-            hp += 16.0 * x[k] * np.outer(x, x) / d**3
-            hess_p[k + 1] = hp
+        s = np.einsum("ki,ki->k", xs, xs)
+        d = (1.0 + s)[:, None, None]
+        p = np.concatenate(((1.0 - s)[:, None], 2.0 * xs), axis=1) / d[:, :, 0]
+        xx = xs[:, :, None] * xs[:, None, :]
+        # dp/dx: row alpha of jac[k] is the gradient of p_alpha at x[k].
+        jac = np.empty((xs.shape[0], nn + 1, nn))
+        jac[:, 0] = -4.0 * xs / d[:, :, 0] ** 2
+        jac[:, 1:] = 2.0 * np.eye(nn) / d - 4.0 * xx / d**2
         # rotate the field coefficients instead of the points
         b = rot.T @ self.linear
         q = rot.T @ self.quadratic @ rot
-        value = float(self.kappa0 + b @ p + p @ q @ p)
-        amb_grad = b + 2.0 * q @ p
-        grad = jac.T @ amb_grad
-        hess = jac.T @ (2.0 * q) @ jac
-        hess += np.einsum("a,aij->ij", amb_grad, hess_p)
+        qp = p @ q
+        value = self.kappa0 + p @ b + np.einsum("ka,ka->k", qp, p)
+        g = b + 2.0 * qp
+        grad = np.einsum("kai,ka->ki", jac, g)
+        c = (g[:, 0] + np.einsum("ki,ki->k", g[:, 1:], xs))[:, None, None]
+        gx = g[:, 1:, None] * xs[:, None, :]
+        hess = np.swapaxes(jac, 1, 2) @ (2.0 * q) @ jac
+        hess += (-4.0 * c / d**2) * np.eye(nn) - 4.0 * (gx + np.swapaxes(gx, 1, 2)) / d**2 \
+            + 16.0 * c / d**3 * xx
+        if x.ndim == 1:
+            return float(value[0]), grad[0], hess[0]
         return value, grad, hess
 
     # -- global extrema ------------------------------------------------------

@@ -114,23 +114,34 @@ def tangent_basis(point_coords, within_equator: bool = False):
 
     With ``within_equator`` the basis spans the tangent space of the equator
     sphere (dimension n-1), otherwise of the full sphere (dimension n).
+    Gram-Schmidt over the coordinate axes, in order, against the point (and
+    the vertical axis); a residual that lost more than half its length is
+    projected a second time, since it then carries rounding noise of the
+    size of the removed components.
     """
     p = np.asarray(point_coords, dtype=float)
     dim = p.shape[0]
-    cols = [p]
+    eye = np.eye(dim)
+    frame = np.empty((dim, dim))
+    frame[0] = p
+    r = 1
     if within_equator:
-        cols.append(np.eye(dim)[-1])
-    basis = []
-    for k in range(dim):
-        e = np.eye(dim)[k]
-        w = e.copy()
-        for c in cols + basis:
-            w = w - np.dot(w, c) * c
+        frame[1] = eye[-1]
+        r = 2
+    first = r
+    for e in eye:
+        if r == dim:
+            break
+        q = frame[:r]
+        w = e - q.T @ (q @ e)
         nrm = np.linalg.norm(w)
+        if nrm < 0.5:
+            w = w - q.T @ (q @ w)
+            nrm = np.linalg.norm(w)
         if nrm > 1e-8:
-            basis.append(w / nrm)
-    want = dim - 1 - (1 if within_equator else 0)
-    return np.array(basis[:want])
+            frame[r] = w / nrm
+            r += 1
+    return frame[first:r]
 
 
 # ---------------------------------------------------------------------------

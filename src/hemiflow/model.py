@@ -170,13 +170,22 @@ class BubbleFrame:
 
 
 def _build_frame(i: int, boundary: bool, alpha: float, b: BubbleParam, K: ScalarField) -> BubbleFrame:
+    a = b.a.coords
+    if a.shape[0] != K.n + 1:
+        raise InvalidConfiguration(f"bubble {i}: point has {a.shape[0]} coordinates, field needs {K.n + 1}")
     cb = ChartedBubble.build(b)
     chart = cb.chart
-    a = b.a.coords
     lam = b.lam
     a_chart = chart.to_chart(a)
     s2 = float(a_chart @ a_chart)
-    kt_val, kt_grad, kt_hess = K.chart_data(chart, cb.center)
+    nn = a.shape[0] - 1
+    # pullback at the center and at center +/- h along each chart axis.  Crude but
+    # honest third-derivative scale: central differences of the exact Hessian,
+    # doubled for headroom.
+    h = 0.25
+    vals, grads, hess = K.chart_data(
+        chart, cb.center + h * np.concatenate((np.zeros((1, nn)), np.eye(nn), -np.eye(nn))))
+    m3 = 2.0 * float(np.max(np.abs(hess[1:nn + 1] - hess[nn + 1:]))) / (2 * h)
     grad_sphere = K.tangent_gradient(b.a)
     grad_k1 = K.boundary_gradient(b.a) if boundary else np.zeros_like(a)
     h_self = greens_regular_part(cb.center, cb.center) if (not boundary and cb.height > 0) else 0.0
@@ -185,31 +194,19 @@ def _build_frame(i: int, boundary: bool, alpha: float, b: BubbleParam, K: Scalar
     dl_dloglam = (lam * lam - s2) / denom
     dC_dloglam = a_chart * (2.0 * lam * lam * (1.0 + s2) / denom**2)
     # chart-center shift per sphere move: dC/dA . dA/da
-    nn = a.shape[0] - 1
     dCdA = (lam * lam - 1.0) * (np.eye(nn) / denom - 2.0 * np.outer(a_chart, a_chart) / denom**2)
     dldA = 2.0 * a_chart * (1.0 - lam * lam) / (lam * (1.0 + s2) ** 2) / cb.rate
     jac = chart.chart_jacobian(a)
     dC_dmove = dCdA @ jac
     dl_dmove = jac.T @ dldA
 
-    # crude but honest third-derivative scale: finite differences of the exact
-    # Hessian around the center, doubled for headroom
-    h = 0.25
-    m3 = 0.0
-    for k in range(nn):
-        e = np.eye(nn)[k] * h
-        _, _, hp = K.chart_data(chart, cb.center + e)
-        _, _, hm = K.chart_data(chart, cb.center - e)
-        m3 = max(m3, float(np.max(np.abs(hp - hm))) / (2 * h))
-    m3 *= 2.0
-
     return BubbleFrame(
         idx=i, boundary=boundary, alpha=alpha, param=b, cb=cb,
         k_val=K.value(b.a), grad_sphere=grad_sphere,
         grad_norm=float(np.linalg.norm(grad_sphere)),
         grad_k1_norm=float(np.linalg.norm(grad_k1)),
-        kt_val=kt_val, kt_grad=kt_grad, kt_hess=kt_hess,
-        kt_lap=float(np.trace(kt_hess)), h_self=h_self,
+        kt_val=float(vals[0]), kt_grad=grads[0], kt_hess=hess[0],
+        kt_lap=float(np.trace(hess[0])), h_self=h_self,
         dl_dloglam=dl_dloglam, dC_dloglam=dC_dloglam,
         dC_dmove=dC_dmove, dl_dmove=dl_dmove, m3=m3,
     )
@@ -243,7 +240,9 @@ class Assembly:
     eps_mat: np.ndarray
     w_mat: np.ndarray     # pair overlap weights (1/2 when a boundary bubble is involved)
     hmut_mat: np.ndarray  # mutual regular-part terms H_ij / (mu_i mu_j)^{(n-2)/2}
+    dist_mat: np.ndarray  # geodesic distances between the concentration points
     vbar: float
+    budgets: tuple | None = None  # (R1, R1_boundary), stored by assemble
 
     @property
     def j_bar(self) -> Bar:
@@ -275,10 +274,8 @@ class ReducedModel:
     # -- frames ---------------------------------------------------------------
 
     def frames(self, cfg: Configuration) -> list:
-        out = []
-        for i, (a, b) in enumerate(zip(cfg.alphas, cfg.bubbles)):
-            out.append(_build_frame(i, i < cfg.q, a, b, self.K))
-        return out
+        return [_build_frame(i, i < cfg.q, a, b, self.K)
+                for i, (a, b) in enumerate(zip(cfg.alphas, cfg.bubbles))]
 
     # -- core assembly --------------------------------------------------------
 
@@ -316,9 +313,13 @@ class ReducedModel:
         eps_mat = np.zeros((m, m))
         w_mat = np.zeros((m, m))
         hmut_mat = np.zeros((m, m))
+        dist_mat = np.zeros((m, m))
+        min_d = math.inf
         for i in range(m):
             for j in range(i + 1, m):
                 eps_mat[i, j] = eps_mat[j, i] = epsilon(cfg.bubbles[i], cfg.bubbles[j])
+                dist_mat[i, j] = dist_mat[j, i] = geodesic_distance(cfg.bubbles[i].a, cfg.bubbles[j].a)
+                min_d = min(min_d, dist_mat[i, j])
                 w = (self.opt.pair_overlap_coeff
                      if (frames[i].boundary or frames[j].boundary) else 1.0)
                 w_mat[i, j] = w_mat[j, i] = w
@@ -362,8 +363,7 @@ class ReducedModel:
                 if e <= 0.0:
                     continue
                 slop = 6.0 * e ** (n / (n - 2.0)) * math.log(1.0 / e)
-                d_ij = geodesic_distance(cfg.bubbles[i].a, cfg.bubbles[j].a)
-                slop += e * d_ij * (frames[i].grad_norm + frames[j].grad_norm)
+                slop += e * dist_mat[i, j] * (frames[i].grad_norm + frames[j].grad_norm)
                 if frames[i].boundary != frames[j].boundary:
                     f_in = frames[j] if frames[i].boundary else frames[i]
                     slop += e * (2.0 * f_in.rate * max(f_in.cb.height, 1e-300)) ** (2 - n)
@@ -374,16 +374,15 @@ class ReducedModel:
         # square is already a relative correction
         rel += self.opt.vbar_coeff * vbar**2
         # dropped-hypothesis penalty when points crowd below the separation scale
-        min_d = math.inf
-        for i in range(m):
-            for j in range(i + 1, m):
-                min_d = min(min_d, geodesic_distance(cfg.bubbles[i].a, cfg.bubbles[j].a))
-        if m > 1 and min_d < self.opt.sep_distance:
+        if min_d < self.opt.sep_distance:
             rel *= 1.0 + self.opt.sep_distance / max(min_d, 1e-12)
 
-        return Assembly(cfg=cfg, frames=frames, a_qty=a_qty, n_qty=n_qty, num=num,
-                        den=den, gamma=gamma, j_center=float(j_center), rel_bar=float(rel),
-                        eps_mat=eps_mat, w_mat=w_mat, hmut_mat=hmut_mat, vbar=vbar)
+        asm = Assembly(cfg=cfg, frames=frames, a_qty=a_qty, n_qty=n_qty, num=num,
+                       den=den, gamma=gamma, j_center=float(j_center), rel_bar=float(rel),
+                       eps_mat=eps_mat, w_mat=w_mat, hmut_mat=hmut_mat, dist_mat=dist_mat,
+                       vbar=vbar)
+        asm.budgets = self.remainder_budgets(cfg, asm)
+        return asm
 
     # -- public evaluations ---------------------------------------------------
 
@@ -530,15 +529,14 @@ class ReducedModel:
             if e <= 0.0:
                 continue
             term = 6.0 * e ** (n / (n - 2)) * math.log(1.0 / e)
-            d_ij = geodesic_distance(asm.cfg.bubbles[i].a, asm.cfg.bubbles[j].a)
-            term += e * d_ij * (f.grad_norm + asm.frames[j].grad_norm)
+            term += e * asm.dist_mat[i, j] * (f.grad_norm + asm.frames[j].grad_norm)
             # positional drift of the mutual regular part is budgeted, not tracked
             term += asm.hmut_mat[i, j] * (3.0 + e ** (1.0 / (n - 2)))
             slop += asm.frames[j].alpha * self.c2 * term
         bar += 2.0 * asm.j_center / asm.n_qty * slop
         own = f.grad_norm / f.param.lam + 1.0 / f.param.lam**2 + float(np.sum(eps_row))
         bar += 2.0 * asm.j_center / asm.n_qty * self.s_n * asm.vbar * own
-        r1, r1b = self.remainder_budgets(asm.cfg, asm)
+        r1, r1b = asm.budgets
         bar += 2.0 * asm.j_center / asm.n_qty * (r1b if f.boundary else r1)
         return float(bar)
 
@@ -550,8 +548,10 @@ class ReducedModel:
         R1 sums (|grad K|/lam)^{n/2} + (1/lam^2)^{(n+1)/3} over every profile,
         the log-weighted interaction powers over every pair, and the interior
         chart tails; the boundary variant restricts to boundary indices.
+        ``assemble`` stores the pair on the Assembly; later calls read it.
         """
-        asm = asm or self.assemble(cfg)
+        if asm is None or asm.budgets is not None:
+            return (asm or self.assemble(cfg)).budgets
         n = self.n
         r1 = r1b = 0.0
         for f in asm.frames:
@@ -594,14 +594,13 @@ class ReducedModel:
             for j in range(m):
                 if i != j:
                     deps_dlam[i, j], _ = epsilon_dlambda(cfg.bubbles[i], cfg.bubbles[j])
-        r1, r1b = self.remainder_budgets(cfg, asm)
         return GradientComponents(
             alpha_pairings=tuple(alpha_pairings),
             lam_pairings=tuple(lam_pairings),
             a_pairings=tuple(a_pairings),
             eps=asm.eps_mat.copy(),
             eps_dloglam=deps_dlam,
-            r1=r1, r1_boundary=r1b,
+            r1=asm.budgets[0], r1_boundary=asm.budgets[1],
         )
 
     def grad_alpha(self, cfg: Configuration, i: int, asm: Assembly | None = None) -> Bar:

@@ -5,8 +5,9 @@ from hemiflow.errors import ConfigError, NonPositiveField
 from hemiflow.fields import ScalarField, hemisphere_grid, parse_monomial
 from hemiflow.geometry import (BoundarySpherePoint, RotatedChart,
                                geodesic_step, tangent_basis)
+from hemiflow.model import ReducedModel, _build_frame
 
-from _fixtures import N, E, field_linear
+from _fixtures import N, E, field_diag, field_linear, sample_cluster, sample_v4
 
 
 def rand_hemi(rng):
@@ -117,20 +118,64 @@ class TestCalculus:
     def test_chart_pullback_derivatives(self):
         K = ScalarField(N, 1.0, [("x1", 0.05), ("x1*x2", 0.03), ("x6^2", 0.02)])
         chart = RotatedChart.for_anchor(np.array([0.6, 0.8, 0, 0, 0, 0.0]))
-        x0 = np.array([0.1, -0.2, 0.3, 0.05, 0.4])
-        val, grad, hess = K.chart_data(chart, x0)
         def f(x):
             return K.value(chart.to_sphere(x))
-        assert abs(val - f(x0)) < 1e-14
-        h = 1e-6
-        for j in range(N):
-            fd = (f(x0 + h * np.eye(N)[j]) - f(x0 - h * np.eye(N)[j])) / (2 * h)
-            assert abs(grad[j] - fd) < 1e-8
-        h = 1e-4
-        for i in range(N):
-            ei = np.eye(N)[i]
-            fd = (f(x0 + 2 * h * ei) - 2 * f(x0) + f(x0 - 2 * h * ei)) / (4 * h * h)
-            assert abs(hess[i, i] - fd) < 1e-6
+        # a batch with one point beyond the unit ball; each row is checked against
+        # the single-point call and against finite differences
+        pts = np.array([[0.1, -0.2, 0.3, 0.05, 0.4],
+                        [0.0, 0.0, 0.0, 0.0, 0.0],
+                        [0.7, 0.5, -0.9, 0.2, 0.3],
+                        [-0.3, 0.1, 0.2, -0.4, 0.05]])
+        assert np.linalg.norm(pts[2]) > 1.0
+        vals, grads, hessians = K.chart_data(chart, pts)
+        assert vals.shape == (len(pts),)
+        assert grads.shape == (len(pts), N)
+        assert hessians.shape == (len(pts), N, N)
+        for x0, bval, bgrad, bhess in zip(pts, vals, grads, hessians):
+            val, grad, hess = K.chart_data(chart, x0)
+            assert isinstance(val, float)
+            assert grad.shape == (N,) and hess.shape == (N, N)
+            assert abs(bval - val) < 1e-14
+            assert np.max(np.abs(bgrad - grad)) < 1e-14
+            assert np.max(np.abs(bhess - hess)) < 1e-14
+            assert abs(val - f(x0)) < 1e-14
+            h = 1e-6
+            for j in range(N):
+                fd = (f(x0 + h * np.eye(N)[j]) - f(x0 - h * np.eye(N)[j])) / (2 * h)
+                assert abs(bgrad[j] - fd) < 1e-8
+            h = 1e-4
+            for i in range(N):
+                ei = np.eye(N)[i]
+                fd = (f(x0 + 2 * h * ei) - 2 * f(x0) + f(x0 - 2 * h * ei)) / (4 * h * h)
+                assert abs(bhess[i, i] - fd) < 1e-6
+            # an off-diagonal entry through the mixed second difference
+            e0, e1 = np.eye(N)[0], np.eye(N)[1]
+            fd = (f(x0 + h * (e0 + e1)) - f(x0 + h * (e0 - e1))
+                  - f(x0 - h * (e0 - e1)) + f(x0 - h * (e0 + e1))) / (4 * h * h)
+            assert abs(bhess[0, 1] - fd) < 1e-6
+
+    @pytest.mark.parametrize("state", ["v4_interior", "boundary_pair"])
+    def test_frame_m3_matches_per_axis_differences(self, state):
+        K = field_diag()
+        model = ReducedModel(K)
+        rng = np.random.default_rng(17)
+        cfg = (sample_v4(model, rng) if state == "v4_interior"
+               else sample_cluster(model, E[0], rng))
+        assert cfg.size == 2
+        h = 0.25
+        for i, (alpha, b) in enumerate(zip(cfg.alphas, cfg.bubbles)):
+            frame = _build_frame(i, i < cfg.q, alpha, b, K)
+            center = frame.cb.center
+            # twice the largest per-axis central difference of the Hessian
+            expected = 0.0
+            for k in range(N):
+                e = h * np.eye(N)[k]
+                _, _, hp = K.chart_data(frame.cb.chart, center + e)
+                _, _, hm = K.chart_data(frame.cb.chart, center - e)
+                expected = max(expected, float(np.max(np.abs(hp - hm))) / (2 * h))
+            expected *= 2.0
+            assert expected > 0.0
+            assert abs(frame.m3 - expected) <= 1e-14 * expected
 
 
 class TestMinMax:

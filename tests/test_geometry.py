@@ -149,6 +149,20 @@ class TestRotatedChart:
             assert np.allclose(jac @ e, fd, atol=1e-7)
 
 
+class TestTangentBasis:
+    @pytest.mark.parametrize("within_equator", [False, True])
+    def test_point_just_off_a_coordinate_axis(self, within_equator):
+        # one first-pass residual here is pure cancellation noise of size 1e-8
+        p = E[0] + 1.26e-8 * E[2]
+        p /= np.linalg.norm(p)
+        basis = tangent_basis(p, within_equator=within_equator)
+        assert basis.shape == (N - 1 if within_equator else N, N + 1)
+        assert np.max(np.abs(basis @ basis.T - np.eye(len(basis)))) < 1e-12
+        assert np.max(np.abs(basis @ p)) < 1e-12
+        if within_equator:
+            assert np.max(np.abs(basis[:, -1])) < 1e-12
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-1, 1), min_size=N + 1, max_size=N + 1))
 def test_projection_roundtrip_property(raw):

@@ -146,6 +146,15 @@ class TestDegenerateField:
         assert len(records) == 10
         assert_critical(K, records)
 
+    def test_double_trace_root_just_off_an_axis_is_reported_degenerate(self):
+        # the trace has a double secular root at e1 + 1.26e-8 e3, where the
+        # tangent basis must stay tangent for the Hessian to come out singular
+        K = ScalarField(N, 1.0, [
+            ("x1^2", -0.01), ("x2^2", 0.01), ("x3^2", -0.01), ("x3", 0.03), ("x5^2", -0.04),
+            ("x6^2", -0.02), ("x6", -0.03), ("x1*x3", -0.03)])
+        with pytest.raises(DegenerateCriticalPoint, match="degenerate boundary critical point"):
+            find_critical_points(K, 8)
+
     def test_seed_floor(self):
         with pytest.raises(ValueError):
             find_critical_points(field_linear(), 4)

@@ -57,6 +57,13 @@ class TestConfiguration:
         with pytest.raises(InvalidConfiguration):
             Configuration((1.0, 1.0), (b, b), 2, 0, 0.1)
 
+    def test_point_dimension_checked_when_framed(self):
+        # 5-coordinate points for an n = 5 field (which needs 6)
+        pt = BoundarySpherePoint(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+        cfg = Configuration((1.0,), (BubbleParam(pt, 60.0),), 1, 0, 0.12)
+        with pytest.raises(InvalidConfiguration, match="5 coordinates.*needs 6"):
+            ReducedModel(field_linear()).assemble(cfg)
+
     def test_json_roundtrip(self, model_lin):
         cfg = make_cfg(model_lin, [
             BubbleParam(BoundarySpherePoint(E[0]), 50.0),
