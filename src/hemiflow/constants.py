@@ -3,8 +3,9 @@
 Every constant is a dimensional factor times a radial (or vertically
 weighted radial) integral over the half-space or the whole space.  The
 integrals are reduced analytically to one-dimensional radial integrals,
-evaluated by adaptive quadrature, and cross-checked against Beta/Gamma
-closed forms.
+evaluated by a vectorised adaptive 7/15-point Gauss-Kronrod scheme in numpy,
+and cross-checked against Beta/Gamma closed forms.  scipy is not imported
+here; only the independent routes in :mod:`hemiflow.oracles` use it.
 
 Roles (all with cp := c0^{2n/(n-2)} = (n(n-2))^{n/2}):
 
@@ -31,8 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as _gamma
 
 from .errors import ConfigError, ToleranceNotMet
 
@@ -42,21 +41,21 @@ _DERIVED_ENTRIES = frozenset({"c9"})
 
 def sphere_area(m: int) -> float:
     """Surface area of the unit sphere S^m in R^{m+1}."""
-    return 2.0 * math.pi ** ((m + 1) / 2.0) / _gamma((m + 1) / 2.0)
+    return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
 
 
 def ball_volume(m: int) -> float:
-    return math.pi ** (m / 2.0) / _gamma(m / 2.0 + 1.0)
+    return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
 
 
 def _g_closed(n: int, p: float) -> float:
     """int_{R^n} (1+|x|^2)^{-p} dx = pi^{n/2} Gamma(p - n/2) / Gamma(p)."""
-    return math.pi ** (n / 2.0) * _gamma(p - n / 2.0) / _gamma(p)
+    return math.pi ** (n / 2.0) * math.gamma(p - n / 2.0) / math.gamma(p)
 
 
 def _x_closed(n: int, p: float) -> float:
     """int_{half-space} x_n (1+|x|^2)^{-p} dx."""
-    return math.pi ** ((n - 1) / 2.0) * _gamma(p - (n + 1) / 2.0) / (2.0 * (p - 1.0) * _gamma(p - 1.0))
+    return math.pi ** ((n - 1) / 2.0) * math.gamma(p - (n + 1) / 2.0) / (2.0 * (p - 1.0) * math.gamma(p - 1.0))
 
 
 def closed_forms(n: int) -> dict:
@@ -81,38 +80,86 @@ def closed_forms(n: int) -> dict:
 # 1-d radial quadrature
 # ---------------------------------------------------------------------------
 
+# QUADPACK's qk15 pair on [-1, 1]: the 15-point Kronrod rule and its embedded
+# 7-point Gauss rule (zero weight at the Kronrod-only nodes).  Listed from the
+# left end to the centre; the rules are symmetric.
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
+])
+_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
+_KRONROD = np.concatenate((_WGK, _WGK[-2::-1]))
+_GAUSS = np.concatenate((_WG, _WG[-2::-1]))
+
+_EPS = float(np.finfo(float).eps)
+_MAX_PANELS = 200
+
+
+def _gk15(integrand, lo, hi):
+    """qk15 on every panel [lo_k, hi_k] in one integrand call.
+
+    Returns the Kronrod values, QUADPACK's error estimates and a mask of
+    the panels whose estimate is their round-off floor ``50 eps resabs``.
+    """
+    half = 0.5 * (hi - lo)
+    fv = integrand((0.5 * (lo + hi))[:, None] + half[:, None] * _NODES)
+    resk = fv @ _KRONROD
+    diff = np.abs((resk - fv @ _GAUSS) * half)
+    resabs = (np.abs(fv) @ _KRONROD) * half
+    resasc = (np.abs(fv - 0.5 * resk[:, None]) @ _KRONROD) * half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where((resasc != 0.0) & (diff != 0.0),
+                       resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5), diff)
+    floor = 50.0 * _EPS * resabs
+    return resk * half, np.maximum(err, floor), err <= floor
+
+
 def _radial_quad(f, n: int, weight_power: int, tol: float):
     """Adaptive integral of r^{n-1+weight_power} f(r) over (0, inf).
 
     Compactified through r = tan(theta); the sign change of the ring factors
-    at r = 1 sits at the interior split point pi/4.
+    at r = 1 sits at the interior split point pi/4.  Each pass evaluates all
+    open panels at once.  It stops when the summed error estimate is at most
+    ``max(tol 1e-3, 100 eps) |I|``, and otherwise halves every panel whose
+    estimate exceeds its length's share of that target, unless the panel is
+    already at its round-off floor.  More than ``_MAX_PANELS`` panels raise
+    ToleranceNotMet.  ``f`` must take arrays.
     """
     def integrand(theta):
-        r = math.tan(theta)
-        return r ** (n - 1 + weight_power) * f(r) / math.cos(theta) ** 2
-
-    val = err = 0.0
-    for a, b in ((0.0, 0.25 * math.pi), (0.25 * math.pi, 0.5 * math.pi)):
-        v, e = integrate.quad(integrand, a, b, epsabs=tol * 1e-3, epsrel=tol * 1e-3, limit=200)
-        val += v
-        err += e
-    return val, err
-
-
-def _radial_gauss(f, n: int, weight_power: int, panels: int = 24, order: int = 16):
-    """Fixed composite Gauss-Legendre scheme on r = tan(theta); the
-    independent second route used for scheme cross-checks."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    total = 0.0
-    edges = np.linspace(0.0, 0.5 * math.pi, panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        theta = mid + half * nodes
         r = np.tan(theta)
-        jac = 1.0 / np.cos(theta) ** 2
-        vals = r ** (n - 1 + weight_power) * np.array([f(ri) for ri in r]) * jac
-        total += half * float(weights @ vals)
-    return total
+        return r ** (n - 1 + weight_power) * f(r) / np.cos(theta) ** 2
+
+    rel = max(tol * 1e-3, 100.0 * _EPS)
+    lo = np.array([0.0, 0.25 * math.pi])
+    hi = np.array([0.25 * math.pi, 0.5 * math.pi])
+    done_v, done_e = [], []
+    while True:
+        v, e, at_floor = _gk15(integrand, lo, hi)
+        target = rel * abs(math.fsum([*done_v, *v]))
+        converged = math.fsum([*done_e, *e]) <= target
+        split = ~at_floor & (e > target * (hi - lo) / (0.5 * math.pi)) & (not converged)
+        done_v.extend(v[~split])
+        done_e.extend(e[~split])
+        if not split.any():
+            return math.fsum(done_v), math.fsum(done_e)
+        if len(done_v) + 2 * int(split.sum()) > _MAX_PANELS:
+            raise ToleranceNotMet(
+                f"radial quadrature needs more than {_MAX_PANELS} panels "
+                f"(n={n}, weight power {weight_power}, tol {tol:g})")
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
 
 
 @dataclass(frozen=True)
@@ -242,14 +289,6 @@ def radial_moment(n: int, weight_power: int, profile_power: float, tol: float = 
 def c2_interaction_constant(n: int, tol: float = 1e-8) -> float:
     """The two-bubble interaction constant via its defining quadrature."""
     return compute_constants(n, tol).values["c2"]
-
-
-def c2_scheme_crosscheck(n: int, panels: int = 24) -> float:
-    """c2 via the fixed Gauss-Legendre route (independent scheme)."""
-    cp = float((n * (n - 2)) ** (n / 2.0))
-    area = sphere_area(n - 1)
-    val = _radial_gauss(lambda r: (1.0 + r * r) ** (-(n + 2) / 2.0), n, 0, panels=panels)
-    return cp * area * val
 
 
 def save_report(table: ConstantsTable, json_path, text_path=None):

@@ -25,6 +25,10 @@ class BoundaryPoint(DomainError):
     """Operation requires an interior concentration point."""
 
 
+class NonFiniteBar(DomainError):
+    """An error bar's centre or halfwidth is NaN or infinite."""
+
+
 class ToleranceNotMet(DomainError):
     """Adaptive quadrature stalled above the requested tolerance."""
 

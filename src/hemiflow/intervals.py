@@ -6,7 +6,10 @@ checks compare intervals instead of bare floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .errors import NonFiniteBar
 
 
 @dataclass(frozen=True)
@@ -17,6 +20,8 @@ class Bar:
     halfwidth: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.center) and math.isfinite(self.halfwidth)):
+            raise NonFiniteBar(f"non-finite bar {self.center!r} +/- {self.halfwidth!r}")
         if self.halfwidth < 0:
             raise ValueError("halfwidth must be nonnegative")
 

@@ -669,6 +669,8 @@ class ReducedModel:
         vec = np.zeros_like(a)
         lam = f.param.lam
         m = cfg.size
+        # each pair's interaction gradient does not depend on the direction
+        da_rows = [epsilon_da(cfg.bubbles[i], cfg.bubbles[j]) for j in range(m) if j != i]
         for e in basis:
             dC = f.dC_dmove @ e / lam
             dloglam = float(f.dl_dmove @ e) / lam
@@ -678,12 +680,7 @@ class ReducedModel:
                 # tangential moves keep the center on the chart boundary; the
                 # vertical displacement is handled by the domain-variation term
                 dC[-1] = 0.0
-            deps = np.zeros(max(m - 1, 0))
-            for j in range(m):
-                if j == i:
-                    continue
-                jj = j if j < i else j - 1
-                deps[jj] = float(epsilon_da(cfg.bubbles[i], cfg.bubbles[j]) @ e) / lam
+            deps = np.array([float(row @ e) / lam for row in da_rows])
             dJ = self._pairing(asm, i, dC, dloglam, dCn_domain, deps, np.zeros(max(m - 1, 0)))
             vec = vec + (dJ / f.alpha) * e
         bar = self._grad_bar_common(asm, i) / f.param.lam

@@ -5,6 +5,10 @@ honestly (reduced to one- and two-dimensional quadratures by symmetry), the
 profile equation is checked by finite differences, and the counting
 formulas are enumerated directly.  The test suite and the ``verify`` CLI
 command compare these against the closed-form implementations.
+
+The adaptive integrals here go through ``scipy.integrate.quad``, imported on
+first use so that importing this module (and ``hemiflow.verify``) loads no
+scipy.
 """
 
 from __future__ import annotations
@@ -13,13 +17,46 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as _gamma
 
 from .bubbles import BubbleParam, ChartedBubble, bubble_normalization
 from .constants import ball_volume, sphere_area
 from .fields import ScalarField
 from .geometry import SpherePoint
+
+
+def _quad(f, a, b, **kwargs):
+    """``scipy.integrate.quad`` behind a deferred import."""
+    from scipy import integrate
+    return integrate.quad(f, a, b, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Independent radial route for the constants
+# ---------------------------------------------------------------------------
+
+def _radial_gauss(f, n: int, weight_power: int, panels: int = 24, order: int = 16):
+    """Fixed composite Gauss-Legendre scheme on r = tan(theta); the
+    independent second route to the adaptive Gauss-Kronrod quadrature of
+    :mod:`hemiflow.constants`."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    total = 0.0
+    edges = np.linspace(0.0, 0.5 * math.pi, panels + 1)
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        theta = mid + half * nodes
+        r = np.tan(theta)
+        jac = 1.0 / np.cos(theta) ** 2
+        vals = r ** (n - 1 + weight_power) * np.array([f(ri) for ri in r]) * jac
+        total += half * float(weights @ vals)
+    return total
+
+
+def c2_scheme_crosscheck(n: int, panels: int = 24) -> float:
+    """c2 via the fixed Gauss-Legendre route (independent scheme)."""
+    cp = float((n * (n - 2)) ** (n / 2.0))
+    area = sphere_area(n - 1)
+    val = _radial_gauss(lambda r: (1.0 + r * r) ** (-(n + 2) / 2.0), n, 0, panels=panels)
+    return cp * area * val
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +106,7 @@ def hemisphere_zonal_integral(K: ScalarField, a_coords, lam: float, tol: float =
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-300:
             continue
-        v, _ = integrate.quad(integrand, lo, hi, epsabs=tol, epsrel=tol, limit=200)
+        v, _ = _quad(integrand, lo, hi, epsabs=tol, epsrel=tol, limit=200)
         total += v
     return total
 
@@ -79,7 +116,7 @@ def quadrature_J_boundary(K: ScalarField, a_coords, lam: float) -> float:
     the curvature integral."""
     n = K.n
     cp = float((n * (n - 2)) ** (n / 2.0))
-    s_n = cp * 0.5 * math.pi ** (n / 2.0) * _gamma(n / 2.0) / _gamma(float(n))
+    s_n = cp * 0.5 * math.pi ** (n / 2.0) * math.gamma(n / 2.0) / math.gamma(float(n))
     qint = hemisphere_zonal_integral(K, a_coords, lam)
     return s_n / qint ** ((n - 2) / n)
 
@@ -90,8 +127,8 @@ def quadrature_J_boundary(K: ScalarField, a_coords, lam: float) -> float:
 
 def _cap_m0(m: int, tau: float) -> float:
     """Area of the cap {u_1 >= tau} of S^{m-1}."""
-    v, _ = integrate.quad(lambda u: (1.0 - u * u) ** ((m - 3) / 2.0), tau, 1.0,
-                          epsabs=1e-12, epsrel=1e-12)
+    v, _ = _quad(lambda u: (1.0 - u * u) ** ((m - 3) / 2.0), tau, 1.0,
+                 epsabs=1e-12, epsrel=1e-12)
     return sphere_area(m - 2) * v
 
 
@@ -100,14 +137,14 @@ def _cap_m1(m: int, tau: float) -> float:
 
 
 def _cap_m2_axis(m: int, tau: float) -> float:
-    v, _ = integrate.quad(lambda u: u * u * (1.0 - u * u) ** ((m - 3) / 2.0), tau, 1.0,
-                          epsabs=1e-12, epsrel=1e-12)
+    v, _ = _quad(lambda u: u * u * (1.0 - u * u) ** ((m - 3) / 2.0), tau, 1.0,
+                 epsabs=1e-12, epsrel=1e-12)
     return sphere_area(m - 2) * v
 
 
 def _cap_m2_perp(m: int, tau: float) -> float:
-    v, _ = integrate.quad(lambda u: (1.0 - u * u) ** ((m - 1) / 2.0), tau, 1.0,
-                          epsabs=1e-12, epsrel=1e-12)
+    v, _ = _quad(lambda u: (1.0 - u * u) ** ((m - 1) / 2.0), tau, 1.0,
+                 epsabs=1e-12, epsrel=1e-12)
     return sphere_area(m - 2) * v / (m - 1)
 
 
@@ -162,7 +199,7 @@ def hemisphere_zonal_integral_interior(K: ScalarField, a_coords, lam: float,
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-300:
             continue
-        v, _ = integrate.quad(integrand, lo, hi, epsabs=tol, epsrel=tol, limit=200)
+        v, _ = _quad(integrand, lo, hi, epsabs=tol, epsrel=tol, limit=200)
         total += v
     return total
 
@@ -191,7 +228,7 @@ def quadrature_J_interior(K: ScalarField, point: SpherePoint, lam: float) -> Int
     mu, h = cb.rate, cb.height
     c0 = bubble_normalization(n)
     cp = c0 ** (2.0 * n / (n - 2))
-    g_full = math.pi ** (n / 2.0) * _gamma(n / 2.0) / _gamma(float(n))
+    g_full = math.pi ** (n / 2.0) * math.gamma(n / 2.0) / math.gamma(float(n))
     s_n = cp * 0.5 * g_full
     omega = sphere_area(n - 1)
 
@@ -203,7 +240,7 @@ def quadrature_J_interior(K: ScalarField, point: SpherePoint, lam: float) -> Int
         frac = _cap_m0(n, tau) / omega
         return omega * r ** (n - 1) * cp * mu**n / (1.0 + mu * mu * r * r) ** n * frac
 
-    tail, _ = integrate.quad(tail_integrand, h, np.inf, epsabs=1e-12, epsrel=1e-10, limit=200)
+    tail, _ = _quad(tail_integrand, h, np.inf, epsabs=1e-12, epsrel=1e-10, limit=200)
 
     # Newton average: int delta^{(n+2)/(n-2)} H(C,.) over the whole space
     def newton_integrand(r):
@@ -213,7 +250,7 @@ def quadrature_J_interior(K: ScalarField, point: SpherePoint, lam: float) -> Int
 
     newton = 0.0
     for lo, hi in ((0.0, 2.0 * h), (2.0 * h, np.inf)):
-        v, _ = integrate.quad(newton_integrand, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200)
+        v, _ = _quad(newton_integrand, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200)
         newton += v
     h_corr = c0 * newton / mu ** ((n - 2) / 2.0)
 
@@ -277,14 +314,14 @@ def flat_two_bubble_overlap(n: int, lam_i: float, lam_j: float, dist: float,
             fj = c0 * lam_j ** ((n - 2) / 2.0) / (1.0 + lam_j**2 * rho2) ** ((n - 2) / 2.0)
             return math.sin(theta) ** (n - 2) * fj
 
-        v, _ = integrate.quad(inner, 0.0, math.pi, epsabs=tol, epsrel=tol, limit=100)
+        v, _ = _quad(inner, 0.0, math.pi, epsabs=tol, epsrel=tol, limit=100)
         return r ** (n - 1) * fi * area_sub * v
 
     total = 0.0
     for lo, hi in ((0.0, 4.0 / lam_i), (4.0 / lam_i, dist), (dist, np.inf)):
         if hi != np.inf and hi <= lo:
             continue
-        v, _ = integrate.quad(outer, lo, hi, epsabs=tol, epsrel=tol, limit=200)
+        v, _ = _quad(outer, lo, hi, epsabs=tol, epsrel=tol, limit=200)
         total += v
     return total
 

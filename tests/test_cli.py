@@ -142,6 +142,17 @@ class TestDeterminism:
         assert "B1, B2 = (0, -1)" in res.stdout
 
 
+def test_cli_import_loads_no_scipy():
+    # the CLI and the verify suites run without scipy; only oracles that
+    # call scipy's quadrature load it, on first use
+    code = ("import sys, hemiflow, hemiflow.cli, hemiflow.verify; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 class TestFlowStateErrors:
     def test_missing_state_file(self, tmp_path):
         cfgp = write_config(tmp_path)

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import gamma
 
-from hemiflow.constants import (ConstantsTable, c2_interaction_constant,
-                                c2_scheme_crosscheck, closed_forms, compute_constants)
-from hemiflow.errors import ConfigError
-from hemiflow.oracles import (flat_bubble_pde_residual, flat_epsilon,
+from hemiflow import constants
+from hemiflow.constants import (ConstantsTable, c2_interaction_constant, closed_forms,
+                                compute_constants, radial_moment)
+from hemiflow.errors import ConfigError, ToleranceNotMet
+from hemiflow.oracles import (c2_scheme_crosscheck, flat_bubble_pde_residual, flat_epsilon,
                               flat_two_bubble_overlap)
 
 
@@ -42,6 +46,54 @@ class TestClosedFormAgreement:
         # the squared-norm constant and the tangential point-gradient unit
         # are tied: s_n = 2 n^2 c5 / (n - 2)
         assert abs(table5.s_n - 2 * 25 * table5.c5 / 3) < 1e-9 * table5.s_n
+
+
+class TestToleranceWindow:
+    """Every dimension/tolerance pair the run configuration accepts yields a
+    table within the requested tolerance of the closed forms."""
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 12])
+    def test_table_returned(self, n, tol):
+        table = compute_constants(n, tol)
+        for key, ref in closed_forms(n).items():
+            assert table.errors[key] <= tol * max(1.0, abs(table.values[key])), key
+            assert abs(table.values[key] - ref) <= tol * max(1.0, abs(ref)), key
+
+
+class TestRadialQuadrature:
+    def test_kronrod_and_gauss_rules_exact_on_polynomials(self):
+        # qk15's Kronrod rule is exact to degree 22 and its Gauss rule to 13
+        lo, hi = np.array([0.0]), np.array([1.0])
+        for deg in range(23):
+            val, _, _ = constants._gk15(lambda x: x ** deg, lo, hi)
+            assert abs(val[0] - 1.0 / (deg + 1)) <= 1e-15, deg
+        half = 0.5 * (constants._NODES + 1.0)
+        for deg in range(14):
+            assert abs(0.5 * constants._GAUSS @ half ** deg - 1.0 / (deg + 1)) <= 1e-15, deg
+
+    @pytest.mark.parametrize("n, weight, power", [(5, 0, 5.0), (6, 3, 6.0), (8, 1, 6.5),
+                                                  (12, 2, 13.0)])
+    def test_against_scipy_quad(self, n, weight, power):
+        val, err = radial_moment(n, weight, power, 1e-10)
+        ref, _ = integrate.quad(lambda r: r ** (n - 1 + weight) * (1.0 + r * r) ** -power,
+                                0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert abs(val - ref) <= 1e-13 * ref
+        assert err <= 1e-12 * ref
+
+    def test_closed_form_moment(self):
+        # int_0^inf r^{n-1+w} (1+r^2)^{-p} dr = B((n+w)/2, p-(n+w)/2) / 2
+        n, w, p = 7, 3, 9.0
+        s = (n + w) / 2.0
+        ref = 0.5 * math.gamma(s) * math.gamma(p - s) / math.gamma(p)
+        val, err = radial_moment(n, w, p, 1e-12)
+        assert abs(val - ref) <= 1e-14 * ref
+        assert err <= 1e-13 * ref
+
+    def test_panel_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(constants, "_MAX_PANELS", 3)
+        with pytest.raises(ToleranceNotMet, match="panels"):
+            radial_moment(16, 0, 16.0, 1e-12)
 
 
 class TestProfileEquation:

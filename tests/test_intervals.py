@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from hemiflow.errors import DomainError, NonFiniteBar
 from hemiflow.intervals import Bar
 
 
@@ -36,3 +39,21 @@ def test_widen():
 def test_negative_halfwidth_rejected():
     with pytest.raises(ValueError):
         Bar(0.0, -1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_center_rejected(value):
+    with pytest.raises(NonFiniteBar):
+        Bar(value, 0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_halfwidth_rejected(value):
+    with pytest.raises(NonFiniteBar):
+        Bar(1.0, value)
+
+
+def test_non_finite_result_of_arithmetic_rejected():
+    assert issubclass(NonFiniteBar, DomainError)
+    with pytest.raises(NonFiniteBar):
+        Bar(1e308, 0.0) * 10.0

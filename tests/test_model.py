@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hemiflow.bubbles import BubbleParam
+from hemiflow.bubbles import BubbleParam, epsilon_da
 from hemiflow.errors import (IndexNotBoundary, IndexNotInterior, InvalidConfiguration,
                              NotInWSet)
 from hemiflow.fields import ScalarField
@@ -302,6 +302,25 @@ class TestPointGradient:
         vec_dn, _ = model_lin.grad_a(deflated, 0)
         # the weight-imbalance term dominates and flips with the sign
         assert (vec_up[-1] - up) * (vec_dn[-1] - up) < 0
+
+    def test_pair_gradient_evaluated_once_per_pair(self, model_lin, monkeypatch):
+        cfg = make_cfg(model_lin, [
+            BubbleParam(BoundarySpherePoint(E[0]), 50.0),
+            BubbleParam(BoundarySpherePoint(E[1]), 60.0),
+            BubbleParam(SpherePoint(E[-1]), 70.0),
+        ], q=2)
+        asm = model_lin.assemble(cfg)
+        calls = []
+
+        def counted(bi, bj):
+            calls.append((bi, bj))
+            return epsilon_da(bi, bj)
+
+        monkeypatch.setattr("hemiflow.model.epsilon_da", counted)
+        for i in range(cfg.size):
+            calls.clear()
+            model_lin.grad_a(cfg, i, asm)
+            assert len(calls) == cfg.size - 1
 
 
 class TestResidueBudget:
