@@ -156,27 +156,33 @@ def phi_approx(b: BubbleParam, budget_constant: float = 1.0) -> PhiApprox:
 # Interaction coefficient and derivatives
 # ---------------------------------------------------------------------------
 
-def _interaction_base(bi: BubbleParam, bj: BubbleParam):
-    li, lj = bi.lam, bj.lam
-    t = 1.0 - float(np.dot(bi.a.coords, bj.a.coords))
-    return li / lj + lj / li + 2.0 * li * lj * t, t
+def _separation(bi: BubbleParam, bj: BubbleParam) -> float:
+    """t = 1 - <a_i, a_j>."""
+    return 1.0 - float(np.dot(bi.a.coords, bj.a.coords))
+
+
+def _interaction_terms(li, lj, t, n):
+    """(eps, lam_i d/dlam_i eps, lam_j d/dlam_j eps) from the rates and t, for
+    floats or for arrays of pairs, with the same bits pair by pair.
+
+    Arrays take ``np.float_power``, the C library's pow that floats take too:
+    numpy's ``**`` on arrays may use a SIMD pow that differs in the last bit.
+    """
+    power = np.float_power if isinstance(t, np.ndarray) else pow
+    r, s, cross = li / lj, lj / li, 2.0 * li * lj * t
+    g = r + s + cross
+    scale = -(n - 2) / 2.0 * power(g, -n / 2.0)
+    return power(g, -(n - 2) / 2.0), scale * (r - s + cross), scale * (s - r + cross)
 
 
 def epsilon(bi: BubbleParam, bj: BubbleParam) -> float:
     """Mutual interaction coefficient, in (0, 2^{-(n-2)/2}]."""
-    n = bi.n
-    g, _ = _interaction_base(bi, bj)
-    return float(g ** (-(n - 2) / 2.0))
+    return float(_interaction_terms(bi.lam, bj.lam, _separation(bi, bj), bi.n)[0])
 
 
 def epsilon_dlambda(bi: BubbleParam, bj: BubbleParam):
     """Scaled rate-derivatives (lam_i d/dlam_i eps, lam_j d/dlam_j eps)."""
-    n = bi.n
-    g, t = _interaction_base(bi, bj)
-    li, lj = bi.lam, bj.lam
-    eps_pow = g ** (-n / 2.0)
-    di = -(n - 2) / 2.0 * eps_pow * (li / lj - lj / li + 2.0 * li * lj * t)
-    dj = -(n - 2) / 2.0 * eps_pow * (lj / li - li / lj + 2.0 * li * lj * t)
+    _, di, dj = _interaction_terms(bi.lam, bj.lam, _separation(bi, bj), bi.n)
     return float(di), float(dj)
 
 
@@ -184,9 +190,9 @@ def epsilon_da(bi: BubbleParam, bj: BubbleParam) -> np.ndarray:
     """Ambient gradient of the interaction in the first concentration point:
     (n-2) lam_i lam_j (a_j - a_i) eps^{n/(n-2)}."""
     n = bi.n
-    g, _ = _interaction_base(bi, bj)
-    eps_pow = g ** (-n / 2.0)
-    return (n - 2) * bi.lam * bj.lam * (bj.a.coords - bi.a.coords) * eps_pow
+    li, lj = bi.lam, bj.lam
+    eps_pow = (li / lj + lj / li + 2.0 * li * lj * _separation(bi, bj)) ** (-n / 2.0)
+    return (n - 2) * li * lj * (bj.a.coords - bi.a.coords) * eps_pow
 
 
 def barycentric_pairing(bi: BubbleParam, bj: BubbleParam, b_coords) -> float:

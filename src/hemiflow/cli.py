@@ -157,6 +157,8 @@ def cmd_flow(cfg: RunConfig, args) -> int:
         _write_json(out / "certificates.json", _stamped(cfg, table, {"certificates": certs}))
     print(f"trajectory: {len(traj.points)} states, stop reason: {traj.reason}; "
           f"J: {traj.points[0].j_value.center:.6f} -> {traj.points[-1].j_value.center:.6f}")
+    if traj.detail:
+        print(f"stop detail: {traj.detail}", file=sys.stderr)
     return 0
 
 

@@ -158,10 +158,15 @@ class ScalarField:
         amb = 2.0 * self.quadratic
         return float(np.trace(amb) - v @ amb @ v - self.n * np.dot(self.ambient_gradient(v), v))
 
-    def normal_derivative(self, z) -> float:
-        """dK/dnu at a boundary point, outward normal nu = -e_{n+1}."""
+    def normal_derivative(self, z):
+        """dK/dnu at boundary points, outward normal nu = -e_{n+1}.
+
+        ``z`` is one point (n+1,), giving a float, or a batch (k, n+1), giving
+        (k,); each row of a batch gets the same bits as its single-point call.
+        """
         v = np.asarray(z.coords if isinstance(z, SpherePoint) else z, dtype=float)
-        return float(-self.ambient_gradient(v)[-1])
+        nu = -(self.linear[-1] + 2.0 * np.einsum("...i,i->...", v, self.quadratic[-1]))
+        return float(nu) if v.ndim == 1 else nu
 
     # -- restriction to the equator sphere ----------------------------------
 

@@ -162,6 +162,7 @@ class TrajectoryPoint:
 class Trajectory:
     points: list
     reason: str
+    detail: str = ""  # message of the exception behind a neighborhood_exit
 
     def csv_rows(self):
         rows = []
@@ -667,6 +668,7 @@ class PseudogradientFlow:
         points = [TrajectoryPoint(t, cfg, label.tag, j_val,
                                   tuple(), tuple(self.mus(cfg)))]
         reason = "t_max"
+        detail = ""
         step_index = 0
         while t < t_max - 1e-12:
             vel = self.pseudogradient(cfg, label, asm)
@@ -679,8 +681,8 @@ class PseudogradientFlow:
                 dt_step = min(dt, t_max - t)
                 try:
                     new_cfg = self._advance(cfg, vel, dt_step)
-                except InvalidConfiguration:
-                    reason = "neighborhood_exit"
+                except InvalidConfiguration as exc:
+                    reason, detail = "neighborhood_exit", str(exc)
                     new_cfg = None
                     break
                 new_asm = self.model.assemble(new_cfg)
@@ -698,8 +700,8 @@ class PseudogradientFlow:
             cfg, asm, j_val = new_cfg, new_asm, new_asm.j_bar
             try:
                 label = self.classify_region(cfg, asm)
-            except OutsideNeighborhood:
-                reason = "neighborhood_exit"
+            except OutsideNeighborhood as exc:
+                reason, detail = "neighborhood_exit", str(exc)
                 break
             step_index += 1
             if step_index % record_every == 0:
@@ -710,7 +712,7 @@ class PseudogradientFlow:
         if points[-1].t < t - 1e-12:
             points.append(TrajectoryPoint(t, cfg, label.tag, j_val,
                                           tuple(), tuple(self.mus(cfg))))
-        return Trajectory(points=points, reason=reason)
+        return Trajectory(points=points, reason=reason, detail=detail)
 
     def _advance(self, cfg: Configuration, vel: Velocity, dt: float) -> Configuration:
         alphas = [a + dt * float(da) for a, da in zip(cfg.alphas, vel.alpha_dot)]

@@ -66,9 +66,13 @@ class BoundarySpherePoint(SpherePoint):
         v = _as_unit(coords)
         if abs(v[-1]) > HEIGHT_TOL:
             raise ValueError("boundary point must have vanishing last coordinate")
-        v = v.copy()
-        v[-1] = 0.0
-        super().__init__(v / np.linalg.norm(v))
+        if v[-1] != 0.0:
+            # renormalise only a point that moved: v / |v| is not a fixed
+            # point in floating point, and a stored point must read back as is
+            v = v.copy()
+            v[-1] = 0.0
+            v = v / np.linalg.norm(v)
+        super().__init__(v)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .bubbles import (BubbleParam, ChartedBubble, epsilon, epsilon_da,
                       epsilon_dlambda, greens_regular_part)
 from .constants import ConstantsTable, compute_constants
 from .errors import (IndexNotBoundary, IndexNotInterior, InvalidConfiguration,
-                     NotInWSet)
+                     NonFiniteBar, NotInWSet)
 from .fields import ScalarField
 from .geometry import (BoundarySpherePoint, SpherePoint, geodesic_distance,
                        tangent_basis)
@@ -243,6 +243,11 @@ class Assembly:
     dist_mat: np.ndarray  # geodesic distances between the concentration points
     vbar: float
     budgets: tuple | None = None  # (R1, R1_boundary), stored by assemble
+
+    def __post_init__(self):
+        if not (math.isfinite(self.j_center) and math.isfinite(self.rel_bar)):
+            raise NonFiniteBar(
+                f"non-finite energy {self.j_center!r} with relative bar {self.rel_bar!r}")
 
     @property
     def j_bar(self) -> Bar:

@@ -11,8 +11,7 @@ import numpy as np
 from . import census as census_mod
 from . import constants as constants_mod
 from . import oracles
-from .bubbles import BubbleParam, epsilon, epsilon_dlambda
-from .geometry import SpherePoint
+from .bubbles import _interaction_terms
 
 
 def _suite_counting(cfg) -> tuple:
@@ -61,19 +60,17 @@ def _suite_constants(cfg) -> tuple:
 def _suite_interaction(cfg) -> tuple:
     n = cfg.n if cfg is not None else 5
     rng = np.random.default_rng(cfg.seed if cfg is not None else 0)
-    viol_sum = viol_rate = 0
-    for _ in range(10_000):
-        u = rng.standard_normal(n + 1); u[-1] = abs(u[-1]); u /= np.linalg.norm(u)
-        v = rng.standard_normal(n + 1); v[-1] = abs(v[-1]); v /= np.linalg.norm(v)
-        li, lj = np.exp(rng.uniform(0.0, 6.0, 2))
-        bi = BubbleParam(SpherePoint(u), max(li, 1.0))
-        bj = BubbleParam(SpherePoint(v), max(lj, 1.0))
-        di, dj = epsilon_dlambda(bi, bj)
-        if -(di + dj) < -1e-12 * epsilon(bi, bj):
-            viol_sum += 1
-        d = float(np.arccos(np.clip(u @ v, -1, 1)))
-        if bi.lam * d >= 2.0 and -di < 0.1 * epsilon(bi, bj):
-            viol_rate += 1
+    count = 10_000
+    pts = rng.standard_normal((2, count, n + 1))
+    pts[..., -1] = np.abs(pts[..., -1])
+    u, v = pts / np.linalg.norm(pts, axis=2, keepdims=True)
+    # exp of uniform(0, 6) is already a rate >= 1
+    li, lj = np.exp(rng.uniform(0.0, 6.0, (2, count)))
+    cos_d = np.einsum("ki,ki->k", u, v)
+    eps, di, dj = _interaction_terms(li, lj, 1.0 - cos_d, n)
+    viol_sum = int(np.count_nonzero(-(di + dj) < -1e-12 * eps))
+    d = np.arccos(np.clip(cos_d, -1, 1))
+    viol_rate = int(np.count_nonzero((li * d >= 2.0) & (-di < 0.1 * eps)))
     ok = viol_sum == 0 and viol_rate == 0
     return ok, f"violations: sum-inequality {viol_sum}, rate-inequality {viol_rate}"
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hemiflow.bubbles import (BubbleParam, barycentric_pairing, bubble_normalization,
-                              delta, delta_chart_identity_error, epsilon, epsilon_da,
-                              epsilon_dlambda, greens_regular_part, phi_approx)
+from hemiflow.bubbles import (BubbleParam, _interaction_terms, barycentric_pairing,
+                              bubble_normalization, delta, delta_chart_identity_error,
+                              epsilon, epsilon_da, epsilon_dlambda, greens_regular_part,
+                              phi_approx)
 from hemiflow.errors import BoundaryPoint, InvalidConfiguration
 from hemiflow.geometry import (BoundarySpherePoint, SpherePoint, geodesic_distance,
                                geodesic_step, tangent_basis)
@@ -155,6 +156,28 @@ class TestInteractionRateDerivative:
             hits += 1
             di, _ = epsilon_dlambda(bi, bj)
             assert -di >= 0.1 * epsilon(bi, bj)
+
+
+class TestInteractionKernel:
+    def test_arrays_match_scalar_routes_bit_for_bit(self):
+        rng = np.random.default_rng(10)
+        pairs = [(rand_bubble(rng, 1.0, 500.0), rand_bubble(rng, 1.0, 500.0))
+                 for _ in range(200)]
+        li = np.array([bi.lam for bi, _ in pairs])
+        lj = np.array([bj.lam for _, bj in pairs])
+        t = np.array([1.0 - float(np.dot(bi.a.coords, bj.a.coords)) for bi, bj in pairs])
+        eps, di, dj = _interaction_terms(li, lj, t, N)
+        assert np.array_equal(eps, [epsilon(bi, bj) for bi, bj in pairs])
+        assert np.array_equal(np.stack([di, dj], axis=1),
+                              [epsilon_dlambda(bi, bj) for bi, bj in pairs])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_verify_interaction_suite_passes(self, seed):
+        from hemiflow.config import RunConfig
+        from hemiflow.verify import available_suites
+        cfg = RunConfig(n=N, field_spec={"kappa0": 1.0}, seed=seed)
+        assert available_suites()["interaction"](cfg) == (
+            True, "violations: sum-inequality 0, rate-inequality 0")
 
 
 class TestInteractionPointDerivative:

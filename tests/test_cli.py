@@ -82,6 +82,25 @@ class TestSubcommands:
         certs = json.loads((tmp_path / "out" / "certificates.json").read_text())
         assert all(c["satisfied"] for c in certs["certificates"])
 
+    def test_flow_neighborhood_exit_reason_on_stderr(self, tmp_path, capsys):
+        import numpy as np
+        from hemiflow.model import ReducedModel
+        from _fixtures import E, field_boundary_max, sample_cluster
+        K = field_boundary_max()
+        cfgp = write_config(tmp_path, field_terms=K.to_config()["terms"])
+        state = sample_cluster(ReducedModel(K), E[0], np.random.default_rng(31), count=2,
+                               lam_lo=150.0, lam_hi=170.0, spread=0.03)
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(state.to_json()))
+        assert main(["--config", str(cfgp), "flow", "--state", str(state_path),
+                     "--t-max", "400"]) == 0
+        captured = capsys.readouterr()
+        assert "stop reason: neighborhood_exit" in captured.out
+        assert "stop detail: eps[0][1] = " in captured.err
+        meta = json.loads((tmp_path / "out" / "trajectory_meta.json").read_text())
+        assert meta["stop_reason"] == "neighborhood_exit"
+        assert "detail" not in json.dumps(meta)
+
     def test_verify_counting_suite(self, tmp_path, capsys):
         cfgp = write_config(tmp_path)
         assert main(["--config", str(cfgp), "verify", "--suite", "counting"]) == 0

@@ -90,6 +90,21 @@ class TestCalculus:
             fd = (K.value(geodesic_step(v, inward, h)) - K.value(v)) / h
             assert abs(K.normal_derivative(z) - (-fd)) < 1e-6
 
+    def test_normal_derivative_batch_rows_match_single_points(self):
+        K = ScalarField(N, 1.0, [("x6", 0.07), ("x1*x6", 0.02), ("x3*x6", -0.013),
+                                 ("x6^2", 0.04), ("x2", 0.01)])
+        rng = np.random.default_rng(9)
+        raw = rng.standard_normal((50, N + 1))
+        raw[:, -1] = 0.0
+        points = [BoundarySpherePoint(v / np.linalg.norm(v)) for v in raw]
+        batch = K.normal_derivative(np.array([p.coords for p in points]))
+        assert batch.shape == (50,)
+        for p, nu in zip(points, batch):
+            single = K.normal_derivative(p)
+            assert isinstance(single, float)
+            assert single == nu
+            assert abs(single - float(-K.ambient_gradient(p.coords)[-1])) <= 1e-15
+
     def test_tangent_hessian_matches_finite_differences(self):
         K = ScalarField(N, 1.0, [("x1", 0.05), ("x2^2", 0.03), ("x1*x6", -0.02)])
         rng = np.random.default_rng(4)

@@ -363,6 +363,24 @@ class TestTerminationReasons:
         assert traj.reason in ("neighborhood_exit", "stagnation")
 
 
+    def test_neighborhood_exit_keeps_its_reason(self):
+        K = field_boundary_max()
+        model = ReducedModel(K)
+        flow = PseudogradientFlow(model, find_critical_points(K, 8), FlowParams())
+        cfg = sample_cluster(model, E[0], np.random.default_rng(31), count=2,
+                             lam_lo=150.0, lam_hi=170.0, spread=0.03)
+        traj = flow.integrate(cfg, 400.0)
+        assert traj.reason == "neighborhood_exit"
+        assert traj.detail.startswith("eps[0][1] = ")
+        assert traj.detail.endswith(">= neighborhood scale")
+
+    def test_no_detail_without_an_exit(self, lin_setup):
+        model, records, flow = lin_setup
+        cfg = sample_v1(model, np.random.default_rng(6))
+        traj = flow.integrate(cfg, 0.05)
+        assert traj.reason == "t_max" and traj.detail == ""
+
+
 class TestRegionSignInvariant:
     def test_thousand_states_per_region_audit(self):
         # the assembled rate velocities are nonpositive outside the matched

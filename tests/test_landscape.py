@@ -6,6 +6,7 @@ import pytest
 from hemiflow import landscape
 from hemiflow.errors import AmbiguousSign, DegenerateCriticalPoint
 from hemiflow.fields import ScalarField
+from hemiflow.geometry import tangent_basis
 from hemiflow.landscape import (CriticalPointRecord, _classify_boundary,
                                 check_assumptions, classify, find_critical_points,
                                 hemisphere_index_tally, load_records,
@@ -244,6 +245,71 @@ class TestAssumptions:
         assert ratios[-1] <= 0.01 * ratios[0] + 1e-12
         # the sampled ratio scales linearly with the radius
         assert ratios[1] < 0.75 * ratios[0]
+
+
+README_TERMS = [("x1^2", 0.05), ("x2^2", 0.01), ("x3^2", 0.015), ("x4^2", 0.02),
+                ("x5^2", 0.025), ("x6^2", 0.06)]
+
+
+def per_sample_h3_chains(records, K, ball_radius=0.05, samples=200, seed=99):
+    """The H3 ball sampling as a loop of single-point calls, one draw each."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for r in records:
+        if not r.is_boundary or abs(r.normal_derivative) >= landscape.ZERO_TOL:
+            continue
+        z = r.location.coords
+        basis = tangent_basis(z, within_equator=True)
+        branch_i, chain = True, []
+        for radius in [ball_radius / 2**k for k in range(8)]:
+            worst = 0.0
+            for _ in range(samples):
+                u = rng.standard_normal(len(basis))
+                u /= np.linalg.norm(u)
+                a = np.cos(radius) * z + np.sin(radius) * (u @ basis)
+                a /= np.linalg.norm(a)
+                nu = K.normal_derivative(a)
+                if nu * r.laplacian > 1e-12:
+                    branch_i = False
+                worst = max(worst, abs(nu) / radius)
+            chain.append(worst)
+        out[tuple(np.round(z, 6))] = (branch_i, chain)
+    return out
+
+
+class TestH3BallSampling:
+    @pytest.mark.parametrize("terms, sampled, ratios_vanish", [
+        (README_TERMS, 10, True),                      # dK/dnu = 0 on the whole equator
+        (README_TERMS + [("x1*x6", 0.02)], 8, False),  # dK/dnu != 0 at the roots +-e1
+    ])
+    def test_batched_draws_match_the_per_sample_loop(self, terms, sampled, ratios_vanish):
+        K = ScalarField(N, 1.0, terms)
+        recs = find_critical_points(K, 8)
+        rep = check_assumptions(recs, K)
+        expected = per_sample_h3_chains(recs, K)
+        assert len(expected) == sampled
+        assert rep.h3_branches.keys() == expected.keys()
+        for key, (branch_i, chain) in expected.items():
+            info = rep.h3_branches[key]
+            assert info["branch_i"] == branch_i
+            assert info["branch_ii"] == (chain[-1] <= max(0.01 * chain[0], 1e-12))
+            assert np.allclose(info["ratios"], chain, rtol=1e-15, atol=0.0)
+            assert (max(chain) == 0.0) == ratios_vanish
+
+    def test_one_normal_derivative_call_per_radius(self, monkeypatch):
+        K = ScalarField(N, 1.0, README_TERMS + [("x1*x6", 0.02)])
+        recs = find_critical_points(K, 8)
+        calls = []
+        original = ScalarField.normal_derivative
+
+        def counted(self, z):
+            calls.append(np.shape(z))
+            return original(self, z)
+
+        monkeypatch.setattr(ScalarField, "normal_derivative", counted)
+        rep = check_assumptions(recs, K, samples=200)
+        assert len(rep.h3_branches) == 8
+        assert calls == [(200, N + 1)] * (8 * len(rep.h3_branches))
 
 
 class TestClassification:

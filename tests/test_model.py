@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hemiflow.bubbles import BubbleParam, epsilon_da
 from hemiflow.errors import (IndexNotBoundary, IndexNotInterior, InvalidConfiguration,
-                             NotInWSet)
+                             NonFiniteBar, NotInWSet)
 from hemiflow.fields import ScalarField
 from hemiflow.geometry import (BoundarySpherePoint, SpherePoint, geodesic_step,
                                tangent_basis)
 from hemiflow.landscape import find_critical_points
-from hemiflow.model import Configuration, ReducedModel
+from hemiflow.model import Assembly, Configuration, ReducedModel
 from hemiflow.oracles import quadrature_J_boundary, quadrature_J_interior
 
 from _fixtures import (E, N, field_boundary_max, field_diag, field_linear,
@@ -77,6 +79,37 @@ class TestConfiguration:
             assert b1.lam == b2.lam
             assert np.allclose(b1.a.coords, b2.a.coords)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_json_roundtrip_property(self, data):
+        # 1-3 bubbles, boundary slots first, every rate above 1/eps >= 1
+        eps = data.draw(st.floats(0.05, 0.9), label="eps")
+        q = data.draw(st.integers(0, 3), label="q")
+        p = data.draw(st.integers(0 if q else 1, 3 - q), label="p")
+        alphas, bubbles = [], []
+        for k in range(q + p):
+            v = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=N, max_size=N)))
+            assume(np.linalg.norm(v) > 0.1)
+            if k < q:
+                point = BoundarySpherePoint(np.append(v, 0.0) / np.linalg.norm(v))
+            else:
+                height = data.draw(st.floats(0.3, math.pi / 2))
+                point = SpherePoint(np.append(math.cos(height) * v / np.linalg.norm(v),
+                                              math.sin(height)))
+            lam = data.draw(st.floats(1.0 / eps, 1e5, exclude_min=True))
+            alphas.append(data.draw(st.floats(1e-3, 1e3)))
+            bubbles.append(BubbleParam(point, lam))
+        try:
+            cfg = Configuration(tuple(alphas), tuple(bubbles), q, p, eps)
+        except InvalidConfiguration:
+            assume(False)
+        back = Configuration.from_json(json.loads(json.dumps(cfg.to_json())))
+        assert (back.q, back.p, back.eps_scale, back.alphas) == (q, p, eps, cfg.alphas)
+        for b1, b2 in zip(back.bubbles, cfg.bubbles):
+            assert type(b1.a) is type(b2.a)
+            assert b1.lam == b2.lam
+            assert np.array_equal(b1.a.coords, b2.a.coords)
+
     def test_mass(self, model_lin):
         cfg = make_cfg(model_lin, [
             BubbleParam(BoundarySpherePoint(E[0]), 50.0),
@@ -118,6 +151,15 @@ class TestReducedEnergy:
     def test_constant_boundary_level(self, model_const):
         cfg = single_boundary(model_const, lam=1e6)
         assert abs(model_const.reduced_J(cfg).center - model_const.s_n ** (2 / N)) < 1e-9
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["j_center", "rel_bar"])
+    def test_non_finite_assembly_rejected_when_built(self, model_lin, name, bad):
+        asm = model_lin.assemble(single_boundary(model_lin))
+        fields = {f: getattr(asm, f) for f in Assembly.__dataclass_fields__}
+        Assembly(**fields)
+        with pytest.raises(NonFiniteBar):
+            Assembly(**{**fields, name: bad})
 
     def test_constant_interior_level(self, model_const):
         cfg = single_interior(model_const, lam=1e6)
