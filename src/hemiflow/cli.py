@@ -39,12 +39,17 @@ def _stamped(cfg: RunConfig, table, payload: dict) -> dict:
     return doc
 
 
-def _pipeline(cfg: RunConfig):
+def _landscape(cfg: RunConfig):
     K = cfg.build_field()
     table = constants_mod.compute_constants(cfg.n, cfg.quadrature_tol)
     records = find_critical_points(K, cfg.seeds_per_dim, seed=cfg.seed)
-    report = check_assumptions(records, K)
-    return K, table, records, report
+    return K, table, records
+
+
+def _pipeline(cfg: RunConfig):
+    """The landscape plus its assumption report."""
+    K, table, records = _landscape(cfg)
+    return K, table, records, check_assumptions(records, K)
 
 
 def cmd_constants(cfg: RunConfig, args) -> int:
@@ -123,7 +128,7 @@ def cmd_existence(cfg: RunConfig, args) -> int:
 
 
 def cmd_flow(cfg: RunConfig, args) -> int:
-    K, table, records, report = _pipeline(cfg)
+    K, table, records = _landscape(cfg)
     model = ReducedModel(K, table)
     flow = PseudogradientFlow(model, records, cfg.flow)
     try:

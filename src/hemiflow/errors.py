@@ -61,14 +61,6 @@ class LevelInsideBand(DomainError):
     """Requested cut level lies inside an energy band instead of a gap."""
 
 
-class AssumptionViolation(DomainError):
-    """Landscape assumptions fail; carries the assumption report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class OutsideNeighborhood(DomainError):
     """State left the neighborhood where the region predicates apply."""
 

@@ -191,6 +191,10 @@ class PseudogradientFlow:
         self.params.validate_full(self.n)
         self.trace_crit = [r for r in self.records if r.is_boundary]
         self.interior_crit = [r for r in self.records if not r.is_boundary]
+        # each pool with its record coordinates stacked, keyed by is_boundary
+        self._pools = {
+            boundary: (pool, np.array([r.location.coords for r in pool]).reshape(len(pool), self.n + 1))
+            for boundary, pool in ((True, self.trace_crit), (False, self.interior_crit))}
 
     # -- scalar diagnostics ----------------------------------------------------
 
@@ -226,20 +230,29 @@ class PseudogradientFlow:
 
     # -- anchors and clusters ----------------------------------------------------
 
-    def _nearest_record(self, point, pool, radius):
-        best, best_d = None, radius
-        for r in pool:
-            d = geodesic_distance(point, r.location)
-            if d <= best_d:
-                best, best_d = r, d
-        return best, best_d
+    def _nearest_record(self, point, boundary: bool, radius):
+        """(record, distance) of the nearest trace (``boundary``) or interior
+        record within ``radius``, the last one on a tie; (None, radius) when
+        none is that near.
+
+        All distances come from one row-wise product, whose rows do not
+        depend on their position, so equal records tie exactly; the
+        winner's distance is then taken from ``geodesic_distance``.
+        """
+        pool, coords = self._pools[boundary]
+        dist = np.arccos(np.clip((coords * point.coords).sum(axis=1), -1.0, 1.0))
+        if dist.size == 0:
+            return None, radius
+        k = dist.size - 1 - int(np.argmin(dist[::-1]))
+        if not dist[k] <= radius:
+            return None, radius
+        return pool[k], geodesic_distance(point, pool[k].location)
 
     def clusters(self, cfg: Configuration, radius: float):
         """Map from nearby landscape anchors to the bubble indices they attract."""
         by_anchor = {}
         for i in range(cfg.size):
-            pool = self.trace_crit if cfg.is_boundary_index(i) else self.interior_crit
-            rec, _ = self._nearest_record(cfg.bubbles[i].a, pool, radius)
+            rec, _ = self._nearest_record(cfg.bubbles[i].a, cfg.is_boundary_index(i), radius)
             if rec is None:
                 continue
             key = tuple(np.round(rec.location.coords, 9))
@@ -267,7 +280,7 @@ class PseudogradientFlow:
             b_gam = max(diags[i].gamma_alpha + diags[i].gamma_lambda for i in range(cfg.q))
             d_trace = 0.0
             for i in range(cfg.q):
-                _, d = self._nearest_record(cfg.bubbles[i].a, self.trace_crit, math.pi)
+                _, d = self._nearest_record(cfg.bubbles[i].a, True, math.pi)
                 d_trace = max(d_trace, d)
             r2 = max(ramp(b_gam, 4.0, 6.0), ramp(d_trace, params.eta, 2.0 * params.eta))
         else:
@@ -342,8 +355,7 @@ class PseudogradientFlow:
         used = set()
         for i in range(cfg.size):
             boundary = cfg.is_boundary_index(i)
-            pool = self.trace_crit if boundary else self.interior_crit
-            rec, d = self._nearest_record(cfg.bubbles[i].a, pool, eta)
+            rec, _ = self._nearest_record(cfg.bubbles[i].a, boundary, eta)
             if rec is None:
                 return False
             if boundary:
@@ -416,7 +428,7 @@ class PseudogradientFlow:
     def _field_v2(self, cfg, asm, diags) -> Velocity:
         vel = self._component_base(cfg, asm, diags, interior_rates=False, interior_points=False)
         for i in range(cfg.q):
-            _, d = self._nearest_record(cfg.bubbles[i].a, self.trace_crit, math.pi)
+            _, d = self._nearest_record(cfg.bubbles[i].a, True, math.pi)
             gate = ramp(d, self.params.eta, 2.0 * self.params.eta)
             if gate > 0:
                 g1 = self.K.boundary_gradient(cfg.bubbles[i].a)
@@ -532,42 +544,42 @@ class PseudogradientFlow:
 
         # the comparable-scale lower tower gets its own (recursive) descent
         if tower and len(tower) < size and depth == 0:
-            sub = self._restrict(cfg, sorted(tower))
-            if sub is not None:
-                sub_cfg, back = sub
-                k0 = len(label.tower_set)
-                m0_bar = params.M0 ** (max(k0 - 1, 1) / max(size - 1, 1))
-                sub_params = replace(params, M0=max(m0_bar, 4.0),
-                                     M4=max(math.sqrt(m0_bar / params.smallness), 10.0),
-                                     max_qp=max(len(back), 2))
-                try:
-                    sub_flow = PseudogradientFlow(self.model, self.records, sub_params)
-                    sub_label = sub_flow.classify_region(sub_cfg)
-                    sub_vel = sub_flow.pseudogradient(sub_cfg, sub_label, depth=depth + 1)
-                    for si, gi in enumerate(back):
-                        vel.alpha_dot[gi] += sub_vel.alpha_dot[si] / params.M2**2
-                        vel.a_dot[gi] = vel.a_dot[gi] + sub_vel.a_dot[si] / params.M2**2
-                        extra = sub_vel.loglam_dot[si] / params.M2**2
-                        if params.strict_lambda_sign:
-                            extra = min(extra, 0.0)
-                        vel.loglam_dot[gi] += extra
-                except (ConfigError, InvalidConfiguration, UnclassifiableState,
-                        OutsideNeighborhood):
-                    # an inadmissible sub-problem forfeits its extra descent
-                    # content; the ranked components above still apply
-                    pass
+            k0 = len(label.tower_set)
+            m0_bar = params.M0 ** (max(k0 - 1, 1) / max(size - 1, 1))
+            sub_params = replace(params, M0=max(m0_bar, 4.0),
+                                 M4=max(math.sqrt(m0_bar / params.smallness), 10.0),
+                                 max_qp=max(k0, 2))
+            try:
+                sub_flow = PseudogradientFlow(self.model, self.records, sub_params)
+                sub_cfg, back, sub_asm = self._restrict(cfg, asm, sorted(tower))
+                sub_label = sub_flow.classify_region(sub_cfg, sub_asm)
+                sub_vel = sub_flow.pseudogradient(sub_cfg, sub_label, sub_asm, depth=depth + 1)
+                for si, gi in enumerate(back):
+                    vel.alpha_dot[gi] += sub_vel.alpha_dot[si] / params.M2**2
+                    vel.a_dot[gi] = vel.a_dot[gi] + sub_vel.a_dot[si] / params.M2**2
+                    extra = sub_vel.loglam_dot[si] / params.M2**2
+                    if params.strict_lambda_sign:
+                        extra = min(extra, 0.0)
+                    vel.loglam_dot[gi] += extra
+            except (ConfigError, InvalidConfiguration, UnclassifiableState,
+                    OutsideNeighborhood):
+                # an inadmissible sub-problem forfeits its extra descent
+                # content; the ranked components above still apply
+                pass
         return vel
 
-    def _restrict(self, cfg: Configuration, indices):
-        try:
-            q_sub = sum(1 for i in indices if i < cfg.q)
-            alphas = [cfg.alphas[i] for i in indices]
-            bubbles = [cfg.bubbles[i] for i in indices]
-            sub = Configuration(tuple(alphas), tuple(bubbles), q_sub,
-                                len(indices) - q_sub, cfg.eps_scale)
-            return sub, list(indices)
-        except InvalidConfiguration:
-            return None
+    def _restrict(self, cfg: Configuration, asm, indices):
+        """(sub-configuration on the sorted ``indices``, map back to ``cfg``'s
+        indices, its assembly).  The assembly is built from the parent's
+        frames and kept on the sub-configuration.  Raises
+        InvalidConfiguration when the sub-state leaves the neighborhood."""
+        q_sub = sum(1 for i in indices if i < cfg.q)
+        sub = Configuration(tuple(cfg.alphas[i] for i in indices),
+                            tuple(cfg.bubbles[i] for i in indices),
+                            q_sub, len(indices) - q_sub, cfg.eps_scale)
+        sub_asm = self.model.assemble_frames(sub, [replace(asm.frames[i], idx=k)
+                                                   for k, i in enumerate(indices)])
+        return sub, list(indices), sub_asm
 
     # -- assembled field -----------------------------------------------------------
 

@@ -42,6 +42,15 @@ class SpherePoint:
             raise ValueError("point lies below the equator")
         object.__setattr__(self, "coords", v)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return bool(np.array_equal(self.coords, other.coords))
+
+    def __hash__(self):
+        # + 0.0 maps -0.0 to 0.0, which array_equal counts as equal
+        return hash((self.__class__, (self.coords + 0.0).tobytes()))
+
     @property
     def n(self) -> int:
         """Sphere dimension (ambient dimension minus one)."""

@@ -34,7 +34,7 @@ both routes against honest quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,13 +55,19 @@ from .intervals import Bar
 
 @dataclass(frozen=True)
 class Configuration:
-    """q boundary + p interior weighted bubbles inside V(q+2p, q, p, eps)."""
+    """q boundary + p interior weighted bubbles inside V(q+2p, q, p, eps).
+
+    ``_assemblies`` holds this configuration's ``Assembly`` per model (see
+    ``ReducedModel.assemble``); it lives and dies with the configuration and
+    takes no part in equality or hashing.
+    """
 
     alphas: tuple
     bubbles: tuple
     q: int
     p: int
     eps_scale: float = 0.1
+    _assemblies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.q < 0 or self.p < 0 or self.q + self.p < 1:
@@ -228,7 +234,8 @@ class ModelOptions:
 
 @dataclass
 class Assembly:
-    cfg: Configuration
+    # no back-reference to the configuration: the configuration holds its
+    # assembly, and a cycle would leave both to the cyclic collector
     frames: list
     a_qty: float      # sum_b alpha^2 + 2 sum_in alpha^2
     n_qty: float      # s_n * a_qty (leading squared norm)
@@ -306,8 +313,15 @@ class ReducedModel:
         return 0.5 * (h_ij + h_ji) / (fi.rate * fj.rate) ** ((n - 2) / 2.0)
 
     def assemble(self, cfg: Configuration) -> Assembly:
+        """The configuration's assembly, built once per configuration object
+        and model and kept on the configuration."""
+        asm = cfg._assemblies.get(self)
+        return asm if asm is not None else self.assemble_frames(cfg, self.frames(cfg))
+
+    def assemble_frames(self, cfg: Configuration, frames: list) -> Assembly:
+        """Assemble ``cfg`` from its frames (as ``frames(cfg)`` builds them)
+        and keep the result as the configuration's assembly for this model."""
         n = self.n
-        frames = self.frames(cfg)
         alphas = np.array(cfg.alphas)
         mult = np.array([f.mult for f in frames], dtype=float)
         a_qty = float(np.sum(mult * alphas**2))
@@ -382,11 +396,12 @@ class ReducedModel:
         if min_d < self.opt.sep_distance:
             rel *= 1.0 + self.opt.sep_distance / max(min_d, 1e-12)
 
-        asm = Assembly(cfg=cfg, frames=frames, a_qty=a_qty, n_qty=n_qty, num=num,
+        asm = Assembly(frames=frames, a_qty=a_qty, n_qty=n_qty, num=num,
                        den=den, gamma=gamma, j_center=float(j_center), rel_bar=float(rel),
                        eps_mat=eps_mat, w_mat=w_mat, hmut_mat=hmut_mat, dist_mat=dist_mat,
                        vbar=vbar)
         asm.budgets = self.remainder_budgets(cfg, asm)
+        cfg._assemblies[self] = asm
         return asm
 
     # -- public evaluations ---------------------------------------------------
@@ -455,8 +470,7 @@ class ReducedModel:
 
     # -- movement calculus ------------------------------------------------------
 
-    def _pairing(self, asm: Assembly, i: int, dC, dloglam: float, dCn_domain: float,
-                 deps, dh_mut) -> float:
+    def _pairing(self, asm: Assembly, i: int, dC, dloglam, dCn_domain, deps, dh_mut):
         """dJ per unit move of bubble i's parameters.
 
         dC        : chart-center shift (n-vector)
@@ -465,14 +479,18 @@ class ReducedModel:
                     domain-variation constants c4/c5)
         deps      : array over j != i of d eps_ij along the move
         dh_mut    : array over j of d[H_ij/(mu_i mu_j)^{(n-2)/2}] (rate moves)
+
+        The pairing is linear in the move, so k moves may come stacked on a
+        leading axis (dC (k, n), dloglam and dCn_domain (k,), deps and dh_mut
+        (k, m-1)); the result then has shape (k,).
         """
         n = self.n
         f = asm.frames[i]
         mu = f.rate
         pw = 2.0 * n / (n - 2)
-        grad_dC = float(f.kt_grad @ dC)
-        hess_dC_n = float((f.kt_hess @ dC)[-1])
-        dh = float(dC[-1])
+        grad_dC = f.kt_grad @ dC.T
+        hess_dC_n = (f.kt_hess @ dC.T)[-1]
+        dh = dC[..., -1]
 
         if f.boundary:
             dT = (self.s_n * grad_dC
@@ -496,9 +514,7 @@ class ReducedModel:
             if j == i:
                 continue
             jj = j if j < i else j - 1
-            de = float(deps[jj]) + float(dh_mut[jj])
-            if de == 0.0:
-                continue
+            de = deps[..., jj] + dh_mut[..., jj]
             w = asm.w_mat[i, j]
             dnum += 2.0 * f.alpha * fj.alpha * self.c2 * w * de
             dden += (pw * self.c2 * w
@@ -666,28 +682,25 @@ class ReducedModel:
         asm = asm or self.assemble(cfg)
         f = asm.frames[i]
         a = f.param.a.coords
-        basis = list(tangent_basis(a, within_equator=f.boundary))
+        basis = tangent_basis(a, within_equator=f.boundary)
         if f.boundary and include_normal:
             e_up = np.zeros_like(a)
             e_up[-1] = 1.0
-            basis.append(e_up)  # inward direction off the equator
-        vec = np.zeros_like(a)
+            basis = np.vstack((basis, e_up))  # inward direction off the equator
         lam = f.param.lam
-        m = cfg.size
         # each pair's interaction gradient does not depend on the direction
-        da_rows = [epsilon_da(cfg.bubbles[i], cfg.bubbles[j]) for j in range(m) if j != i]
-        for e in basis:
-            dC = f.dC_dmove @ e / lam
-            dloglam = float(f.dl_dmove @ e) / lam
-            dCn_domain = float(dC[-1]) if f.boundary else 0.0
-            if f.boundary:
-                dC = dC.copy()
-                # tangential moves keep the center on the chart boundary; the
-                # vertical displacement is handled by the domain-variation term
-                dC[-1] = 0.0
-            deps = np.array([float(row @ e) / lam for row in da_rows])
-            dJ = self._pairing(asm, i, dC, dloglam, dCn_domain, deps, np.zeros(max(m - 1, 0)))
-            vec = vec + (dJ / f.alpha) * e
+        da_rows = np.array([epsilon_da(cfg.bubbles[i], cfg.bubbles[j])
+                            for j in range(cfg.size) if j != i]).reshape(cfg.size - 1, a.shape[0])
+        dC = basis @ f.dC_dmove.T / lam
+        dloglam = basis @ f.dl_dmove / lam
+        dCn_domain = dC[:, -1].copy() if f.boundary else 0.0
+        if f.boundary:
+            # tangential moves keep the center on the chart boundary; the
+            # vertical displacement is handled by the domain-variation term
+            dC[:, -1] = 0.0
+        deps = basis @ da_rows.T / lam
+        dJ = self._pairing(asm, i, dC, dloglam, dCn_domain, deps, np.zeros_like(deps))
+        vec = (dJ / f.alpha) @ basis
         bar = self._grad_bar_common(asm, i) / f.param.lam
         return vec, float(abs(bar))
 

@@ -82,6 +82,20 @@ class TestSubcommands:
         certs = json.loads((tmp_path / "out" / "certificates.json").read_text())
         assert all(c["satisfied"] for c in certs["certificates"])
 
+    def test_flow_runs_no_assumption_report(self, tmp_path, monkeypatch, capsys):
+        # flow writes no assumption report, so it must not pay for one
+        import hemiflow.cli as cli
+        calls = []
+        monkeypatch.setattr(cli, "check_assumptions", lambda *args: calls.append(args))
+        cfgp = write_config(tmp_path)
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps({
+            "q": 1, "p": 0, "eps": 0.1,
+            "bubbles": [{"alpha": 0.05, "point": [1, 0, 0, 0, 0, 0], "lambda": 80.0}]}))
+        assert main(["--config", str(cfgp), "flow", "--state", str(state_path),
+                     "--t-max", "0.2"]) == 0
+        assert calls == []
+
     def test_flow_neighborhood_exit_reason_on_stderr(self, tmp_path, capsys):
         import numpy as np
         from hemiflow.model import ReducedModel

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from hemiflow.fields import ScalarField
 from hemiflow.flow import FlowParams, PseudogradientFlow, psi1, ramp
 from hemiflow.geometry import BoundarySpherePoint, SpherePoint, geodesic_distance
 from hemiflow.landscape import find_critical_points
-from hemiflow.model import ReducedModel
+from hemiflow.model import Configuration, ReducedModel
 
 from _fixtures import (E, N, field_boundary_max, field_diag, field_interior_min,
                        field_linear, make_cfg, near, sample_cluster, sample_v1,
@@ -478,3 +481,92 @@ class TestThreeProfileTower:
         assert all(later <= first * (1 + 1e-10) for first, later in zip(tops, tops[1:]))
         js = [p.j_value.center for p in traj.points]
         assert all(b <= a + 1e-8 for a, b in zip(js, js[1:]))
+
+
+def _v4_two_interior(model):
+    pt = SpherePoint(np.array([np.cos(0.6), 0, 0, 0, 0, np.sin(0.6)]))
+    pt2 = near(pt.coords, np.random.default_rng(0), 0.01, within_equator=False)
+    return make_cfg(model, [BubbleParam(pt, 30.0), BubbleParam(pt2, 30.0 * 250)], q=0)
+
+
+def _v4_three_interior(model):
+    a = SpherePoint(np.array([np.cos(0.9), 0, 0, 0, 0, np.sin(0.9)]))
+    b = SpherePoint(np.array([0, np.cos(0.9), 0, 0, 0, np.sin(0.9)]))
+    return make_cfg(model, [BubbleParam(a, 40.0), BubbleParam(b, 50.0),
+                            BubbleParam(SpherePoint(E[-1]), 40.0 * 6.0e4)], q=0)
+
+
+class TestOneAssemblyPerState:
+    def test_frames_built_once_per_trajectory_point(self, lin_setup, monkeypatch):
+        model, records, flow = lin_setup
+        framed = []
+        frames = ReducedModel.frames
+
+        def counted(self, cfg):
+            framed.append(cfg)  # keeps each configuration alive, so ids stay distinct
+            return frames(self, cfg)
+
+        monkeypatch.setattr(ReducedModel, "frames", counted)
+        # a tower state: each step also runs the tower's sub-flow
+        traj = flow.integrate(_v4_two_interior(model), 0.3)
+        for pt in traj.points:
+            flow.decrease_certificate(pt.cfg)
+        assert {pt.label_tag for pt in traj.points} == {"V4"}
+        assert [id(c) for c in framed] == [id(pt.cfg) for pt in traj.points]
+
+    @pytest.mark.parametrize("which", ["two_interior", "three_interior"])
+    def test_tower_sub_assembly_equals_a_fresh_assembly(self, lin_setup, diag_setup, which):
+        if which == "two_interior":
+            model, records, flow = lin_setup
+            cfg = _v4_two_interior(model)
+        else:
+            model, records, _ = diag_setup
+            flow = PseudogradientFlow(model, records, FlowParams.for_mass(3))
+            cfg = _v4_three_interior(model)
+        asm = model.assemble(cfg)
+        label = flow.classify_region(cfg, asm)
+        assert label.tag == "V4" and 0 < len(label.tower_set) < cfg.size
+        sub_cfg, back, sub_asm = flow._restrict(cfg, asm, sorted(label.tower_set))
+        assert model.assemble(sub_cfg) is sub_asm
+        assert [f.idx for f in sub_asm.frames] == list(range(len(back)))
+        fresh = ReducedModel(model.K, model.tbl).assemble(
+            Configuration(sub_cfg.alphas, sub_cfg.bubbles, sub_cfg.q, sub_cfg.p, sub_cfg.eps_scale))
+        assert sub_asm.j_center == fresh.j_center
+        assert sub_asm.rel_bar == fresh.rel_bar
+        assert np.array_equal(sub_asm.eps_mat, fresh.eps_mat)
+        assert np.array_equal(sub_asm.hmut_mat, fresh.hmut_mat)
+        assert sub_asm.budgets == fresh.budgets
+
+
+class TestNearestRecord:
+    @staticmethod
+    def _loop(point, pool, radius):
+        best, best_d = None, radius
+        for r in pool:
+            d = geodesic_distance(point, r.location)
+            if d <= best_d:
+                best, best_d = r, d
+        return best, best_d
+
+    @pytest.mark.parametrize("setup", ["lin_setup", "diag_setup"])
+    def test_matches_the_scalar_loop(self, setup, request):
+        model, records, _ = request.getfixturevalue(setup)
+        # equal copies of a trace and of an interior record make exact ties
+        twins = [dataclasses.replace(r) for r in records[:1]]
+        twins += [dataclasses.replace(r) for r in records if not r.is_boundary][:1]
+        flow = PseudogradientFlow(model, list(records) + twins, FlowParams())
+        rng = np.random.default_rng(5)
+        points = [r.location for r in flow.records]
+        points += [near(r.location.coords, rng, 0.2, within_equator=r.is_boundary)
+                   for r in flow.records]
+        for boundary, pool in ((True, flow.trace_crit), (False, flow.interior_crit)):
+            for point in points:
+                for radius in (0.05, 0.3, math.pi):
+                    got = flow._nearest_record(point, boundary, radius)
+                    want = self._loop(point, pool, radius)
+                    assert got[0] is want[0] and got[1] == want[1]
+
+    def test_empty_pool(self, lin_setup):
+        model, records, flow = lin_setup
+        assert flow.interior_crit == []
+        assert flow._nearest_record(SpherePoint(E[-1]), False, 0.3) == (None, 0.3)

@@ -176,3 +176,19 @@ def test_projection_roundtrip_property(raw):
     p = SpherePoint(v)
     back = halfspace_to_sphere(stereographic_to_halfspace(p).coords)
     assert np.allclose(back.coords, v, atol=1e-10)
+
+
+class TestPointEquality:
+    def test_equal_points_compare_and_hash_equal(self):
+        a = SpherePoint(np.array([0.6, 0.0, 0.0, 0.0, 0.0, 0.8]))
+        b = SpherePoint(np.array([0.6, 0.0, 0.0, 0.0, 0.0, 0.8]))
+        assert a == b and hash(a) == hash(b)
+        assert a != SpherePoint(np.array([0.8, 0.0, 0.0, 0.0, 0.0, 0.6]))
+
+    def test_signed_zero_is_one_point(self):
+        plus = BoundarySpherePoint(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        minus = BoundarySpherePoint(np.array([1.0, 0.0, 0.0, 0.0, 0.0, -0.0]))
+        assert plus == minus and hash(plus) == hash(minus)
+
+    def test_class_is_part_of_equality(self):
+        assert SpherePoint(E[0]) != BoundarySpherePoint(E[0])

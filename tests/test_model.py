@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -109,6 +111,20 @@ class TestConfiguration:
             assert type(b1.a) is type(b2.a)
             assert b1.lam == b2.lam
             assert np.array_equal(b1.a.coords, b2.a.coords)
+
+    def test_equal_configurations_compare_and_hash_equal(self, model_lin):
+        def build(x):
+            pt = SpherePoint(np.array([math.cos(x), 0, 0, 0, 0, math.sin(x)]))
+            return Configuration((0.5, 0.7), (BubbleParam(BoundarySpherePoint(E[0].copy()), 50.0),
+                                              BubbleParam(pt, 70.0)), 1, 1, 0.12)
+
+        a, b = build(0.6), build(0.6)
+        model_lin.assemble(a)  # the kept assembly takes no part in equality
+        assert a.bubbles[0] == b.bubbles[0] and hash(a.bubbles[0]) == hash(b.bubbles[0])
+        assert a == b and hash(a) == hash(b)
+        moved = build(0.6 + 1e-9)
+        assert moved.bubbles[1] != b.bubbles[1]
+        assert moved != b
 
     def test_mass(self, model_lin):
         cfg = make_cfg(model_lin, [
@@ -363,6 +379,68 @@ class TestPointGradient:
             calls.clear()
             model_lin.grad_a(cfg, i, asm)
             assert len(calls) == cfg.size - 1
+
+
+    @staticmethod
+    def _per_direction(model, cfg, i, asm, include_normal):
+        """grad_a as one pairing per basis direction."""
+        f = asm.frames[i]
+        a = f.param.a.coords
+        basis = list(tangent_basis(a, within_equator=f.boundary))
+        if f.boundary and include_normal:
+            e_up = np.zeros_like(a)
+            e_up[-1] = 1.0
+            basis.append(e_up)
+        lam = f.param.lam
+        da_rows = [epsilon_da(cfg.bubbles[i], cfg.bubbles[j]) for j in range(cfg.size) if j != i]
+        vec = np.zeros_like(a)
+        for e in basis:
+            dC = f.dC_dmove @ e / lam
+            dloglam = float(f.dl_dmove @ e) / lam
+            dCn_domain = float(dC[-1]) if f.boundary else 0.0
+            if f.boundary:
+                dC = dC.copy()
+                dC[-1] = 0.0
+            deps = np.array([float(row @ e) / lam for row in da_rows])
+            dJ = model._pairing(asm, i, dC, dloglam, dCn_domain, deps, np.zeros(cfg.size - 1))
+            vec = vec + (dJ / f.alpha) * e
+        return vec
+
+    @pytest.mark.parametrize("include_normal", [True, False])
+    def test_batched_directions_match_the_per_direction_loop(self, model_lin, include_normal):
+        cfg = make_cfg(model_lin, [
+            BubbleParam(BoundarySpherePoint(np.array([0.8, 0.6, 0, 0, 0, 0])), 50.0),
+            BubbleParam(BoundarySpherePoint(np.array([0, 0.6, 0.8, 0, 0, 0])), 60.0),
+            BubbleParam(SpherePoint(np.array([0.6, 0, 0, 0, 0, 0.8])), 70.0),
+        ], q=2)
+        asm = model_lin.assemble(cfg)
+        for i in range(cfg.size):  # two boundary bubbles, one interior
+            vec, _ = model_lin.grad_a(cfg, i, asm, include_normal=include_normal)
+            want = self._per_direction(model_lin, cfg, i, asm, include_normal)
+            assert np.linalg.norm(want) > 0.0
+            assert np.linalg.norm(vec - want) <= 1e-14 * np.linalg.norm(want)
+
+
+class TestAssemblyKept:
+    def test_one_assembly_per_configuration_and_model(self, model_lin):
+        cfg = single_boundary(model_lin)
+        asm = model_lin.assemble(cfg)
+        assert model_lin.assemble(cfg) is asm
+        other = ReducedModel(model_lin.K, model_lin.tbl)
+        assert other.assemble(cfg) is not asm
+        twin = cfg.replace()
+        assert twin == cfg and model_lin.assemble(twin) is not asm
+
+    def test_assembly_dies_with_its_configuration_without_the_cyclic_collector(self, model_lin):
+        cfg = single_interior(model_lin)
+        gc.disable()
+        try:
+            ref = weakref.ref(model_lin.assemble(cfg))
+            alive = ref() is not None
+            del cfg
+            assert alive and ref() is None
+        finally:
+            gc.enable()
 
 
 class TestResidueBudget:
