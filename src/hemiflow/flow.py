@@ -179,6 +179,11 @@ class Trajectory:
         return rows
 
 
+def _mus(label: RegionLabel) -> tuple:
+    """The scales mu_i of the labelled state, in index order."""
+    return tuple(d.mu for d in label.per_index)
+
+
 class PseudogradientFlow:
     """Assembles and integrates the descent field over a fixed landscape."""
 
@@ -204,9 +209,6 @@ class PseudogradientFlow:
             g = float(np.linalg.norm(self.K.tangent_gradient(b.a)))
             return 1.0 / (g / b.lam + 1.0 / b.lam**2)
         return b.lam**2
-
-    def mus(self, cfg: Configuration) -> np.ndarray:
-        return np.array([self.mu(cfg, i) for i in range(cfg.size)])
 
     def gamma_quantities(self, cfg: Configuration, i: int, asm=None) -> IndexDiagnostics:
         asm = asm or self.model.assemble(cfg)
@@ -263,8 +265,13 @@ class PseudogradientFlow:
     # -- region classification -----------------------------------------------------
 
     def classify_region(self, cfg: Configuration, asm=None) -> RegionLabel:
+        """The state's region label, classified once per configuration and
+        flow and kept on the configuration."""
         if cfg.eps_scale > self.params.eps * 1.5 + 1e-12:
             raise OutsideNeighborhood("configuration scale exceeds the flow neighborhood")
+        memo = cfg._memo.get(self)
+        if memo is not None:
+            return memo[0]
         asm = asm or self.model.assemble(cfg)
         params = self.params
         diags = [self.gamma_quantities(cfg, i, asm) for i in range(cfg.size)]
@@ -321,9 +328,11 @@ class PseudogradientFlow:
             tag_out = "mixed" if len(weights) > 1 else tag
         else:
             tag_out = tag
-        return RegionLabel(tag=tag_out, weights=weights, per_index=diags,
-                           clusters={k: v["members"] for k, v in cl.items()},
-                           tower_set=tower, mu_ratio=mu_ratio)
+        label = RegionLabel(tag=tag_out, weights=weights, per_index=diags,
+                            clusters={k: v["members"] for k, v in cl.items()},
+                            tower_set=tower, mu_ratio=mu_ratio)
+        cfg._memo[self] = (label, None)
+        return label
 
     def _v3_subtag(self, cfg: Configuration, cl: dict, eta: float):
         zero_tol = 1e-9
@@ -585,8 +594,18 @@ class PseudogradientFlow:
 
     def pseudogradient(self, cfg: Configuration, label: RegionLabel | None = None,
                        asm=None, depth: int = 0) -> Velocity:
+        """The descent field under ``label`` (the state's own by default).
+
+        At depth 0 the field of the label ``classify_region`` keeps for
+        ``cfg`` is built once and kept beside it, with read-only arrays, so
+        every caller shares it; any other label is evaluated afresh.
+        """
         asm = asm or self.model.assemble(cfg)
         label = label or self.classify_region(cfg, asm)
+        memo = cfg._memo.get(self) if depth == 0 else None
+        own = memo is not None and memo[0] is label
+        if own and memo[1] is not None:
+            return memo[1]
         diags = label.per_index
         cl = {k: {"record": self._anchor_record(k), "members": v}
               for k, v in label.clusters.items()}
@@ -613,6 +632,10 @@ class PseudogradientFlow:
             if self.params.strict_lambda_sign and name != "W":
                 part.loglam_dot = np.minimum(part.loglam_dot, 0.0)
             total.add(part.scaled(w))
+        if own:
+            for arr in (total.alpha_dot, total.loglam_dot, *total.a_dot):
+                arr.flags.writeable = False
+            cfg._memo[self] = (label, total)
         return total
 
     def _anchor_record(self, key):
@@ -627,17 +650,13 @@ class PseudogradientFlow:
                              c_fit: float = 0.1) -> dict:
         asm = self.model.assemble(cfg)
         vel = velocity if velocity is not None else self.pseudogradient(cfg, asm=asm)
+        grads = self.model.gradient_components(cfg, asm)
         n = self.n
         lhs = Bar(0.0, 0.0)
         for i in range(cfg.size):
-            ga = self.model.grad_alpha(cfg, i, asm)
-            lhs = lhs + ga * (-float(vel.alpha_dot[i]))
-            if cfg.is_boundary_index(i):
-                gl = self.model.grad_lambda_boundary(cfg, i, asm)
-            else:
-                gl = self.model.grad_lambda_interior(cfg, i, asm)
-            lhs = lhs + gl * (-float(vel.loglam_dot[i]) * cfg.alphas[i])
-            gv, gbar = self.model.grad_a(cfg, i, asm)
+            lhs = lhs + grads.alpha_pairings[i] * (-float(vel.alpha_dot[i]))
+            lhs = lhs + grads.lam_pairings[i] * (-float(vel.loglam_dot[i]) * cfg.alphas[i])
+            gv, gbar = grads.a_pairings[i]
             move = cfg.bubbles[i].lam * vel.a_dot[i]
             lhs = lhs + Bar(-float(gv @ move) * cfg.alphas[i],
                             gbar * float(np.linalg.norm(move)) * cfg.alphas[i])
@@ -678,7 +697,7 @@ class PseudogradientFlow:
         t = 0.0
         dt = params.dt_init
         points = [TrajectoryPoint(t, cfg, label.tag, j_val,
-                                  tuple(), tuple(self.mus(cfg)))]
+                                  tuple(), _mus(label))]
         reason = "t_max"
         detail = ""
         step_index = 0
@@ -718,12 +737,12 @@ class PseudogradientFlow:
             step_index += 1
             if step_index % record_every == 0:
                 points.append(TrajectoryPoint(t, cfg, label.tag, j_val,
-                                              tuple(vel.loglam_dot), tuple(self.mus(cfg))))
+                                              tuple(vel.loglam_dot), _mus(label)))
             if rejects == 0:
                 dt = min(dt * 1.4, params.dt_max)
         if points[-1].t < t - 1e-12:
             points.append(TrajectoryPoint(t, cfg, label.tag, j_val,
-                                          tuple(), tuple(self.mus(cfg))))
+                                          tuple(), _mus(label)))
         return Trajectory(points=points, reason=reason, detail=detail)
 
     def _advance(self, cfg: Configuration, vel: Velocity, dt: float) -> Configuration:

@@ -57,9 +57,11 @@ from .intervals import Bar
 class Configuration:
     """q boundary + p interior weighted bubbles inside V(q+2p, q, p, eps).
 
-    ``_assemblies`` holds this configuration's ``Assembly`` per model (see
-    ``ReducedModel.assemble``); it lives and dies with the configuration and
-    takes no part in equality or hashing.
+    ``_memo`` holds what each evaluator computed for this configuration: its
+    ``Assembly`` per ``ReducedModel`` (see ``ReducedModel.assemble``) and its
+    region label and descent field per ``PseudogradientFlow`` (see
+    ``PseudogradientFlow.classify_region``).  It lives and dies with the
+    configuration and takes no part in equality or hashing.
     """
 
     alphas: tuple
@@ -67,7 +69,7 @@ class Configuration:
     q: int
     p: int
     eps_scale: float = 0.1
-    _assemblies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.q < 0 or self.p < 0 or self.q + self.p < 1:
@@ -250,6 +252,7 @@ class Assembly:
     dist_mat: np.ndarray  # geodesic distances between the concentration points
     vbar: float
     budgets: tuple | None = None  # (R1, R1_boundary), stored by assemble
+    grads: GradientComponents | None = None  # stored by gradient_components
 
     def __post_init__(self):
         if not (math.isfinite(self.j_center) and math.isfinite(self.rel_bar)):
@@ -315,7 +318,7 @@ class ReducedModel:
     def assemble(self, cfg: Configuration) -> Assembly:
         """The configuration's assembly, built once per configuration object
         and model and kept on the configuration."""
-        asm = cfg._assemblies.get(self)
+        asm = cfg._memo.get(self)
         return asm if asm is not None else self.assemble_frames(cfg, self.frames(cfg))
 
     def assemble_frames(self, cfg: Configuration, frames: list) -> Assembly:
@@ -401,7 +404,7 @@ class ReducedModel:
                        eps_mat=eps_mat, w_mat=w_mat, hmut_mat=hmut_mat, dist_mat=dist_mat,
                        vbar=vbar)
         asm.budgets = self.remainder_budgets(cfg, asm)
-        cfg._assemblies[self] = asm
+        cfg._memo[self] = asm
         return asm
 
     # -- public evaluations ---------------------------------------------------
@@ -597,8 +600,11 @@ class ReducedModel:
         return float(r1), float(r1b)
 
     def gradient_components(self, cfg: Configuration, asm: Assembly | None = None) -> "GradientComponents":
-        """Bundle of every pairing, the interaction data, and the budgets."""
+        """Bundle of every pairing, the interaction data, and the budgets,
+        built once per assembly and kept on it; its arrays are read-only."""
         asm = asm or self.assemble(cfg)
+        if asm.grads is not None:
+            return asm.grads
         alpha_pairings = []
         lam_pairings = []
         a_pairings = []
@@ -612,10 +618,9 @@ class ReducedModel:
         m = cfg.size
         deps_dlam = np.zeros((m, m))
         for i in range(m):
-            for j in range(m):
-                if i != j:
-                    deps_dlam[i, j], _ = epsilon_dlambda(cfg.bubbles[i], cfg.bubbles[j])
-        return GradientComponents(
+            for j in range(i + 1, m):
+                deps_dlam[i, j], deps_dlam[j, i] = epsilon_dlambda(cfg.bubbles[i], cfg.bubbles[j])
+        grads = GradientComponents(
             alpha_pairings=tuple(alpha_pairings),
             lam_pairings=tuple(lam_pairings),
             a_pairings=tuple(a_pairings),
@@ -623,6 +628,10 @@ class ReducedModel:
             eps_dloglam=deps_dlam,
             r1=asm.budgets[0], r1_boundary=asm.budgets[1],
         )
+        for arr in (grads.eps, deps_dlam, *(vec for vec, _ in a_pairings)):
+            arr.flags.writeable = False
+        asm.grads = grads
+        return grads
 
     def grad_alpha(self, cfg: Configuration, i: int, asm: Assembly | None = None) -> Bar:
         """Pairing of the gradient with the i-th profile direction."""

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -536,6 +538,143 @@ class TestOneAssemblyPerState:
         assert np.array_equal(sub_asm.eps_mat, fresh.eps_mat)
         assert np.array_equal(sub_asm.hmut_mat, fresh.hmut_mat)
         assert sub_asm.budgets == fresh.budgets
+
+
+@pytest.fixture(scope="module")
+def bmax_setup():
+    K = field_boundary_max()
+    model = ReducedModel(K)
+    records = find_critical_points(K, 8)
+    return model, records, PseudogradientFlow(model, records, FlowParams())
+
+
+class TestOneFieldPerState:
+    @staticmethod
+    def _count(monkeypatch, names):
+        counts = dict.fromkeys(names, 0)
+
+        def counted(name, orig):
+            def wrapper(self, *args, **kwargs):
+                counts[name] += 1
+                return orig(self, *args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(PseudogradientFlow, name,
+                                counted(name, getattr(PseudogradientFlow, name)))
+        return counts
+
+    def test_one_classification_and_one_field_per_state(self, lin_setup, monkeypatch):
+        model, records, flow = lin_setup
+        counts = self._count(monkeypatch, ("clusters", "_component_base", "_restrict"))
+        # a tower state: each state's field also runs the tower's sub-flow
+        traj = flow.integrate(_v4_two_interior(model), 0.3)
+        for pt in traj.points:
+            flow.decrease_certificate(pt.cfg)
+        assert {pt.label_tag for pt in traj.points} == {"V4"}
+        assert counts["_restrict"] >= len(traj.points)
+        assert counts["clusters"] == len(traj.points) + counts["_restrict"]
+        got = dict(counts)
+        # the same states once more, each classified and given its field once
+        for key in counts:
+            counts[key] = 0
+        fresh = PseudogradientFlow(model, records, flow.params)
+        for pt in traj.points:
+            fresh.pseudogradient(pt.cfg.replace())
+        assert got == counts
+
+    @pytest.mark.parametrize("which", ["two_interior", "cluster"])
+    def test_certificate_reuses_the_gradient_bundle(self, lin_setup, bmax_setup, which,
+                                                    monkeypatch):
+        if which == "two_interior":
+            model, records, flow = lin_setup
+            cfg = _v4_two_interior(model)
+        else:
+            model, records, flow = bmax_setup
+            cfg = sample_cluster(model, E[0], np.random.default_rng(5), count=2)
+        asm = model.assemble(cfg)
+        vel = flow.pseudogradient(cfg, flow.classify_region(cfg, asm), asm)
+        calls = []
+        grad_a = ReducedModel.grad_a
+
+        def counted(self, cfg, i, *args, **kwargs):
+            calls.append(i)
+            return grad_a(self, cfg, i, *args, **kwargs)
+
+        monkeypatch.setattr(ReducedModel, "grad_a", counted)
+        grads = model.gradient_components(cfg, asm)
+        flow.decrease_certificate(cfg, vel)
+        assert calls == list(range(cfg.size))
+        assert asm.grads is grads
+
+    @pytest.mark.parametrize("region", ["V1", "V3_3", "V4"])
+    def test_shared_results_equal_a_fresh_evaluation(self, lin_setup, bmax_setup, region):
+        if region == "V1":
+            model, records, flow = lin_setup
+            cfg = sample_v1(model, np.random.default_rng(6))
+        elif region == "V3_3":
+            model, records, flow = bmax_setup
+            cfg = sample_cluster(model, E[0], np.random.default_rng(5), count=2)
+        else:
+            model, records, flow = lin_setup
+            cfg = _v4_two_interior(model)
+        assert flow.classify_region(cfg).tag == region
+        traj = flow.integrate(cfg, 0.3)
+        assert len(traj.points) >= 2
+        for pt in traj.points:
+            cert = flow.decrease_certificate(pt.cfg)
+            vel = flow.pseudogradient(pt.cfg)
+            fresh_cfg = pt.cfg.replace()
+            fresh_model = ReducedModel(model.K, model.tbl)
+            fresh = PseudogradientFlow(fresh_model, records, flow.params)
+            want_vel = fresh.pseudogradient(fresh_cfg)
+            want = fresh.decrease_certificate(fresh_cfg, want_vel)
+            assert cert["lhs"].center == want["lhs"].center
+            assert cert["lhs"].halfwidth == want["lhs"].halfwidth
+            assert np.array_equal(vel.alpha_dot, want_vel.alpha_dot)
+            assert np.array_equal(vel.loglam_dot, want_vel.loglam_dot)
+            assert all(np.array_equal(u, v) for u, v in zip(vel.a_dot, want_vel.a_dot))
+            assert pt.mus == tuple(flow.mu(pt.cfg, i) for i in range(pt.cfg.size))
+
+    def test_only_the_states_own_label_shares_its_field(self, lin_setup):
+        model, records, flow = lin_setup
+        cfg = _v4_two_interior(model)
+        label = flow.classify_region(cfg)
+        assert flow.classify_region(cfg) is label
+        vel = flow.pseudogradient(cfg)
+        assert flow.pseudogradient(cfg, label) is vel
+        other = flow.pseudogradient(cfg, dataclasses.replace(label))
+        assert other is not vel and np.array_equal(other.loglam_dot, vel.loglam_dot)
+        assert flow.pseudogradient(cfg, label, depth=1) is not vel
+        twin = PseudogradientFlow(model, records, flow.params)
+        assert twin.classify_region(cfg) is not label
+
+    def test_shared_arrays_are_read_only(self, lin_setup):
+        model, records, flow = lin_setup
+        cfg = _v4_two_interior(model)
+        vel = flow.pseudogradient(cfg)
+        grads = model.gradient_components(cfg)
+        shared = (vel.alpha_dot, vel.loglam_dot, *vel.a_dot, grads.eps, grads.eps_dloglam,
+                  *(vec for vec, _ in grads.a_pairings))
+        for arr in shared:
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(ValueError):
+            vel.add(vel)
+
+    def test_shared_results_die_with_their_configuration(self, lin_setup):
+        model, records, flow = lin_setup
+        cfg = _v4_two_interior(model)
+        gc.disable()
+        try:
+            refs = [weakref.ref(flow.classify_region(cfg)), weakref.ref(flow.pseudogradient(cfg)),
+                    weakref.ref(model.gradient_components(cfg))]
+            flow.decrease_certificate(cfg)
+            alive = all(ref() is not None for ref in refs)
+            del cfg
+            assert alive and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestNearestRecord:

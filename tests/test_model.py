@@ -645,6 +645,28 @@ class TestGradientBundle:
         assert vec.shape == (N + 1,)
         assert bar >= 0.0
 
+    def test_rate_derivative_table_matches_every_ordered_pair(self, model_lin):
+        from hemiflow.bubbles import epsilon_dlambda
+        cfg = make_cfg(model_lin, [
+            BubbleParam(BoundarySpherePoint(E[0]), 50.0),
+            BubbleParam(BoundarySpherePoint(E[1]), 80.0),
+            BubbleParam(SpherePoint(E[-1]), 70.0),
+        ], q=2)
+        table = model_lin.gradient_components(cfg).eps_dloglam
+        want = np.zeros((3, 3))
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    want[i, j], _ = epsilon_dlambda(cfg.bubbles[i], cfg.bubbles[j])
+        assert np.array_equal(table, want)
+
+    def test_bundle_kept_on_the_assembly(self, model_lin):
+        cfg = single_interior(model_lin)
+        asm = model_lin.assemble(cfg)
+        bundle = model_lin.gradient_components(cfg)
+        assert asm.grads is bundle
+        assert model_lin.gradient_components(cfg, asm) is bundle
+
     def test_boundary_budget_is_boundary_restricted(self, model_lin):
         cfg_b = make_cfg(model_lin, [
             BubbleParam(BoundarySpherePoint(E[0]), 50.0),
