@@ -64,6 +64,7 @@ class ChartedBubble:
     center : chart image C of the concentration point at this rate
     rate   : chart concentration rate
     height : last coordinate of C (0 for boundary bubbles)
+    a_chart: chart image of the concentration point itself
     """
 
     param: BubbleParam
@@ -71,6 +72,7 @@ class ChartedBubble:
     center: np.ndarray
     rate: float
     height: float
+    a_chart: np.ndarray
 
     @staticmethod
     def build(param: BubbleParam) -> "ChartedBubble":
@@ -82,7 +84,7 @@ class ChartedBubble:
         center = a_chart * ((lam * lam - 1.0) / (lam * lam + s2))
         if param.is_boundary():
             center = np.zeros_like(center)
-        return ChartedBubble(param, chart, center, rate, float(center[-1]))
+        return ChartedBubble(param, chart, center, rate, float(center[-1]), a_chart)
 
     def flat_value(self, x) -> float:
         """Flat bubble at a chart point (no conformal factor)."""

@@ -126,18 +126,27 @@ class ScalarField:
 
     # -- pointwise calculus (exact) -----------------------------------------
 
-    def value(self, p) -> float:
+    def value(self, p):
+        """K at one point (n+1,), giving a float, or at a batch (k, n+1),
+        giving (k,); each row of a batch gets the same bits as its
+        single-point call."""
         v = np.asarray(p.coords if isinstance(p, SpherePoint) else p, dtype=float)
-        return float(self.kappa0 + self.linear @ v + v @ self.quadratic @ v)
+        val = (self.kappa0 + np.vecdot(self.linear, v)
+               + np.vecdot(np.vecmat(v, self.quadratic), v))
+        return float(val) if v.ndim == 1 else val
 
     def ambient_gradient(self, v) -> np.ndarray:
-        return self.linear + 2.0 * self.quadratic @ np.asarray(v, dtype=float)
+        return self.linear + 2.0 * np.matvec(self.quadratic, np.asarray(v, dtype=float))
 
     def tangent_gradient(self, p) -> np.ndarray:
-        """Gradient of K on the sphere, as an ambient vector tangent at p."""
+        """Gradient of K on the sphere, as an ambient vector tangent at p.
+
+        ``p`` is one point (n+1,) or a batch (k, n+1), giving (k, n+1); each
+        row of a batch gets the same bits as its single-point call.
+        """
         v = np.asarray(p.coords if isinstance(p, SpherePoint) else p, dtype=float)
         g = self.ambient_gradient(v)
-        return g - np.dot(g, v) * v
+        return g - v * np.vecdot(g, v, keepdims=True)
 
     def tangent_hessian(self, p, basis=None) -> np.ndarray:
         """Riemannian Hessian of K on S^n in an orthonormal tangent basis.
@@ -192,39 +201,51 @@ class ScalarField:
     def chart_data(self, chart, x):
         """Value, gradient, Hessian of the pullback K o chart^{-1} at chart points.
 
-        ``x`` is one point (n,), giving (float, (n,), (n, n)), or a batch (k, n),
-        giving arrays (k,), (k, n), (k, n, n) whose row i belongs to x[i].  The
-        pullback through p(x) = ((1-|x|^2), 2x)/d, d = 1+|x|^2 (composed with the
-        chart rotation) is rational.  With dK(p) = (g_0, g_v) and c = g_0 + g_v.x,
+        ``chart`` is one chart or a stack of m chart rotations (m, n+1, n+1).
+        For one chart, ``x`` is one point (n,), giving (float, (n,), (n, n)),
+        or a batch (k, n), giving arrays (k,), (k, n), (k, n, n) whose row i
+        belongs to x[i].  For a stack, ``x`` is (m, k, n), chart j's points in
+        row j, giving (m, k), (m, k, n), (m, k, n, n); each chart's block gets
+        the same bits as its one-chart call.  The pullback through
+        p(x) = ((1-|x|^2), 2x)/d, d = 1+|x|^2 (composed with the chart
+        rotation) is rational.  With dK(p) = (g_0, g_v) and c = g_0 + g_v.x,
         sum_a g_a d^2 p_a = -4c/d^2 I - 4(g_v x^T + x g_v^T)/d^2 + 16c/d^3 x x^T.
         """
         x = np.asarray(x, dtype=float)
-        xs = x.reshape(-1, x.shape[-1])
-        nn = xs.shape[1]
-        rot = chart.rotation
-        s = np.einsum("ki,ki->k", xs, xs)
-        d = (1.0 + s)[:, None, None]
-        p = np.concatenate(((1.0 - s)[:, None], 2.0 * xs), axis=1) / d[:, :, 0]
-        xx = xs[:, :, None] * xs[:, None, :]
-        # dp/dx: row alpha of jac[k] is the gradient of p_alpha at x[k].
-        jac = np.empty((xs.shape[0], nn + 1, nn))
-        jac[:, 0] = -4.0 * xs / d[:, :, 0] ** 2
-        jac[:, 1:] = 2.0 * np.eye(nn) / d - 4.0 * xx / d**2
+        rot = chart if isinstance(chart, np.ndarray) else chart.rotation
+        stacked = rot.ndim == 3
+        # one chart is a stack of one: xs is (m, k, n) either way
+        rots = rot if stacked else rot[None]
+        xs = x if stacked else x.reshape(1, -1, x.shape[-1])
+        nn = xs.shape[-1]
+        eye = np.eye(nn)
+        s = np.einsum("mki,mki->mk", xs, xs)
+        d = (1.0 + s)[..., None, None]
+        d2 = d * d
+        p = np.concatenate(((1.0 - s)[..., None], 2.0 * xs), axis=-1) / d[..., 0]
+        xx = xs[..., :, None] * xs[..., None, :]
+        # dp/dx: row alpha of jac[j, k] is the gradient of p_alpha at x[j, k].
+        jac = np.empty(xs.shape[:2] + (nn + 1, nn))
+        jac[..., 0, :] = -4.0 * xs / d2[..., 0]
+        jac[..., 1:, :] = 2.0 * eye / d - 4.0 * xx / d2
         # rotate the field coefficients instead of the points
-        b = rot.T @ self.linear
-        q = rot.T @ self.quadratic @ rot
+        rots_t = np.swapaxes(rots, 1, 2)
+        b = np.matvec(rots_t, self.linear)
+        q = rots_t @ self.quadratic @ rots
         qp = p @ q
-        value = self.kappa0 + p @ b + np.einsum("ka,ka->k", qp, p)
-        g = b + 2.0 * qp
-        grad = np.einsum("kai,ka->ki", jac, g)
-        c = (g[:, 0] + np.einsum("ki,ki->k", g[:, 1:], xs))[:, None, None]
-        gx = g[:, 1:, None] * xs[:, None, :]
-        hess = np.swapaxes(jac, 1, 2) @ (2.0 * q) @ jac
-        hess += (-4.0 * c / d**2) * np.eye(nn) - 4.0 * (gx + np.swapaxes(gx, 1, 2)) / d**2 \
+        value = self.kappa0 + np.matvec(p, b) + np.einsum("mka,mka->mk", qp, p)
+        g = b[:, None, :] + 2.0 * qp
+        grad = np.einsum("mkai,mka->mki", jac, g)
+        c = (g[..., 0] + np.einsum("mki,mki->mk", g[..., 1:], xs))[..., None, None]
+        gx = g[..., 1:, None] * xs[..., None, :]
+        hess = np.swapaxes(jac, -1, -2) @ (2.0 * q)[:, None] @ jac
+        hess += (-4.0 * c / d2) * eye - 4.0 * (gx + np.swapaxes(gx, -1, -2)) / d2 \
             + 16.0 * c / d**3 * xx
+        if stacked:
+            return value, grad, hess
         if x.ndim == 1:
-            return float(value[0]), grad[0], hess[0]
-        return value, grad, hess
+            return float(value[0, 0]), grad[0, 0], hess[0, 0]
+        return value[0], grad[0], hess[0]
 
     # -- global extrema ------------------------------------------------------
 

@@ -203,10 +203,12 @@ class PseudogradientFlow:
 
     # -- scalar diagnostics ----------------------------------------------------
 
-    def mu(self, cfg: Configuration, i: int) -> float:
+    def mu(self, cfg: Configuration, i: int, asm=None) -> float:
+        """The scale of bubble i: lam^2 inside, 1/(|grad K|/lam + 1/lam^2) on
+        the boundary, with |grad K(a_i)| read off the state's frames."""
         b = cfg.bubbles[i]
         if cfg.is_boundary_index(i):
-            g = float(np.linalg.norm(self.K.tangent_gradient(b.a)))
+            g = (asm or self.model.assemble(cfg)).frames[i].grad_norm
             return 1.0 / (g / b.lam + 1.0 / b.lam**2)
         return b.lam**2
 
@@ -215,7 +217,7 @@ class PseudogradientFlow:
         m2 = self.params.M2
         b = cfg.bubbles[i]
         eps_sum = float(np.sum(asm.eps_mat[i]))
-        mu_i = self.mu(cfg, i)
+        mu_i = self.mu(cfg, i, asm)
         imb = abs(self.model.imbalances(cfg, asm)[i])
         g_alpha = imb / (m2 * (eps_sum + 1.0 / mu_i))
         g_lambda = mu_i * eps_sum / m2
@@ -665,7 +667,7 @@ class PseudogradientFlow:
         expo = 2.0 - 1.0 / (n - 2)
         agg = 0.0
         for i in range(cfg.size):
-            agg += self.mu(cfg, i) ** (-expo)
+            agg += self.mu(cfg, i, asm) ** (-expo)
             if cfg.is_boundary_index(i):
                 agg += abs(imb[i]) ** expo
             else:

@@ -9,6 +9,7 @@ equator, which maps the hemisphere conformally onto the upper half-space
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,7 @@ class SpherePoint:
 
     def boundary_distance(self) -> float:
         """Geodesic distance to the equator (the latitude angle)."""
-        return float(np.arcsin(np.clip(self.coords[-1], -1.0, 1.0)))
+        return float(np.arcsin(min(max(float(self.coords[-1]), -1.0), 1.0)))
 
     def is_boundary(self, tol: float = HEIGHT_TOL) -> bool:
         return abs(self.coords[-1]) <= tol
@@ -106,7 +107,7 @@ class HalfSpacePoint:
 def geodesic_distance(p: SpherePoint, q: SpherePoint) -> float:
     """Great-circle distance in radians, clamped to [0, pi]."""
     c = float(np.dot(p.coords, q.coords))
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    return float(np.arccos(min(max(c, -1.0), 1.0)))
 
 
 def geodesic_step(point_coords, tangent, t: float):
@@ -134,23 +135,25 @@ def tangent_basis(point_coords, within_equator: bool = False):
     """
     p = np.asarray(point_coords, dtype=float)
     dim = p.shape[0]
-    eye = np.eye(dim)
-    frame = np.empty((dim, dim))
+    frame = np.zeros((dim, dim))
     frame[0] = p
     r = 1
     if within_equator:
-        frame[1] = eye[-1]
+        frame[1, -1] = 1.0
         r = 2
     first = r
-    for e in eye:
+    for k in range(dim):
         if r == dim:
             break
         q = frame[:r]
-        w = e - q.T @ (q @ e)
-        nrm = np.linalg.norm(w)
+        # e_k minus its projection, with q @ e_k = q[:, k] (copied, since matmul
+        # rounds a strided vector through another loop)
+        w = -(q.T @ q[:, k].copy())
+        w[k] += 1.0
+        nrm = math.sqrt(w @ w)
         if nrm < 0.5:
             w = w - q.T @ (q @ w)
-            nrm = np.linalg.norm(w)
+            nrm = math.sqrt(w @ w)
         if nrm > 1e-8:
             frame[r] = w / nrm
             r += 1
@@ -203,22 +206,24 @@ class RotatedChart:
     @staticmethod
     def for_anchor(anchor_coords) -> "RotatedChart":
         b = np.asarray(anchor_coords, dtype=float)
-        dim = b.shape[0]
-        e1 = np.eye(dim)[0]
+        rot = np.eye(b.shape[0])
+        e1 = rot[0].copy()
         c = float(np.dot(e1, b))
         if c > 1.0 - 1e-14:
-            return RotatedChart(np.eye(dim))
+            return RotatedChart(rot)
         if c < -1.0 + 1e-14:
             # rotate by pi in the (e1, e2) plane
-            rot = np.eye(dim)
             rot[0, 0] = -1.0
             rot[1, 1] = -1.0
             return RotatedChart(rot)
         # Rotation in the span{e1, b} plane sending e1 to b: acts as
         # [cos -sin; sin cos] on the (e1, w) frame, identity elsewhere.
-        s = float(np.linalg.norm(b - c * e1))
-        w = (b - c * e1) / s
-        rot = np.eye(dim) + np.outer(b - e1, e1) + np.outer(-s * e1 + (c - 1.0) * w, w)
+        u = b - c * e1
+        s = math.sqrt(u @ u)
+        w = u / s
+        # I + (b - e1) e1^T + (-s e1 + (c - 1) w) w^T
+        rot += (b - e1)[:, None] * e1
+        rot += (-s * e1 + (c - 1.0) * w)[:, None] * w
         return RotatedChart(rot)
 
     @staticmethod
@@ -226,12 +231,12 @@ class RotatedChart:
         """Chart adapted to a concentration point: anchor below the point."""
         v = point.coords.copy()
         v[-1] = 0.0
-        nrm = np.linalg.norm(v)
+        nrm = math.sqrt(v @ v)
         if nrm < 1e-12:
-            anchor = np.eye(point.coords.shape[0])[0]
-        else:
-            anchor = v / nrm
-        return RotatedChart.for_anchor(anchor)
+            v[:] = 0.0
+            v[0] = 1.0
+            return RotatedChart.for_anchor(v)
+        return RotatedChart.for_anchor(v / nrm)
 
     def to_chart(self, coords) -> np.ndarray:
         p = self.rotation.T @ np.asarray(coords, dtype=float)
@@ -245,12 +250,19 @@ class RotatedChart:
         p = np.concatenate(([1.0 - s], 2.0 * v)) / (1.0 + s)
         return self.rotation @ p
 
-    def chart_jacobian(self, coords) -> np.ndarray:
-        """d(chart)/d(sphere point) as an n x (n+1) matrix at a sphere point."""
-        p = self.rotation.T @ np.asarray(coords, dtype=float)
-        d = 1.0 + p[0]
-        x = p[1:] / d
-        jac = np.zeros((p.shape[0] - 1, p.shape[0]))
-        jac[:, 1:] = np.eye(p.shape[0] - 1) / d
-        jac[:, 0] = -x / d
-        return jac @ self.rotation.T
+
+def chart_jacobians(rotations, coords) -> np.ndarray:
+    """d(chart)/d(sphere point) of a stack of charts, each at its own point.
+
+    ``rotations`` (m, n+1, n+1) are the charts' rotations and ``coords``
+    (m, n+1) the sphere points; the result (m, n, n+1) holds chart j's
+    Jacobian at coords[j].
+    """
+    rot_t = np.swapaxes(rotations, 1, 2)
+    p = np.matvec(rot_t, coords)
+    nn = p.shape[1] - 1
+    d = 1.0 + p[:, 0]
+    jac = np.empty((p.shape[0], nn, nn + 1))
+    jac[:, :, 0] = -(p[:, 1:] / d[:, None]) / d[:, None]
+    jac[:, :, 1:] = np.eye(nn) / d[:, None, None]
+    return jac @ rot_t

@@ -29,6 +29,12 @@ identities (c3 = (n-2)/(2n) cpXn, c9 = c6/2, s_n = 2 n^2 c5/(n-2)) make
 these derivatives coincide with the classical first-order gradient
 expansions in the rate, point and weight directions; the test suite checks
 both routes against honest quadrature.
+
+Each state is evaluated once: ``frames`` builds every bubble's chart data
+in one pass over stacked arrays (one pullback call for all charts), and
+``assemble`` builds the pair table (eps, its scaled rate derivatives and
+its point gradients) in one pass over the unordered pairs.  The energy,
+the residue budget, every gradient pairing and the normal form read those.
 """
 
 from __future__ import annotations
@@ -44,8 +50,8 @@ from .constants import ConstantsTable, compute_constants
 from .errors import (IndexNotBoundary, IndexNotInterior, InvalidConfiguration,
                      NonFiniteBar, NotInWSet)
 from .fields import ScalarField
-from .geometry import (BoundarySpherePoint, SpherePoint, geodesic_distance,
-                       tangent_basis)
+from .geometry import (BoundarySpherePoint, SpherePoint, chart_jacobians,
+                       geodesic_distance, tangent_basis)
 from .intervals import Bar
 
 
@@ -140,8 +146,14 @@ class Configuration:
 # Per-bubble frame: chart data and movement calculus
 # ---------------------------------------------------------------------------
 
+M3_STEP = 0.25  # chart step of the third-derivative differences
+
+
 @dataclass
 class BubbleFrame:
+    """One bubble's chart data and movement calculus; ``ReducedModel.frames``
+    builds all of a state's frames in one pass."""
+
     idx: int
     boundary: bool
     alpha: float
@@ -177,49 +189,6 @@ class BubbleFrame:
         return float(self.kt_grad[-1])
 
 
-def _build_frame(i: int, boundary: bool, alpha: float, b: BubbleParam, K: ScalarField) -> BubbleFrame:
-    a = b.a.coords
-    if a.shape[0] != K.n + 1:
-        raise InvalidConfiguration(f"bubble {i}: point has {a.shape[0]} coordinates, field needs {K.n + 1}")
-    cb = ChartedBubble.build(b)
-    chart = cb.chart
-    lam = b.lam
-    a_chart = chart.to_chart(a)
-    s2 = float(a_chart @ a_chart)
-    nn = a.shape[0] - 1
-    # pullback at the center and at center +/- h along each chart axis.  Crude but
-    # honest third-derivative scale: central differences of the exact Hessian,
-    # doubled for headroom.
-    h = 0.25
-    vals, grads, hess = K.chart_data(
-        chart, cb.center + h * np.concatenate((np.zeros((1, nn)), np.eye(nn), -np.eye(nn))))
-    m3 = 2.0 * float(np.max(np.abs(hess[1:nn + 1] - hess[nn + 1:]))) / (2 * h)
-    grad_sphere = K.tangent_gradient(b.a)
-    grad_k1 = K.boundary_gradient(b.a) if boundary else np.zeros_like(a)
-    h_self = greens_regular_part(cb.center, cb.center) if (not boundary and cb.height > 0) else 0.0
-
-    denom = lam * lam + s2
-    dl_dloglam = (lam * lam - s2) / denom
-    dC_dloglam = a_chart * (2.0 * lam * lam * (1.0 + s2) / denom**2)
-    # chart-center shift per sphere move: dC/dA . dA/da
-    dCdA = (lam * lam - 1.0) * (np.eye(nn) / denom - 2.0 * np.outer(a_chart, a_chart) / denom**2)
-    dldA = 2.0 * a_chart * (1.0 - lam * lam) / (lam * (1.0 + s2) ** 2) / cb.rate
-    jac = chart.chart_jacobian(a)
-    dC_dmove = dCdA @ jac
-    dl_dmove = jac.T @ dldA
-
-    return BubbleFrame(
-        idx=i, boundary=boundary, alpha=alpha, param=b, cb=cb,
-        k_val=K.value(b.a), grad_sphere=grad_sphere,
-        grad_norm=float(np.linalg.norm(grad_sphere)),
-        grad_k1_norm=float(np.linalg.norm(grad_k1)),
-        kt_val=float(vals[0]), kt_grad=grads[0], kt_hess=hess[0],
-        kt_lap=float(np.trace(hess[0])), h_self=h_self,
-        dl_dloglam=dl_dloglam, dC_dloglam=dC_dloglam,
-        dC_dmove=dC_dmove, dl_dmove=dl_dmove, m3=m3,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Options and assembly
 # ---------------------------------------------------------------------------
@@ -236,6 +205,9 @@ class ModelOptions:
 
 @dataclass
 class Assembly:
+    """A state's frames, energy with its relative bar, pair table and
+    budgets; the gradient bundle joins it on first use."""
+
     # no back-reference to the configuration: the configuration holds its
     # assembly, and a cycle would leave both to the cyclic collector
     frames: list
@@ -246,7 +218,11 @@ class Assembly:
     gamma: float      # sum m_i alpha^{2n/(n-2)} K_i
     j_center: float
     rel_bar: float
-    eps_mat: np.ndarray
+    # the pair table, one entry per ordered pair (i, j), built in one pass
+    # over the unordered pairs; diagonals are zero
+    eps_mat: np.ndarray       # interaction coefficients eps_ij
+    eps_dloglam: np.ndarray   # lam_i d eps_ij / d lam_i
+    eps_da: np.ndarray        # (m, m, n+1): d eps_ij / d a_i; [j, i] = -[i, j]
     w_mat: np.ndarray     # pair overlap weights (1/2 when a boundary bubble is involved)
     hmut_mat: np.ndarray  # mutual regular-part terms H_ij / (mu_i mu_j)^{(n-2)/2}
     dist_mat: np.ndarray  # geodesic distances between the concentration points
@@ -285,12 +261,78 @@ class ReducedModel:
         from .constants import radial_moment, sphere_area
         v, _ = radial_moment(n, 3, float(n), 1e-6)
         self.cp_i3h = t.cp * 0.5 * sphere_area(n - 1) * v
+        self._eye = np.eye(n)
+        # chart-point offsets of a frame's pullback: the center, then +h and
+        # -h along each chart axis
+        self._m3_offsets = M3_STEP * np.concatenate((np.zeros((1, n)), np.eye(n), -np.eye(n)))
 
     # -- frames ---------------------------------------------------------------
 
     def frames(self, cfg: Configuration) -> list:
-        return [_build_frame(i, i < cfg.q, a, b, self.K)
-                for i, (a, b) in enumerate(zip(cfg.alphas, cfg.bubbles))]
+        """Every bubble's frame, from one pass over (m, ...) arrays: one
+        pullback call on the stacked charts and one batched tangent gradient.
+
+        The pullback is taken at each chart center and at center +/- h along
+        each chart axis.  Crude but honest third-derivative scale: central
+        differences of the exact Hessian, doubled for headroom.  Squares go
+        through the C library's pow (``np.float_power``), as on Python floats,
+        so that every frame holds the bits of its one-bubble evaluation.
+        """
+        nn = self.n
+        for i, b in enumerate(cfg.bubbles):
+            if b.a.coords.shape[0] != nn + 1:
+                raise InvalidConfiguration(
+                    f"bubble {i}: point has {b.a.coords.shape[0]} coordinates, field needs {nn + 1}")
+        cbs = [ChartedBubble.build(b) for b in cfg.bubbles]
+        pts = np.array([b.a.coords for b in cfg.bubbles])
+        lam = np.array([b.lam for b in cfg.bubbles])
+        rot = np.array([cb.chart.rotation for cb in cbs])
+        a_chart = np.array([cb.a_chart for cb in cbs])
+        rate = np.array([cb.rate for cb in cbs])
+
+        vals, grads, hess = self.K.chart_data(
+            rot, np.array([cb.center for cb in cbs])[:, None, :] + self._m3_offsets)
+        m3 = 2.0 * np.abs(hess[:, 1:nn + 1] - hess[:, nn + 1:]).reshape(len(cbs), -1).max(axis=1) \
+            / (2 * M3_STEP)
+        grad_sphere = self.K.tangent_gradient(pts)
+        grad_k1 = grad_sphere.copy()   # gradient of the trace on the equator sphere
+        grad_k1[:, -1] = 0.0
+        grad_k1[cfg.q:] = 0.0
+        # H(C, C) = (2 C_n)^{2-n}, interior bubbles only
+        h_self = [((2.0 * cb.height) * (2.0 * cb.height)) ** ((2 - nn) / 2.0)
+                  if i >= cfg.q and cb.height > 0 else 0.0 for i, cb in enumerate(cbs)]
+
+        l2 = lam * lam
+        s2 = np.vecdot(a_chart, a_chart)
+        denom = l2 + s2
+        denom2 = np.float_power(denom, 2)
+        dl_dloglam = (l2 - s2) / denom
+        dC_dloglam = a_chart * (2.0 * l2 * (1.0 + s2) / denom2)[:, None]
+        # chart-center shift per sphere move: dC/dA . dA/da
+        dCdA = (l2 - 1.0)[:, None, None] * (
+            self._eye / denom[:, None, None]
+            - 2.0 * (a_chart[:, :, None] * a_chart[:, None, :]) / denom2[:, None, None])
+        dldA = (2.0 * a_chart * (1.0 - l2)[:, None]
+                / (lam * np.float_power(1.0 + s2, 2))[:, None] / rate[:, None])
+        jac = chart_jacobians(rot, pts)
+        dC_dmove = dCdA @ jac
+        dl_dmove = np.matvec(np.swapaxes(jac, 1, 2), dldA)
+
+        k_val = self.K.value(pts).tolist()
+        grad_norm = np.sqrt(np.vecdot(grad_sphere, grad_sphere)).tolist()
+        grad_k1_norm = np.sqrt(np.vecdot(grad_k1, grad_k1)).tolist()
+        kt_val = vals[:, 0].tolist()
+        kt_lap = hess[:, 0].trace(axis1=1, axis2=2).tolist()
+        dl_dloglam, m3 = dl_dloglam.tolist(), m3.tolist()
+        return [
+            BubbleFrame(
+                idx=i, boundary=i < cfg.q, alpha=cfg.alphas[i], param=cb.param, cb=cb,
+                k_val=k_val[i], grad_sphere=grad_sphere[i], grad_norm=grad_norm[i],
+                grad_k1_norm=grad_k1_norm[i], kt_val=kt_val[i], kt_grad=grads[i, 0],
+                kt_hess=hess[i, 0], kt_lap=kt_lap[i], h_self=h_self[i],
+                dl_dloglam=dl_dloglam[i], dC_dloglam=dC_dloglam[i], dC_dmove=dC_dmove[i],
+                dl_dmove=dl_dmove[i], m3=m3[i])
+            for i, cb in enumerate(cbs)]
 
     # -- core assembly --------------------------------------------------------
 
@@ -333,14 +375,20 @@ class ReducedModel:
 
         m = cfg.size
         eps_mat = np.zeros((m, m))
+        eps_dloglam = np.zeros((m, m))
+        eps_da = np.zeros((m, m, n + 1))
         w_mat = np.zeros((m, m))
         hmut_mat = np.zeros((m, m))
         dist_mat = np.zeros((m, m))
         min_d = math.inf
         for i in range(m):
             for j in range(i + 1, m):
-                eps_mat[i, j] = eps_mat[j, i] = epsilon(cfg.bubbles[i], cfg.bubbles[j])
-                dist_mat[i, j] = dist_mat[j, i] = geodesic_distance(cfg.bubbles[i].a, cfg.bubbles[j].a)
+                bi, bj = cfg.bubbles[i], cfg.bubbles[j]
+                eps_mat[i, j] = eps_mat[j, i] = epsilon(bi, bj)
+                eps_dloglam[i, j], eps_dloglam[j, i] = epsilon_dlambda(bi, bj)
+                eps_da[i, j] = epsilon_da(bi, bj)
+                eps_da[j, i] = -eps_da[i, j]
+                dist_mat[i, j] = dist_mat[j, i] = geodesic_distance(bi.a, bj.a)
                 min_d = min(min_d, dist_mat[i, j])
                 w = (self.opt.pair_overlap_coeff
                      if (frames[i].boundary or frames[j].boundary) else 1.0)
@@ -365,7 +413,7 @@ class ReducedModel:
                                     + alphas[j] ** (pw - 1.0) * frames[j].k_val * alphas[i])
         j_center = num / den ** ((n - 2) / n)
 
-        vbar = self.vbar_budget(cfg, eps_mat=eps_mat)
+        vbar = self.vbar_budget(cfg, frames, eps_mat)
 
         # relative error bar
         rel = 0.0
@@ -401,8 +449,8 @@ class ReducedModel:
 
         asm = Assembly(frames=frames, a_qty=a_qty, n_qty=n_qty, num=num,
                        den=den, gamma=gamma, j_center=float(j_center), rel_bar=float(rel),
-                       eps_mat=eps_mat, w_mat=w_mat, hmut_mat=hmut_mat, dist_mat=dist_mat,
-                       vbar=vbar)
+                       eps_mat=eps_mat, eps_dloglam=eps_dloglam, eps_da=eps_da, w_mat=w_mat,
+                       hmut_mat=hmut_mat, dist_mat=dist_mat, vbar=vbar)
         asm.budgets = self.remainder_budgets(cfg, asm)
         cfg._memo[self] = asm
         return asm
@@ -440,20 +488,24 @@ class ReducedModel:
 
     # -- minimizer-residue budget ----------------------------------------------
 
-    def vbar_budget(self, cfg: Configuration, eps_mat=None) -> float:
+    def vbar_budget(self, cfg: Configuration, frames=None, eps_mat=None) -> float:
         """Norm budget for the orthogonal remainder of the representation.
 
         c * sum_i |grad K(a_i)|/lam_i + 1/lam_i^2, plus the dimension-split
-        interaction terms and interior tail terms.
+        interaction terms and interior tail terms.  ``assemble`` evaluates it
+        from the frames and the pair table it builds and stores the value;
+        a call without them reads the stored value.
         """
+        if frames is None:
+            return self.assemble(cfg).vbar
         n = self.n
         c = self.opt.vbar_coeff
         total = 0.0
-        for i, b in enumerate(cfg.bubbles):
-            g = float(np.linalg.norm(self.K.tangent_gradient(b.a)))
-            total += g / b.lam + 1.0 / b.lam**2
-            if i >= cfg.q:
-                ld = b.lam * b.boundary_distance()
+        for f in frames:
+            lam = f.param.lam
+            total += f.grad_norm / lam + 1.0 / lam**2
+            if not f.boundary:
+                ld = lam * f.param.boundary_distance()
                 if n == 5:
                     total += 1.0 / ld**3
                 else:
@@ -461,7 +513,7 @@ class ReducedModel:
         m = cfg.size
         for i in range(m):
             for j in range(i + 1, m):
-                e = eps_mat[i, j] if eps_mat is not None else epsilon(cfg.bubbles[i], cfg.bubbles[j])
+                e = eps_mat[i, j]
                 if e <= 0.0:
                     continue
                 le = math.log(1.0 / e)
@@ -601,7 +653,8 @@ class ReducedModel:
 
     def gradient_components(self, cfg: Configuration, asm: Assembly | None = None) -> "GradientComponents":
         """Bundle of every pairing, the interaction data, and the budgets,
-        built once per assembly and kept on it; its arrays are read-only."""
+        built once per assembly and kept on it; its arrays are read-only.
+        Each bubble's rate and point pairings come from one pairing call."""
         asm = asm or self.assemble(cfg)
         if asm.grads is not None:
             return asm.grads
@@ -610,25 +663,19 @@ class ReducedModel:
         a_pairings = []
         for i in range(cfg.size):
             alpha_pairings.append(self.grad_alpha(cfg, i, asm))
-            if cfg.is_boundary_index(i):
-                lam_pairings.append(self.grad_lambda_boundary(cfg, i, asm))
-            else:
-                lam_pairings.append(self.grad_lambda_interior(cfg, i, asm))
-            a_pairings.append(self.grad_a(cfg, i, asm))
-        m = cfg.size
-        deps_dlam = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                deps_dlam[i, j], deps_dlam[j, i] = epsilon_dlambda(cfg.bubbles[i], cfg.bubbles[j])
+            lam_bar, a_pair = self.grad_a(cfg, i, asm, with_rate=True)
+            lam_pairings.append(lam_bar)
+            a_pairings.append(a_pair)
+        asm.eps_dloglam.flags.writeable = False
         grads = GradientComponents(
             alpha_pairings=tuple(alpha_pairings),
             lam_pairings=tuple(lam_pairings),
             a_pairings=tuple(a_pairings),
             eps=asm.eps_mat.copy(),
-            eps_dloglam=deps_dlam,
+            eps_dloglam=asm.eps_dloglam,
             r1=asm.budgets[0], r1_boundary=asm.budgets[1],
         )
-        for arr in (grads.eps, deps_dlam, *(vec for vec, _ in a_pairings)):
+        for arr in (grads.eps, *(vec for vec, _ in a_pairings)):
             arr.flags.writeable = False
         asm.grads = grads
         return grads
@@ -653,65 +700,52 @@ class ReducedModel:
         """Pairing with lam_i d(profile)/d lam_i for a boundary bubble."""
         if not cfg.is_boundary_index(i):
             raise IndexNotBoundary(f"index {i} is interior")
-        return self._grad_loglam(cfg, i, asm)
+        return self.grad_a(cfg, i, asm, with_rate=True)[0]
 
     def grad_lambda_interior(self, cfg: Configuration, i: int, asm: Assembly | None = None) -> Bar:
         if cfg.is_boundary_index(i):
             raise IndexNotInterior(f"index {i} is boundary")
-        return self._grad_loglam(cfg, i, asm)
-
-    def _grad_loglam(self, cfg: Configuration, i: int, asm: Assembly | None = None) -> Bar:
-        asm = asm or self.assemble(cfg)
-        n = self.n
-        f = asm.frames[i]
-        m = cfg.size
-        deps = np.zeros(max(m - 1, 0))
-        dh_mut = np.zeros(max(m - 1, 0))
-        for j, fj in enumerate(asm.frames):
-            if j == i:
-                continue
-            jj = j if j < i else j - 1
-            di, _ = epsilon_dlambda(cfg.bubbles[i], cfg.bubbles[j])
-            deps[jj] = di
-            if not f.boundary and not fj.boundary:
-                dh_mut[jj] = -(n - 2) / 2.0 * asm.hmut_mat[i, j] * f.dl_dloglam
-        dJ = self._pairing(asm, i, f.dC_dloglam, f.dl_dloglam, 0.0, deps, dh_mut)
-        center = dJ / f.alpha
-        bar = self._grad_bar_common(asm, i)
-        return Bar(float(center), abs(bar))
+        return self.grad_a(cfg, i, asm, with_rate=True)[0]
 
     def grad_a(self, cfg: Configuration, i: int, asm: Assembly | None = None,
-               include_normal: bool = True):
+               include_normal: bool = True, with_rate: bool = False):
         """Pairing with (1/lam_i) d(profile)/d a_i as an ambient tangent vector.
 
         Boundary bubbles get the equator-tangential components plus (when
         ``include_normal``) the inward-normal component carrying the
-        weight-imbalance and normal-derivative terms.
+        weight-imbalance and normal-derivative terms.  With ``with_rate`` the
+        rate direction lam_i d/dlam_i rides in the same pairing call, and the
+        result is (rate pairing, (vector, bar)).
         """
         asm = asm or self.assemble(cfg)
+        n = self.n
         f = asm.frames[i]
         a = f.param.a.coords
+        lam = f.param.lam
         basis = tangent_basis(a, within_equator=f.boundary)
         if f.boundary and include_normal:
             e_up = np.zeros_like(a)
             e_up[-1] = 1.0
             basis = np.vstack((basis, e_up))  # inward direction off the equator
-        lam = f.param.lam
-        # each pair's interaction gradient does not depend on the direction
-        da_rows = np.array([epsilon_da(cfg.bubbles[i], cfg.bubbles[j])
-                            for j in range(cfg.size) if j != i]).reshape(cfg.size - 1, a.shape[0])
-        dC = basis @ f.dC_dmove.T / lam
-        dloglam = basis @ f.dl_dmove / lam
-        dCn_domain = dC[:, -1].copy() if f.boundary else 0.0
+        others = np.arange(cfg.size) != i
+        # row 0: the rate direction; rows 1..: the basis directions
+        dC = np.vstack((f.dC_dloglam, basis @ f.dC_dmove.T / lam))
+        dloglam = np.concatenate(([f.dl_dloglam], basis @ f.dl_dmove / lam))
+        deps = np.vstack((asm.eps_dloglam[i, others], basis @ asm.eps_da[i, others].T / lam))
+        dh_mut = np.zeros_like(deps)
+        dCn_domain = 0.0
         if f.boundary:
             # tangential moves keep the center on the chart boundary; the
             # vertical displacement is handled by the domain-variation term
-            dC[:, -1] = 0.0
-        deps = basis @ da_rows.T / lam
-        dJ = self._pairing(asm, i, dC, dloglam, dCn_domain, deps, np.zeros_like(deps))
-        vec = (dJ / f.alpha) @ basis
-        bar = self._grad_bar_common(asm, i) / f.param.lam
-        return vec, float(abs(bar))
+            dCn_domain = dC[:, -1].copy()
+            dCn_domain[0] = 0.0
+            dC[1:, -1] = 0.0
+        else:
+            dh_mut[0] = -(n - 2) / 2.0 * asm.hmut_mat[i, others] * f.dl_dloglam
+        dJ = self._pairing(asm, i, dC, dloglam, dCn_domain, deps, dh_mut) / f.alpha
+        bar = abs(self._grad_bar_common(asm, i))
+        point = (dJ[1:] @ basis, float(bar / lam))
+        return (Bar(float(dJ[0]), bar), point) if with_rate else point
 
     # -- normal form near a matched critical collection ---------------------------
 
@@ -756,13 +790,13 @@ class ReducedModel:
         f_alpha = a_qty * self.s_n ** (2.0 / n) / gamma ** ((n - 2) / n)
         alpha_dev2 = max(0.0, 1.0 - f_alpha / level0)
 
+        asm = self.assemble(cfg)
         dev_plus = dev_minus = 0.0
         corr_den = 0.0   # sum alpha^pw (T_i - m_i s_n K_i), the rate corrections
         corr_num = 0.0   # interior self-interaction correction of the squared norm
         bar = 0.0
-        for k, rec in enumerate(matches):
-            b = cfg.bubbles[k]
-            f = _build_frame(k, k < cfg.q, cfg.alphas[k], b, self.K)
+        for k, (rec, f) in enumerate(zip(matches, asm.frames)):
+            b = f.param
             mu = f.rate
             within = rec.kind == "boundary_of_K1"
             basis = tangent_basis(rec.location.coords, within_equator=within)
@@ -790,8 +824,7 @@ class ReducedModel:
         m = cfg.size
         for i in range(m):
             for j in range(i + 1, m):
-                e = epsilon(cfg.bubbles[i], cfg.bubbles[j])
-                bar += 4.0 * self.c2 * cfg.alphas[i] * cfg.alphas[j] * e / (self.s_n * a_qty)
+                bar += 4.0 * self.c2 * cfg.alphas[i] * cfg.alphas[j] * asm.eps_mat[i, j] / (self.s_n * a_qty)
 
         center = level0 * (1.0 - alpha_dev2 + dev_minus - dev_plus + rate_terms)
         return Bar(float(center), float(level0 * (bar + alpha_dev2**1.5 + 1e-12)))

@@ -5,7 +5,7 @@ from hemiflow.errors import ConfigError, NonPositiveField
 from hemiflow.fields import ScalarField, hemisphere_grid, parse_monomial
 from hemiflow.geometry import (BoundarySpherePoint, RotatedChart,
                                geodesic_step, tangent_basis)
-from hemiflow.model import ReducedModel, _build_frame
+from hemiflow.model import ReducedModel
 
 from _fixtures import N, E, field_diag, field_linear, sample_cluster, sample_v4
 
@@ -105,6 +105,39 @@ class TestCalculus:
             assert single == nu
             assert abs(single - float(-K.ambient_gradient(p.coords)[-1])) <= 1e-15
 
+    def test_value_and_tangent_gradient_batch_rows_match_single_points(self):
+        K = ScalarField(N, 1.0, [("x1", 0.05), ("x1*x2", 0.03), ("x6^2", 0.02),
+                                 ("x3^2", -0.04), ("x2*x6", 0.01)])
+        rng = np.random.default_rng(10)
+        pts = np.array([rand_hemi(rng) for _ in range(40)])
+        values = K.value(pts)
+        grads = K.tangent_gradient(pts)
+        assert values.shape == (40,) and grads.shape == (40, N + 1)
+        for v, val, g in zip(pts, values, grads):
+            single = K.value(v)
+            assert isinstance(single, float)
+            assert single == val
+            assert np.array_equal(K.tangent_gradient(v), g)
+
+    def test_chart_stack_blocks_match_one_chart_calls(self):
+        K = ScalarField(N, 1.0, [("x1", 0.05), ("x1*x2", 0.03), ("x6^2", 0.02),
+                                 ("x2*x6", -0.01)])
+        rng = np.random.default_rng(11)
+        charts = []
+        for _ in range(3):
+            anchor = rng.standard_normal(N + 1)
+            anchor[-1] = 0.0
+            charts.append(RotatedChart.for_anchor(anchor / np.linalg.norm(anchor)))
+        pts = 0.4 * rng.standard_normal((3, 2 * N + 1, N))
+        vals, grads, hess = K.chart_data(np.array([c.rotation for c in charts]), pts)
+        assert vals.shape == (3, 2 * N + 1)
+        assert grads.shape == (3, 2 * N + 1, N)
+        assert hess.shape == (3, 2 * N + 1, N, N)
+        for j, chart in enumerate(charts):
+            one = K.chart_data(chart, pts[j])
+            for stacked, single in zip((vals, grads, hess), one):
+                assert np.array_equal(stacked[j], single)
+
     def test_tangent_hessian_matches_finite_differences(self):
         K = ScalarField(N, 1.0, [("x1", 0.05), ("x2^2", 0.03), ("x1*x6", -0.02)])
         rng = np.random.default_rng(4)
@@ -178,8 +211,8 @@ class TestCalculus:
                else sample_cluster(model, E[0], rng))
         assert cfg.size == 2
         h = 0.25
-        for i, (alpha, b) in enumerate(zip(cfg.alphas, cfg.bubbles)):
-            frame = _build_frame(i, i < cfg.q, alpha, b, K)
+        for i in range(cfg.size):
+            frame = model.frames(cfg)[i]
             center = frame.cb.center
             # twice the largest per-axis central difference of the Hessian
             expected = 0.0

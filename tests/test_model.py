@@ -361,25 +361,50 @@ class TestPointGradient:
         # the weight-imbalance term dominates and flips with the sign
         assert (vec_up[-1] - up) * (vec_dn[-1] - up) < 0
 
-    def test_pair_gradient_evaluated_once_per_pair(self, model_lin, monkeypatch):
+    def test_pair_terms_evaluated_once_per_pair_per_assembly(self, model_lin, monkeypatch):
+        import hemiflow.model as model_mod
         cfg = make_cfg(model_lin, [
             BubbleParam(BoundarySpherePoint(E[0]), 50.0),
             BubbleParam(BoundarySpherePoint(E[1]), 60.0),
             BubbleParam(SpherePoint(E[-1]), 70.0),
         ], q=2)
+        calls = {"epsilon_dlambda": 0, "epsilon_da": 0}
+
+        def counted(name):
+            fn = getattr(model_mod, name)
+
+            def wrapper(bi, bj):
+                calls[name] += 1
+                return fn(bi, bj)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(model_mod, name, counted(name))
         asm = model_lin.assemble(cfg)
-        calls = []
-
-        def counted(bi, bj):
-            calls.append((bi, bj))
-            return epsilon_da(bi, bj)
-
-        monkeypatch.setattr("hemiflow.model.epsilon_da", counted)
+        model_lin.gradient_components(cfg, asm)
+        pairs = cfg.size * (cfg.size - 1) // 2
+        assert calls == {"epsilon_dlambda": pairs, "epsilon_da": pairs}
+        # a second bundle, and the pairings outside it, read the stored table
+        model_lin.gradient_components(cfg, asm)
         for i in range(cfg.size):
-            calls.clear()
             model_lin.grad_a(cfg, i, asm)
-            assert len(calls) == cfg.size - 1
+        model_lin.grad_lambda_boundary(cfg, 0, asm)
+        assert calls == {"epsilon_dlambda": pairs, "epsilon_da": pairs}
 
+    def test_point_gradient_table_is_antisymmetric(self, model_lin):
+        cfg = make_cfg(model_lin, [
+            BubbleParam(BoundarySpherePoint(E[0]), 50.0),
+            BubbleParam(BoundarySpherePoint(E[1]), 60.0),
+            BubbleParam(SpherePoint(E[-1]), 70.0),
+        ], q=2)
+        table = model_lin.assemble(cfg).eps_da
+        for i in range(cfg.size):
+            assert np.array_equal(table[i, i], np.zeros(N + 1))
+            for j in range(cfg.size):
+                if i != j:
+                    want = epsilon_da(cfg.bubbles[i], cfg.bubbles[j])
+                    assert np.allclose(table[i, j], want, rtol=1e-15, atol=0.0)
+                    assert np.array_equal(table[j, i], -table[i, j])
 
     @staticmethod
     def _per_direction(model, cfg, i, asm, include_normal):
@@ -419,6 +444,59 @@ class TestPointGradient:
             want = self._per_direction(model_lin, cfg, i, asm, include_normal)
             assert np.linalg.norm(want) > 0.0
             assert np.linalg.norm(vec - want) <= 1e-14 * np.linalg.norm(want)
+
+
+class TestFrames:
+    @staticmethod
+    def _three_bubbles(model):
+        return make_cfg(model, [
+            BubbleParam(BoundarySpherePoint(np.array([0.8, 0.6, 0, 0, 0, 0])), 50.0),
+            BubbleParam(BoundarySpherePoint(np.array([0, 0.6, 0.8, 0, 0, 0])), 60.0),
+            BubbleParam(SpherePoint(np.array([0.6, 0, 0, 0, 0, 0.8])), 70.0),
+        ], q=2)
+
+    def test_one_pullback_call_per_frames_call(self, model_lin, monkeypatch):
+        cfg = self._three_bubbles(model_lin)
+        calls = []
+        original = ScalarField.chart_data
+
+        def counted(K, chart, x):
+            calls.append(np.shape(x))
+            return original(K, chart, x)
+
+        monkeypatch.setattr(ScalarField, "chart_data", counted)
+        frames = model_lin.frames(cfg)
+        assert len(frames) == 3
+        assert calls == [(3, 2 * N + 1, N)]
+
+    def test_frames_match_per_bubble_evaluations(self, model_lin):
+        K = model_lin.K
+        cfg = self._three_bubbles(model_lin)
+        for i, f in enumerate(model_lin.frames(cfg)):
+            b = cfg.bubbles[i]
+            assert f.idx == i and f.boundary == (i < cfg.q) and f.param is b
+            assert f.k_val == K.value(b.a)
+            assert np.array_equal(f.grad_sphere, K.tangent_gradient(b.a))
+            assert f.grad_norm == float(np.linalg.norm(K.tangent_gradient(b.a)))
+            k1 = K.boundary_gradient(b.a) if f.boundary else np.zeros(N + 1)
+            assert f.grad_k1_norm == float(np.linalg.norm(k1))
+            val, grad, hess = K.chart_data(f.cb.chart, f.cb.center)
+            assert f.kt_val == val
+            assert np.array_equal(f.kt_grad, grad) and np.array_equal(f.kt_hess, hess)
+            # the movement calculus against central differences of the chart
+            # center and log rate along tangent moves, in the frame's own chart
+            lam2 = b.lam**2
+            h = 1e-6
+
+            def center_and_lograte(t, e):
+                x = f.cb.chart.to_chart(geodesic_step(b.a.coords, e, t))
+                s2 = float(x @ x)
+                return x * (lam2 - 1.0) / (lam2 + s2), math.log((lam2 + s2) / (b.lam * (1.0 + s2)))
+
+            for e in tangent_basis(b.a.coords):
+                (cp, lp), (cm, lm) = center_and_lograte(h, e), center_and_lograte(-h, e)
+                assert np.allclose(f.dC_dmove @ e, (cp - cm) / (2 * h), rtol=0.0, atol=1e-7)
+                assert abs(f.dl_dmove @ e - (lp - lm) / (2 * h)) < 1e-7
 
 
 class TestAssemblyKept:
