@@ -115,7 +115,7 @@ class RegionLabel:
     tag: str
     weights: dict
     per_index: list
-    clusters: dict       # anchor key -> list of bubble indices
+    clusters: dict       # anchor key -> {"record": anchor record, "members": bubble indices}
     tower_set: tuple     # comparable-scale index set in the spread regime
     mu_ratio: float
 
@@ -331,7 +331,7 @@ class PseudogradientFlow:
         else:
             tag_out = tag
         label = RegionLabel(tag=tag_out, weights=weights, per_index=diags,
-                            clusters={k: v["members"] for k, v in cl.items()},
+                            clusters=cl,
                             tower_set=tower, mu_ratio=mu_ratio)
         cfg._memo[self] = (label, None)
         return label
@@ -609,8 +609,6 @@ class PseudogradientFlow:
         if own and memo[1] is not None:
             return memo[1]
         diags = label.per_index
-        cl = {k: {"record": self._anchor_record(k), "members": v}
-              for k, v in label.clusters.items()}
         total = Velocity.zero(cfg.size, self.n + 1)
         for name, w in label.weights.items():
             if w <= 0:
@@ -622,9 +620,9 @@ class PseudogradientFlow:
             elif name == "V3_1":
                 part = self._field_v31(cfg, asm, diags)
             elif name == "V3_2":
-                part = self._field_v32(cfg, asm, diags, cl)
+                part = self._field_v32(cfg, asm, diags, label.clusters)
             elif name == "V3_3":
-                part = self._field_v33(cfg, asm, diags, cl)
+                part = self._field_v33(cfg, asm, diags, label.clusters)
             elif name == "W":
                 part = self._field_w(cfg, asm, diags)
             elif name == "V4":
@@ -639,12 +637,6 @@ class PseudogradientFlow:
                 arr.flags.writeable = False
             cfg._memo[self] = (label, total)
         return total
-
-    def _anchor_record(self, key):
-        for r in self.records:
-            if tuple(np.round(r.location.coords, 9)) == key:
-                return r
-        raise UnclassifiableState("anchor record disappeared")
 
     # -- descent certificate ----------------------------------------------------------
 

@@ -32,9 +32,11 @@ both routes against honest quadrature.
 
 Each state is evaluated once: ``frames`` builds every bubble's chart data
 in one pass over stacked arrays (one pullback call for all charts), and
-``assemble`` builds the pair table (eps, its scaled rate derivatives and
-its point gradients) in one pass over the unordered pairs.  The energy,
-the residue budget, every gradient pairing and the normal form read those.
+``assemble`` makes one pass over the unordered pairs for the pair table,
+the interaction cross terms and each pair's error-bar slop, which the
+gradient bars read back; eps itself comes from the configuration's
+admissibility check.  The residue budget, every gradient pairing and the
+normal form read those.  The bar constants are module constants.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ class Configuration:
     q: int
     p: int
     eps_scale: float = 0.1
+    eps_mat: np.ndarray = field(init=False, repr=False, compare=False)  # read-only eps_ij
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -95,11 +98,15 @@ class Configuration:
             else:
                 if ld <= inv_eps:
                     raise InvalidConfiguration(f"bubble {i}: interior slot but lam*d = {ld}")
-        for i in range(len(self.bubbles)):
-            for j in range(i + 1, len(self.bubbles)):
+        eps_mat = np.zeros((self.size, self.size))
+        for i in range(self.size):
+            for j in range(i + 1, self.size):
                 e = epsilon(self.bubbles[i], self.bubbles[j])
                 if e >= self.eps_scale:
                     raise InvalidConfiguration(f"eps[{i}][{j}] = {e} >= neighborhood scale")
+                eps_mat[i, j] = eps_mat[j, i] = e
+        eps_mat.flags.writeable = False
+        object.__setattr__(self, "eps_mat", eps_mat)
 
     @property
     def mass(self) -> int:
@@ -188,19 +195,21 @@ class BubbleFrame:
         """Vertical chart derivative of the pullback at the center."""
         return float(self.kt_grad[-1])
 
+    @property
+    def image_distance(self) -> float:
+        """2 mu C_n, the scaled distance from the chart center to its mirror image."""
+        return 2.0 * self.rate * max(self.cb.height, 1e-300)
+
 
 # ---------------------------------------------------------------------------
-# Options and assembly
+# Bar constants and assembly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelOptions:
-    sep_distance: float = 0.1      # pairwise-separation hypothesis scale
-    alpha_slack: float = 0.05      # tolerated post-normalization imbalance
-    rem3_coeff: float = 0.5        # third-order Taylor remainder multiplier
-    vbar_coeff: float = 1.0        # minimizer-residue budget constant
-    interaction_bar_coeff: float = 4.0
-    pair_overlap_coeff: float = 0.5  # half-space halving of boundary pairs
+SEP_DISTANCE = 0.1           # pairwise-separation hypothesis scale
+ALPHA_SLACK = 0.05           # tolerated post-normalization imbalance
+REM3_COEFF = 0.5             # third-order Taylor remainder multiplier
+INTERACTION_BAR_COEFF = 4.0  # weight of the pair slop in the energy bar
+PAIR_OVERLAP_COEFF = 0.5     # half-space halving of boundary pairs
 
 
 @dataclass
@@ -220,12 +229,13 @@ class Assembly:
     rel_bar: float
     # the pair table, one entry per ordered pair (i, j), built in one pass
     # over the unordered pairs; diagonals are zero
-    eps_mat: np.ndarray       # interaction coefficients eps_ij
+    eps_mat: np.ndarray       # interaction coefficients eps_ij (the configuration's)
     eps_dloglam: np.ndarray   # lam_i d eps_ij / d lam_i
     eps_da: np.ndarray        # (m, m, n+1): d eps_ij / d a_i; [j, i] = -[i, j]
     w_mat: np.ndarray     # pair overlap weights (1/2 when a boundary bubble is involved)
     hmut_mat: np.ndarray  # mutual regular-part terms H_ij / (mu_i mu_j)^{(n-2)/2}
     dist_mat: np.ndarray  # geodesic distances between the concentration points
+    slop_mat: np.ndarray  # next-order interaction slop, shared by the energy and gradient bars
     vbar: float
     budgets: tuple | None = None  # (R1, R1_boundary), stored by assemble
     grads: GradientComponents | None = None  # stored by gradient_components
@@ -243,12 +253,10 @@ class Assembly:
 class ReducedModel:
     """Evaluator for the reduced energy and its parameter gradients."""
 
-    def __init__(self, K: ScalarField, constants: ConstantsTable | None = None,
-                 options: ModelOptions | None = None):
+    def __init__(self, K: ScalarField, constants: ConstantsTable | None = None):
         self.K = K
         self.n = K.n
         self.tbl = constants if constants is not None else compute_constants(K.n)
-        self.opt = options if options is not None else ModelOptions()
         n = self.n
         t = self.tbl
         self.s_n = t.s_n
@@ -347,6 +355,10 @@ class ReducedModel:
                 + self.cp_i2h * f.kt_lap / (n * mu * mu)
                 + (2.0 * n / (n - 2)) * f.kt_val * self.c2 * f.h_self / mu ** (n - 2))
 
+    def _cubic_remainder(self, f: BubbleFrame) -> float:
+        """Cubic Taylor remainder of the pullback against the third moment."""
+        return REM3_COEFF * f.m3 * self.cp_i3h / f.rate**3
+
     def mutual_h(self, fi: BubbleFrame, fj: BubbleFrame) -> float:
         """Symmetrized regular-part pair term H_ij / (mu_i mu_j)^{(n-2)/2};
         zero unless both profiles are interior."""
@@ -373,29 +385,6 @@ class ReducedModel:
         n_qty = self.s_n * a_qty
         pw = 2.0 * n / (n - 2)
 
-        m = cfg.size
-        eps_mat = np.zeros((m, m))
-        eps_dloglam = np.zeros((m, m))
-        eps_da = np.zeros((m, m, n + 1))
-        w_mat = np.zeros((m, m))
-        hmut_mat = np.zeros((m, m))
-        dist_mat = np.zeros((m, m))
-        min_d = math.inf
-        for i in range(m):
-            for j in range(i + 1, m):
-                bi, bj = cfg.bubbles[i], cfg.bubbles[j]
-                eps_mat[i, j] = eps_mat[j, i] = epsilon(bi, bj)
-                eps_dloglam[i, j], eps_dloglam[j, i] = epsilon_dlambda(bi, bj)
-                eps_da[i, j] = epsilon_da(bi, bj)
-                eps_da[j, i] = -eps_da[i, j]
-                dist_mat[i, j] = dist_mat[j, i] = geodesic_distance(bi.a, bj.a)
-                min_d = min(min_d, dist_mat[i, j])
-                w = (self.opt.pair_overlap_coeff
-                     if (frames[i].boundary or frames[j].boundary) else 1.0)
-                w_mat[i, j] = w_mat[j, i] = w
-                hm = self.mutual_h(frames[i], frames[j])
-                hmut_mat[i, j] = hmut_mat[j, i] = hm
-
         num = n_qty
         den = 0.0
         gamma = 0.0
@@ -404,53 +393,69 @@ class ReducedModel:
                 num += self.c2 * f.alpha**2 * f.h_self / f.rate ** (n - 2)
             den += f.alpha**pw * self._t_value(f)
             gamma += f.mult * f.alpha**pw * f.k_val
-        # mutual interaction cross terms (attraction channel)
+
+        # one pass over the unordered pairs: the pair table, the interaction
+        # cross terms (attraction channel) and each pair's slop, whose share
+        # of the relative error bar opens ``rel``
+        m = cfg.size
+        eps_dloglam = np.zeros((m, m))
+        eps_da = np.zeros((m, m, n + 1))
+        w_mat = np.zeros((m, m))
+        hmut_mat = np.zeros((m, m))
+        dist_mat = np.zeros((m, m))
+        slop_mat = np.zeros((m, m))
+        min_d = math.inf
+        rel = 0.0
         for i in range(m):
+            fi, bi = frames[i], cfg.bubbles[i]
             for j in range(i + 1, m):
-                pair = self.c2 * w_mat[i, j] * (eps_mat[i, j] + hmut_mat[i, j])
+                fj, bj = frames[j], cfg.bubbles[j]
+                e = cfg.eps_mat[i, j]
+                eps_dloglam[i, j], eps_dloglam[j, i] = epsilon_dlambda(bi, bj)
+                eps_da[i, j] = epsilon_da(bi, bj)
+                eps_da[j, i] = -eps_da[i, j]
+                d = dist_mat[i, j] = dist_mat[j, i] = geodesic_distance(bi.a, bj.a)
+                min_d = min(min_d, d)
+                w = PAIR_OVERLAP_COEFF if fi.boundary or fj.boundary else 1.0
+                w_mat[i, j] = w_mat[j, i] = w
+                hm = hmut_mat[i, j] = hmut_mat[j, i] = self.mutual_h(fi, fj)
+                pair = self.c2 * w * (e + hm)
                 num += 2.0 * alphas[i] * alphas[j] * pair
-                den += pw * pair * (alphas[i] ** (pw - 1.0) * frames[i].k_val * alphas[j]
-                                    + alphas[j] ** (pw - 1.0) * frames[j].k_val * alphas[i])
+                den += pw * pair * (alphas[i] ** (pw - 1.0) * fi.k_val * alphas[j]
+                                    + alphas[j] ** (pw - 1.0) * fj.k_val * alphas[i])
+                if e <= 0.0:
+                    continue
+                slop = slop_mat[i, j] = slop_mat[j, i] = (
+                    6.0 * e ** (n / (n - 2.0)) * math.log(1.0 / e)
+                    + e * d * (fi.grad_norm + fj.grad_norm)
+                    + hm * e ** (1.0 / (n - 2.0)))
+                if fi.boundary != fj.boundary:
+                    # image correction of the interior member, seen by the energy only
+                    slop += e * (fj if fi.boundary else fi).image_distance ** (2 - n)
+                rel += INTERACTION_BAR_COEFF * alphas[i] * alphas[j] * self.c2 * slop / n_qty
         j_center = num / den ** ((n - 2) / n)
 
-        vbar = self.vbar_budget(cfg, frames, eps_mat)
+        vbar = self.vbar_budget(cfg, frames)
 
-        # relative error bar
-        rel = 0.0
         for f in frames:
-            # cubic Taylor remainder of the pullback against the third moment
-            rem3 = self.opt.rem3_coeff * f.m3 * self.cp_i3h / f.rate**3
-            rel += f.alpha**pw * f.mult * rem3 / den
+            rel += f.alpha**pw * f.mult * self._cubic_remainder(f) / den
             if not f.boundary:
                 # far tail of the chart integral below the boundary, plus the
                 # next-order error of the image-charge correction itself
-                ld = 2.0 * f.rate * max(f.cb.height, 1e-300)
+                ld = f.image_distance
                 rel += f.alpha**pw * f.mult * f.kt_val * self.s_n * ld ** (-n) / den
                 rel += f.alpha**pw * f.mult * f.kt_val * self.c2 * ld ** (1 - n) / den
-        for i in range(m):
-            for j in range(i + 1, m):
-                e = eps_mat[i, j]
-                if e <= 0.0:
-                    continue
-                slop = 6.0 * e ** (n / (n - 2.0)) * math.log(1.0 / e)
-                slop += e * dist_mat[i, j] * (frames[i].grad_norm + frames[j].grad_norm)
-                if frames[i].boundary != frames[j].boundary:
-                    f_in = frames[j] if frames[i].boundary else frames[i]
-                    slop += e * (2.0 * f_in.rate * max(f_in.cb.height, 1e-300)) ** (2 - n)
-                slop += hmut_mat[i, j] * e ** (1.0 / (n - 2.0))
-                rel += self.opt.interaction_bar_coeff * alphas[i] * alphas[j] \
-                    * self.c2 * slop / n_qty
         # the residue bound is stated for the unit-norm representation, so its
         # square is already a relative correction
-        rel += self.opt.vbar_coeff * vbar**2
+        rel += vbar**2
         # dropped-hypothesis penalty when points crowd below the separation scale
-        if min_d < self.opt.sep_distance:
-            rel *= 1.0 + self.opt.sep_distance / max(min_d, 1e-12)
+        if min_d < SEP_DISTANCE:
+            rel *= 1.0 + SEP_DISTANCE / max(min_d, 1e-12)
 
         asm = Assembly(frames=frames, a_qty=a_qty, n_qty=n_qty, num=num,
                        den=den, gamma=gamma, j_center=float(j_center), rel_bar=float(rel),
-                       eps_mat=eps_mat, eps_dloglam=eps_dloglam, eps_da=eps_da, w_mat=w_mat,
-                       hmut_mat=hmut_mat, dist_mat=dist_mat, vbar=vbar)
+                       eps_mat=cfg.eps_mat, eps_dloglam=eps_dloglam, eps_da=eps_da, w_mat=w_mat,
+                       hmut_mat=hmut_mat, dist_mat=dist_mat, slop_mat=slop_mat, vbar=vbar)
         asm.budgets = self.remainder_budgets(cfg, asm)
         cfg._memo[self] = asm
         return asm
@@ -484,22 +489,21 @@ class ReducedModel:
         return cfg.replace(alphas=tuple(t * raw))
 
     def check_alpha_slack(self, cfg: Configuration) -> bool:
-        return bool(np.max(np.abs(self.imbalances(cfg))) <= self.opt.alpha_slack)
+        return bool(np.max(np.abs(self.imbalances(cfg))) <= ALPHA_SLACK)
 
     # -- minimizer-residue budget ----------------------------------------------
 
-    def vbar_budget(self, cfg: Configuration, frames=None, eps_mat=None) -> float:
+    def vbar_budget(self, cfg: Configuration, frames=None) -> float:
         """Norm budget for the orthogonal remainder of the representation.
 
-        c * sum_i |grad K(a_i)|/lam_i + 1/lam_i^2, plus the dimension-split
+        sum_i |grad K(a_i)|/lam_i + 1/lam_i^2, plus the dimension-split
         interaction terms and interior tail terms.  ``assemble`` evaluates it
-        from the frames and the pair table it builds and stores the value;
-        a call without them reads the stored value.
+        from the frames and the configuration's eps and stores the value; a
+        call without frames reads the stored value.
         """
         if frames is None:
             return self.assemble(cfg).vbar
         n = self.n
-        c = self.opt.vbar_coeff
         total = 0.0
         for f in frames:
             lam = f.param.lam
@@ -513,7 +517,7 @@ class ReducedModel:
         m = cfg.size
         for i in range(m):
             for j in range(i + 1, m):
-                e = eps_mat[i, j]
+                e = cfg.eps_mat[i, j]
                 if e <= 0.0:
                     continue
                 le = math.log(1.0 / e)
@@ -521,7 +525,7 @@ class ReducedModel:
                     total += 2.0 * e * le ** (3.0 / 5.0)
                 else:
                     total += 2.0 * e ** ((n + 2) / (2.0 * (n - 2))) * le ** ((n + 2) / (2.0 * n))
-        return c * total
+        return total
 
     # -- movement calculus ------------------------------------------------------
 
@@ -578,40 +582,36 @@ class ReducedModel:
 
         return asm.j_center * (dnum / asm.num - (n - 2) / n * dden / asm.den)
 
+    @staticmethod
+    def _residue_coupling(asm: Assembly, i: int) -> float:
+        """Bubble i's coupling to the residue budget, |grad K|/lam + 1/lam^2 + sum_j eps_ij."""
+        f = asm.frames[i]
+        return f.grad_norm / f.param.lam + 1.0 / f.param.lam**2 + float(np.sum(asm.eps_mat[i]))
+
     def _grad_bar_common(self, asm: Assembly, i: int) -> float:
         """Shared error-bar aggregate for the rate/point gradients of bubble i.
 
         Covers the cubic Taylor remainder, interior chart tails, the
-        next-order interaction corrections, the remainder aggregates, and
-        the coupling to the residue budget.
+        next-order interaction corrections (the stored pair slop), the
+        remainder aggregates, and the coupling to the residue budget.
         """
         n = self.n
         f = asm.frames[i]
         mu = f.rate
         pw = 2.0 * n / (n - 2)
-        bar = 2.0 * asm.j_center * f.alpha ** (pw - 1.0) / asm.den \
-            * (self.opt.rem3_coeff * f.m3 * self.cp_i3h / mu**3)
+        bar = 2.0 * asm.j_center * f.alpha ** (pw - 1.0) / asm.den * self._cubic_remainder(f)
         if not f.boundary:
-            ld = 2.0 * mu * max(f.cb.height, 1e-300)
+            ld = f.image_distance
             tail = self.s_n * f.kt_val * (n * ld ** (-n) + ld ** (1 - n)) \
                 + self.c2 * f.kt_val * ld ** (2 - n) / max(mu * f.cb.height, 1.0)
             bar += 2.0 * asm.j_center * f.alpha ** (pw - 1.0) * tail / asm.den
-        eps_row = asm.eps_mat[i]
         slop = 0.0
-        for j in range(len(asm.frames)):
-            if j == i:
-                continue
-            e = eps_row[j]
-            if e <= 0.0:
-                continue
-            term = 6.0 * e ** (n / (n - 2)) * math.log(1.0 / e)
-            term += e * asm.dist_mat[i, j] * (f.grad_norm + asm.frames[j].grad_norm)
-            # positional drift of the mutual regular part is budgeted, not tracked
-            term += asm.hmut_mat[i, j] * (3.0 + e ** (1.0 / (n - 2)))
-            slop += asm.frames[j].alpha * self.c2 * term
+        for j, fj in enumerate(asm.frames):
+            if j != i and asm.eps_mat[i, j] > 0.0:
+                # positional drift of the mutual regular part is budgeted, not tracked
+                slop += fj.alpha * self.c2 * (asm.slop_mat[i, j] + 3.0 * asm.hmut_mat[i, j])
         bar += 2.0 * asm.j_center / asm.n_qty * slop
-        own = f.grad_norm / f.param.lam + 1.0 / f.param.lam**2 + float(np.sum(eps_row))
-        bar += 2.0 * asm.j_center / asm.n_qty * self.s_n * asm.vbar * own
+        bar += 2.0 * asm.j_center / asm.n_qty * self.s_n * asm.vbar * self._residue_coupling(asm, i)
         r1, r1b = asm.budgets
         bar += 2.0 * asm.j_center / asm.n_qty * (r1b if f.boundary else r1)
         return float(bar)
@@ -671,12 +671,12 @@ class ReducedModel:
             alpha_pairings=tuple(alpha_pairings),
             lam_pairings=tuple(lam_pairings),
             a_pairings=tuple(a_pairings),
-            eps=asm.eps_mat.copy(),
+            eps=asm.eps_mat,
             eps_dloglam=asm.eps_dloglam,
             r1=asm.budgets[0], r1_boundary=asm.budgets[1],
         )
-        for arr in (grads.eps, *(vec for vec, _ in a_pairings)):
-            arr.flags.writeable = False
+        for vec, _ in a_pairings:
+            vec.flags.writeable = False
         asm.grads = grads
         return grads
 
@@ -689,10 +689,9 @@ class ReducedModel:
         dnum = 2.0 * f.alpha * w_i
         dden = (2.0 * n / (n - 2)) * f.alpha ** ((n + 2) / (n - 2)) * self._t_value(f)
         center = asm.j_center * (dnum / asm.num - (n - 2) / n * dden / asm.den)
-        mu = f.rate
-        bar_terms = f.grad_norm / f.param.lam + 1.0 / f.param.lam**2 + float(np.sum(asm.eps_mat[i]))
+        bar_terms = self._residue_coupling(asm, i)
         if not f.boundary:
-            bar_terms += (2.0 * mu * max(f.cb.height, 1e-300)) ** (2 - n)
+            bar_terms += f.image_distance ** (2 - n)
         bar = 2.0 * asm.j_center * f.mult * self.s_n / asm.n_qty * bar_terms
         return Bar(float(center), abs(bar))
 
@@ -818,7 +817,7 @@ class ReducedModel:
                 corr_num += self.c2 * f.alpha**2 * f.h_self / mu ** (n - 2)
             dist = geodesic_distance(b.a, rec.location)
             bar += abs(t_corr) / (self.s_n * gamma) * (3.0 * dist + 1.0 / mu) \
-                + f.alpha**pw * self.opt.rem3_coeff * f.m3 * self.cp_i3h / mu**3 / (self.s_n * gamma)
+                + f.alpha**pw * self._cubic_remainder(f) / (self.s_n * gamma)
 
         rate_terms = corr_num / (self.s_n * a_qty) - (n - 2) / n * corr_den / (self.s_n * gamma)
         m = cfg.size

@@ -15,7 +15,7 @@ from hemiflow.fields import ScalarField
 from hemiflow.geometry import (BoundarySpherePoint, SpherePoint, geodesic_step,
                                tangent_basis)
 from hemiflow.landscape import find_critical_points
-from hemiflow.model import Assembly, Configuration, ReducedModel
+from hemiflow.model import SEP_DISTANCE, Assembly, Configuration, ReducedModel
 from hemiflow.oracles import quadrature_J_boundary, quadrature_J_interior
 
 from _fixtures import (E, N, field_boundary_max, field_diag, field_linear,
@@ -822,3 +822,210 @@ class TestNormalFormAtSaddle:
         from hemiflow.census import entry_index
         # q+p-1 = 0 and n-1-morse = 1: exactly the one falling direction seen
         assert entry_index([saddle], [], N) == 1
+
+
+# ---------------------------------------------------------------------------
+# Pinned bars: every energy and gradient bar of six fixed states, recorded
+# before the pair slop became one term shared by the energy and the gradient
+# bars.  The energy centre must not move at all; the bars may move only by
+# the rounding of a regrouped sum.
+# ---------------------------------------------------------------------------
+
+def _diag_field(n):
+    coeffs = [5.0, 1.0, 1.5, 2.0, 2.5, 6.0] if n == 5 else [5.0, 1.0, 1.5, 2.0, 2.5, 2.8, 6.0]
+    return ScalarField(n, 1.0, [(f"x{i+1}^2", 0.01 * d) for i, d in enumerate(coeffs)])
+
+
+def _bp(*coords, lam):
+    return BubbleParam(BoundarySpherePoint(np.array(coords, dtype=float)), lam)
+
+
+def _ip(*coords, lam):
+    return BubbleParam(SpherePoint(np.array(coords, dtype=float)), lam)
+
+
+_T = 0.08  # angle between the two crowded interior points, seen from the axis
+# name -> (n, bubbles, q)
+PINNED_STATES = {
+    "boundary_pair": (5, [_bp(0.8, 0.6, 0, 0, 0, 0, lam=50.0),
+                          _bp(0, 0.6, 0.8, 0, 0, 0, lam=60.0)], 2),
+    "mixed_pair": (5, [_bp(0.8, 0.6, 0, 0, 0, 0, lam=50.0),
+                       _ip(0.6, 0, 0, 0, 0, 0.8, lam=70.0)], 1),
+    "interior_pair": (5, [_ip(0.6, 0, 0, 0, 0, 0.8, lam=70.0),
+                          _ip(0, 0.6, 0, 0, 0, 0.8, lam=80.0)], 0),
+    "three_mixed": (5, [_bp(0.8, 0.6, 0, 0, 0, 0, lam=50.0),
+                        _bp(0, 0.6, 0.8, 0, 0, 0, lam=60.0),
+                        _ip(0.6, 0, 0, 0, 0, 0.8, lam=70.0)], 2),
+    "n6_mixed_pair": (6, [_bp(0.8, 0, 0.6, 0, 0, 0, 0, lam=50.0),
+                          _ip(0, 0.6, 0, 0, 0, 0, 0.8, lam=70.0)], 1),
+    "crowded_interior_pair": (5, [_ip(0.6, 0, 0, 0, 0, 0.8, lam=300.0),
+                                  _ip(0.6 * np.cos(_T), 0.6 * np.sin(_T), 0, 0, 0, 0.8,
+                                      lam=350.0)], 0),
+}
+
+PINNED_BARS = {
+    "boundary_pair": {
+        "j_center": 14.600097072690664, "rel_bar": 2.2358094733257925e-05,
+        "vbar": 0.001563782194031543, "budgets": (2.8062605639413876e-07, 2.8062605639413876e-07),
+        "alpha": [
+            (0.03396802042448537, 14.450568127107251),
+            (0.011370682980071063, 4.462357746737236),
+        ],
+        "lam": [
+            (0.010255856400158731, 0.03480799549993256),
+            (0.023843905352323436, 0.009004787358956507),
+        ],
+        "a": [
+            ([-0.05600671505929362, 0.07467562007905817, -0.0003656328924681593,
+              0.0, 0.0, 0.006793303539877115],
+             0.0006961599099986512),
+            ([-0.0002997376973065469, 0.007958265043317675, -0.005968698782488256,
+              0.0, 0.0, 0.006906480090216561],
+             0.00015007978931594177),
+        ],
+    },
+    "mixed_pair": {
+        "j_center": 16.923398146685006, "rel_bar": 1.9937946307132517e-05,
+        "vbar": 0.0015538968325225487, "budgets": (2.498134465745575e-07, 1.7634568216837612e-07),
+        "alpha": [
+            (0.028703827357397297, 16.75508241410639),
+            (0.017630675301451203, 10.044673355897228),
+        ],
+        "lam": [
+            (0.01058771280624604, 0.03787571622744648),
+            (0.03257547689849491, 0.012054349494657262),
+        ],
+        "a": [
+            ([-0.05422717283392716, 0.0723028971119029, 0.0,
+              0.0, 0.0, 0.005065076768422403],
+             0.0007575143245489297),
+            ([0.02425597505311905, -0.00024762664405881965, 0.0,
+              0.0, 0.0, -0.018191981289839287],
+             0.00017220499278081802),
+        ],
+    },
+    "interior_pair": {
+        "j_center": 18.98919203160906, "rel_bar": 1.2021037474025895e-05,
+        "vbar": 0.0011390293606515177, "budgets": (1.0051300735583861e-07, 0.0),
+        "alpha": [
+            (0.0550267567293737, 11.25006460220472),
+            (0.05358175144693547, 24.49854292768445),
+        ],
+        "lam": [
+            (0.052119335282078155, 0.030709016142499664),
+            (0.05233881843295914, 0.03898784753080535),
+        ],
+        "a": [
+            ([0.024150433179202232, -0.0005934892963862828, 0.0,
+              0.0, 0.0, -0.018112824884401676],
+             0.000438700230607138),
+            ([-0.0005139849927003341, 0.10850188252372293, 0.0,
+              0.0, 0.0, -0.08137641189279221],
+             0.0004873480941350669),
+        ],
+    },
+    "three_mixed": {
+        "j_center": 19.089088943925177, "rel_bar": 2.099850465036254e-05,
+        "vbar": 0.0019620870096798606, "budgets": (3.582831902356274e-07, 2.8062605639413876e-07),
+        "alpha": [
+            (0.04012309419007124, 18.966915517740908),
+            (0.01912985102578047, 5.855296779658124),
+            (0.0412884628584023, 11.37194921023758),
+        ],
+        "lam": [
+            (0.023947664421033004, 0.05000879337329083),
+            (0.026396494025322827, 0.01356350718072373),
+            (0.035836357619676656, 0.015410598486639896),
+        ],
+        "a": [
+            ([-0.05249288589700712, 0.06999051452934284, -0.0003419071824751548,
+              0.0, 0.0, 0.008038415327799699],
+             0.0010001758674658167),
+            ([-0.00032128558206395957, 0.00744201873889642, -0.005581514054172315,
+              0.0, 0.0, 0.008566882213143008],
+             0.00022605845301206217),
+            ([0.023535298046581245, -0.00027652039715104636, -4.8344967828628055e-05,
+              0.0, 0.0, -0.017651473534935937],
+             0.00022015140695199852),
+        ],
+    },
+    "n6_mixed_pair": {
+        "j_center": 21.471503705877378, "rel_bar": 1.5880464352479767e-05,
+        "vbar": 0.0019623081119744374, "budgets": (1.4983444098924957e-08, 1.2092365243649226e-08),
+        "alpha": [
+            (0.006279242547067808, 164.43626409221093),
+            (-0.005094607413709911, 273.0075006327102),
+        ],
+        "lam": [
+            (-0.019949594617560688, 0.34808128384739156),
+            (-0.02657603111578673, 0.28186411838755066),
+        ],
+        "a": [
+            ([-0.1924633600435903, -7.240627190459193e-06, 0.2566178133914538,
+              0.0, 0.0, 0.0, -0.007678503876504172],
+             0.006961625676947831),
+            ([-6.926412673128315e-06, 0.5190993216923206, -5.194809504846237e-06,
+              0.0, 0.0, 0.0, -0.3893244912692405],
+             0.004026630262679295),
+        ],
+    },
+    "crowded_interior_pair": {
+        "j_center": 18.885149533195552, "rel_bar": 0.0018060053767870827,
+        "vbar": 0.0019442225410472344, "budgets": (1.7764582613122275e-05, 0.0),
+        "alpha": [
+            (2.5686317479128786, 9.754186982858213),
+            (2.5686018444745766, 9.60115667245099),
+        ],
+        "lam": [
+            (1.6318208882311924, 0.23667892285712192),
+            (1.6360054546493807, 0.23650560387207273),
+        ],
+        "a": [
+            ([0.01142308047464873, -0.2268413621989339, 0.0,
+              0.0, 0.0, -0.008567310355986549],
+             0.000788929742857073),
+            ([-0.005845286220895726, 0.1969822342738409, 0.0,
+              0.0, 0.0, -0.007436387767906371],
+             0.0006757302967773507),
+        ],
+    },
+}
+
+
+class TestPinnedBars:
+    @staticmethod
+    def _close(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_STATES))
+    def test_bars_match_the_recorded_values(self, name):
+        n, bubbles, q = PINNED_STATES[name]
+        model = ReducedModel(_diag_field(n))
+        cfg = make_cfg(model, bubbles, q=q)
+        asm = model.assemble(cfg)
+        grads = model.gradient_components(cfg, asm)
+        want = PINNED_BARS[name]
+        assert asm.j_center == want["j_center"]
+        assert self._close(asm.rel_bar, want["rel_bar"])
+        assert self._close(asm.vbar, want["vbar"])
+        assert self._close(asm.budgets, want["budgets"])
+        for got, (center, bar) in zip(grads.alpha_pairings + grads.lam_pairings,
+                                      want["alpha"] + want["lam"]):
+            assert self._close(got.center, center) and self._close(got.halfwidth, bar)
+        for (vec, bar), (want_vec, want_bar) in zip(grads.a_pairings, want["a"]):
+            assert self._close(vec, want_vec) and self._close(bar, want_bar)
+
+    def test_pinned_states_cover_every_slop_branch(self):
+        kinds = set()
+        for n, bubbles, q in PINNED_STATES.values():
+            model = ReducedModel(_diag_field(n))
+            asm = model.assemble(make_cfg(model, bubbles, q=q))
+            m = len(bubbles)
+            for i in range(m):
+                for j in range(i + 1, m):
+                    kinds.add((i < q) + (j < q))
+            if asm.dist_mat[np.triu_indices(m, 1)].min() < SEP_DISTANCE:
+                kinds.add("crowded")
+        # boundary pairs, mixed pairs, interior pairs and the crowding penalty
+        assert kinds == {0, 1, 2, "crowded"}
