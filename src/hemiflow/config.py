@@ -19,7 +19,9 @@ Schema (all keys optional except ``field``):
 Scalar values can be overridden from the command line; the field family
 itself always comes from the file.  ``seeds_per_dim`` (at least 8) and
 ``seed`` are validated and stamped into artifacts, but the landscape is an
-exact enumeration and does not depend on them.
+exact enumeration and does not depend on them.  ``grid_density`` is
+validated by ``ScalarField.min_max`` (at least 10) but has no effect: the
+extrema are exact.
 """
 
 from __future__ import annotations

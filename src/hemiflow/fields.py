@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonPositiveField
+from .errors import ConfigError, DegenerateCriticalPoint, NonPositiveField
 from .geometry import SpherePoint, tangent_basis
 
 _MONOMIAL_RE = re.compile(r"^x(\d+)(?:\^(2)|\*x(\d+))?$")
@@ -77,11 +77,8 @@ class ScalarField:
         object.__setattr__(self, "kappa0", float(kappa0))
         object.__setattr__(self, "linear", b)
         object.__setattr__(self, "quadratic", q)
-        lower = self.positivity_lower_bound()
-        if lower <= 0.0:
-            grid_min = float(self._grid_values(24).min())
-            if grid_min <= 0.0:
-                raise NonPositiveField(f"field takes values <= 0 (grid minimum {grid_min})")
+        if self.positivity_lower_bound() <= 0.0:
+            self.min_max()  # raises NonPositiveField
 
     # -- construction helpers ------------------------------------------------
 
@@ -249,50 +246,134 @@ class ScalarField:
 
     # -- global extrema ------------------------------------------------------
 
-    def _grid_values(self, density: int):
-        pts = hemisphere_grid(self.n, density)
-        return (
-            self.kappa0
-            + pts @ self.linear
-            + np.einsum("ki,ij,kj->k", pts, self.quadratic, pts)
-        )
-
     def min_max(self, grid_density: int = 12):
-        """Grid-scan extrema refined by projected-gradient ascent/descent."""
+        """Exact extrema over the closed upper hemisphere: K at its critical
+        points above the equator and at those of the trace K_1, in one batch
+        (a continuum adds one of its points, K being constant on it).
+        ``grid_density`` is validated (at least 10) but no longer used."""
         if grid_density < 10:
             raise ConfigError("grid_density must be at least 10")
-        pts = hemisphere_grid(self.n, grid_density)
-        vals = (
-            self.kappa0
-            + pts @ self.linear
-            + np.einsum("ki,ij,kj->k", pts, self.quadratic, pts)
-        )
-        kmin = self._polish_extremum(pts[np.argmin(vals)], sign=-1.0)
-        kmax = self._polish_extremum(pts[np.argmax(vals)], sign=+1.0)
+        n, b, q = self.n, self.linear, self.quadratic
+        pts = [sphere_critical_points(b, q, 0.0, values_only=True),
+               np.pad(sphere_critical_points(b[:n], q[:n, :n], values_only=True), ((0, 0), (0, 1)))]
+        vals = self.value(np.concatenate(pts))
+        kmin, kmax = float(vals.min()), float(vals.max())
         if kmin <= 0.0:
-            raise NonPositiveField(f"refined minimum {kmin} is not positive")
+            raise NonPositiveField(f"field takes values <= 0 (minimum {kmin})")
         return kmin, kmax
 
-    def _polish_extremum(self, start, sign: float, steps: int = 200) -> float:
-        v = np.asarray(start, dtype=float)
-        step = 0.1
-        best = self.value(v)
-        for _ in range(steps):
-            g = self.tangent_gradient(v)
-            if np.linalg.norm(g) < 1e-14:
-                break
-            cand = v + sign * step * g
-            cand[-1] = max(cand[-1], 0.0)
-            cand = cand / np.linalg.norm(cand)
-            val = self.value(cand)
-            if sign * (val - best) > 0:
-                v, best = cand, val
-                step = min(step * 1.3, 0.5)
-            else:
-                step *= 0.5
-                if step < 1e-14:
-                    break
-        return best
+
+def _secular_roots(p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Every root of f(mu) = sum_g s_g / (mu - p_g)^2 - 1, poles p ascending.
+
+    The eigenvalues of [[diag(p), -I], [-r r^T, diag(p)]], r = sqrt(s), solve
+    (diag(p) - mu)^2 u = r (r.u), i.e. f(mu) = 0; their real parts seed the
+    roots.  Signs of f decide the counts: one root lies beyond each outer
+    pole, and f is convex between consecutive poles, so a gap holds two roots
+    when f <= 0 at its minimiser and none otherwise.  The minimiser starts at
+    the best midpoint of consecutive seeds and takes Newton steps on f', kept
+    where they lower f; each root starts at the best seed in its bracket (or
+    the quadratic model of f about the minimiser) and takes Newton steps on f.
+    """
+    k = len(p)
+    pencil = np.diag(np.concatenate([p, p]))
+    pencil[:k, k:] = -np.eye(k)
+    pencil[k:, :k] = -np.sqrt(np.outer(s, s))
+    seeds = np.sort(np.linalg.eigvals(pencil).real)
+
+    def moments(mu):  # f, and -f'/2 and f''/6
+        inv = 1.0 / (mu[..., None] - p)
+        inv2 = inv * inv
+        return inv2 @ s - 1.0, (inv2 * inv) @ s, (inv2 * inv2) @ s
+
+    def pick(cand, lo, hi, score):
+        # per bracket, the candidate inside with the least score, else the middle
+        cand = np.where((lo[:, None] < cand) & (cand < hi[:, None]), cand, (lo + hi)[:, None] / 2)
+        return cand[np.arange(len(lo)), np.argmin(score(moments(cand)[0]), axis=1)]
+
+    lo, hi = p[:-1], p[1:]
+    m = start = pick(0.5 * (seeds[1:] + seeds[:-1]), lo, hi, np.asarray)
+    first, f3, f4 = moments(m)
+    for _ in range(2):
+        new = m + f3 / (3.0 * f4)
+        m = np.where((lo < new) & (new < hi), new, m)
+        fm, f3, f4 = moments(m)
+    m, fm = np.where(fm < first, m, start), np.minimum(fm, first)
+    two = fm <= 0.0
+    reach = 2.0 * np.sqrt(s.sum())
+    half = np.sqrt(-fm[two] / (3.0 * f4[two]))
+    lo = np.concatenate([[p[0] - reach], lo[two], m[two], [p[-1]]])
+    hi = np.concatenate([[p[0]], m[two], hi[two], [p[-1] + reach]])
+    model = np.concatenate([[p[0]], m[two] - half, m[two] + half, [p[-1]]])
+    mu = pick(np.column_stack([np.broadcast_to(seeds, (len(lo), 2 * k)), model]), lo, hi, np.abs)
+    for _ in range(2):
+        f, f3, _ = moments(mu)
+        new = mu + f / (2.0 * f3)
+        mu = np.where((lo < new) & (new < hi), new, mu)
+    return mu
+
+
+def sphere_critical_points(b: np.ndarray, Q: np.ndarray, height_floor: float | None = None,
+                           values_only: bool = False) -> np.ndarray:
+    """Every critical point of x -> b.x + x.Q.x on the unit sphere of R^d, one per row.
+
+    The Lagrange condition b + 2Qx = 2 mu x reads (mu - w_i) y_i = c_i in
+    the eigenbasis Q = V diag(w) V^T, with y = V^T x and c = V^T b / 2
+    (the constrained eigenvalue problem of Gander, Golub & von Matt, Linear
+    Algebra Appl. 114/115, 1989).  Eigenvalues equal to rounding form one
+    cluster g with weight s_g = |c_g|^2.  The roots are
+
+    * secular: f(mu) = sum_g s_g / (mu - w_g)^2 = 1 over the clusters with
+      s_g > 0 (:func:`_secular_roots`);
+    * eigenvector branches: for a cluster with c_g = 0, mu = w_g and the
+      cluster part of y has length sqrt(1 - |y|^2) when that is real; a
+      cluster of dimension >= 2 then carries a continuum of critical points,
+      which raises :class:`DegenerateCriticalPoint`, or with ``values_only``
+      adds its highest point (the polynomial is constant on it).
+
+    With ``height_floor`` only points whose last coordinate exceeds it are
+    returned, and only a continuum reaching above it counts.
+    """
+    w, V = np.linalg.eigh(Q)
+    c = V.T @ b / 2.0
+    tol = 1e-12 * max(float(np.abs(w).max()), float(np.linalg.norm(c)))
+    labels = np.concatenate([[0], np.cumsum(np.diff(w) > tol)])
+    poles = np.bincount(labels, w) / np.bincount(labels)
+    weights = np.bincount(labels, c * c)
+    active = weights > tol * tol
+    live = active[labels]
+
+    def lift(mu):
+        y = np.zeros((len(mu), len(c)))
+        y[:, live] = c[live] / (mu[:, None] - poles[labels[live]])
+        return y
+
+    ys = [lift(_secular_roots(poles[active], weights[active]))] if active.any() else []
+    for g in np.flatnonzero(~active):
+        y = lift(poles[g:g + 1])
+        r2 = 1.0 - float(np.sum(y * y))
+        if r2 <= 0.0:
+            continue
+        members = np.flatnonzero(labels == g)
+        if len(members) >= 2:
+            # highest point of the sphere V y + sqrt(r2) * span(V[:, members])
+            up = V[-1, members]
+            top = V[-1] @ y[0] + np.sqrt(r2) * np.linalg.norm(up)
+            if height_floor is not None and top <= height_floor:
+                continue
+            if not values_only:
+                raise DegenerateCriticalPoint(
+                    "tangent gradient vanishes on a continuum; the field has no "
+                    "isolated critical points")
+            y[0, members] = np.sqrt(r2) * (up / np.linalg.norm(up) if up.any()
+                                           else np.eye(len(members))[0])
+        else:
+            y = np.repeat(y, 2, axis=0)
+            y[:, members[0]] = [np.sqrt(r2), -np.sqrt(r2)]
+        ys.append(y)
+    y = np.concatenate(ys) if ys else np.zeros((0, len(c)))
+    x = (y / np.linalg.norm(y, axis=1, keepdims=True)) @ V.T
+    return x if height_floor is None else x[x[:, -1] > height_floor]
 
 
 def hemisphere_grid(n: int, density: int) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 Two searches run separately: the field K on the closed upper hemisphere
 and its boundary trace K_1 on the equator sphere.  For the degree-2 family
-both are exact: the critical points of x -> b.x + x.Q.x on a sphere follow
-from one symmetric eigendecomposition and a one-dimensional secular
-equation, so the root list is complete by construction (and checked by the
-Poincare-Hopf count on the equator).  Roots are classified by the exact
-signs of the Laplacian and the outward normal derivative:
+both are exact (:func:`hemiflow.fields.sphere_critical_points`): the
+critical points of x -> b.x + x.Q.x on a sphere follow from one symmetric
+eigendecomposition and a secular equation whose roots are the real
+eigenvalues of one 2k x 2k matrix (k distinct eigenvalues of Q), polished
+by Newton steps, with sign tests fixing the count between each two poles.
+The root list is complete by construction (and checked by the Poincare-Hopf
+count on the equator).  Roots are classified by the exact signs of the
+Laplacian and the outward normal derivative:
 
     interior points with vanishing gradient and negative Laplacian,
     boundary points with positive normal derivative,
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AmbiguousSign, DegenerateCriticalPoint
-from .fields import ScalarField
+from .fields import ScalarField, sphere_critical_points as _sphere_critical_points
 from .geometry import BoundarySpherePoint, SpherePoint, tangent_basis
 
 DEGENERACY_FLOOR = 1e-8
@@ -87,92 +90,6 @@ class CriticalPointRecord:
 # ---------------------------------------------------------------------------
 # Exact enumeration
 # ---------------------------------------------------------------------------
-
-def _bisect(g, a: float, b: float) -> float:
-    """Sign change of a monotone g between a (where g <= 0) and b (where
-    g > 0), in either order, to adjacent floats.  Only points strictly
-    between a and b are evaluated, so either may be a pole."""
-    while True:
-        mid = 0.5 * (a + b)
-        if mid in (a, b):
-            return mid
-        if g(mid) <= 0.0:
-            a = mid
-        else:
-            b = mid
-
-
-def _sphere_critical_points(b: np.ndarray, Q: np.ndarray, height_floor: float | None = None):
-    """Every critical point of x -> b.x + x.Q.x on the unit sphere of R^d.
-
-    The Lagrange condition b + 2Qx = 2 mu x reads (mu - w_i) y_i = c_i in
-    the eigenbasis Q = V diag(w) V^T, with y = V^T x and c = V^T b / 2
-    (the constrained eigenvalue problem of Gander, Golub & von Matt, Linear
-    Algebra Appl. 114/115, 1989).  Eigenvalues equal to rounding form one
-    cluster g with weight s_g = |c_g|^2.  The roots are
-
-    * secular: f(mu) = sum_g s_g / (mu - w_g)^2 = 1 over the clusters with
-      s_g > 0; one root lies beyond each outer pole, and f is convex between
-      consecutive poles, so it has 0 or 2 roots there;
-    * eigenvector branches: for a cluster with c_g = 0, mu = w_g and the
-      cluster part of y has length sqrt(1 - |y|^2) when that is real; a
-      cluster of dimension >= 2 then carries a continuum of critical points.
-
-    With ``height_floor`` only points whose last coordinate exceeds it are
-    returned, and only a continuum reaching above it raises.
-    """
-    w, V = np.linalg.eigh(Q)
-    c = V.T @ b / 2.0
-    tol = 1e-12 * max(float(np.abs(w).max()), float(np.linalg.norm(c)))
-    labels = np.concatenate([[0], np.cumsum(np.diff(w) > tol)])
-    poles = np.bincount(labels, w) / np.bincount(labels)
-    weights = np.bincount(labels, c * c)
-    active = weights > tol * tol
-    live = active[labels]
-
-    def lift(mu):
-        y = np.zeros_like(c)
-        y[live] = c[live] / (mu - poles[labels[live]])
-        return y
-
-    p = [float(v) for v in poles[active]]
-    s = [float(v) for v in weights[active]]
-
-    def f(mu):
-        return sum(sk / (mu - pk) ** 2 for sk, pk in zip(s, p)) - 1.0
-
-    def df(mu):
-        return -2.0 * sum(sk / (mu - pk) ** 3 for sk, pk in zip(s, p))
-
-    mus = []
-    if p:
-        reach = 2.0 * np.sqrt(sum(s))
-        mus = [_bisect(f, p[0] - reach, p[0]), _bisect(f, p[-1] + reach, p[-1])]
-        for lo, hi in zip(p[:-1], p[1:]):
-            m = _bisect(df, lo, hi)
-            if f(m) <= 0.0:
-                mus += [_bisect(f, m, lo), _bisect(f, m, hi)]
-    ys = [lift(mu) for mu in mus]
-    for g in np.flatnonzero(~active):
-        y = lift(poles[g])
-        r2 = 1.0 - float(y @ y)
-        if r2 <= 0.0:
-            continue
-        members = np.flatnonzero(labels == g)
-        if len(members) >= 2:
-            # highest point of the sphere V y + sqrt(r2) * span(V[:, members])
-            top = (V @ y)[-1] + np.sqrt(r2) * np.linalg.norm(V[-1, members])
-            if height_floor is None or top > height_floor:
-                raise DegenerateCriticalPoint(
-                    "tangent gradient vanishes on a continuum; the field has no "
-                    "isolated critical points")
-            continue
-        for sign in (1.0, -1.0):
-            ys.append(y.copy())
-            ys[-1][members[0]] = sign * np.sqrt(r2)
-    xs = [V @ (y / np.linalg.norm(y)) for y in ys]
-    return [x for x in xs if height_floor is None or x[-1] > height_floor]
-
 
 def find_critical_points(K: ScalarField, seeds_per_dim: int = 10, seed: int = 2024):
     """Locate and classify all critical points of K and of its boundary trace.

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hemiflow.cli import main
@@ -140,6 +141,16 @@ class TestExitCodes:
         # a constant candidate has no isolated critical points
         cfgp = write_config(tmp_path, field_terms=[])
         assert main(["--config", str(cfgp), "critical-points"]) == 1
+
+    def test_field_negative_on_the_hemisphere(self, tmp_path, capsys):
+        # K(-u) = -1e-3 at x6 ≈ 0.5: rejected when the field is built, so
+        # critical-points fails too although it never asks for the extrema
+        u = np.array([0.4, -0.3, 0.5, 0.2, -0.45, -0.5])
+        u /= np.linalg.norm(u)
+        terms = [{"monomial": f"x{i+1}", "coeff": float(c)} for i, c in enumerate(1.001 * u)]
+        cfgp = write_config(tmp_path, field_terms=terms)
+        assert main(["--config", str(cfgp), "critical-points"]) == 1
+        assert "NonPositiveField: field takes values <= 0" in capsys.readouterr().err
 
     def test_unknown_flow_key(self, tmp_path):
         path = tmp_path / "bad.json"

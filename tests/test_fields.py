@@ -47,6 +47,14 @@ class TestPositivity:
         with pytest.raises(NonPositiveField):
             ScalarField(N, 0.5, [("x1", 1.0)])
 
+    def test_negative_on_the_hemisphere_rejected_by_the_constructor(self):
+        # the coefficient bound fails, and K(-u) = -1e-3 at x6 ≈ 0.5 > 0
+        u = np.array([0.4, -0.3, 0.5, 0.2, -0.45, -0.5])
+        u /= np.linalg.norm(u)
+        terms = [(f"x{i+1}", float(c)) for i, c in enumerate(1.001 * u)]
+        with pytest.raises(NonPositiveField, match="takes values <= 0"):
+            ScalarField(N, 1.0, terms)
+
     def test_kappa0_positive_required(self):
         with pytest.raises(ConfigError):
             ScalarField(N, -1.0, ())
@@ -236,6 +244,19 @@ class TestMinMax:
         assert abs(kmin - 0.95) < 1e-9
         assert abs(kmax - 1.05) < 1e-9
 
+    def test_linear_fields_match_the_closed_form(self):
+        # K = 1 + b.x peaks at b/|b| and bottoms at -b/|b| when those lie in
+        # the closed upper hemisphere, and on the equator at 1 -+ |b[:n]| otherwise
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            b = rng.uniform(-0.1, 0.1, N + 1)
+            K = ScalarField(N, 1.0, [(f"x{i+1}", float(c)) for i, c in enumerate(b)])
+            top = np.linalg.norm(b if b[-1] >= 0 else b[:N])
+            bottom = np.linalg.norm(b if b[-1] <= 0 else b[:N])
+            kmin, kmax = K.min_max(12)
+            assert abs(kmax - (1.0 + top)) <= 1e-13 * (1.0 + top)
+            assert abs(kmin - (1.0 - bottom)) <= 1e-13 * (1.0 - bottom)
+
     def test_against_sampling_plus_polish_oracle(self):
         K = ScalarField(N, 1.0, [("x1", 0.05), ("x1*x2", 0.03)])
         kmin, kmax = K.min_max(12)
@@ -268,7 +289,7 @@ class TestMinMax:
             field_linear().min_max(5)
 
     def test_refined_minimum_must_be_positive(self):
-        # constructor grid check is coarse; min_max must still catch this
+        # a field built around the constructor's check: min_max still rejects it
         K = ScalarField.__new__(ScalarField)
         object.__setattr__(K, "n", N)
         object.__setattr__(K, "kappa0", 0.9)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hemiflow import landscape
+from hemiflow import fields, landscape
 from hemiflow.errors import AmbiguousSign, DegenerateCriticalPoint
 from hemiflow.fields import ScalarField
 from hemiflow.geometry import tangent_basis
@@ -14,6 +14,9 @@ from hemiflow.landscape import (CriticalPointRecord, _classify_boundary,
 
 from _fixtures import (E, N, field_boundary_max, field_diag, field_h3_quadratic_flat,
                        field_interior_min, field_linear)
+
+README_TERMS = [("x1^2", 0.05), ("x2^2", 0.01), ("x3^2", 0.015), ("x4^2", 0.02),
+                ("x5^2", 0.025), ("x6^2", 0.06)]
 
 # a division at a pole of the secular function must fail, not warn
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -73,6 +76,99 @@ def multiplier_scan(b, Q, count=200000):
         if all(np.linalg.norm(x - y) > 1e-6 for y in roots):
             roots.append(x)
     return roots
+
+
+def bisect(g, a, b):
+    """Sign change of a monotone g between a (where g <= 0) and b (where
+    g > 0), in either order, to adjacent floats; a and b are never evaluated."""
+    while True:
+        mid = 0.5 * (a + b)
+        if mid in (a, b):
+            return mid
+        if g(mid) <= 0.0:
+            a = mid
+        else:
+            b = mid
+
+
+def bisection_roots(p, s):
+    """The secular roots by scalar bisection, one float at a time: one root
+    beyond each outer pole, and two in a gap where f is <= 0 at the root of f'."""
+    p, s = [float(v) for v in p], [float(v) for v in s]
+
+    def f(mu):
+        return sum(sk / (mu - pk) ** 2 for sk, pk in zip(s, p)) - 1.0
+
+    def df(mu):
+        return -2.0 * sum(sk / (mu - pk) ** 3 for sk, pk in zip(s, p))
+
+    reach = 2.0 * np.sqrt(sum(s))
+    mus = [bisect(f, p[0] - reach, p[0]), bisect(f, p[-1] + reach, p[-1])]
+    for lo, hi in zip(p[:-1], p[1:]):
+        m = bisect(df, lo, hi)
+        if f(m) <= 0.0:
+            mus += [bisect(f, m, lo), bisect(f, m, hi)]
+    return np.sort(mus)
+
+
+def bisection_critical_points(b, Q, height_floor=None):
+    """The enumeration with every secular root found by bisection: same
+    clusters and eigenvector branches, no eigenvalue solve for the roots."""
+    w, V = np.linalg.eigh(Q)
+    c = V.T @ b / 2.0
+    tol = 1e-12 * max(float(np.abs(w).max()), float(np.linalg.norm(c)))
+    labels = np.concatenate([[0], np.cumsum(np.diff(w) > tol)])
+    poles = np.bincount(labels, w) / np.bincount(labels)
+    weights = np.bincount(labels, c * c)
+    active = weights > tol * tol
+    live = active[labels]
+
+    def lift(mu):
+        y = np.zeros_like(c)
+        y[live] = c[live] / (mu - poles[labels[live]])
+        return y
+
+    mus = bisection_roots(poles[active], weights[active]) if active.any() else []
+    ys = [lift(mu) for mu in mus]
+    for g in np.flatnonzero(~active):
+        y = lift(poles[g])
+        r2 = 1.0 - float(y @ y)
+        if r2 <= 0.0:
+            continue
+        members = np.flatnonzero(labels == g)
+        if len(members) >= 2:
+            top = (V @ y)[-1] + np.sqrt(r2) * np.linalg.norm(V[-1, members])
+            if height_floor is None or top > height_floor:
+                raise DegenerateCriticalPoint("tangent gradient vanishes on a continuum")
+            continue
+        for sign in (1.0, -1.0):
+            ys.append(y.copy())
+            ys[-1][members[0]] = sign * np.sqrt(r2)
+    xs = [V @ (y / np.linalg.norm(y)) for y in ys]
+    return np.array([x for x in xs if height_floor is None or x[-1] > height_floor])
+
+
+def random_field(rng, n):
+    """Distinct diagonal terms, small linear terms along every axis and two
+    cross terms (the benchmark's landscape family, any n)."""
+    diag = 0.01 * (1.0 + 0.8 * np.arange(n + 1) + rng.uniform(0.0, 0.4, n + 1))
+    rng.shuffle(diag)
+    terms = [(f"x{i+1}^2", float(c)) for i, c in enumerate(diag)]
+    terms += [(f"x{i+1}", float(c)) for i, c in enumerate(rng.uniform(-0.01, 0.01, n + 1))]
+    for _ in range(2):
+        i, j = sorted(int(k) for k in rng.choice(n + 1, 2, replace=False))
+        terms.append((f"x{i+1}*x{j+1}", float(rng.uniform(-0.005, 0.005))))
+    return ScalarField(n, 1.0, terms)
+
+
+def near_tangent_trace(eps, t=0.8):
+    """Trace with poles 0.01 < 0.03 and weights t^3 s, s, s = g^2 (1 - eps)/(1 + t)^3:
+    at eps = 0 the secular function touches zero in the gap between them,
+    so eps > 0 puts two roots about 0.01 sqrt(eps) apart there."""
+    s = 0.02 ** 2 * (1.0 - eps) / (1.0 + t) ** 3
+    return ScalarField(N, 1.0, [
+        ("x1", 2.0 * np.sqrt(t ** 3 * s)), ("x2", 2.0 * np.sqrt(s)), ("x1^2", 0.01),
+        ("x2^2", 0.03), ("x3^2", 0.05), ("x4^2", -0.02), ("x5^2", 0.07), ("x6^2", 0.04)])
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +243,33 @@ class TestDegenerateField:
         assert len(records) == 10
         assert_critical(K, records)
 
+    @pytest.mark.parametrize("terms, extrema", [
+        ([("x1^2", 0.02), ("x2^2", 0.02), ("x3^2", 0.03)], (1.0, 1.03)),
+        ([("x6^2", 0.02)], (1.0, 1.02)),
+        (rotated_terms([0.01, 0.03, 0.03, 0.05, 0.07, 0.09], seed=3), (1.01, 1.09)),
+    ], ids=["equal_x1_x2", "x6_only", "rotated_repeated"])
+    def test_min_max_on_a_continuum(self, terms, extrema):
+        # K is even, so its extrema over the sphere, 1 + the least and greatest
+        # eigenvalues of Q, are also taken on the closed upper hemisphere
+        kmin, kmax = ScalarField(N, 1.0, terms).min_max()
+        assert abs(kmin - extrema[0]) <= 1e-14
+        assert abs(kmax - extrema[1]) <= 1e-14
+
+    def test_min_max_with_a_continuum_below_the_equator(self):
+        K = ScalarField(N, 1.0, [
+            ("x1", 0.01), ("x6", -0.01), ("x1^2", 0.04), ("x2^2", 0.04), ("x3^2", 0.04),
+            ("x4^2", 0.05), ("x5^2", -0.05), ("x6^2", 0.03), ("x1*x6", 0.02)])
+        kmin, kmax = K.min_max()
+        # the extrema over the closed hemisphere sit at critical points of K
+        # or of its trace, and no sample beats them
+        values = [r.value for r in find_critical_points(K, 8)]
+        assert (kmin, kmax) == (min(values), max(values))
+        pts = np.random.default_rng(5).standard_normal((100_000, N + 1))
+        pts[:, -1] = np.abs(pts[:, -1])
+        sampled = K.value(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+        assert kmin <= sampled.min() < kmin + 1e-3
+        assert kmax - 1e-3 < sampled.max() <= kmax
+
     def test_double_trace_root_just_off_an_axis_is_reported_degenerate(self):
         # the trace has a double secular root at e1 + 1.26e-8 e3, where the
         # tangent basis must stay tangent for the Hessian to come out singular
@@ -204,6 +327,67 @@ class TestCraftedQuadratic:
         assert len(families["K_infinity"]) == 3
 
 
+class TestSecularSolve:
+    """The eigenvalue-seeded secular roots against scalar bisection."""
+
+    def test_roots_match_bisection(self):
+        rng = np.random.default_rng(10)
+        for i in range(200):
+            K = random_field(rng, 5 + i % 4)
+            n = K.n
+            for b, Q, floor in ((K.linear, K.quadratic, 1e-9),
+                                (K.linear[:n], K.quadratic[:n, :n], None)):
+                # distinct eigenvalues and no zero weight: each eigenvalue of Q
+                # is a pole of its own
+                w, V = np.linalg.eigh(Q)
+                s = (V.T @ b / 2.0) ** 2
+                assert np.all(np.diff(w) > 1e-6) and np.all(s > 1e-20)
+                got, want = np.sort(fields._secular_roots(w, s)), bisection_roots(w, s)
+                assert len(got) == len(want)
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+                points = landscape._sphere_critical_points(b, Q, height_floor=floor)
+                assert len(points) == len(bisection_critical_points(b, Q, floor))
+
+    @pytest.mark.parametrize("make_field", [
+        field_linear, field_boundary_max, field_interior_min, field_diag,
+        lambda: ScalarField(N, 1.0, README_TERMS)],
+        ids=["linear", "boundary_max", "interior_min", "diag", "readme"])
+    def test_records_match_bisection(self, make_field, monkeypatch):
+        K = make_field()
+        records = find_critical_points(K, 8)
+        monkeypatch.setattr(landscape, "_sphere_critical_points", bisection_critical_points)
+        expected = find_critical_points(K, 8)
+        assert len(records) == len(expected)
+        for got, want in zip(records, expected):
+            assert ((got.kind, got.morse_index, got.classification)
+                    == (want.kind, want.morse_index, want.classification))
+            assert np.max(np.abs(got.location.coords - want.location.coords)) <= 1e-13
+
+    def test_near_tangent_pair_is_reported_degenerate(self, monkeypatch):
+        # two trace roots 1e-9 apart in the multiplier: a near double root
+        K = near_tangent_trace(1e-14)
+        with pytest.raises(DegenerateCriticalPoint, match="degenerate boundary critical point"):
+            find_critical_points(K, 8)
+        monkeypatch.setattr(landscape, "_sphere_critical_points", bisection_critical_points)
+        with pytest.raises(DegenerateCriticalPoint, match="degenerate boundary critical point"):
+            find_critical_points(K, 8)
+
+    def test_close_separable_pair_is_returned(self, monkeypatch):
+        # two trace roots 1e-7 apart in the multiplier, both nondegenerate
+        K = near_tangent_trace(1e-10)
+        records = find_critical_points(K, 8)
+        assert len(records) == 11 and sum(r.is_boundary for r in records) == 10
+        assert_critical(K, records)
+        monkeypatch.setattr(landscape, "_sphere_critical_points", bisection_critical_points)
+        expected = find_critical_points(K, 8)
+        assert [r.morse_index for r in records] == [r.morse_index for r in expected]
+        for got, want in zip(records, expected):
+            assert np.max(np.abs(got.location.coords - want.location.coords)) <= 1e-9
+
+    def test_readme_extrema_are_exact(self):
+        assert ScalarField(N, 1.0, README_TERMS).min_max() == (1.01, 1.06)
+
+
 class TestAssumptions:
     def test_linear_field_satisfies_all(self, linear_records):
         rep = check_assumptions(linear_records, field_linear())
@@ -245,10 +429,6 @@ class TestAssumptions:
         assert ratios[-1] <= 0.01 * ratios[0] + 1e-12
         # the sampled ratio scales linearly with the radius
         assert ratios[1] < 0.75 * ratios[0]
-
-
-README_TERMS = [("x1^2", 0.05), ("x2^2", 0.01), ("x3^2", 0.015), ("x4^2", 0.02),
-                ("x5^2", 0.025), ("x6^2", 0.06)]
 
 
 def per_sample_h3_chains(records, K, ball_radius=0.05, samples=200, seed=99):
