@@ -167,22 +167,23 @@ def chi_below(census, level: float, bands) -> int:
 # Counting formulas
 # ---------------------------------------------------------------------------
 
+def _alternating_sums(indices, depth: int) -> tuple:
+    """Sums over the subsets of sizes 1..depth of the product of (-1)^{iota}:
+    the coefficients of t^1..t^depth in (1 + t)^even (1 - t)^odd."""
+    odd = sum(int(i) % 2 for i in indices)
+    even = len(indices) - odd
+    return tuple(sum((-1) ** j * math.comb(odd, j) * math.comb(even, k - j) for j in range(k + 1))
+                 for k in range(1, depth + 1))
+
+
 def counting_A(indices):
     """Alternating subset sums of sizes 1..4 over (-1)^{iota}."""
-    sgn = [(-1) ** (int(i) % 2) for i in indices]
-    a1 = sum(sgn)
-    a2 = sum(si * sj for si, sj in itertools.combinations(sgn, 2))
-    a3 = sum(si * sj * sk for si, sj, sk in itertools.combinations(sgn, 3))
-    a4 = sum(math.prod(c) for c in itertools.combinations(sgn, 4))
-    return a1, a2, a3, a4
+    return _alternating_sums(indices, 4)
 
 
 def counting_B(indices):
     """Alternating subset sums of sizes 1..2."""
-    sgn = [(-1) ** (int(i) % 2) for i in indices]
-    b1 = sum(sgn)
-    b2 = sum(si * sj for si, sj in itertools.combinations(sgn, 2))
-    return b1, b2
+    return _alternating_sums(indices, 2)
 
 
 def counting_A_closed_forms(k: int):

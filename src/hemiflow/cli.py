@@ -6,6 +6,10 @@ seed; machine-readable JSON/CSV artifacts embed the constants-table version
 and the reproducibility stamp.
 
 Exit codes: 0 success, 1 domain error, 2 configuration error.
+
+Each subcommand imports the layers it runs when it runs, so a process loads
+only those: the census for census, existence and counting, the model and
+the flow for flow.
 """
 
 from __future__ import annotations
@@ -16,14 +20,11 @@ import json
 import sys
 from pathlib import Path
 
-from . import census as census_mod
 from . import constants as constants_mod
 from .config import RunConfig
 from .errors import ConfigError, DomainError
-from .flow import PseudogradientFlow
 from .landscape import (check_assumptions, classify, find_critical_points,
                         hemisphere_index_tally, poincare_hopf_boundary, save_records)
-from .model import Configuration, ReducedModel
 
 
 def _write_json(path: Path, doc) -> None:
@@ -82,6 +83,7 @@ def cmd_critical_points(cfg: RunConfig, args) -> int:
 
 
 def cmd_census(cfg: RunConfig, args) -> int:
+    from . import census as census_mod
     K, table, records, report = _pipeline(cfg)
     kmin, kmax = K.min_max(cfg.grid_density)
     doc = census_mod.census_report(records, report, kmin, kmax, table.s_n, cfg.n,
@@ -94,6 +96,7 @@ def cmd_census(cfg: RunConfig, args) -> int:
 
 
 def cmd_counting(cfg_or_none, args) -> int:
+    from . import census as census_mod
     indices = [int(t) for t in args.indices.split(",") if t.strip() != ""]
     doc = {}
     if args.A:
@@ -110,6 +113,7 @@ def cmd_counting(cfg_or_none, args) -> int:
 
 
 def cmd_existence(cfg: RunConfig, args) -> int:
+    from . import census as census_mod
     K, table, records, report = _pipeline(cfg)
     kmin, kmax = K.min_max(cfg.grid_density)
     verdict, table_v = census_mod.existence_check(records, report, kmin, kmax, cfg.n,
@@ -128,6 +132,8 @@ def cmd_existence(cfg: RunConfig, args) -> int:
 
 
 def cmd_flow(cfg: RunConfig, args) -> int:
+    from .flow import PseudogradientFlow
+    from .model import Configuration, ReducedModel
     K, table, records = _landscape(cfg)
     model = ReducedModel(K, table)
     flow = PseudogradientFlow(model, records, cfg.flow)

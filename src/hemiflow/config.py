@@ -20,19 +20,18 @@ Scalar values can be overridden from the command line; the field family
 itself always comes from the file.  ``seeds_per_dim`` (at least 8) and
 ``seed`` are validated and stamped into artifacts, but the landscape is an
 exact enumeration and does not depend on them.  ``grid_density`` is
-validated by ``ScalarField.min_max`` (at least 10) but has no effect: the
-extrema are exact.
+validated at load (at least 10) but has no effect: the extrema are exact.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .errors import ConfigError
 from .fields import ScalarField
-from .flow import FlowParams
 
 
 def _flag(value) -> bool:
@@ -44,6 +43,60 @@ def _flag(value) -> bool:
 # settable flow parameters and the type each is converted to
 _FLOW_TYPES = {"M0": float, "M2": float, "M4": float, "eta": float, "eps": float,
               "max_qp": int, "strict_lambda_sign": _flag}
+
+
+@dataclass(frozen=True)
+class FlowParams:
+    """The ``flow`` section: the constants of the descent field."""
+
+    M0: float = 1.0e4
+    M2: float = 10.0
+    M4: float = 1.0e3
+    eta: float = 0.1
+    eps: float = 0.1
+    max_qp: int = 2
+    M_drift: float = 50.0   # gate for pairing drift with rate shrink
+    strict_lambda_sign: bool = True
+    smallness: float = 0.01
+    dt_init: float = 0.05
+    dt_max: float = 0.25
+    stagnation_tol: float = 1e-10
+    max_rejects: int = 10
+
+    def validate(self):
+        n_free = max(self.max_qp - 1, 1)
+        checks = {
+            "M0_over_M4sq": self.M0 / self.M4**2,
+            "M2_over_M0root": self.M2 / self.M0 ** (1.0 / n_free),
+        }
+        if checks["M0_over_M4sq"] > self.smallness + 1e-12:
+            raise ConfigError(f"M0/M4^2 = {checks['M0_over_M4sq']} exceeds {self.smallness}")
+        if checks["M2_over_M0root"] > self.smallness + 1e-12:
+            raise ConfigError("M2 too large against M0^{1/(q+p-1)}")
+        return checks
+
+    def validate_full(self, n: int):
+        self.validate()
+        n_free = max(self.max_qp - 1, 1)
+        second = self.M2 ** ((n - 1.0) / (n - 2.0)) / self.M0 ** ((0.5 + 1.0 / (n - 2.0)) / n_free)
+        if second > self.smallness + 1e-12:
+            raise ConfigError("M2^{(n-1)/(n-2)} too large against the M0 root")
+        return second
+
+    @staticmethod
+    def for_mass(max_qp: int, n: int = 5) -> "FlowParams":
+        """Scale the large constants so the smallness budget holds for max_qp."""
+        if max_qp <= 2:
+            return FlowParams(max_qp=max_qp)
+        n_free = max_qp - 1
+        m2 = 10.0
+        need = max((100.0 * m2) ** n_free,
+                   (100.0 * m2 ** ((n - 1.0) / (n - 2.0))) ** (n_free / (0.5 + 1.0 / (n - 2.0))))
+        m0 = 10.0 ** math.ceil(math.log10(need))
+        m4 = 10.0 ** math.ceil(0.5 * math.log10(m0 / 0.01))
+        p = FlowParams(M0=m0, M2=m2, M4=m4, max_qp=max_qp)
+        p.validate_full(n)
+        return p
 
 
 @dataclass
@@ -66,6 +119,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.seeds_per_dim < 8:
             raise ConfigError("seeds_per_dim must be at least 8")
+        if self.grid_density < 10:
+            raise ConfigError("grid_density must be at least 10")
 
     def build_field(self) -> ScalarField:
         spec = dict(self.field_spec)

@@ -183,20 +183,29 @@ class AssumptionReport:
         }
 
 
-def check_assumptions(records, K: ScalarField, ball_radius: float = 0.05,
-                      samples: int = 200, seed: int = 99) -> AssumptionReport:
+def check_assumptions(records, K: ScalarField, ball_radius: float = 0.05) -> AssumptionReport:
     """Nondegeneracy and sign conditions at the located critical points.
 
     H1: every critical point of the full field (including boundary-located
         ones) is nondegenerate with nonvanishing Laplacian.
     H2: trace critical points are nondegenerate and the non-maxima carry a
         nonpositive normal derivative.
-    H3: at boundary points with vanishing normal derivative, either the
-        product (dK/dnu)(a) * lap K(z) stays nonpositive on a sampled
-        equatorial ball (branch i), or the ratio (dK/dnu)(a)/d(a, z) decays
-        along shrinking radii (branch ii).
+    H3: at boundary points z with vanishing normal derivative, either the
+        product (dK/dnu)(a) * lap K(z) stays nonpositive on the equatorial
+        geodesic spheres about z (branch i), or the ratio
+        sup |dK/dnu(a)| / d(a, z) decays along shrinking radii (branch ii).
+
+    Both suprema over a sphere are exact.  On the equator dK/dnu(a) = c + w.a
+    with c = -b_{n+1} and w = -2 Q[n+1, :].  The sphere of radius rho about z
+    inside the equator is a = cos(rho) z + sin(rho) u over the unit tangents u
+    at z, so with w_T = basis @ w (w projected on the tangent space) and
+    mid = c + cos(rho) w.z, dK/dnu(a) ranges over mid + sin(rho) [-|w_T|, |w_T|]:
+
+        sup lap * dK/dnu = lap * mid + |lap| sin(rho) |w_T|,
+        sup |dK/dnu|     = |mid| + sin(rho) |w_T|,
+
+    attained at u = +-w_T / |w_T|.
     """
-    n = K.n
     violations = []
     h1 = True
     for r in records:
@@ -226,7 +235,11 @@ def check_assumptions(records, K: ScalarField, ball_radius: float = 0.05,
 
     h3 = True
     branches = {}
-    rng = np.random.default_rng(seed)
+    c, w = -K.linear[-1], -2.0 * K.quadratic[-1]
+    # halve the radius until the chain can certify the 1% decay required of
+    # the vanishing-ratio branch (a linearly decaying ratio needs a radius
+    # span above one hundred)
+    radii = ball_radius / 2.0 ** np.arange(8)
     for r in records:
         if not r.is_boundary or abs(r.normal_derivative) >= ZERO_TOL:
             continue
@@ -235,24 +248,10 @@ def check_assumptions(records, K: ScalarField, ball_radius: float = 0.05,
             violations.append(f"H3: vanishing Laplacian at {r.location.coords}")
             continue
         z = r.location.coords
-        basis = tangent_basis(z, within_equator=True)
-        branch_i = True
-        ratio_chain = []
-        # halve the radius until the chain can certify the 1% decay required
-        # of the vanishing-ratio branch (a linearly decaying ratio needs a
-        # radius span above one hundred)
-        radii = [ball_radius / 2**k for k in range(8)]
-        for radius in radii:
-            # one draw per radius: a (samples, k) draw fills from the same
-            # stream as `samples` draws of k
-            u = rng.standard_normal((samples, len(basis)))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            a = np.cos(radius) * z + np.sin(radius) * (u @ basis)
-            a /= np.linalg.norm(a, axis=1, keepdims=True)
-            nu = K.normal_derivative(a)
-            if np.any(nu * r.laplacian > 1e-12):
-                branch_i = False
-            ratio_chain.append(float(np.max(np.abs(nu))) / radius)
+        mid = c + np.cos(radii) * (w @ z)
+        spread = np.sin(radii) * np.linalg.norm(tangent_basis(z, within_equator=True) @ w)
+        branch_i = bool(np.all(r.laplacian * mid + abs(r.laplacian) * spread <= 1e-12))
+        ratio_chain = ((np.abs(mid) + spread) / radii).tolist()
         branch_ii = ratio_chain[-1] <= max(0.01 * ratio_chain[0], 1e-12)
         branches[tuple(np.round(z, 6))] = {
             "branch_i": branch_i, "branch_ii": branch_ii, "ratios": ratio_chain}

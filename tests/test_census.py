@@ -230,12 +230,13 @@ class TestCountingFormulas:
                         assert b2 == counting_B_closed_form(k, r)
 
     def test_random_lists_match_brute_force(self):
+        # every length 0..14, negative indices included
         rng = np.random.default_rng(17)
-        for _ in range(300):
-            idx = list(rng.integers(0, N, size=rng.integers(1, 13)))
-            a = counting_A(idx)
-            for depth, val in enumerate(a, start=1):
-                assert val == brute_force_alternating_sums(idx, depth)
+        for t in range(2100):
+            idx = rng.integers(-7, 8, size=t % 15).tolist()
+            sums = tuple(brute_force_alternating_sums(idx, depth) for depth in range(1, 5))
+            assert counting_A(idx) == sums
+            assert counting_B(idx) == sums[:2]
 
 
 class TestExistence:

@@ -152,6 +152,14 @@ class TestExitCodes:
         assert main(["--config", str(cfgp), "critical-points"]) == 1
         assert "NonPositiveField: field takes values <= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["critical-points", "census", "flow"])
+    def test_grid_density_below_ten(self, tmp_path, capsys, command):
+        # rejected at load, by every subcommand that reads the configuration
+        cfgp = write_config(tmp_path, extra={"grid_density": 5})
+        args = ["--state", str(tmp_path / "state.json")] if command == "flow" else []
+        assert main(["--config", str(cfgp), command] + args) == 2
+        assert "grid_density must be at least 10" in capsys.readouterr().err
+
     def test_unknown_flow_key(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -195,6 +203,47 @@ def test_cli_import_loads_no_scipy():
                          timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_each_subcommand_loads_only_its_layers(tmp_path):
+    # a bare package import loads no submodule; the CLI module loads neither
+    # the flow layers nor the census; the landscape subcommands never load
+    # numpy.random
+    cfgp = write_config(tmp_path)
+    code = f"""
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("hemiflow."))
+import hemiflow
+bare = loaded()
+import hemiflow.cli
+heavy = sorted(set(loaded()) & {{"hemiflow.flow", "hemiflow.model", "hemiflow.bubbles",
+                                 "hemiflow.census"}})
+codes = [hemiflow.cli.main(["--config", {str(cfgp)!r}, c])
+         for c in ("critical-points", "census", "existence")]
+print(json.dumps([bare, heavy, codes, "numpy.random" in sys.modules]))
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    bare, heavy, codes, random_loaded = json.loads(res.stdout.strip().splitlines()[-1])
+    assert bare == []
+    assert heavy == []
+    assert codes == [0, 0, 0]
+    assert not random_loaded
+
+
+def test_every_exported_name_resolves():
+    import hemiflow
+    import hemiflow.config
+    import hemiflow.flow
+    namespace = {}
+    exec("from hemiflow import *", namespace)
+    for name in hemiflow.__all__:
+        assert namespace[name] is getattr(hemiflow, name)
+    assert hemiflow.FlowParams is hemiflow.flow.FlowParams is hemiflow.config.FlowParams
+    with pytest.raises(AttributeError):
+        hemiflow.no_such_name
 
 
 class TestFlowStateErrors:

@@ -432,7 +432,8 @@ class TestAssumptions:
 
 
 def per_sample_h3_chains(records, K, ball_radius=0.05, samples=200, seed=99):
-    """The H3 ball sampling as a loop of single-point calls, one draw each."""
+    """H3 by sampling: `samples` random points on each sphere, one
+    single-point call each.  A sample cannot exceed the exact supremum."""
     rng = np.random.default_rng(seed)
     out = {}
     for r in records:
@@ -457,39 +458,61 @@ def per_sample_h3_chains(records, K, ball_radius=0.05, samples=200, seed=99):
     return out
 
 
-class TestH3BallSampling:
-    @pytest.mark.parametrize("terms, sampled, ratios_vanish", [
-        (README_TERMS, 10, True),                      # dK/dnu = 0 on the whole equator
-        (README_TERMS + [("x1*x6", 0.02)], 8, False),  # dK/dnu != 0 at the roots +-e1
-    ])
-    def test_batched_draws_match_the_per_sample_loop(self, terms, sampled, ratios_vanish):
+# the README field, the same with dK/dnu != 0 at the roots +-e1 (|w_T| > 0 at
+# the other trace roots), and one whose mean over each sphere is off zero too
+H3_FIELDS = {
+    "readme": README_TERMS,
+    "tilted": README_TERMS + [("x1*x6", 0.02)],
+    "offset": README_TERMS + [("x6", 0.01), ("x1*x6", -0.01), ("x2*x6", 0.02)],
+}
+
+
+class TestH3ExactSupremum:
+    @pytest.mark.parametrize("terms, count", [(H3_FIELDS["readme"], 10),
+                                              (H3_FIELDS["tilted"], 8)], ids=["readme", "tilted"])
+    def test_exact_ratios_bound_the_sampled_ones(self, terms, count):
         K = ScalarField(N, 1.0, terms)
         recs = find_critical_points(K, 8)
         rep = check_assumptions(recs, K)
-        expected = per_sample_h3_chains(recs, K)
-        assert len(expected) == sampled
-        assert rep.h3_branches.keys() == expected.keys()
-        for key, (branch_i, chain) in expected.items():
+        sampled = per_sample_h3_chains(recs, K)
+        assert len(sampled) == count
+        assert rep.h3_branches.keys() == sampled.keys()
+        for key, (branch_i, chain) in sampled.items():
             info = rep.h3_branches[key]
             assert info["branch_i"] == branch_i
             assert info["branch_ii"] == (chain[-1] <= max(0.01 * chain[0], 1e-12))
-            assert np.allclose(info["ratios"], chain, rtol=1e-15, atol=0.0)
-            assert (max(chain) == 0.0) == ratios_vanish
+            assert len(info["ratios"]) == len(chain)
+            assert all(exact >= seen for exact, seen in zip(info["ratios"], chain))
 
-    def test_one_normal_derivative_call_per_radius(self, monkeypatch):
-        K = ScalarField(N, 1.0, README_TERMS + [("x1*x6", 0.02)])
+    def test_readme_ratios_are_exactly_zero(self):
+        K = ScalarField(N, 1.0, H3_FIELDS["readme"])
+        rep = check_assumptions(find_critical_points(K, 8), K)
+        assert rep.h3
+        for info in rep.h3_branches.values():
+            assert info["branch_i"] and info["branch_ii"]
+            assert info["ratios"] == [0.0] * 8
+
+    @pytest.mark.parametrize("name", ["tilted", "offset"])
+    def test_ratio_is_attained_at_the_witness(self, name):
+        K = ScalarField(N, 1.0, H3_FIELDS[name])
         recs = find_critical_points(K, 8)
-        calls = []
-        original = ScalarField.normal_derivative
-
-        def counted(self, z):
-            calls.append(np.shape(z))
-            return original(self, z)
-
-        monkeypatch.setattr(ScalarField, "normal_derivative", counted)
-        rep = check_assumptions(recs, K, samples=200)
-        assert len(rep.h3_branches) == 8
-        assert calls == [(200, N + 1)] * (8 * len(rep.h3_branches))
+        rep = check_assumptions(recs, K)
+        w = -2.0 * K.quadratic[-1]
+        seen = 0
+        for r in recs:
+            key = tuple(np.round(r.location.coords, 6))
+            if key not in rep.h3_branches:
+                continue
+            seen += 1
+            z = r.location.coords
+            basis = tangent_basis(z, within_equator=True)
+            u = basis @ w / np.linalg.norm(basis @ w)
+            for k, ratio in enumerate(rep.h3_branches[key]["ratios"]):
+                radius = 0.05 / 2**k
+                best = max(abs(K.normal_derivative(np.cos(radius) * z + np.sin(radius) * (s * u @ basis)))
+                           for s in (1.0, -1.0)) / radius
+                assert ratio == pytest.approx(best, rel=1e-12, abs=0.0)
+        assert seen == len(rep.h3_branches) > 0
 
 
 class TestClassification:
