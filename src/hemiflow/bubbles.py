@@ -140,7 +140,7 @@ class PhiApprox:
         return self.value(x)
 
 
-def phi_approx(b: BubbleParam, budget_constant: float = 1.0) -> PhiApprox:
+def phi_approx(b: BubbleParam) -> PhiApprox:
     """Chart-side approximation of the Neumann-projected profile.
 
     Raises :class:`BoundaryPoint` for boundary bubbles, where the projected
@@ -150,7 +150,7 @@ def phi_approx(b: BubbleParam, budget_constant: float = 1.0) -> PhiApprox:
         raise BoundaryPoint("projected profile equals the plain profile on the boundary")
     cb = ChartedBubble.build(b)
     n = b.n
-    budget = budget_constant / (cb.rate ** ((n + 2) / 2.0) * cb.height**n)
+    budget = 1.0 / (cb.rate ** ((n + 2) / 2.0) * cb.height**n)
     return PhiApprox(cb, budget)
 
 

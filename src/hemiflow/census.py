@@ -217,8 +217,7 @@ def _verdict(theorem, checks) -> ExistenceVerdict:
                             conclusion="solution_exists" if ok else "inconclusive")
 
 
-def existence_check(records, report: AssumptionReport, k_min: float, k_max: float,
-                    n: int, which: str = "auto"):
+def existence_check(records, report: AssumptionReport, k_min: float, k_max: float, n: int):
     """Evaluate the three combinatorial existence tests.
 
     T1_1: assumptions + pinch < (5/4)^{1/(n-2)} + at least two admissible points.
@@ -227,8 +226,8 @@ def existence_check(records, report: AssumptionReport, k_min: float, k_max: floa
     T1_3: assumptions + pinch < (3/2)^{1/(n-2)} + first sum == 1 + interior
           alternating sum != -k where the boundary set has 2k+1 points.
 
-    ``auto`` evaluates all three (weakest pinch first) and reports the first
-    conclusive one, together with the full table.
+    Returns (verdict, table): the first conclusive test (weakest pinch
+    first), else an ``auto`` verdict holding all three, and the full table.
     """
     families = classify(records)
     pinch = k_max / k_min
@@ -250,7 +249,7 @@ def existence_check(records, report: AssumptionReport, k_min: float, k_max: floa
 
     count_b = len(bset)
     k_par = (count_b - 1) // 2 if count_b % 2 == 1 else None
-    t13_checks = {
+    t13 = _verdict("T1_3", {
         "H1": {"holds": report.h1, "value": report.h1},
         "H2": {"holds": report.h2, "value": report.h2},
         "H3": {"holds": report.h3, "value": report.h3},
@@ -261,8 +260,7 @@ def existence_check(records, report: AssumptionReport, k_min: float, k_max: floa
         "B1_not_minus_k": {
             "holds": (k_par is not None and b1 != -k_par),
             "value": b1, "k": k_par},
-    }
-    t13 = _verdict("T1_3", t13_checks)
+    })
 
     t11 = _verdict("T1_1", {
         "H1": {"holds": report.h1, "value": report.h1},
@@ -275,18 +273,11 @@ def existence_check(records, report: AssumptionReport, k_min: float, k_max: floa
     })
 
     table = {"T1_1": t11, "T1_2": t12, "T1_3": t13}
-    if which != "auto":
-        return table[which]
     for name in ("T1_2", "T1_3", "T1_1"):
         if table[name].conclusion == "solution_exists":
-            verdict = table[name]
-            break
-    else:
-        verdict = ExistenceVerdict(
-            theorem="auto", conclusion="inconclusive",
-            hypotheses={k: v.to_json() for k, v in table.items()})
-        return verdict, table
-    return verdict, table
+            return table[name], table
+    return ExistenceVerdict(theorem="auto", conclusion="inconclusive",
+                            hypotheses={k: v.to_json() for k, v in table.items()}), table
 
 
 def census_report(records, report, k_min, k_max, s_n, n, mass_max=4) -> dict:

@@ -97,7 +97,10 @@ def cmd_census(cfg: RunConfig, args) -> int:
 
 def cmd_counting(cfg_or_none, args) -> int:
     from . import census as census_mod
-    indices = [int(t) for t in args.indices.split(",") if t.strip() != ""]
+    try:
+        indices = [int(t) for t in args.indices.split(",") if t.strip() != ""]
+    except ValueError as exc:
+        raise ConfigError(f"--indices must be comma-separated integers: {exc}") from exc
     doc = {}
     if args.A:
         a = census_mod.counting_A(indices)
@@ -116,8 +119,7 @@ def cmd_existence(cfg: RunConfig, args) -> int:
     from . import census as census_mod
     K, table, records, report = _pipeline(cfg)
     kmin, kmax = K.min_max(cfg.grid_density)
-    verdict, table_v = census_mod.existence_check(records, report, kmin, kmax, cfg.n,
-                                                  which="auto")
+    verdict, table_v = census_mod.existence_check(records, report, kmin, kmax, cfg.n)
     doc = _stamped(cfg, table, {
         "pinch": kmax / kmin,
         "K_min": kmin, "K_max": kmax,

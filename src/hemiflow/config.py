@@ -21,13 +21,14 @@ itself always comes from the file.  ``seeds_per_dim`` (at least 8) and
 ``seed`` are validated and stamped into artifacts, but the landscape is an
 exact enumeration and does not depend on them.  ``grid_density`` is
 validated at load (at least 10) but has no effect: the extrema are exact.
+Unset ``M0``/``M2``/``M4`` come from ``FlowParams.for_mass(max_qp, dimension)``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -85,10 +86,15 @@ class FlowParams:
 
     @staticmethod
     def for_mass(max_qp: int, n: int = 5) -> "FlowParams":
-        """Scale the large constants so the smallness budget holds for max_qp."""
-        if max_qp <= 2:
-            return FlowParams(max_qp=max_qp)
-        n_free = max_qp - 1
+        """The defaults when they meet the smallness budget for max_qp in
+        dimension n, else the large constants scaled until they do."""
+        p = FlowParams(max_qp=max_qp)
+        try:
+            p.validate_full(n)
+            return p
+        except ConfigError:
+            pass
+        n_free = max(max_qp - 1, 1)
         m2 = 10.0
         need = max((100.0 * m2) ** n_free,
                    (100.0 * m2 ** ((n - 1.0) / (n - 2.0))) ** (n_free / (0.5 + 1.0 / (n - 2.0))))
@@ -108,19 +114,20 @@ class RunConfig:
     seed: int = 20240
     grid_density: int = 12
     mass_max: int = 4
-    flow: FlowParams = dc_field(default_factory=FlowParams)
+    flow: FlowParams | None = None  # None: FlowParams.for_mass(2, n)
     output_dir: str = "out"
 
     def __post_init__(self):
         if self.n < 5:
             raise ConfigError("dimension must be at least 5")
-        for name in ("quadrature_tol",):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        if self.quadrature_tol <= 0:
+            raise ConfigError("quadrature_tol must be positive")
         if self.seeds_per_dim < 8:
             raise ConfigError("seeds_per_dim must be at least 8")
         if self.grid_density < 10:
             raise ConfigError("grid_density must be at least 10")
+        if self.flow is None:
+            self.flow = FlowParams.for_mass(2, self.n)
 
     def build_field(self) -> ScalarField:
         spec = dict(self.field_spec)
@@ -155,8 +162,8 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown flow parameters: {sorted(unknown)}")
         try:
-            flow = FlowParams(**{k: _FLOW_TYPES[k](v) for k, v in flow_doc.items()})
-            return RunConfig(
+            given = {k: _FLOW_TYPES[k](v) for k, v in flow_doc.items()}
+            cfg = RunConfig(
                 n=int(doc.get("dimension", 5)),
                 field_spec=dict(doc["field"]),
                 quadrature_tol=float(doc.get("quadrature_tol", 1e-8)),
@@ -164,8 +171,9 @@ class RunConfig:
                 seed=int(doc.get("seed", 20240)),
                 grid_density=int(doc.get("grid_density", 12)),
                 mass_max=int(doc.get("mass_max", 4)),
-                flow=flow,
                 output_dir=str(doc.get("output_dir", "out")),
             )
-        except (TypeError, ValueError) as exc:
+            cfg.flow = replace(FlowParams.for_mass(given.get("max_qp", 2), cfg.n), **given)
+            return cfg
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid configuration value: {exc}") from exc

@@ -30,6 +30,8 @@ from .geometry import BoundarySpherePoint, SpherePoint, geodesic_distance, geode
 from .intervals import Bar
 from .model import Configuration, ReducedModel
 
+C_FIT = 0.1  # certified decrease rate per unit of the certificate's aggregate
+
 
 def psi1(t: float) -> float:
     """Quintic smoothstep gate: 0 below 1, 1 above 2, C^2 monotone between."""
@@ -141,7 +143,7 @@ class PseudogradientFlow:
         self.K = model.K
         self.n = model.n
         self.records = list(records)
-        self.params = params if params is not None else FlowParams()
+        self.params = params if params is not None else FlowParams.for_mass(2, self.n)
         self.params.validate_full(self.n)
         self.trace_crit = [r for r in self.records if r.is_boundary]
         self.interior_crit = [r for r in self.records if not r.is_boundary]
@@ -286,19 +288,18 @@ class PseudogradientFlow:
         return label
 
     def _v3_subtag(self, cfg: Configuration, cl: dict, eta: float):
-        zero_tol = 1e-9
         has_v31 = has_v32 = has_v33 = False
         for key, info in cl.items():
             rec, members = info["record"], info["members"]
             if rec.is_boundary:
-                nu = rec.normal_derivative
-                if abs(nu) < zero_tol and len(members) >= 2:
+                sign = rec.normal_sign
+                if sign == 0 and len(members) >= 2:
                     has_v31 = True
-                elif nu < -zero_tol and members:
+                elif sign < 0 and members:
                     has_v32 = True
-                elif abs(nu) < zero_tol and rec.laplacian > 0 and members:
+                elif sign == 0 and rec.laplacian > 0 and members:
                     has_v32 = True
-                elif nu > zero_tol and len(members) >= 2:
+                elif sign > 0 and len(members) >= 2:
                     has_v33 = True
             else:
                 if rec.laplacian > 0 and members:
@@ -314,16 +315,9 @@ class PseudogradientFlow:
     def _in_w_set(self, cfg: Configuration, eta: float) -> bool:
         used = set()
         for i in range(cfg.size):
-            boundary = cfg.is_boundary_index(i)
-            rec, _ = self._nearest_record(cfg.bubbles[i].a, boundary, eta)
-            if rec is None:
-                return False
-            if boundary:
-                nu = rec.normal_derivative
-                ok = nu > 1e-9 or (abs(nu) <= 1e-9 and rec.laplacian < 0)
-            else:
-                ok = rec.laplacian < 0
-            if not ok:
+            rec, _ = self._nearest_record(cfg.bubbles[i].a, cfg.is_boundary_index(i), eta)
+            # each bubble matches a distinct record of K_infinity
+            if rec is None or rec.classification == "other":
                 return False
             key = tuple(np.round(rec.location.coords, 9))
             if key in used:
@@ -352,8 +346,7 @@ class PseudogradientFlow:
         return vec / (lam * nrm)
 
     def _component_base(self, cfg, asm, diags, interior_rates=True, boundary_rates=True,
-                        alpha_moves=True, interior_points=True,
-                        boundary_rate_scale=1.0) -> Velocity:
+                        interior_points=True, boundary_rate_scale=1.0) -> Velocity:
         """The shared gated components: rate shrinking, interior point drift,
         weight rebalancing."""
         vel = Velocity.zero(cfg.size, self.n + 1)
@@ -364,8 +357,7 @@ class PseudogradientFlow:
             if cfg.is_boundary_index(i):
                 if boundary_rates:
                     vel.loglam_dot[i] -= psi1(d.gamma_lambda) * boundary_rate_scale
-                if alpha_moves:
-                    vel.alpha_dot[i] -= psi1(d.gamma_alpha) * math.copysign(1.0, imb[i])
+                vel.alpha_dot[i] -= psi1(d.gamma_alpha) * math.copysign(1.0, imb[i])
             else:
                 if interior_rates:
                     vel.loglam_dot[i] -= psi1(d.gamma_lambda) + psi1(d.gamma_h)
@@ -410,11 +402,10 @@ class PseudogradientFlow:
         for key, info in cl.items():
             rec, members = info["record"], info["members"]
             if rec.is_boundary:
-                nu = rec.normal_derivative
-                if nu < -1e-9:
+                if rec.normal_sign < 0:
                     for i in members:
                         vel.loglam_dot[i] -= 1.0
-                elif abs(nu) <= 1e-9 and rec.laplacian > 0:
+                elif rec.normal_sign == 0 and rec.laplacian > 0:
                     for i in members:
                         vel.loglam_dot[i] -= 1.0
                         g1 = self.K.boundary_gradient(cfg.bubbles[i].a)
@@ -464,7 +455,7 @@ class PseudogradientFlow:
                                    interior_points=False, boundary_rates=False)
         for key, info in cl.items():
             rec, members = info["record"], info["members"]
-            if rec.is_boundary and rec.normal_derivative > 1e-9 and len(members) >= 2:
+            if rec.is_boundary and rec.normal_sign > 0 and len(members) >= 2:
                 vel.add(self._cluster_field(cfg, members))
         return vel
 
@@ -589,8 +580,7 @@ class PseudogradientFlow:
 
     # -- descent certificate ----------------------------------------------------------
 
-    def decrease_certificate(self, cfg: Configuration, velocity: Velocity | None = None,
-                             c_fit: float = 0.1) -> dict:
+    def decrease_certificate(self, cfg: Configuration, velocity: Velocity | None = None) -> dict:
         asm = self.model.assemble(cfg)
         vel = velocity if velocity is not None else self.pseudogradient(cfg, asm=asm)
         grads = self.model.gradient_components(cfg, asm)
@@ -621,16 +611,15 @@ class PseudogradientFlow:
                 agg += 2.0 * asm.eps_mat[i, j] ** ((n - 1.0) / (n - 2.0))
         return {
             "lhs": lhs,
-            "rhs_lower_bound": c_fit * agg,
+            "rhs_lower_bound": C_FIT * agg,
             "aggregate": agg,
-            "c_fit": c_fit,
-            "satisfied": bool(lhs.lo >= c_fit * agg),
+            "c_fit": C_FIT,
+            "satisfied": bool(lhs.lo >= C_FIT * agg),
         }
 
     # -- integration ---------------------------------------------------------------
 
-    def integrate(self, cfg0: Configuration, t_max: float,
-                  record_every: int = 1) -> Trajectory:
+    def integrate(self, cfg0: Configuration, t_max: float) -> Trajectory:
         """Adaptive explicit descent with step rejection on energy increase."""
         params = self.params
         cfg = cfg0
@@ -643,7 +632,6 @@ class PseudogradientFlow:
                                   tuple(), _mus(label))]
         reason = "t_max"
         detail = ""
-        step_index = 0
         while t < t_max - 1e-12:
             vel = self.pseudogradient(cfg, label, asm)
             points[-1] = replace(points[-1], loglam_dot=tuple(vel.loglam_dot))
@@ -677,10 +665,8 @@ class PseudogradientFlow:
             except OutsideNeighborhood as exc:
                 reason, detail = "neighborhood_exit", str(exc)
                 break
-            step_index += 1
-            if step_index % record_every == 0:
-                points.append(TrajectoryPoint(t, cfg, label.tag, j_val,
-                                              tuple(vel.loglam_dot), _mus(label)))
+            points.append(TrajectoryPoint(t, cfg, label.tag, j_val,
+                                          tuple(vel.loglam_dot), _mus(label)))
             if rejects == 0:
                 dt = min(dt * 1.4, params.dt_max)
         if points[-1].t < t - 1e-12:

@@ -26,7 +26,7 @@ def _as_unit(coords, tol=UNIT_TOL):
     if v.ndim != 1:
         raise ValueError("point coordinates must be a 1-d vector")
     r = np.linalg.norm(v)
-    if abs(r - 1.0) > tol:
+    if not abs(r - 1.0) <= tol:  # NaN and inf coordinates fail too
         raise ValueError(f"|coords| = {r!r} is not 1 within {tol}")
     return v
 

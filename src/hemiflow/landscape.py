@@ -31,6 +31,7 @@ from .geometry import BoundarySpherePoint, SpherePoint, tangent_basis
 
 DEGENERACY_FLOOR = 1e-8
 ZERO_TOL = 1e-9
+H3_BALL_RADIUS = 0.05  # largest equatorial radius of the H3 sphere chain
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,12 @@ class CriticalPointRecord:
     @property
     def is_boundary(self) -> bool:
         return self.kind == "boundary_of_K1"
+
+    @property
+    def normal_sign(self) -> int | None:
+        """Sign of dK/dnu against ``ZERO_TOL`` (-1, 0 or +1); None inside."""
+        nu = self.normal_derivative
+        return None if nu is None else 0 if abs(nu) < ZERO_TOL else 1 if nu > 0 else -1
 
     def is_local_max(self) -> bool:
         dim = len(self.hessian_eigenvalues)
@@ -139,23 +146,20 @@ def find_critical_points(K: ScalarField, seeds_per_dim: int = 10, seed: int = 20
     return records
 
 
-def _classify_boundary(nu: float, lap: float, zero_tol: float = ZERO_TOL) -> str:
-    if abs(nu) < zero_tol:
+def _classify_boundary(nu: float, lap: float) -> str:
+    if abs(nu) < ZERO_TOL:
         return "K_b_0_minus" if lap < 0 else "other"
-    if zero_tol <= abs(nu) < 10.0 * zero_tol:
+    if abs(nu) < 10.0 * ZERO_TOL:
         raise AmbiguousSign(f"normal derivative {nu} inside the dead band")
     return "K_b_plus" if nu > 0 else "other"
 
 
-def classify(records, zero_tol: float = ZERO_TOL) -> dict:
-    """Partition records into the admissible families."""
+def classify(records) -> dict:
+    """Partition records into the admissible families by their stored
+    classification."""
     out = {"K_in_minus": [], "K_b_plus": [], "K_b_0_minus": [], "other": []}
     for r in records:
-        if r.is_boundary:
-            label = _classify_boundary(r.normal_derivative, r.laplacian, zero_tol)
-        else:
-            label = "K_in_minus" if r.laplacian < 0 else "other"
-        out[label].append(r)
+        out[r.classification].append(r)
     out["K_infinity"] = out["K_in_minus"] + out["K_b_plus"] + out["K_b_0_minus"]
     return out
 
@@ -183,7 +187,7 @@ class AssumptionReport:
         }
 
 
-def check_assumptions(records, K: ScalarField, ball_radius: float = 0.05) -> AssumptionReport:
+def check_assumptions(records, K: ScalarField) -> AssumptionReport:
     """Nondegeneracy and sign conditions at the located critical points.
 
     H1: every critical point of the full field (including boundary-located
@@ -213,7 +217,7 @@ def check_assumptions(records, K: ScalarField, ball_radius: float = 0.05) -> Ass
             if not r.nondegenerate or abs(r.laplacian) < ZERO_TOL:
                 h1 = False
                 violations.append(f"H1: degenerate or harmonic interior point at {r.location.coords}")
-        elif abs(r.normal_derivative) < ZERO_TOL:
+        elif r.normal_sign == 0:
             # boundary-located critical point of the full field
             basis = tangent_basis(r.location.coords)
             evals = np.linalg.eigvalsh(K.tangent_hessian(r.location, basis))
@@ -228,7 +232,7 @@ def check_assumptions(records, K: ScalarField, ball_radius: float = 0.05) -> Ass
         if not r.nondegenerate:
             h2 = False
             violations.append(f"H2: degenerate trace critical point at {r.location.coords}")
-        if not r.is_local_max() and r.normal_derivative > ZERO_TOL:
+        if not r.is_local_max() and r.normal_sign > 0:
             h2 = False
             violations.append(
                 f"H2: non-maximum with positive normal derivative at {r.location.coords}")
@@ -239,9 +243,9 @@ def check_assumptions(records, K: ScalarField, ball_radius: float = 0.05) -> Ass
     # halve the radius until the chain can certify the 1% decay required of
     # the vanishing-ratio branch (a linearly decaying ratio needs a radius
     # span above one hundred)
-    radii = ball_radius / 2.0 ** np.arange(8)
+    radii = H3_BALL_RADIUS / 2.0 ** np.arange(8)
     for r in records:
-        if not r.is_boundary or abs(r.normal_derivative) >= ZERO_TOL:
+        if r.normal_sign != 0:
             continue
         if abs(r.laplacian) < ZERO_TOL:
             h3 = False

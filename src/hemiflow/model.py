@@ -139,22 +139,19 @@ class Configuration:
 
     @staticmethod
     def from_json(doc: dict) -> "Configuration":
-        q, p = int(doc["q"]), int(doc["p"])
-        alphas, bubbles = [], []
-        for k, entry in enumerate(doc["bubbles"]):
-            coords = np.asarray(entry["point"], dtype=float)
-            pt = BoundarySpherePoint(coords) if k < q else SpherePoint(coords)
-            alphas.append(float(entry["alpha"]))
-            bubbles.append(BubbleParam(pt, float(entry["lambda"])))
-        return Configuration(tuple(alphas), tuple(bubbles), q, p, float(doc["eps"]))
+        q, p, eps = int(doc["q"]), int(doc["p"]), float(doc["eps"])
+        alphas = tuple(float(entry["alpha"]) for entry in doc["bubbles"])
+        lams = [float(entry["lambda"]) for entry in doc["bubbles"]]
+        if not all(map(math.isfinite, (eps, *alphas, *lams))):
+            raise ValueError("alpha, lambda and eps must be finite")
+        bubbles = tuple(BubbleParam((BoundarySpherePoint if k < q else SpherePoint)(entry["point"]), lam)
+                        for k, (entry, lam) in enumerate(zip(doc["bubbles"], lams)))
+        return Configuration(alphas, bubbles, q, p, eps)
 
 
 # ---------------------------------------------------------------------------
 # Per-bubble frame: chart data and movement calculus
 # ---------------------------------------------------------------------------
-
-M3_STEP = 0.25  # chart step of the third-derivative differences
-
 
 @dataclass
 class BubbleFrame:
@@ -179,7 +176,6 @@ class BubbleFrame:
     dC_dloglam: np.ndarray
     dC_dmove: np.ndarray  # n x (n+1): chart-center shift per unit sphere move
     dl_dmove: np.ndarray  # (n+1,): dlog(chart rate) per unit sphere move
-    m3: float             # sampled bound for third derivatives of the pullback
 
     @property
     def rate(self) -> float:
@@ -210,6 +206,7 @@ ALPHA_SLACK = 0.05           # tolerated post-normalization imbalance
 REM3_COEFF = 0.5             # third-order Taylor remainder multiplier
 INTERACTION_BAR_COEFF = 4.0  # weight of the pair slop in the energy bar
 PAIR_OVERLAP_COEFF = 0.5     # half-space halving of boundary pairs
+MATCH_RADIUS = 0.1           # normal form: largest distance of a bubble from its match
 
 
 @dataclass
@@ -270,21 +267,18 @@ class ReducedModel:
         v, _ = radial_moment(n, 3, float(n), 1e-6)
         self.cp_i3h = t.cp * 0.5 * sphere_area(n - 1) * v
         self._eye = np.eye(n)
-        # chart-point offsets of a frame's pullback: the center, then +h and
-        # -h along each chart axis
-        self._m3_offsets = M3_STEP * np.concatenate((np.zeros((1, n)), np.eye(n), -np.eye(n)))
+        # one third-derivative bound for every chart of K (see _cubic_remainder)
+        lam_q = np.linalg.eigvalsh(K.quadratic)
+        self.m3 = float(4.0 * np.linalg.norm(K.linear) + 12.0 * (lam_q[-1] - lam_q[0]))
 
     # -- frames ---------------------------------------------------------------
 
     def frames(self, cfg: Configuration) -> list:
         """Every bubble's frame, from one pass over (m, ...) arrays: one
-        pullback call on the stacked charts and one batched tangent gradient.
-
-        The pullback is taken at each chart center and at center +/- h along
-        each chart axis.  Crude but honest third-derivative scale: central
-        differences of the exact Hessian, doubled for headroom.  Squares go
-        through the C library's pow (``np.float_power``), as on Python floats,
-        so that every frame holds the bits of its one-bubble evaluation.
+        pullback call at the stacked chart centers and one batched tangent
+        gradient.  Squares go through the C library's pow (``np.float_power``),
+        as on Python floats, so that every frame holds the bits of its
+        one-bubble evaluation.
         """
         nn = self.n
         for i, b in enumerate(cfg.bubbles):
@@ -298,10 +292,7 @@ class ReducedModel:
         a_chart = np.array([cb.a_chart for cb in cbs])
         rate = np.array([cb.rate for cb in cbs])
 
-        vals, grads, hess = self.K.chart_data(
-            rot, np.array([cb.center for cb in cbs])[:, None, :] + self._m3_offsets)
-        m3 = 2.0 * np.abs(hess[:, 1:nn + 1] - hess[:, nn + 1:]).reshape(len(cbs), -1).max(axis=1) \
-            / (2 * M3_STEP)
+        vals, grads, hess = self.K.chart_data(rot, np.array([cb.center for cb in cbs])[:, None, :])
         grad_sphere = self.K.tangent_gradient(pts)
         grad_k1 = grad_sphere.copy()   # gradient of the trace on the equator sphere
         grad_k1[:, -1] = 0.0
@@ -331,7 +322,7 @@ class ReducedModel:
         grad_k1_norm = np.sqrt(np.vecdot(grad_k1, grad_k1)).tolist()
         kt_val = vals[:, 0].tolist()
         kt_lap = hess[:, 0].trace(axis1=1, axis2=2).tolist()
-        dl_dloglam, m3 = dl_dloglam.tolist(), m3.tolist()
+        dl_dloglam = dl_dloglam.tolist()
         return [
             BubbleFrame(
                 idx=i, boundary=i < cfg.q, alpha=cfg.alphas[i], param=cb.param, cb=cb,
@@ -339,7 +330,7 @@ class ReducedModel:
                 grad_k1_norm=grad_k1_norm[i], kt_val=kt_val[i], kt_grad=grads[i, 0],
                 kt_hess=hess[i, 0], kt_lap=kt_lap[i], h_self=h_self[i],
                 dl_dloglam=dl_dloglam[i], dC_dloglam=dC_dloglam[i], dC_dmove=dC_dmove[i],
-                dl_dmove=dl_dmove[i], m3=m3[i])
+                dl_dmove=dl_dmove[i])
             for i, cb in enumerate(cbs)]
 
     # -- core assembly --------------------------------------------------------
@@ -356,8 +347,22 @@ class ReducedModel:
                 + (2.0 * n / (n - 2)) * f.kt_val * self.c2 * f.h_self / mu ** (n - 2))
 
     def _cubic_remainder(self, f: BubbleFrame) -> float:
-        """Cubic Taylor remainder of the pullback against the third moment."""
-        return REM3_COEFF * f.m3 * self.cp_i3h / f.rate**3
+        """Cubic Taylor remainder of the pullback against the third moment.
+
+        Each chart pulls K back to Kt = kappa0 + c + b'.p + p.A.p with
+        p(y) = (1 - |y|^2, 2y)/(1 + |y|^2), b' = R^T b (R the chart rotation)
+        and, as |p| = 1, A = R^T Q R - cI; c = (lmax + lmin)/2 of Q gives
+        ||A|| = d/2 with d = lmax - lmin.
+        On a line y + t u (|u| = 1) put w = y - (y.u) u, tau = t + y.u and
+        h^2 = 1 + |w|^2: p = (2F - 1, 2(w + tau u) F) with F = 1/(tau^2 + h^2)
+        and tau F + i h F = 1/(tau - i h), so for k >= 1
+        |d^k p/dt^k| = 2 k!/(1 + |y + t u|^2)^((k+1)/2): M_k = sup |D^k p[u^k]|
+        is 1, 2, 4, 12 for k = 0..3, attained at y = 0.  With P_k = D^k p[z^k],
+        d^3/ds^3 Kt(C + s z) = b'.P_3 + 2 P_0.A P_3 + 6 P_1.A P_2 is at most
+        (12 |b| + 36 d) |z|^3, so |Kt(C + z) - T_2(z)| <= 0.5 m3 |z|^3 with
+        m3 = 4 |b| + 12 d, one number per field (``self.m3``).
+        """
+        return REM3_COEFF * self.m3 * self.cp_i3h / f.rate**3
 
     def mutual_h(self, fi: BubbleFrame, fj: BubbleFrame) -> float:
         """Symmetrized regular-part pair term H_ij / (mu_i mu_j)^{(n-2)/2};
@@ -748,12 +753,12 @@ class ReducedModel:
 
     # -- normal form near a matched critical collection ---------------------------
 
-    def normal_form(self, cfg: Configuration, matches, eta: float = 0.1) -> Bar:
+    def normal_form(self, cfg: Configuration, matches) -> Bar:
         """Energy normal form for configurations close to a critical collection.
 
         ``matches`` lists one landscape record per bubble (boundary records for
         boundary bubbles, interior records for interior ones); each bubble must
-        lie within ``eta`` of its match and the matches must be distinct.
+        lie within ``MATCH_RADIUS`` of its match and the matches must be distinct.
 
         Value: level * (1 - |alpha-deviation|^2 + sum (|A^-|^2 - |A^+|^2)
         + rate terms), where A^+/- collect the point deviations along
@@ -766,7 +771,7 @@ class ReducedModel:
         seen = set()
         for k, rec in enumerate(matches):
             d = geodesic_distance(cfg.bubbles[k].a, rec.location)
-            if d > eta:
+            if d > MATCH_RADIUS:
                 raise NotInWSet(f"bubble {k} is {d:.3f} away from its match")
             key = tuple(np.round(rec.location.coords, 9))
             if key in seen:

@@ -273,7 +273,8 @@ class TestExistence:
     def test_threshold_strictness(self, diag_setup):
         K, records, report, kmin, kmax = diag_setup
         kmax_at = kmin * pinch_threshold(1, N)
-        verdict = existence_check(records, report, kmin, kmax_at, N, which="T1_2")
+        _, table = existence_check(records, report, kmin, kmax_at, N)
+        verdict = table["T1_2"]
         assert verdict.conclusion == "inconclusive"
         assert not verdict.hypotheses["pinch_below_threshold"]["holds"]
 

@@ -116,6 +116,24 @@ class TestSubcommands:
         assert meta["stop_reason"] == "neighborhood_exit"
         assert "detail" not in json.dumps(meta)
 
+    def test_flow_in_dimension_six_with_default_constants(self, tmp_path, capsys):
+        # no flow section: M0, M2, M4 come from FlowParams.for_mass(2, 6)
+        coeffs = [0.05, 0.01, 0.015, 0.02, 0.025, 0.028, 0.06]
+        cfgp = tmp_path / "config.json"
+        cfgp.write_text(json.dumps({
+            "dimension": 6, "seed": 11, "output_dir": str(tmp_path / "out"),
+            "field": {"kappa0": 1.0, "terms": [{"monomial": f"x{i+1}^2", "coeff": c}
+                                               for i, c in enumerate(coeffs)]}}))
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps({
+            "q": 1, "p": 0, "eps": 0.1,
+            "bubbles": [{"alpha": 0.05, "point": [1, 0, 0, 0, 0, 0, 0], "lambda": 80.0}]}))
+        assert main(["--config", str(cfgp), "flow", "--state", str(state_path),
+                     "--t-max", "5", "--certificates"]) == 0
+        assert "stop reason: t_max" in capsys.readouterr().out
+        certs = json.loads((tmp_path / "out" / "certificates.json").read_text())["certificates"]
+        assert len(certs) >= 3 and all(c["satisfied"] for c in certs)
+
     def test_verify_counting_suite(self, tmp_path, capsys):
         cfgp = write_config(tmp_path)
         assert main(["--config", str(cfgp), "verify", "--suite", "counting"]) == 0
@@ -160,6 +178,11 @@ class TestExitCodes:
         assert main(["--config", str(cfgp), command] + args) == 2
         assert "grid_density must be at least 10" in capsys.readouterr().err
 
+    def test_counting_indices_not_integers(self, capsys):
+        assert main(["counting", "--indices", "1,x"]) == 2
+        assert "configuration error: --indices must be comma-separated integers" \
+            in capsys.readouterr().err
+
     def test_unknown_flow_key(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -167,8 +190,9 @@ class TestExitCodes:
             "flow": {"M9": 1.0}}))
         assert main(["--config", str(path), "census"]) == 2
 
-    @pytest.mark.parametrize("flow", [{"M0": "abc"}, {"strict_lambda_sign": "no"}, 5],
-                             ids=["M0_string", "flag_string", "not_an_object"])
+    @pytest.mark.parametrize("flow", [{"M0": "abc"}, {"strict_lambda_sign": "no"}, 5,
+                                      {"max_qp": 200}],
+                             ids=["M0_string", "flag_string", "not_an_object", "max_qp_overflow"])
     def test_mistyped_flow_section(self, tmp_path, capsys, flow):
         cfgp = write_config(tmp_path, extra={"flow": flow})
         assert main(["--config", str(cfgp), "census"]) == 2
@@ -246,6 +270,11 @@ def test_every_exported_name_resolves():
         hemiflow.no_such_name
 
 
+def _one_bubble(alpha=0.05, point=(1, 0, 0, 0, 0, 0), lam=80.0, eps=0.1):
+    return {"q": 1, "p": 0, "eps": eps,
+            "bubbles": [{"alpha": alpha, "point": list(point), "lambda": lam}]}
+
+
 class TestFlowStateErrors:
     def test_missing_state_file(self, tmp_path):
         cfgp = write_config(tmp_path)
@@ -268,7 +297,13 @@ class TestFlowStateErrors:
          "bubbles": [{"alpha": 0.05, "point": [2, 0, 0, 0, 0, 0], "lambda": 80.0}]},
         {"q": 1, "p": 0, "eps": 0.1,
          "bubbles": [{"alpha": 0.05, "point": [1, 0, 0, 0, 0], "lambda": 80.0}]},
-    ], ids=["missing_q", "non_unit_point", "wrong_dimension"])
+        _one_bubble(lam=float("nan")),
+        _one_bubble(alpha=float("nan")),
+        _one_bubble(alpha=float("inf")),
+        _one_bubble(point=[1, float("nan"), 0, 0, 0, 0]),
+        _one_bubble(eps=float("nan")),
+    ], ids=["missing_q", "non_unit_point", "wrong_dimension", "nan_lambda", "nan_alpha",
+            "inf_alpha", "nan_point", "nan_eps"])
     def test_malformed_state(self, tmp_path, capsys, state):
         cfgp = write_config(tmp_path)
         path = tmp_path / "state.json"

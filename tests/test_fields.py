@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
+from hemiflow.bubbles import BubbleParam
 from hemiflow.errors import ConfigError, NonPositiveField
 from hemiflow.fields import ScalarField, parse_monomial
 from hemiflow.geometry import (BoundarySpherePoint, RotatedChart,
                                geodesic_step, tangent_basis)
 from hemiflow.model import ReducedModel
 
-from _fixtures import N, E, field_diag, field_linear, sample_cluster, sample_v4
+from _fixtures import (N, E, boundary_point, field_all_positive_laplacian, field_boundary_max,
+                       field_diag, field_h3_quadratic_flat, field_interior_min, field_linear,
+                       interior_point, make_cfg)
+
+FIXTURE_FIELDS = (field_linear, field_diag, field_all_positive_laplacian, field_boundary_max,
+                  field_interior_min, field_h3_quadratic_flat)
 
 
 def hemisphere_grid(n: int, density: int) -> np.ndarray:
@@ -229,28 +235,47 @@ class TestCalculus:
                   - f(x0 - h * (e0 - e1)) + f(x0 - h * (e0 + e1))) / (4 * h * h)
             assert abs(bhess[0, 1] - fd) < 1e-6
 
-    @pytest.mark.parametrize("state", ["v4_interior", "boundary_pair"])
-    def test_frame_m3_matches_per_axis_differences(self, state):
-        K = field_diag()
-        model = ReducedModel(K)
-        rng = np.random.default_rng(17)
-        cfg = (sample_v4(model, rng) if state == "v4_interior"
-               else sample_cluster(model, E[0], rng))
-        assert cfg.size == 2
-        h = 0.25
-        for i in range(cfg.size):
-            frame = model.frames(cfg)[i]
-            center = frame.cb.center
-            # twice the largest per-axis central difference of the Hessian
-            expected = 0.0
-            for k in range(N):
-                e = h * np.eye(N)[k]
-                _, _, hp = K.chart_data(frame.cb.chart, center + e)
-                _, _, hm = K.chart_data(frame.cb.chart, center - e)
-                expected = max(expected, float(np.max(np.abs(hp - hm))) / (2 * h))
-            expected *= 2.0
-            assert expected > 0.0
-            assert abs(frame.m3 - expected) <= 1e-14 * expected
+    def test_cubic_remainder_within_the_field_bound(self):
+        # |Kt(C + z) - T_2(z)| <= 0.5 m3 |z|^3 at every chart center C: the
+        # six fixture fields, alternating boundary and interior frames, |z|
+        # log-uniform in [0.05, 100].  A sampled m3 (twice the largest Hessian
+        # difference at C +- 0.25 e_k) falls short on these draws, by up to
+        # 4.2x on field_all_positive_laplacian.
+        rng = np.random.default_rng(2)
+        worst = {}
+        for make in FIXTURE_FIELDS:
+            K = make()
+            model = ReducedModel(K)
+            worst[make.__name__] = 0.0
+            for k in range(120):
+                boundary = k % 2 == 0
+                pt = boundary_point(rng) if boundary else interior_point(rng)
+                cfg = make_cfg(model, [BubbleParam(pt, rng.uniform(30.0, 400.0))], q=int(boundary))
+                f, = model.frames(cfg)
+                u = rng.standard_normal((20, N))
+                u /= np.linalg.norm(u, axis=1, keepdims=True)
+                r = np.exp(rng.uniform(np.log(0.05), np.log(100.0), 20))
+                z = u * r[:, None]
+                vals, _, _ = K.chart_data(f.cb.chart, f.cb.center + z)
+                taylor = f.kt_val + z @ f.kt_grad + 0.5 * np.einsum("ki,ij,kj->k", z, f.kt_hess, z)
+                ratio = np.abs(vals - taylor) / (0.5 * model.m3 * r**3)
+                worst[make.__name__] = max(worst[make.__name__], float(ratio.max()))
+        assert max(worst.values()) <= 1.0, worst
+
+    def test_stereographic_derivative_sups(self):
+        # |D^k p(y)[u^k]| = 2 k!/(1 + |y|^2)^{(k+1)/2} for k >= 1 and |p| = 1,
+        # exactly, so M_0..M_3 = 1, 2, 4, 12, attained at y = 0.  p commutes
+        # with rotations of R^n, so y = r e_1, u = cos(th) e_1 + sin(th) e_2
+        # covers every pair (y, u).
+        import sympy as sp
+        r, th, t = sp.symbols("r theta t", real=True)
+        x1, x2 = r + t * sp.cos(th), t * sp.sin(th)
+        s = x1**2 + x2**2
+        p = sp.Matrix([1 - s, 2 * x1, 2 * x2]) / (1 + s)
+        assert sp.simplify(p.dot(p)) == 1
+        for k in (1, 2, 3):
+            dk = p.diff(t, k).subs(t, 0)
+            assert sp.simplify(dk.dot(dk) * (1 + r**2) ** (k + 1)) == 4 * sp.factorial(k) ** 2
 
 
 class TestMinMax:

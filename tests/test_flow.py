@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hemiflow.bubbles import BubbleParam
+from hemiflow.config import RunConfig
 from hemiflow.errors import ConfigError, OutsideNeighborhood, StepFailure
 from hemiflow.fields import ScalarField
 from hemiflow.flow import FlowParams, PseudogradientFlow, psi1, ramp
@@ -67,6 +68,24 @@ class TestParams:
         p = FlowParams.for_mass(3, N)
         p.validate_full(N)
         assert p.M0 >= 1e6
+
+    def test_for_mass_fits_every_dimension(self):
+        # the defaults where they meet the budget, scaled constants elsewhere
+        assert FlowParams.for_mass(2, 5) == FlowParams()
+        assert dataclasses.astuple(FlowParams.for_mass(3, 5))[:3] == (1e9, 10.0, 1e6)
+        with pytest.raises(ConfigError):
+            FlowParams().validate_full(6)
+        assert dataclasses.astuple(FlowParams.for_mass(2, 6))[:3] == (1e5, 10.0, 1e4)
+        for n in (5, 6, 7, 8):
+            for max_qp in (1, 2, 3, 4):
+                FlowParams.for_mass(max_qp, n).validate_full(n)
+
+    def test_run_config_fills_unset_constants_from_the_dimension(self):
+        cfg = RunConfig.from_json({"dimension": 6, "field": {"kappa0": 1.0},
+                                   "flow": {"M4": 2e4}})
+        assert dataclasses.astuple(cfg.flow)[:3] == (1e5, 10.0, 2e4)
+        assert RunConfig(n=6, field_spec={"kappa0": 1.0}).flow == FlowParams.for_mass(2, 6)
+        assert RunConfig.from_json({"field": {"kappa0": 1.0}}).flow == FlowParams()
 
 
 class TestScales:

@@ -531,6 +531,26 @@ class TestClassification:
         with pytest.raises(AmbiguousSign):
             _classify_boundary(5e-9, -1.0)
 
+    def test_normal_sign_agrees_with_the_classification(self):
+        # one sign per boundary record, consistent with its stored class and
+        # left out of the record's JSON
+        signs = set()
+        for K in (field_linear(), field_diag(), field_boundary_max(), field_h3_quadratic_flat(),
+                  field_interior_min(), ScalarField(N, 1.0, README_TERMS)):
+            for r in find_critical_points(K):
+                assert "normal_sign" not in r.to_json()
+                if not r.is_boundary:
+                    assert r.normal_sign is None
+                    continue
+                nu = r.normal_derivative
+                assert r.normal_sign == (0 if abs(nu) < landscape.ZERO_TOL else np.sign(nu))
+                if r.classification == "K_b_plus":
+                    assert r.normal_sign == 1
+                elif r.classification == "K_b_0_minus":
+                    assert r.normal_sign == 0 and r.laplacian < 0
+                signs.add(r.normal_sign)
+        assert signs == {-1, 0, 1}
+
     def test_exact_zero_and_clear_signs(self):
         assert _classify_boundary(0.0, -1.0) == "K_b_0_minus"
         assert _classify_boundary(0.0, 1.0) == "other"
