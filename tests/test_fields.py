@@ -10,7 +10,7 @@ from hemiflow.model import ReducedModel
 
 from _fixtures import (N, E, boundary_point, field_all_positive_laplacian, field_boundary_max,
                        field_diag, field_h3_quadratic_flat, field_interior_min, field_linear,
-                       interior_point, make_cfg)
+                       interior_point, make_cfg, sample_cluster, sample_v4)
 
 FIXTURE_FIELDS = (field_linear, field_diag, field_all_positive_laplacian, field_boundary_max,
                   field_interior_min, field_h3_quadratic_flat)
@@ -234,6 +234,29 @@ class TestCalculus:
             fd = (f(x0 + h * (e0 + e1)) - f(x0 + h * (e0 - e1))
                   - f(x0 - h * (e0 - e1)) + f(x0 - h * (e0 + e1))) / (4 * h * h)
             assert abs(bhess[0, 1] - fd) < 1e-6
+
+    @pytest.mark.parametrize("state", ["v4_interior", "boundary_pair"])
+    def test_frame_m3_matches_per_axis_differences(self, state):
+        # Each per-axis central difference of the chart Hessian is a third
+        # derivative D^3 Kt(xi)[e_k, e_i, e_j] at a point between C +- h e_k,
+        # so it stays within sup |D^3 Kt[u^3]| <= 12 |b| + 36 d = 3 m3, the
+        # bound the m3 of every frame's cubic remainder is derived from.
+        K = field_diag()
+        model = ReducedModel(K)
+        rng = np.random.default_rng(17)
+        cfg = (sample_v4(model, rng) if state == "v4_interior"
+               else sample_cluster(model, E[0], rng))
+        assert cfg.size == 2
+        h = 0.25
+        for frame in model.frames(cfg):
+            center = frame.cb.center
+            largest = 0.0
+            for k in range(N):
+                e = h * np.eye(N)[k]
+                _, _, hp = K.chart_data(frame.cb.chart, center + e)
+                _, _, hm = K.chart_data(frame.cb.chart, center - e)
+                largest = max(largest, float(np.max(np.abs(hp - hm))) / (2 * h))
+            assert 0.0 < largest <= 3.0 * model.m3
 
     def test_cubic_remainder_within_the_field_bound(self):
         # |Kt(C + z) - T_2(z)| <= 0.5 m3 |z|^3 at every chart center C: the
