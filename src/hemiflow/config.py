@@ -65,6 +65,10 @@ class FlowParams:
     max_rejects: int = 10
 
     def validate(self):
+        # every comparison below is false on NaN, so finiteness comes first
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"flow constant {name} must be finite, got {value}")
         n_free = max(self.max_qp - 1, 1)
         checks = {
             "M0_over_M4sq": self.M0 / self.M4**2,

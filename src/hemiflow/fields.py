@@ -60,12 +60,16 @@ class ScalarField:
     def __init__(self, n, kappa0, terms=()):
         if n < 5:
             raise ConfigError("dimension must be at least 5")
+        if not np.isfinite(kappa0):
+            raise ConfigError(f"constant term must be finite, got {kappa0}")
         if kappa0 <= 0:
             raise ConfigError("constant term must be positive")
         dim = n + 1
         b = np.zeros(dim)
         q = np.zeros((dim, dim))
         for monomial, coeff in terms:
+            if not np.isfinite(coeff):
+                raise ConfigError(f"coefficient of {monomial!r} must be finite, got {coeff}")
             idx = parse_monomial(monomial, dim) if isinstance(monomial, str) else tuple(monomial)
             if len(idx) == 1:
                 b[idx[0]] += coeff
@@ -149,20 +153,28 @@ class ScalarField:
         """Riemannian Hessian of K on S^n in an orthonormal tangent basis.
 
         Hess(X, Y) = X . D^2K . Y - <dK(p), p> <X, Y> (geodesics curve back
-        toward the origin with acceleration -p).
+        toward the origin with acceleration -p).  ``p`` is one point (n+1,)
+        with an (n, n+1) basis, by default :func:`tangent_basis`, or a batch
+        (k, n+1) with bases (k, n, n+1), by default :func:`reflection_bases`,
+        giving (k, n, n); each row of a batch agrees with its single-point
+        call in the same basis.
         """
         v = np.asarray(p.coords if isinstance(p, SpherePoint) else p, dtype=float)
         if basis is None:
-            basis = tangent_basis(v)
-        radial = float(np.dot(self.ambient_gradient(v), v))
-        amb = 2.0 * self.quadratic
-        return basis @ amb @ basis.T - radial * np.eye(len(basis))
+            basis = tangent_basis(v) if v.ndim == 1 else reflection_bases(v)
+        return self._hessian(v, basis)
 
-    def laplace_beltrami(self, p) -> float:
-        """Laplace-Beltrami value on S^n; for K = x_k this is -n x_k."""
+    def laplace_beltrami(self, p):
+        """Laplace-Beltrami value on S^n; for K = x_k this is -n x_k.
+
+        ``p`` is one point (n+1,), giving a float, or a batch (k, n+1), giving
+        (k,); each row of a batch gets the same bits as its single-point call.
+        """
         v = np.asarray(p.coords if isinstance(p, SpherePoint) else p, dtype=float)
         amb = 2.0 * self.quadratic
-        return float(np.trace(amb) - v @ amb @ v - self.n * np.dot(self.ambient_gradient(v), v))
+        lap = (np.trace(amb) - np.vecdot(np.vecmat(v, amb), v)
+               - self.n * np.vecdot(self.ambient_gradient(v), v))
+        return float(lap) if v.ndim == 1 else lap
 
     def normal_derivative(self, z):
         """dK/dnu at boundary points, outward normal nu = -e_{n+1}.
@@ -185,13 +197,26 @@ class ScalarField:
         return g
 
     def boundary_hessian(self, z, basis=None) -> np.ndarray:
-        """Riemannian Hessian of K_1 on the equator S^{n-1}."""
+        """Riemannian Hessian of K_1 on the equator S^{n-1}.
+
+        ``z`` is one point (n+1,) with an (n-1, n+1) basis, by default
+        :func:`tangent_basis` within the equator, or a batch (k, n+1) with
+        bases (k, n-1, n+1), by default :func:`reflection_bases` less their
+        last row e_{n+1}, giving (k, n-1, n-1); each row of a batch agrees
+        with its single-point call in the same basis.
+        """
         v = np.asarray(z.coords if isinstance(z, SpherePoint) else z, dtype=float)
         if basis is None:
-            basis = tangent_basis(v, within_equator=True)
-        radial = float(np.dot(self.ambient_gradient(v), v))
-        amb = 2.0 * self.quadratic
-        return basis @ amb @ basis.T - radial * np.eye(len(basis))
+            # with v_{n+1} = 0, j <= n and the reflection keeps e_{n+1} last
+            basis = (tangent_basis(v, within_equator=True) if v.ndim == 1
+                     else reflection_bases(v)[:, :-1])
+        return self._hessian(v, basis)
+
+    def _hessian(self, v, basis):
+        # the ambient Hessian 2Q in the basis, less the radial term <dK(v), v>
+        radial = np.vecdot(self.ambient_gradient(v), v)
+        restricted = basis @ (2.0 * self.quadratic) @ np.swapaxes(basis, -1, -2)
+        return restricted - radial[..., None, None] * np.eye(basis.shape[-2])
 
     # -- chart pullback (exact rational calculus) ----------------------------
 
@@ -261,6 +286,24 @@ class ScalarField:
         if kmin <= 0.0:
             raise NonPositiveField(f"field takes values <= 0 (minimum {kmin})")
         return kmin, kmax
+
+
+def reflection_bases(x: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the tangent spaces at unit rows x (k, d), as (k, d-1, d).
+
+    Row i is the Householder reflection H = I - v v^T / v_j, v = e_j + s x
+    with j = argmax |x_j| and s = sign(x_j), without its row j: H is
+    symmetric and orthogonal and maps e_j to -s x, so its other rows are
+    orthonormal and orthogonal to x.  Since |x_j| >= 1/sqrt(d), v_j >= 1 and
+    no cancellation enters, however close x lies to a coordinate axis.
+    """
+    k, d = x.shape
+    rows = np.arange(k)
+    j = np.argmax(np.abs(x), axis=1)
+    v = np.where(x[rows, j] < 0.0, -1.0, 1.0)[:, None] * x
+    v[rows, j] += 1.0
+    h = np.eye(d) - v[:, :, None] * v[:, None, :] / v[rows, j][:, None, None]
+    return h[np.arange(d) != j[:, None]].reshape(k, d - 1, d)
 
 
 def _secular_roots(p: np.ndarray, s: np.ndarray) -> np.ndarray:

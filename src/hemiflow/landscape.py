@@ -114,35 +114,43 @@ def find_critical_points(K: ScalarField, seeds_per_dim: int = 10, seed: int = 20
         raise ValueError("seeds_per_dim must be at least 8")
     n = K.n
     b, Q = K.linear, K.quadratic
-    roots = [(v, False) for v in _sphere_critical_points(b, Q, height_floor=1e-9)]
-    roots += [(np.append(z, 0.0), True) for z in _sphere_critical_points(b[:n], Q[:n, :n])]
-    records = []
-    for v, on_equator in roots:
-        if on_equator:
-            pt = BoundarySpherePoint(v)
-            hess = K.boundary_hessian(pt, tangent_basis(v, within_equator=True))
-            nu = K.normal_derivative(pt)
-        else:
-            pt = SpherePoint(v)
-            hess = K.tangent_hessian(pt, tangent_basis(v))
-            nu = None
-        evals = np.linalg.eigvalsh(hess)
-        if np.min(np.abs(evals)) < DEGENERACY_FLOOR:
-            where = "boundary" if on_equator else "interior"
-            raise DegenerateCriticalPoint(f"degenerate {where} critical point at {v}")
-        lap = K.laplace_beltrami(pt)
-        records.append(CriticalPointRecord(
-            location=pt, kind="boundary_of_K1" if on_equator else "interior_of_K",
-            morse_index=int(np.sum(evals < 0)), value=K.value(pt), laplacian=lap,
-            normal_derivative=nu, nondegenerate=True,
-            classification=(_classify_boundary(nu, lap) if on_equator
-                            else "K_in_minus" if lap < 0 else "other"),
-            hessian_eigenvalues=tuple(float(x) for x in evals),
-        ))
+    inner = _sphere_critical_points(b, Q, height_floor=1e-9)
+    z = _sphere_critical_points(b[:n], Q[:n, :n])
+    trace = np.concatenate([z, np.zeros((len(z), 1))], axis=1)
+    records = _sphere_records(K, inner, False) + _sphere_records(K, trace, True)
     if poincare_hopf_boundary(records, n) != 1 + (-1) ** (n - 1):
         raise DegenerateCriticalPoint(
             "trace critical points fail the Poincare-Hopf count on the equator sphere")
-    records.sort(key=lambda r: tuple(np.round(r.location.coords, 9)))
+    keys = np.round(np.concatenate([inner, trace]), 9).tolist()
+    return [records[i] for i in sorted(range(len(records)), key=keys.__getitem__)]
+
+
+def _sphere_records(K: ScalarField, xs: np.ndarray, on_equator: bool) -> list:
+    """Classify the roots xs (k, n+1) of one sphere, the hemisphere or the
+    equator trace, from one batched Hessian, eigenvalue, Laplacian, value
+    and normal-derivative pass."""
+    hess = K.boundary_hessian(xs) if on_equator else K.tangent_hessian(xs)
+    evals = np.linalg.eigvalsh(hess)
+    degenerate = np.min(np.abs(evals), axis=1) < DEGENERACY_FLOOR
+    indices = np.sum(evals < 0, axis=1).tolist()
+    values = K.value(xs).tolist()
+    laps = K.laplace_beltrami(xs).tolist()
+    nus = K.normal_derivative(xs).tolist() if on_equator else [None] * len(xs)
+    point = BoundarySpherePoint if on_equator else SpherePoint
+    records = []
+    for v, bad, index, value, lap, nu, ev in zip(xs, degenerate, indices, values, laps, nus,
+                                                 evals.tolist()):
+        if bad:
+            where = "boundary" if on_equator else "interior"
+            raise DegenerateCriticalPoint(f"degenerate {where} critical point at {v.tolist()}")
+        records.append(CriticalPointRecord(
+            location=point(v), kind="boundary_of_K1" if on_equator else "interior_of_K",
+            morse_index=index, value=value, laplacian=lap, normal_derivative=nu,
+            nondegenerate=True,
+            classification=(_classify_boundary(nu, lap) if on_equator
+                            else "K_in_minus" if lap < 0 else "other"),
+            hessian_eigenvalues=tuple(ev),
+        ))
     return records
 
 
@@ -216,14 +224,16 @@ def check_assumptions(records, K: ScalarField) -> AssumptionReport:
         if r.kind == "interior_of_K":
             if not r.nondegenerate or abs(r.laplacian) < ZERO_TOL:
                 h1 = False
-                violations.append(f"H1: degenerate or harmonic interior point at {r.location.coords}")
+                violations.append("H1: degenerate or harmonic interior point at "
+                                  f"{r.location.coords.tolist()}")
         elif r.normal_sign == 0:
             # boundary-located critical point of the full field
             basis = tangent_basis(r.location.coords)
             evals = np.linalg.eigvalsh(K.tangent_hessian(r.location, basis))
             if np.min(np.abs(evals)) < DEGENERACY_FLOOR or abs(r.laplacian) < ZERO_TOL:
                 h1 = False
-                violations.append(f"H1: boundary-located field critical point degenerate at {r.location.coords}")
+                violations.append("H1: boundary-located field critical point degenerate at "
+                                  f"{r.location.coords.tolist()}")
 
     h2 = True
     for r in records:
@@ -231,11 +241,12 @@ def check_assumptions(records, K: ScalarField) -> AssumptionReport:
             continue
         if not r.nondegenerate:
             h2 = False
-            violations.append(f"H2: degenerate trace critical point at {r.location.coords}")
+            violations.append(
+                f"H2: degenerate trace critical point at {r.location.coords.tolist()}")
         if not r.is_local_max() and r.normal_sign > 0:
             h2 = False
             violations.append(
-                f"H2: non-maximum with positive normal derivative at {r.location.coords}")
+                f"H2: non-maximum with positive normal derivative at {r.location.coords.tolist()}")
 
     h3 = True
     branches = {}
@@ -249,7 +260,7 @@ def check_assumptions(records, K: ScalarField) -> AssumptionReport:
             continue
         if abs(r.laplacian) < ZERO_TOL:
             h3 = False
-            violations.append(f"H3: vanishing Laplacian at {r.location.coords}")
+            violations.append(f"H3: vanishing Laplacian at {r.location.coords.tolist()}")
             continue
         z = r.location.coords
         mid = c + np.cos(radii) * (w @ z)
@@ -261,7 +272,7 @@ def check_assumptions(records, K: ScalarField) -> AssumptionReport:
             "branch_i": branch_i, "branch_ii": branch_ii, "ratios": ratio_chain}
         if not (branch_i or branch_ii):
             h3 = False
-            violations.append(f"H3: both branches fail at {z}")
+            violations.append(f"H3: both branches fail at {z.tolist()}")
 
     return AssumptionReport(h1=h1, h2=h2, h3=h3, h3_branches=branches, violations=violations)
 

@@ -49,10 +49,10 @@ def field_h3_quadratic_flat() -> ScalarField:
     return ScalarField(N, 1.0, [("x1", 0.05), ("x6", -kap), ("x1*x6", kap)])
 
 
-def boundary_point(rng=None, away_from=None, min_dist=0.0):
+def boundary_point(rng=None, away_from=None, min_dist=0.0, n=N):
     rng = rng or np.random.default_rng(0)
     while True:
-        v = rng.standard_normal(N + 1)
+        v = rng.standard_normal(n + 1)
         v[-1] = 0.0
         v /= np.linalg.norm(v)
         if away_from is None:
@@ -61,10 +61,10 @@ def boundary_point(rng=None, away_from=None, min_dist=0.0):
             return BoundarySpherePoint(v)
 
 
-def interior_point(rng=None, min_height=0.35):
+def interior_point(rng=None, min_height=0.35, n=N):
     rng = rng or np.random.default_rng(0)
     while True:
-        v = rng.standard_normal(N + 1)
+        v = rng.standard_normal(n + 1)
         v[-1] = abs(v[-1])
         v /= np.linalg.norm(v)
         if v[-1] >= min_height:
@@ -98,13 +98,13 @@ def make_cfg(model, bubbles, q, eps=0.12, normalize=True, alphas=None):
 # ---------------------------------------------------------------------------
 
 def sample_v1(model, rng) -> Configuration:
-    pt = interior_point(rng, min_height=0.4)
+    pt = interior_point(rng, min_height=0.4, n=model.n)
     lam = rng.uniform(3500.0, 6000.0)
     return make_cfg(model, [BubbleParam(pt, lam)], q=0)
 
 
 def sample_v2(model, crit_coords, rng) -> Configuration:
-    pt = boundary_point(rng, away_from=crit_coords, min_dist=0.35)
+    pt = boundary_point(rng, away_from=crit_coords, min_dist=0.35, n=model.n)
     lam = rng.uniform(25.0, 70.0)
     return make_cfg(model, [BubbleParam(pt, lam)], q=1)
 
@@ -169,7 +169,7 @@ def sample_v4(model, rng, boundary_anchor=None) -> Configuration:
         b1 = BubbleParam(BoundarySpherePoint(boundary_anchor), lam)
         b2 = BubbleParam(BoundarySpherePoint(boundary_anchor), lam * ratio)
         return make_cfg(model, [b1, b2], q=2)
-    pt = interior_point(rng, min_height=0.5)
+    pt = interior_point(rng, min_height=0.5, n=model.n)
     pt2 = near(pt.coords, rng, 0.01, within_equator=False)
     lam = rng.uniform(20.0, 40.0)
     ratio = rng.uniform(180.0, 400.0)

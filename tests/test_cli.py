@@ -178,6 +178,28 @@ class TestExitCodes:
         assert main(["--config", str(cfgp), command] + args) == 2
         assert "grid_density must be at least 10" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kappa0, terms", [
+        (1.0, [{"monomial": "x1", "coeff": float("nan")}]),
+        (1.0, [{"monomial": "x1*x2", "coeff": float("inf")}]),
+        (float("nan"), [{"monomial": "x1", "coeff": 0.05}]),
+    ], ids=["nan_coeff", "inf_coeff", "nan_kappa0"])
+    @pytest.mark.parametrize("command", ["critical-points", "census"])
+    def test_non_finite_field(self, tmp_path, capsys, kappa0, terms, command):
+        cfgp = write_config(tmp_path, field_terms=terms, kappa0=kappa0)
+        assert main(["--config", str(cfgp), command]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flow", [{"eta": float("nan")}, {"eps": float("nan")},
+                                      {"M0": float("nan")}, {"M4": float("inf")}],
+                             ids=["nan_eta", "nan_eps", "nan_M0", "inf_M4"])
+    def test_non_finite_flow_constant(self, tmp_path, capsys, flow):
+        cfgp = write_config(tmp_path, extra={"flow": flow})
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(_one_bubble()))
+        assert main(["--config", str(cfgp), "flow", "--state", str(state_path),
+                     "--t-max", "0.2"]) == 2
+        assert f"flow constant {next(iter(flow))} must be finite" in capsys.readouterr().err
+
     def test_counting_indices_not_integers(self, capsys):
         assert main(["counting", "--indices", "1,x"]) == 2
         assert "configuration error: --indices must be comma-separated integers" \

@@ -3,7 +3,7 @@ import pytest
 
 from hemiflow.bubbles import BubbleParam
 from hemiflow.errors import ConfigError, NonPositiveField
-from hemiflow.fields import ScalarField, parse_monomial
+from hemiflow.fields import ScalarField, parse_monomial, reflection_bases
 from hemiflow.geometry import (BoundarySpherePoint, RotatedChart,
                                geodesic_step, tangent_basis)
 from hemiflow.model import ReducedModel
@@ -84,6 +84,14 @@ class TestPositivity:
         with pytest.raises(ConfigError):
             ScalarField(N, -1.0, ())
 
+    @pytest.mark.parametrize("kappa0, terms", [
+        (float("nan"), ()), (float("inf"), ()), (1.0, [("x1", float("nan"))]),
+        (1.0, [("x2*x3", float("-inf"))])], ids=["nan_kappa0", "inf_kappa0", "nan_coeff",
+                                                 "inf_coeff"])
+    def test_non_finite_coefficients_rejected(self, kappa0, terms):
+        with pytest.raises(ConfigError, match="must be finite"):
+            ScalarField(N, kappa0, terms)
+
     def test_values_positive_on_grid(self):
         K = field_linear()
         pts = hemisphere_grid(N, 12)
@@ -151,6 +159,57 @@ class TestCalculus:
             assert isinstance(single, float)
             assert single == val
             assert np.array_equal(K.tangent_gradient(v), g)
+
+    def test_laplacian_and_hessian_batch_rows_match_single_points(self):
+        K = ScalarField(N, 1.0, [("x1", 0.05), ("x1*x2", 0.03), ("x6^2", 0.02),
+                                 ("x3^2", -0.04), ("x2*x6", 0.01), ("x6", -0.02)])
+        rng = np.random.default_rng(12)
+        pts = np.array([rand_hemi(rng) for _ in range(40)])
+        bases = np.array([tangent_basis(v) for v in pts])
+        laps, hess = K.laplace_beltrami(pts), K.tangent_hessian(pts, bases)
+        assert laps.shape == (40,) and hess.shape == (40, N, N)
+        for v, basis, lap, h in zip(pts, bases, laps, hess):
+            single = K.laplace_beltrami(v)
+            assert isinstance(single, float)
+            assert single == lap
+            assert np.array_equal(K.tangent_hessian(v, basis), h)
+        raw = rng.standard_normal((40, N + 1))
+        raw[:, -1] = 0.0
+        zs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        bases = np.array([tangent_basis(z, within_equator=True) for z in zs])
+        hess = K.boundary_hessian(zs, bases)
+        assert hess.shape == (40, N - 1, N - 1)
+        for z, basis, h in zip(zs, bases, hess):
+            assert np.array_equal(K.boundary_hessian(z, basis), h)
+
+    def test_default_batch_bases_give_the_single_point_spectra(self):
+        # the batch default (reflection bases) and the single-point default
+        # (Gram-Schmidt) differ by a rotation of the tangent space
+        K = ScalarField(N, 1.0, [("x1", 0.05), ("x1*x2", 0.03), ("x6^2", 0.02),
+                                 ("x3^2", -0.04), ("x4*x6", 0.01)])
+        rng = np.random.default_rng(13)
+        pts = np.concatenate([np.array([rand_hemi(rng) for _ in range(20)]), E[:1], E[-1:]])
+        for v, h in zip(pts, K.tangent_hessian(pts)):
+            want = np.linalg.eigvalsh(K.tangent_hessian(v))
+            assert np.allclose(np.linalg.eigvalsh(h), want, rtol=0.0, atol=1e-14)
+        zs = np.concatenate([np.eye(N + 1)[:N], -np.eye(N + 1)[:N]])
+        zs[0, :2] = [np.sqrt(0.5), -np.sqrt(0.5)]
+        for z, h in zip(zs, K.boundary_hessian(zs)):
+            want = np.linalg.eigvalsh(K.boundary_hessian(z))
+            assert np.allclose(np.linalg.eigvalsh(h), want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("offset", [0.0, 1.26e-8, 0.3])
+    def test_reflection_bases_are_orthonormal_and_tangent(self, offset):
+        # near a coordinate axis too, where Gram-Schmidt needs a second pass
+        rng = np.random.default_rng(14)
+        x = np.concatenate([rng.standard_normal((30, N + 1)), np.eye(N + 1), -np.eye(N + 1)])
+        x[30:, 2] += offset
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        bases = reflection_bases(x)
+        assert bases.shape == (len(x), N, N + 1)
+        for v, basis in zip(x, bases):
+            assert np.allclose(basis @ basis.T, np.eye(N), rtol=0.0, atol=1e-14)
+            assert np.max(np.abs(basis @ v)) <= 1e-15
 
     def test_chart_stack_blocks_match_one_chart_calls(self):
         K = ScalarField(N, 1.0, [("x1", 0.05), ("x1*x2", 0.03), ("x6^2", 0.02),

@@ -64,6 +64,13 @@ class TestParams:
         with pytest.raises(ConfigError):
             FlowParams(M0=1e6, M4=1e3).validate()
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(FlowParams)
+                                      if f.type in ("float", float)])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_constants_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"flow constant {name} must be finite"):
+            dataclasses.replace(FlowParams(), **{name: value}).validate()
+
     def test_mass_three_scaling(self):
         p = FlowParams.for_mass(3, N)
         p.validate_full(N)
@@ -405,53 +412,87 @@ class TestTerminationReasons:
         assert traj.reason == "t_max" and traj.detail == ""
 
 
+def _audit_fields(n):
+    """The audit's four fields in dimension n; at n = 5 they are the fixture
+    fields ``field_linear``, ``field_boundary_max``, ``field_interior_min``
+    and ``field_diag``."""
+    def diagonal(coeffs):
+        return ScalarField(n, 1.0, [(f"x{i+1}^2", 0.01 * d) for i, d in enumerate(coeffs)])
+    return {
+        "lin": ScalarField(n, 1.0, [("x1", 0.05)]),
+        "bmax": ScalarField(n, 1.0, [("x1", 0.05), (f"x1*x{n+1}", -0.02)]),
+        "intmin": diagonal([2.0, 3.0, 2.5, 2.2, 2.8, 2.6, 2.4][:n] + [1.0]),
+        "diag": diagonal([5.0, 1.0, 1.5, 2.0, 2.5, 2.8, 2.9][:n] + [6.0]),
+    }
+
+
+def _audit_rate_signs(n, per_region, seed):
+    """Classify ``per_region`` random states from each region sampler in
+    dimension n, under ``FlowParams.for_mass(2, n)``.  Returns, per sampler,
+    the number of states outside W whose assembled rate velocities are not
+    all nonpositive, and the number labelled with the sampler's own region."""
+    from _fixtures import sample_cluster, sample_v1, sample_v2, sample_v2_alpha, sample_v4
+
+    E = np.eye(n + 1)
+    setups = {}
+    for key, field in _audit_fields(n).items():
+        model = ReducedModel(field)
+        records = find_critical_points(field, 8)
+        setups[key] = (model, records,
+                       PseudogradientFlow(model, records, FlowParams.for_mass(2, n)))
+    rng = np.random.default_rng(seed)
+    lin_model, lin_records, lin_flow = setups["lin"]
+    crit_lin = [r.location.coords for r in lin_records]
+    bmax_model, _, bmax_flow = setups["bmax"]
+    intmin_model, _, intmin_flow = setups["intmin"]
+    diag_model, _, diag_flow = setups["diag"]
+
+    def v32_state():
+        pt = near(E[-1], rng, 0.05, within_equator=False)
+        return intmin_flow, make_cfg(intmin_model,
+                                     [BubbleParam(pt, rng.uniform(200.0, 400.0))], q=0)
+
+    # sampler -> (region label it aims at, sampler); off-balance weights
+    # (V2a) are a V2 state
+    samplers = {
+        "V1": ("V1", lambda: (lin_flow, sample_v1(lin_model, rng))),
+        "V2": ("V2", lambda: (lin_flow, sample_v2(lin_model, crit_lin, rng))),
+        "V2a": ("V2", lambda: (diag_flow, sample_v2_alpha(diag_model, [E[0], -E[0]], rng))),
+        "V3_1": ("V3_1", lambda: (lin_flow, sample_cluster(lin_model, E[0], rng))),
+        "V3_2": ("V3_2", v32_state),
+        "V3_3": ("V3_3", lambda: (bmax_flow, sample_cluster(bmax_model, E[0], rng))),
+        "V4": ("V4", lambda: (lin_flow, sample_v4(lin_model, rng))),
+    }
+    out = {}
+    for name, (region, sampler) in samplers.items():
+        violations = reached = 0
+        for _ in range(per_region):
+            flow, cfg = sampler()
+            label = flow.classify_region(cfg)
+            reached += region in label.weights
+            if "W" in label.weights:
+                continue
+            vel = flow.pseudogradient(cfg, label)
+            if not np.all(vel.loglam_dot <= 1e-15):
+                violations += 1
+        out[name] = (violations, reached)
+    return out
+
+
 class TestRegionSignInvariant:
+    # the assembled rate velocities are nonpositive outside the matched
+    # region by construction; audited exhaustively on random states
+
     def test_thousand_states_per_region_audit(self):
-        # the assembled rate velocities are nonpositive outside the matched
-        # region by construction; audited exhaustively on random states
-        from _fixtures import (field_boundary_max, field_interior_min,
-                               sample_cluster, sample_v1, sample_v2,
-                               sample_v2_alpha, sample_v4)
-
-        setups = {}
-        for key, field in (("lin", field_linear()), ("bmax", field_boundary_max()),
-                           ("intmin", field_interior_min()), ("diag", field_diag())):
-            model = ReducedModel(field)
-            records = find_critical_points(field, 8)
-            setups[key] = (model, records, PseudogradientFlow(model, records, FlowParams()))
-        rng = np.random.default_rng(77)
-        lin_model, lin_records, lin_flow = setups["lin"]
-        crit_lin = [r.location.coords for r in lin_records]
-        bmax_model, _, bmax_flow = setups["bmax"]
-        intmin_model, _, intmin_flow = setups["intmin"]
-        diag_model, _, diag_flow = setups["diag"]
-
-        def v32_state():
-            pt = near(E[-1], rng, 0.05, within_equator=False)
-            return intmin_flow, make_cfg(intmin_model,
-                                         [BubbleParam(pt, rng.uniform(200.0, 400.0))], q=0)
-
-        samplers = {
-            "V1": lambda: (lin_flow, sample_v1(lin_model, rng)),
-            "V2": lambda: (lin_flow, sample_v2(lin_model, crit_lin, rng)),
-            "V2a": lambda: (diag_flow, sample_v2_alpha(diag_model, [E[0], -E[0]], rng)),
-            "V3_1": lambda: (lin_flow, sample_cluster(lin_model, E[0], rng)),
-            "V3_2": v32_state,
-            "V3_3": lambda: (bmax_flow, sample_cluster(bmax_model, E[0], rng)),
-            "V4": lambda: (lin_flow, sample_v4(lin_model, rng)),
-        }
-        per_region = 1000
-        for name, sampler in samplers.items():
-            violations = 0
-            for _ in range(per_region):
-                flow, cfg = sampler()
-                label = flow.classify_region(cfg)
-                if "W" in label.weights:
-                    continue
-                vel = flow.pseudogradient(cfg, label)
-                if not np.all(vel.loglam_dot <= 1e-15):
-                    violations += 1
+        for name, (violations, reached) in _audit_rate_signs(5, 1000, seed=77).items():
             assert violations == 0, name
+            assert reached > 0, name
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_region_audit_in_higher_dimension(self, n):
+        for name, (violations, reached) in _audit_rate_signs(n, 200, seed=77 + n).items():
+            assert violations == 0, name
+            assert reached > 0, name
 
     def test_cluster_pairwise_distances_non_increasing(self):
         from _fixtures import field_boundary_max, sample_cluster

@@ -12,8 +12,8 @@ from hemiflow.landscape import (CriticalPointRecord, _classify_boundary,
                                 hemisphere_index_tally, load_records,
                                 poincare_hopf_boundary, save_records)
 
-from _fixtures import (E, N, field_boundary_max, field_diag, field_h3_quadratic_flat,
-                       field_interior_min, field_linear)
+from _fixtures import (E, N, field_all_positive_laplacian, field_boundary_max, field_diag,
+                       field_h3_quadratic_flat, field_interior_min, field_linear)
 
 README_TERMS = [("x1^2", 0.05), ("x2^2", 0.01), ("x3^2", 0.015), ("x4^2", 0.02),
                 ("x5^2", 0.025), ("x6^2", 0.06)]
@@ -145,7 +145,8 @@ def bisection_critical_points(b, Q, height_floor=None):
             ys.append(y.copy())
             ys[-1][members[0]] = sign * np.sqrt(r2)
     xs = [V @ (y / np.linalg.norm(y)) for y in ys]
-    return np.array([x for x in xs if height_floor is None or x[-1] > height_floor])
+    return np.array([x for x in xs if height_floor is None or x[-1] > height_floor]
+                    ).reshape(-1, len(b))
 
 
 def random_field(rng, n):
@@ -388,6 +389,76 @@ class TestSecularSolve:
         assert ScalarField(N, 1.0, README_TERMS).min_max() == (1.01, 1.06)
 
 
+def per_record_oracle(K):
+    """The records' fields, one root at a time: Gram-Schmidt tangent bases,
+    single-point Hessians and the per-point calculus, sorted as
+    ``find_critical_points`` sorts.  Rows are (coords, kind, index, class,
+    value, Laplacian, normal derivative, eigenvalues)."""
+    n = K.n
+    roots = [(v, False) for v in landscape._sphere_critical_points(
+        K.linear, K.quadratic, height_floor=1e-9)]
+    roots += [(np.append(z, 0.0), True) for z in landscape._sphere_critical_points(
+        K.linear[:n], K.quadratic[:n, :n])]
+    rows = []
+    for v, on_equator in roots:
+        if on_equator:
+            hess = K.boundary_hessian(v, tangent_basis(v, within_equator=True))
+            nu = K.normal_derivative(v)
+        else:
+            hess = K.tangent_hessian(v, tangent_basis(v))
+            nu = None
+        evals = np.linalg.eigvalsh(hess)
+        lap = K.laplace_beltrami(v)
+        cls = (_classify_boundary(nu, lap) if on_equator
+               else "K_in_minus" if lap < 0 else "other")
+        rows.append((v, "boundary_of_K1" if on_equator else "interior_of_K",
+                     int(np.sum(evals < 0)), cls, K.value(v), lap, nu, evals))
+    rows.sort(key=lambda row: tuple(np.round(row[0], 9)))
+    return rows
+
+
+class TestBatchedRecords:
+    """The records built in one batched pass per sphere against the
+    per-record classification."""
+
+    @staticmethod
+    def assert_matches_oracle(K):
+        records = find_critical_points(K, 8)
+        rows = per_record_oracle(K)
+        assert len(records) == len(rows)
+        for r, (v, kind, index, cls, value, lap, nu, evals) in zip(records, rows):
+            assert np.array_equal(r.location.coords, v)
+            assert (r.kind, r.morse_index, r.classification) == (kind, index, cls)
+            assert (r.value, r.laplacian, r.normal_derivative) == (value, lap, nu)
+            got = np.array(r.hessian_eigenvalues)
+            assert np.all(np.abs(got - evals) <= 1e-12 * np.abs(evals))
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_random_fields_match_the_per_record_loop(self, n):
+        rng = np.random.default_rng(130 + n)
+        for _ in range(70):
+            self.assert_matches_oracle(random_field(rng, n))
+
+    @pytest.mark.parametrize("make_field", [
+        field_linear, field_diag, field_all_positive_laplacian, field_boundary_max,
+        field_interior_min, field_h3_quadratic_flat, field_general,
+        lambda: ScalarField(N, 1.0, README_TERMS)],
+        ids=["linear", "diag", "all_positive_laplacian", "boundary_max", "interior_min",
+             "h3_quadratic_flat", "general", "readme"])
+    def test_fixture_fields_match_the_per_record_loop(self, make_field):
+        # roots on coordinate axes, where the reflection bases are exact
+        self.assert_matches_oracle(make_field())
+
+    def test_degenerate_message_writes_plain_coordinates(self):
+        K = near_tangent_trace(1e-14)
+        with pytest.raises(DegenerateCriticalPoint) as info:
+            find_critical_points(K, 8)
+        message = str(info.value)
+        assert "np.float64" not in message and "\n" not in message
+        coords = json.loads(message.split(" at ", 1)[1])
+        assert len(coords) == N + 1 and abs(np.linalg.norm(coords) - 1.0) < 1e-12
+
+
 class TestAssumptions:
     def test_linear_field_satisfies_all(self, linear_records):
         rep = check_assumptions(linear_records, field_linear())
@@ -416,6 +487,17 @@ class TestAssumptions:
         rep = check_assumptions(recs, K)
         assert not rep.h2
         assert any("non-maximum" in v for v in rep.violations)
+
+    def test_violation_messages_write_plain_coordinates(self):
+        # a generic tilt: the trace minimum sits off every axis, so its
+        # coordinates need full precision to parse back
+        K = ScalarField(N, 1.0, [("x1", 0.05), ("x2", 0.03), ("x6", -0.02)])
+        recs = find_critical_points(K, 8)
+        rep = check_assumptions(recs, K)
+        message = next(v for v in rep.violations if v.startswith("H2: non-maximum"))
+        assert "np.float64" not in message and "\n" not in message
+        coords = json.loads(message.split(" at ", 1)[1])
+        assert any(coords == r.to_json()["location"] for r in recs if not r.is_local_max())
 
     def test_quadratically_flat_normal_derivative_branch(self):
         K = field_h3_quadratic_flat()

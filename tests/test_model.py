@@ -834,7 +834,7 @@ class TestNormalFormAtSaddle:
 # ---------------------------------------------------------------------------
 
 def _diag_field(n):
-    coeffs = [5.0, 1.0, 1.5, 2.0, 2.5, 6.0] if n == 5 else [5.0, 1.0, 1.5, 2.0, 2.5, 2.8, 6.0]
+    coeffs = [5.0, 1.0, 1.5, 2.0, 2.5, 2.8, 2.9][:n] + [6.0]
     return ScalarField(n, 1.0, [(f"x{i+1}^2", 0.01 * d) for i, d in enumerate(coeffs)])
 
 
@@ -860,6 +860,10 @@ PINNED_STATES = {
                         _ip(0.6, 0, 0, 0, 0, 0.8, lam=70.0)], 2),
     "n6_mixed_pair": (6, [_bp(0.8, 0, 0.6, 0, 0, 0, 0, lam=50.0),
                           _ip(0, 0.6, 0, 0, 0, 0, 0.8, lam=70.0)], 1),
+    "n7_mixed_pair": (7, [_bp(0, 0.8, 0, 0.6, 0, 0, 0, 0, lam=55.0),
+                          _ip(0.6, 0, 0, 0, 0, 0, 0, 0.8, lam=75.0)], 1),
+    "n7_interior_pair": (7, [_ip(0.6, 0, 0, 0, 0, 0, 0, 0.8, lam=70.0),
+                             _ip(0, 0, 0.6, 0, 0, 0, 0, 0.8, lam=90.0)], 0),
     "crowded_interior_pair": (5, [_ip(0.6, 0, 0, 0, 0, 0.8, lam=300.0),
                                   _ip(0.6 * np.cos(_T), 0.6 * np.sin(_T), 0, 0, 0, 0.8,
                                       lam=350.0)], 0),
@@ -969,6 +973,46 @@ PINNED_BARS = {
             ([-6.926412673128315e-06, 0.5190993216923206, -5.194809504846237e-06,
               0.0, 0.0, 0.0, -0.3893244912692405],
              0.0039182880449468525),
+        ],
+    },
+    "n7_mixed_pair": {
+        "j_center": 25.797533928367784, "rel_bar": 3.875038764029223e-06,
+        "vbar": 0.0008109463216323648, "budgets": (6.235043321898557e-10, 5.225454255233147e-10),
+        "alpha": [
+            (-0.22129722120056405, 838.4607325026524),
+            (0.23309869077206538, 1015.1321617455842),
+        ],
+        "lam": [
+            (0.1320942234711386, 0.7013140539080942),
+            (-0.2155420898676602, 0.42661004584226014),
+        ],
+        "a": [
+            ([-4.308895957672604e-07, 0.2038860578503083, 0.0, -0.2718480771337445,
+              0.0, 0.0, 0.0, -0.0132453804022328],
+             0.012751164616510803),
+            ([0.362265457739491, -4.436683093384758e-07, 0.0, -3.327512320038567e-07,
+              0.0, 0.0, 0.0, -0.2716990933046182],
+             0.005688133944563469),
+        ],
+    },
+    "n7_interior_pair": {
+        "j_center": 27.843835630230515, "rel_bar": 3.4749517246832655e-06,
+        "vbar": 0.000944804335439718, "budgets": (1.9154158314789897e-10, 0.0),
+        "alpha": [
+            (0.11266165825601698, 1222.6690039836544),
+            (-0.11039830496017351, 2162.2830698928365),
+        ],
+        "lam": [
+            (-0.23314707692690523, 0.5951163064160458),
+            (-0.07645527358376686, 1.0299870619647418),
+        ],
+        "a": [
+            ([0.36639087736557885, 0.0, -8.038544310311951e-06, 0.0,
+              0.0, 0.0, 0.0, -0.27479315802418414],
+             0.008501661520229227),
+            ([-6.159125671760175e-06, 0.0, 1.321907758046554, 0.0,
+              0.0, 0.0, 0.0, -0.9914308185349155],
+             0.01144430068849713),
         ],
     },
     "crowded_interior_pair": {
