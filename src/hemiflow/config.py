@@ -21,6 +21,7 @@ itself always comes from the file.  ``seeds_per_dim`` (at least 8) and
 ``seed`` are validated and stamped into artifacts, but the landscape is an
 exact enumeration and does not depend on them.  ``grid_density`` is
 validated at load (at least 10) but has no effect: the extrema are exact.
+Flow constants must be finite at load; their smallness is checked by ``flow``.
 Unset ``M0``/``M2``/``M4`` come from ``FlowParams.for_mass(max_qp, dimension)``.
 """
 
@@ -64,11 +65,14 @@ class FlowParams:
     stagnation_tol: float = 1e-10
     max_rejects: int = 10
 
-    def validate(self):
-        # every comparison below is false on NaN, so finiteness comes first
+    def check_finite(self):
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ConfigError(f"flow constant {name} must be finite, got {value}")
+
+    def validate(self):
+        # every comparison below is false on NaN, so finiteness comes first
+        self.check_finite()
         n_free = max(self.max_qp - 1, 1)
         checks = {
             "M0_over_M4sq": self.M0 / self.M4**2,
@@ -178,6 +182,9 @@ class RunConfig:
                 output_dir=str(doc.get("output_dir", "out")),
             )
             cfg.flow = replace(FlowParams.for_mass(given.get("max_qp", 2), cfg.n), **given)
-            return cfg
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid configuration value: {exc}") from exc
+        # the smallness checks wait for the flow; a non-finite constant is
+        # rejected at load by every subcommand
+        cfg.flow.check_finite()
+        return cfg

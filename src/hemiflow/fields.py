@@ -4,7 +4,13 @@ A field is K(x) = kappa0 + b.x + x.Q.x restricted to the sphere.  Keeping the
 family polynomial makes every derived quantity exact: tangent gradients and
 Hessians, Laplace-Beltrami values, boundary normal derivatives, and the
 pullback of K to the half-space chart are all closed-form, so no numerical
-differentiation enters the core.
+differentiation enters the core.  The critical points of K on the sphere and
+of its trace K_1 on the equator are an exact enumeration
+(:func:`sphere_critical_points`), run once per field on first use
+(:attr:`ScalarField.sphere_roots`) and read by both the extrema
+(:meth:`ScalarField.min_max`) and the landscape
+(:func:`hemiflow.landscape.find_critical_points`).  A field's coefficient
+arrays are read-only, so the kept enumeration cannot go stale.
 
 Conventions
 -----------
@@ -17,10 +23,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateCriticalPoint, NonPositiveField
+from .errors import ConfigError, NonPositiveField
 from .geometry import SpherePoint, tangent_basis
 
 _MONOMIAL_RE = re.compile(r"^x(\d+)(?:\^(2)|\*x(\d+))?$")
@@ -77,6 +85,8 @@ class ScalarField:
                 i, j = idx
                 q[i, j] += coeff / 2.0
                 q[j, i] += coeff / 2.0
+        b.flags.writeable = False
+        q.flags.writeable = False
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "kappa0", float(kappa0))
         object.__setattr__(self, "linear", b)
@@ -269,23 +279,43 @@ class ScalarField:
             return float(value[0, 0]), grad[0, 0], hess[0, 0]
         return value[0], grad[0], hess[0]
 
-    # -- global extrema ------------------------------------------------------
+    # -- critical points and global extrema -----------------------------------
+
+    @cached_property
+    def sphere_roots(self) -> tuple[SphereRoots, SphereRoots]:
+        """(hemisphere, trace): the :class:`SphereRoots` of K on S^n and of
+        its trace K_1 on the equator S^{n-1}, the latter in the coordinates
+        of R^n.  Each sphere is enumerated once per field, on first use, and
+        :meth:`min_max` and :func:`hemiflow.landscape.find_critical_points`
+        apply their own rules to the same result."""
+        n, b, q = self.n, self.linear, self.quadratic
+        return sphere_critical_points(b, q), sphere_critical_points(b[:n], q[:n, :n])
 
     def min_max(self, grid_density: int = 12):
         """Exact extrema over the closed upper hemisphere: K at its critical
-        points above the equator and at those of the trace K_1, in one batch
-        (a continuum adds one of its points, K being constant on it).
-        ``grid_density`` is validated (at least 10) but no longer used."""
+        points above the equator and at those of the trace K_1, in one batch,
+        read off :attr:`sphere_roots` (a continuum adds its highest point, K
+        being constant on it).  ``grid_density`` is validated (at least 10)
+        but no longer used."""
         if grid_density < 10:
             raise ConfigError("grid_density must be at least 10")
-        n, b, q = self.n, self.linear, self.quadratic
-        pts = [sphere_critical_points(b, q, 0.0, values_only=True),
-               np.pad(sphere_critical_points(b[:n], q[:n, :n], values_only=True), ((0, 0), (0, 1)))]
+        hemisphere, trace = self.sphere_roots
+        upper = np.concatenate([hemisphere.points, hemisphere.tops])
+        pts = [upper[upper[:, -1] > 0.0],
+               np.pad(np.concatenate([trace.points, trace.tops]), ((0, 0), (0, 1)))]
         vals = self.value(np.concatenate(pts))
         kmin, kmax = float(vals.min()), float(vals.max())
         if kmin <= 0.0:
             raise NonPositiveField(f"field takes values <= 0 (minimum {kmin})")
         return kmin, kmax
+
+
+class SphereRoots(NamedTuple):
+    """The critical points of x -> b.x + x.Q.x on one unit sphere, as
+    read-only arrays with one unit point per row."""
+
+    points: np.ndarray  # the isolated critical points, at every height
+    tops: np.ndarray    # the highest point of each continuum of critical points
 
 
 def reflection_bases(x: np.ndarray) -> np.ndarray:
@@ -356,9 +386,8 @@ def _secular_roots(p: np.ndarray, s: np.ndarray) -> np.ndarray:
     return mu
 
 
-def sphere_critical_points(b: np.ndarray, Q: np.ndarray, height_floor: float | None = None,
-                           values_only: bool = False) -> np.ndarray:
-    """Every critical point of x -> b.x + x.Q.x on the unit sphere of R^d, one per row.
+def sphere_critical_points(b: np.ndarray, Q: np.ndarray) -> SphereRoots:
+    """Every critical point of x -> b.x + x.Q.x on the unit sphere of R^d.
 
     The Lagrange condition b + 2Qx = 2 mu x reads (mu - w_i) y_i = c_i in
     the eigenbasis Q = V diag(w) V^T, with y = V^T x and c = V^T b / 2
@@ -371,11 +400,11 @@ def sphere_critical_points(b: np.ndarray, Q: np.ndarray, height_floor: float | N
     * eigenvector branches: for a cluster with c_g = 0, mu = w_g and the
       cluster part of y has length sqrt(1 - |y|^2) when that is real; a
       cluster of dimension >= 2 then carries a continuum of critical points,
-      which raises :class:`DegenerateCriticalPoint`, or with ``values_only``
-      adds its highest point (the polynomial is constant on it).
+      on which the polynomial is constant, and adds its highest point (the
+      greatest last coordinate) to ``tops``.
 
-    With ``height_floor`` only points whose last coordinate exceeds it are
-    returned, and only a continuum reaching above it counts.
+    No point is filtered by height and nothing raises: each caller decides
+    what a continuum or a point below the equator means for it.
     """
     w, V = np.linalg.eigh(Q)
     c = V.T @ b / 2.0
@@ -391,7 +420,14 @@ def sphere_critical_points(b: np.ndarray, Q: np.ndarray, height_floor: float | N
         y[:, live] = c[live] / (mu[:, None] - poles[labels[live]])
         return y
 
+    def unit_rows(ys):
+        y = np.concatenate(ys) if ys else np.zeros((0, len(c)))
+        x = (y / np.linalg.norm(y, axis=1, keepdims=True)) @ V.T
+        x.flags.writeable = False
+        return x
+
     ys = [lift(_secular_roots(poles[active], weights[active]))] if active.any() else []
+    tops = []
     for g in np.flatnonzero(~active):
         y = lift(poles[g:g + 1])
         r2 = 1.0 - float(np.sum(y * y))
@@ -401,20 +437,11 @@ def sphere_critical_points(b: np.ndarray, Q: np.ndarray, height_floor: float | N
         if len(members) >= 2:
             # highest point of the sphere V y + sqrt(r2) * span(V[:, members])
             up = V[-1, members]
-            top = V[-1] @ y[0] + np.sqrt(r2) * np.linalg.norm(up)
-            if height_floor is not None and top <= height_floor:
-                continue
-            if not values_only:
-                raise DegenerateCriticalPoint(
-                    "tangent gradient vanishes on a continuum; the field has no "
-                    "isolated critical points")
             y[0, members] = np.sqrt(r2) * (up / np.linalg.norm(up) if up.any()
                                            else np.eye(len(members))[0])
+            tops.append(y)
         else:
             y = np.repeat(y, 2, axis=0)
             y[:, members[0]] = [np.sqrt(r2), -np.sqrt(r2)]
-        ys.append(y)
-    y = np.concatenate(ys) if ys else np.zeros((0, len(c)))
-    x = (y / np.linalg.norm(y, axis=1, keepdims=True)) @ V.T
-    return x if height_floor is None else x[x[:, -1] > height_floor]
-
+            ys.append(y)
+    return SphereRoots(unit_rows(ys), unit_rows(tops))

@@ -7,15 +7,21 @@ critical points of x -> b.x + x.Q.x on a sphere follow from one symmetric
 eigendecomposition and a secular equation whose roots are the real
 eigenvalues of one 2k x 2k matrix (k distinct eigenvalues of Q), polished
 by Newton steps, with sign tests fixing the count between each two poles.
-The root list is complete by construction (and checked by the Poincare-Hopf
-count on the equator).  Roots are classified by the exact signs of the
-Laplacian and the outward normal derivative:
+Each field enumerates each sphere once (:attr:`ScalarField.sphere_roots`),
+and ``ScalarField.min_max`` reads the same result.  The root list is
+complete by construction (and checked by the Poincare-Hopf count on the
+equator).  Roots are classified by the exact signs of the Laplacian and the
+outward normal derivative:
 
     interior points with vanishing gradient and negative Laplacian,
     boundary points with positive normal derivative,
     boundary points with vanishing normal derivative and negative Laplacian
 
-make up the admissible set that the census enumerates.
+make up the admissible set that the census enumerates.  A normal derivative
+below ``ZERO_TOL`` counts as zero.  Above it, the sign class is refused
+(:class:`AmbiguousSign`) only while ``ZERO_TOL`` lies within the error of
+dK/dnu (:func:`_normal_derivative_error`), and never from ``DEAD_BAND *
+ZERO_TOL`` up.
 """
 
 from __future__ import annotations
@@ -26,11 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AmbiguousSign, DegenerateCriticalPoint
-from .fields import ScalarField, sphere_critical_points as _sphere_critical_points
+from .fields import ScalarField
 from .geometry import BoundarySpherePoint, SpherePoint, tangent_basis
 
 DEGENERACY_FLOOR = 1e-8
 ZERO_TOL = 1e-9
+DEAD_BAND = 10.0  # |dK/dnu| from DEAD_BAND * ZERO_TOL up has a certain sign class
+INTERIOR_HEIGHT = 1e-9  # hemisphere roots at or below this height belong to the trace
 H3_BALL_RADIUS = 0.05  # largest equatorial radius of the H3 sphere chain
 
 
@@ -104,18 +112,25 @@ def find_critical_points(K: ScalarField, seeds_per_dim: int = 10, seed: int = 20
     Boundary-located roots of the full field coincide with roots of the
     trace having vanishing normal derivative, so the equator search owns
     every boundary record; the hemisphere search keeps interior roots only.
-    Both are exact enumerations, so ``seeds_per_dim`` (validated to be at
-    least 8) and ``seed`` no longer affect the result.  Raises
-    :class:`DegenerateCriticalPoint` when a Hessian eigenvalue sits below the
-    nondegeneracy floor, when the critical set is a continuum, or when the
-    trace roots fail the Poincare-Hopf count on the equator sphere.
+    Both are exact enumerations, read off ``K.sphere_roots``, so
+    ``seeds_per_dim`` (validated to be at least 8) and ``seed`` no longer
+    affect the result.  Raises :class:`DegenerateCriticalPoint` when a
+    Hessian eigenvalue sits below the nondegeneracy floor, when a continuum
+    of critical points reaches above ``INTERIOR_HEIGHT`` or lies on the
+    trace, or when the trace roots fail the Poincare-Hopf count on the
+    equator sphere, and :class:`AmbiguousSign` when the sign class of a trace
+    root is not certain (:func:`_classify_boundary`).
     """
     if seeds_per_dim < 8:
         raise ValueError("seeds_per_dim must be at least 8")
     n = K.n
-    b, Q = K.linear, K.quadratic
-    inner = _sphere_critical_points(b, Q, height_floor=1e-9)
-    z = _sphere_critical_points(b[:n], Q[:n, :n])
+    hemisphere, equator = K.sphere_roots
+    if len(equator.tops) or np.any(hemisphere.tops[:, -1] > INTERIOR_HEIGHT):
+        raise DegenerateCriticalPoint(
+            "tangent gradient vanishes on a continuum; the field has no "
+            "isolated critical points")
+    inner = hemisphere.points[hemisphere.points[:, -1] > INTERIOR_HEIGHT]
+    z = equator.points
     trace = np.concatenate([z, np.zeros((len(z), 1))], axis=1)
     records = _sphere_records(K, inner, False) + _sphere_records(K, trace, True)
     if poincare_hopf_boundary(records, n) != 1 + (-1) ** (n - 1):
@@ -135,11 +150,21 @@ def _sphere_records(K: ScalarField, xs: np.ndarray, on_equator: bool) -> list:
     indices = np.sum(evals < 0, axis=1).tolist()
     values = K.value(xs).tolist()
     laps = K.laplace_beltrami(xs).tolist()
-    nus = K.normal_derivative(xs).tolist() if on_equator else [None] * len(xs)
+    if on_equator:
+        nus = K.normal_derivative(xs)
+        size = np.abs(nus)
+        # an error bound is needed only inside the dead band
+        near = (ZERO_TOL <= size) & (size < DEAD_BAND * ZERO_TOL)
+        errors = np.zeros(len(xs))
+        if near.any():
+            errors[near] = _normal_derivative_error(K, xs[near], evals[near])
+        nus, errors = nus.tolist(), errors.tolist()
+    else:
+        nus = errors = [None] * len(xs)
     point = BoundarySpherePoint if on_equator else SpherePoint
     records = []
-    for v, bad, index, value, lap, nu, ev in zip(xs, degenerate, indices, values, laps, nus,
-                                                 evals.tolist()):
+    for v, bad, index, value, lap, nu, error, ev in zip(xs, degenerate, indices, values, laps,
+                                                        nus, errors, evals.tolist()):
         if bad:
             where = "boundary" if on_equator else "interior"
             raise DegenerateCriticalPoint(f"degenerate {where} critical point at {v.tolist()}")
@@ -147,18 +172,51 @@ def _sphere_records(K: ScalarField, xs: np.ndarray, on_equator: bool) -> list:
             location=point(v), kind="boundary_of_K1" if on_equator else "interior_of_K",
             morse_index=index, value=value, laplacian=lap, normal_derivative=nu,
             nondegenerate=True,
-            classification=(_classify_boundary(nu, lap) if on_equator
+            classification=(_classify_boundary(nu, lap, error) if on_equator
                             else "K_in_minus" if lap < 0 else "other"),
             hessian_eigenvalues=tuple(ev),
         ))
     return records
 
 
-def _classify_boundary(nu: float, lap: float) -> str:
+def _normal_derivative_error(K: ScalarField, zs: np.ndarray, evals: np.ndarray) -> np.ndarray:
+    """A bound on the error of dK/dnu at computed trace roots zs (k, n+1),
+    whose boundary Hessians have eigenvalues evals (k, n-1).
+
+    On the equator dK/dnu(z) = c + w.z, c = -b_{n+1}, w = -2 Q[n+1, :], is
+    affine, so its evaluation rounds by at most gamma_{n+2} (|c| + |w|.|z|),
+    gamma_m = m u / (1 - m u).  The computed root z misses the exact one by
+    about one Newton step, |grad K_1(z)| / min |lambda|, over which dK/dnu
+    moves at the rate |w_T|, w projected on the tangent space of the equator
+    sphere at z.
+    """
+    n = K.n
+    u = np.finfo(float).eps / 2.0
+    gamma = (n + 2) * u / (1.0 - (n + 2) * u)
+    w = -2.0 * K.quadratic[-1, :n]
+    z = zs[:, :n]
+    rounding = gamma * (abs(K.linear[-1]) + np.abs(z) @ np.abs(w))
+    g = K.ambient_gradient(zs)[:, :n]
+    g_t = g - np.vecdot(g, z, keepdims=True) * z
+    w_t = w - np.vecdot(w, z, keepdims=True) * z
+    # a degenerate root raises before its sign class is asked for
+    floor = np.maximum(np.min(np.abs(evals), axis=1), DEGENERACY_FLOOR)
+    step = np.linalg.norm(g_t, axis=1) / floor
+    return rounding + np.linalg.norm(w_t, axis=1) * step
+
+
+def _classify_boundary(nu: float, lap: float, error: float = np.inf) -> str:
+    """Sign class of a trace root with normal derivative nu and Laplacian lap.
+
+    |nu| < ZERO_TOL counts as zero.  Otherwise the class needs |nu| - error >=
+    ZERO_TOL, with ``error`` a bound on the error of nu; without one the whole
+    dead band [ZERO_TOL, DEAD_BAND * ZERO_TOL) is ambiguous, and from its top
+    up the sign is taken as it is.
+    """
     if abs(nu) < ZERO_TOL:
         return "K_b_0_minus" if lap < 0 else "other"
-    if abs(nu) < 10.0 * ZERO_TOL:
-        raise AmbiguousSign(f"normal derivative {nu} inside the dead band")
+    if abs(nu) < min(DEAD_BAND * ZERO_TOL, ZERO_TOL + error):
+        raise AmbiguousSign(f"normal derivative {nu} inside the dead band (error bound {error:.3g})")
     return "K_b_plus" if nu > 0 else "other"
 
 

@@ -200,6 +200,13 @@ class TestExitCodes:
                      "--t-max", "0.2"]) == 2
         assert f"flow constant {next(iter(flow))} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["critical-points", "census", "existence"])
+    def test_non_finite_flow_constant_rejected_at_load(self, tmp_path, capsys, command):
+        # the subcommands that never run the flow still read the configuration
+        cfgp = write_config(tmp_path, extra={"flow": {"eta": float("nan")}})
+        assert main(["--config", str(cfgp), command]) == 2
+        assert "flow constant eta must be finite" in capsys.readouterr().err
+
     def test_counting_indices_not_integers(self, capsys):
         assert main(["counting", "--indices", "1,x"]) == 2
         assert "configuration error: --indices must be comma-separated integers" \

@@ -62,6 +62,17 @@ class TestParsing:
             v = rand_hemi(rng)
             assert abs(K.value(v) - K2.value(v)) < 1e-15
 
+    def test_coefficient_arrays_are_read_only(self):
+        # the field keeps its critical points, so b and Q must not change
+        K = ScalarField(N, 1.0, [("x1", 0.05), ("x2*x3", -0.02)])
+        with pytest.raises(ValueError, match="read-only"):
+            K.linear[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            K.quadratic[1, 2] += 0.01
+        with pytest.raises(ValueError, match="read-only"):
+            K.quadratic[:5, :5][0, 0] = 1.0
+        assert K.to_config() == ScalarField(N, 1.0, [("x1", 0.05), ("x2*x3", -0.02)]).to_config()
+
 
 class TestPositivity:
     def test_conservative_bound(self):

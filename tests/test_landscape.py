@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from hemiflow import fields, landscape
+from hemiflow.census import census_report, existence_check
+from hemiflow.constants import compute_constants
 from hemiflow.errors import AmbiguousSign, DegenerateCriticalPoint
-from hemiflow.fields import ScalarField
+from hemiflow.fields import ScalarField, SphereRoots
 from hemiflow.geometry import tangent_basis
 from hemiflow.landscape import (CriticalPointRecord, _classify_boundary,
                                 check_assumptions, classify, find_critical_points,
@@ -111,7 +113,7 @@ def bisection_roots(p, s):
     return np.sort(mus)
 
 
-def bisection_critical_points(b, Q, height_floor=None):
+def bisection_critical_points(b, Q):
     """The enumeration with every secular root found by bisection: same
     clusters and eigenvector branches, no eigenvalue solve for the roots."""
     w, V = np.linalg.eigh(Q)
@@ -129,7 +131,7 @@ def bisection_critical_points(b, Q, height_floor=None):
         return y
 
     mus = bisection_roots(poles[active], weights[active]) if active.any() else []
-    ys = [lift(mu) for mu in mus]
+    ys, tops = [lift(mu) for mu in mus], []
     for g in np.flatnonzero(~active):
         y = lift(poles[g])
         r2 = 1.0 - float(y @ y)
@@ -137,16 +139,30 @@ def bisection_critical_points(b, Q, height_floor=None):
             continue
         members = np.flatnonzero(labels == g)
         if len(members) >= 2:
-            top = (V @ y)[-1] + np.sqrt(r2) * np.linalg.norm(V[-1, members])
-            if height_floor is None or top > height_floor:
-                raise DegenerateCriticalPoint("tangent gradient vanishes on a continuum")
+            up = V[-1, members]
+            y[members] = np.sqrt(r2) * (up / np.linalg.norm(up) if up.any()
+                                        else np.eye(len(members))[0])
+            tops.append(y)
             continue
         for sign in (1.0, -1.0):
             ys.append(y.copy())
             ys[-1][members[0]] = sign * np.sqrt(r2)
-    xs = [V @ (y / np.linalg.norm(y)) for y in ys]
-    return np.array([x for x in xs if height_floor is None or x[-1] > height_floor]
-                    ).reshape(-1, len(b))
+    return SphereRoots(*(np.array([V @ (y / np.linalg.norm(y)) for y in rows]).reshape(-1, len(b))
+                         for rows in (ys, tops)))
+
+
+def bisection_landscape(K, monkeypatch):
+    """A fresh copy of K whose spheres are enumerated by the bisection
+    oracle, and the list of (b, Q) dimensions the oracle ran on.  A fresh
+    field keeps the enumeration K already holds from answering instead."""
+    ran = []
+
+    def oracle(b, Q):
+        ran.append(len(b))
+        return bisection_critical_points(b, Q)
+
+    monkeypatch.setattr(fields, "sphere_critical_points", oracle)
+    return ScalarField.from_config(K.to_config()), ran
 
 
 def random_field(rng, n):
@@ -238,8 +254,10 @@ class TestDegenerateField:
         K = ScalarField(N, 1.0, [
             ("x1", 0.01), ("x6", -0.01), ("x1^2", 0.04), ("x2^2", 0.04), ("x3^2", 0.04),
             ("x4^2", 0.05), ("x5^2", -0.05), ("x6^2", 0.03), ("x1*x6", 0.02)])
-        with pytest.raises(DegenerateCriticalPoint, match="continuum"):
-            landscape._sphere_critical_points(K.linear, K.quadratic)
+        # the enumeration reports the circle by its highest point, below the
+        # equator
+        tops = fields.sphere_critical_points(K.linear, K.quadratic).tops
+        assert len(tops) == 1 and tops[0, -1] < 0.0
         records = find_critical_points(K, 8)
         assert len(records) == 10
         assert_critical(K, records)
@@ -346,8 +364,13 @@ class TestSecularSolve:
                 got, want = np.sort(fields._secular_roots(w, s)), bisection_roots(w, s)
                 assert len(got) == len(want)
                 assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-                points = landscape._sphere_critical_points(b, Q, height_floor=floor)
-                assert len(points) == len(bisection_critical_points(b, Q, floor))
+                roots, oracle = (fields.sphere_critical_points(b, Q),
+                                 bisection_critical_points(b, Q))
+                assert len(roots.points) == len(oracle.points)
+                assert len(roots.tops) == len(oracle.tops) == 0
+                if floor is not None:
+                    assert (np.sum(roots.points[:, -1] > floor)
+                            == np.sum(oracle.points[:, -1] > floor))
 
     @pytest.mark.parametrize("make_field", [
         field_linear, field_boundary_max, field_interior_min, field_diag,
@@ -356,8 +379,9 @@ class TestSecularSolve:
     def test_records_match_bisection(self, make_field, monkeypatch):
         K = make_field()
         records = find_critical_points(K, 8)
-        monkeypatch.setattr(landscape, "_sphere_critical_points", bisection_critical_points)
-        expected = find_critical_points(K, 8)
+        fresh, ran = bisection_landscape(K, monkeypatch)
+        expected = find_critical_points(fresh, 8)
+        assert ran == [K.n + 1, K.n]
         assert len(records) == len(expected)
         for got, want in zip(records, expected):
             assert ((got.kind, got.morse_index, got.classification)
@@ -369,9 +393,10 @@ class TestSecularSolve:
         K = near_tangent_trace(1e-14)
         with pytest.raises(DegenerateCriticalPoint, match="degenerate boundary critical point"):
             find_critical_points(K, 8)
-        monkeypatch.setattr(landscape, "_sphere_critical_points", bisection_critical_points)
+        fresh, ran = bisection_landscape(K, monkeypatch)
         with pytest.raises(DegenerateCriticalPoint, match="degenerate boundary critical point"):
-            find_critical_points(K, 8)
+            find_critical_points(fresh, 8)
+        assert ran == [N + 1, N]
 
     def test_close_separable_pair_is_returned(self, monkeypatch):
         # two trace roots 1e-7 apart in the multiplier, both nondegenerate
@@ -379,8 +404,9 @@ class TestSecularSolve:
         records = find_critical_points(K, 8)
         assert len(records) == 11 and sum(r.is_boundary for r in records) == 10
         assert_critical(K, records)
-        monkeypatch.setattr(landscape, "_sphere_critical_points", bisection_critical_points)
-        expected = find_critical_points(K, 8)
+        fresh, ran = bisection_landscape(K, monkeypatch)
+        expected = find_critical_points(fresh, 8)
+        assert ran == [N + 1, N]
         assert [r.morse_index for r in records] == [r.morse_index for r in expected]
         for got, want in zip(records, expected):
             assert np.max(np.abs(got.location.coords - want.location.coords)) <= 1e-9
@@ -389,16 +415,54 @@ class TestSecularSolve:
         assert ScalarField(N, 1.0, README_TERMS).min_max() == (1.01, 1.06)
 
 
+# landscape_sweep inputs (n = 5 and 6) with a trace root whose normal
+# derivative lies in [ZERO_TOL, DEAD_BAND * ZERO_TOL)
+DEAD_BAND_FIELDS = {
+    "n5_other": {"dimension": 5, "kappa0": 1.0, "terms": [
+        {"monomial": "x1", "coeff": 0.006826440299938086},
+        {"monomial": "x2", "coeff": -0.009608032339267013},
+        {"monomial": "x3", "coeff": -0.007265376039488501},
+        {"monomial": "x4", "coeff": 0.0006683608012561411},
+        {"monomial": "x5", "coeff": 0.008141870401044233},
+        {"monomial": "x6", "coeff": 0.0019137062965600832},
+        {"monomial": "x1^2", "coeff": 0.019647040468365632},
+        {"monomial": "x2^2", "coeff": 0.045263894393621946},
+        {"monomial": "x3^2", "coeff": 0.029057964657992593},
+        {"monomial": "x3*x5", "coeff": 0.0029329356792290326},
+        {"monomial": "x3*x6", "coeff": 0.0022053227778989163},
+        {"monomial": "x4^2", "coeff": 0.011678636317928372},
+        {"monomial": "x5^2", "coeff": 0.05344723642087496},
+        {"monomial": "x6^2", "coeff": 0.03620866352620946}]},
+    "n6_plus": {"dimension": 6, "kappa0": 1.0, "terms": [
+        {"monomial": "x1", "coeff": 0.007507982462482301},
+        {"monomial": "x2", "coeff": -0.0038378088561717653},
+        {"monomial": "x3", "coeff": -0.0038558811308444007},
+        {"monomial": "x4", "coeff": 0.0081667052231777},
+        {"monomial": "x5", "coeff": -0.008790698293625013},
+        {"monomial": "x6", "coeff": -0.007502630147841541},
+        {"monomial": "x7", "coeff": -0.000604889554397697},
+        {"monomial": "x1^2", "coeff": 0.06120111808973436},
+        {"monomial": "x1*x3", "coeff": 0.0007854261499539508},
+        {"monomial": "x2^2", "coeff": 0.026076688503827297},
+        {"monomial": "x3^2", "coeff": 0.03627649680863728},
+        {"monomial": "x4^2", "coeff": 0.021745736393177385},
+        {"monomial": "x5^2", "coeff": 0.05313703042645017},
+        {"monomial": "x5*x7", "coeff": 0.0006567495553970763},
+        {"monomial": "x6^2", "coeff": 0.010344872638410359},
+        {"monomial": "x7^2", "coeff": 0.043155090114344284}]},
+}
+
+
 def per_record_oracle(K):
     """The records' fields, one root at a time: Gram-Schmidt tangent bases,
     single-point Hessians and the per-point calculus, sorted as
     ``find_critical_points`` sorts.  Rows are (coords, kind, index, class,
     value, Laplacian, normal derivative, eigenvalues)."""
     n = K.n
-    roots = [(v, False) for v in landscape._sphere_critical_points(
-        K.linear, K.quadratic, height_floor=1e-9)]
-    roots += [(np.append(z, 0.0), True) for z in landscape._sphere_critical_points(
-        K.linear[:n], K.quadratic[:n, :n])]
+    inner = fields.sphere_critical_points(K.linear, K.quadratic).points
+    roots = [(v, False) for v in inner[inner[:, -1] > 1e-9]]
+    roots += [(np.append(z, 0.0), True) for z in fields.sphere_critical_points(
+        K.linear[:n], K.quadratic[:n, :n]).points]
     rows = []
     for v, on_equator in roots:
         if on_equator:
@@ -613,6 +677,63 @@ class TestClassification:
         with pytest.raises(AmbiguousSign):
             _classify_boundary(5e-9, -1.0)
 
+    @pytest.mark.parametrize("config, nu, classification", [
+        (DEAD_BAND_FIELDS["n5_other"], -3.270607147306051e-09, "other"),
+        (DEAD_BAND_FIELDS["n6_plus"], 6.7318037308807324e-09, "K_b_plus"),
+    ], ids=["n5_other", "n6_plus"])
+    def test_normal_derivative_far_outside_its_error_classifies(self, config, nu,
+                                                                 classification):
+        # |dK/dnu| is a few ZERO_TOL at one trace root, with an error near
+        # 1e-17: the sign is certain, so the field classifies
+        K = ScalarField.from_config(config)
+        records = find_critical_points(K, 8)
+        assert poincare_hopf_boundary(records, K.n) == 1 + (-1) ** (K.n - 1)
+        near = [r for r in records if r.is_boundary
+                and landscape.ZERO_TOL <= abs(r.normal_derivative) < 1e-8]
+        assert [(r.normal_derivative, r.classification) for r in near] == [(nu, classification)]
+        r = near[0]
+        error = landscape._normal_derivative_error(
+            K, r.location.coords[None], np.array([r.hessian_eigenvalues]))[0]
+        assert 0.0 < error < 1e-16
+
+    @staticmethod
+    def field_with_normal_derivative(target):
+        """field_general with its x6 coefficient set so that dK/dnu at its
+        first trace root z is the least float >= target; x6 leaves the trace
+        K_1, its roots and their Hessians unchanged.  Returns the field, z and
+        the error bound of dK/dnu at z."""
+        base = field_general()
+        r = next(r for r in find_critical_points(base, 8) if r.is_boundary)
+        z = r.location.coords
+        terms = [(t["monomial"], t["coeff"]) for t in base.to_config()["terms"]
+                 if t["monomial"] != f"x{N + 1}"]
+        b = -target - 2.0 * base.quadratic[-1] @ z
+        for _ in range(100):
+            K = ScalarField(N, 1.0, terms + [(f"x{N + 1}", b)])
+            if K.normal_derivative(z) >= target:
+                break
+            b = np.nextafter(b, -np.inf)
+        error = landscape._normal_derivative_error(K, z[None], np.array([r.hessian_eigenvalues]))
+        return K, z, float(error[0])
+
+    def test_root_within_the_error_of_zero_tol_raises(self):
+        K, z, error = self.field_with_normal_derivative(landscape.ZERO_TOL)
+        assert error > 0.0
+        assert landscape.ZERO_TOL <= K.normal_derivative(z) < landscape.ZERO_TOL + error
+        with pytest.raises(AmbiguousSign, match="dead band"):
+            find_critical_points(K, 8)
+
+    def test_root_beyond_the_error_of_zero_tol_classifies(self):
+        _, _, error = self.field_with_normal_derivative(landscape.ZERO_TOL)
+        K, z, error = self.field_with_normal_derivative(landscape.ZERO_TOL + 4.0 * error)
+        nu = K.normal_derivative(z)
+        assert landscape.ZERO_TOL + error <= nu < landscape.DEAD_BAND * landscape.ZERO_TOL
+        (r,) = [r for r in find_critical_points(K, 8) if np.array_equal(r.location.coords, z)]
+        assert (r.normal_derivative, r.classification) == (nu, "K_b_plus")
+        # without an error bound the whole band stays ambiguous
+        with pytest.raises(AmbiguousSign):
+            _classify_boundary(nu, r.laplacian)
+
     def test_normal_sign_agrees_with_the_classification(self):
         # one sign per boundary record, consistent with its stored class and
         # left out of the record's JSON
@@ -640,6 +761,38 @@ class TestClassification:
         assert _classify_boundary(-0.5, -1.0) == "other"
 
 
+class TestOneEnumerationPerField:
+    @pytest.mark.parametrize("terms", [
+        README_TERMS,
+        # the coefficient bound fails, so the constructor asks for the extrema
+        [("x1", 0.6), ("x2", 0.6)],
+    ], ids=["readme", "constructor_extrema"])
+    def test_each_sphere_is_enumerated_once(self, monkeypatch, terms):
+        enumerate_roots = fields.sphere_critical_points
+        ran = []
+
+        def counted(b, Q):
+            ran.append(len(b))
+            return enumerate_roots(b, Q)
+
+        monkeypatch.setattr(fields, "sphere_critical_points", counted)
+        K = ScalarField(N, 1.0, terms)
+        records = find_critical_points(K, 8)
+        report = check_assumptions(records, K)
+        kmin, kmax = K.min_max()
+        census_report(records, report, kmin, kmax, compute_constants(N).s_n, N)
+        existence_check(records, report, kmin, kmax, N)
+        assert find_critical_points(K, 8) == records and K.min_max() == (kmin, kmax)
+        assert ran == [N + 1, N]
+
+    def test_kept_roots_are_read_only(self):
+        K = field_general()
+        for roots in K.sphere_roots:
+            for rows in roots:
+                with pytest.raises(ValueError, match="read-only"):
+                    rows[...] = 0.0
+
+
 class TestIndexSums:
     def test_equator_euler_characteristic(self, linear_records, diag_records):
         expected = 1 + (-1) ** (N - 1)
@@ -647,9 +800,13 @@ class TestIndexSums:
         assert poincare_hopf_boundary(diag_records, N) == expected
 
     def test_incomplete_root_list_raises(self, monkeypatch):
-        enumerate_roots = landscape._sphere_critical_points
-        monkeypatch.setattr(landscape, "_sphere_critical_points",
-                            lambda b, Q, **kw: enumerate_roots(b, Q, **kw)[:-1])
+        enumerate_roots = fields.sphere_critical_points
+
+        def drop_last(b, Q):
+            roots = enumerate_roots(b, Q)
+            return roots._replace(points=roots.points[:-1])
+
+        monkeypatch.setattr(fields, "sphere_critical_points", drop_last)
         with pytest.raises(DegenerateCriticalPoint, match="Poincare-Hopf"):
             find_critical_points(field_diag(), 8)
 
