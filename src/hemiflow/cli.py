@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -134,6 +135,8 @@ def cmd_existence(cfg: RunConfig, args) -> int:
 
 
 def cmd_flow(cfg: RunConfig, args) -> int:
+    if not (math.isfinite(args.t_max) and args.t_max >= 0.0):
+        raise ConfigError(f"--t-max must be finite and not negative, got {args.t_max}")
     from .flow import PseudogradientFlow
     from .model import Configuration, ReducedModel
     K, table, records = _landscape(cfg)
@@ -217,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("flow", help="integrate the descent field from a state file")
     pf.add_argument("--state", required=True, help="JSON configuration-state file")
-    pf.add_argument("--t-max", type=float, default=5.0)
+    pf.add_argument("--t-max", type=float, default=5.0, help="finite, not negative")
     pf.add_argument("--certificates", action="store_true")
 
     pv = sub.add_parser("verify", help="run the oracle suites")

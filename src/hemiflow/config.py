@@ -21,6 +21,8 @@ itself always comes from the file.  ``seeds_per_dim`` (at least 8) and
 ``seed`` are validated and stamped into artifacts, but the landscape is an
 exact enumeration and does not depend on them.  ``grid_density`` is
 validated at load (at least 10) but has no effect: the extrema are exact.
+``mass_max`` must be at least 1.  The document must be a JSON object, and
+field monomials must be strings such as ``"x1*x2"``.
 Flow constants must be finite at load; their smallness is checked by ``flow``.
 Unset ``M0``/``M2``/``M4`` come from ``FlowParams.for_mass(max_qp, dimension)``.
 """
@@ -134,6 +136,8 @@ class RunConfig:
             raise ConfigError("seeds_per_dim must be at least 8")
         if self.grid_density < 10:
             raise ConfigError("grid_density must be at least 10")
+        if self.mass_max < 1:
+            raise ConfigError("mass_max must be at least 1")
         if self.flow is None:
             self.flow = FlowParams.for_mass(2, self.n)
 
@@ -161,6 +165,8 @@ class RunConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError("configuration must be a JSON object")
         if "field" not in doc:
             raise ConfigError("configuration must provide a 'field' section")
         flow_doc = doc.get("flow", {})

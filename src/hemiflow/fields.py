@@ -94,6 +94,18 @@ class ScalarField:
         if self.positivity_lower_bound() <= 0.0:
             self.min_max()  # raises NonPositiveField
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n == other.n and self.kappa0 == other.kappa0
+                and bool(np.array_equal(self.linear, other.linear))
+                and bool(np.array_equal(self.quadratic, other.quadratic)))
+
+    def __hash__(self):
+        # + 0.0 maps -0.0 to 0.0, which array_equal counts as equal
+        return hash((self.n, self.kappa0, (self.linear + 0.0).tobytes(),
+                     (self.quadratic + 0.0).tobytes()))
+
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
@@ -108,6 +120,11 @@ class ScalarField:
             terms = [(t["monomial"], float(t["coeff"])) for t in cfg.get("terms", [])]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid field specification: {exc}") from exc
+        for monomial, _ in terms:
+            # index tuples are for programmatic construction only
+            if not isinstance(monomial, str):
+                raise ConfigError(
+                    f"invalid field specification: monomial {monomial!r} is not a string")
         return ScalarField(n, kappa0, terms)
 
     def to_config(self) -> dict:

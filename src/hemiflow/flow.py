@@ -66,7 +66,8 @@ class RegionLabel:
     tag: str
     weights: dict
     per_index: list
-    clusters: dict       # anchor key -> {"record": anchor record, "members": bubble indices}
+    nearest: tuple       # per bubble: (nearest record of its kind or None, its distance)
+    clusters: dict       # anchor record -> indices of the bubbles within 2 eta it is nearest to
     tower_set: tuple     # comparable-scale index set in the spread regime
     mu_ratio: float
 
@@ -140,7 +141,6 @@ class PseudogradientFlow:
 
     def __init__(self, model: ReducedModel, records, params: FlowParams | None = None):
         self.model = model
-        self.K = model.K
         self.n = model.n
         self.records = list(records)
         self.params = params if params is not None else FlowParams.for_mass(2, self.n)
@@ -169,7 +169,7 @@ class PseudogradientFlow:
         b = cfg.bubbles[i]
         eps_sum = float(np.sum(asm.eps_mat[i]))
         mu_i = self.mu(cfg, i, asm)
-        imb = abs(self.model.imbalances(cfg, asm)[i])
+        imb = abs(asm.imbalances[i])
         g_alpha = imb / (m2 * (eps_sum + 1.0 / mu_i))
         g_lambda = mu_i * eps_sum / m2
         f = asm.frames[i]
@@ -177,8 +177,8 @@ class PseudogradientFlow:
             g_a = (f.grad_k1_norm / b.lam) / (m2 / b.lam**2 + eps_sum / m2**2)
             g_h = 0.0
         else:
-            ld = b.lam * b.boundary_distance()
-            g_a = (f.grad_norm / b.lam) / (m2 * (eps_sum + ld ** (2 - self.n) + 1.0 / b.lam**2))
+            g_a = (f.grad_norm / b.lam) / (m2 * (eps_sum + f.lam_dist ** (2 - self.n)
+                                                 + 1.0 / b.lam**2))
             g_h = f.h_self / (m2 * f.rate ** (self.n - 4))
         return IndexDiagnostics(mu=mu_i, gamma_lambda=g_lambda, gamma_alpha=g_alpha,
                                 gamma_a=g_a, gamma_h=g_h)
@@ -192,27 +192,25 @@ class PseudogradientFlow:
 
         All distances come from one row-wise product, whose rows do not
         depend on their position, so equal records tie exactly; the
-        winner's distance is then taken from ``geodesic_distance``.
+        winner's distance, which ``radius`` bounds, is then taken from
+        ``geodesic_distance``.
         """
         pool, coords = self._pools[boundary]
         dist = np.arccos(np.clip((coords * point.coords).sum(axis=1), -1.0, 1.0))
         if dist.size == 0:
             return None, radius
         k = dist.size - 1 - int(np.argmin(dist[::-1]))
-        if not dist[k] <= radius:
-            return None, radius
-        return pool[k], geodesic_distance(point, pool[k].location)
+        d = geodesic_distance(point, pool[k].location)
+        return (pool[k], d) if d <= radius else (None, radius)
 
-    def clusters(self, cfg: Configuration, radius: float):
-        """Map from nearby landscape anchors to the bubble indices they attract."""
+    def clusters(self, nearest, radius: float) -> dict:
+        """Map from each landscape record within ``radius`` of a bubble of its
+        kind to the indices of the bubbles it is nearest to; ``nearest`` holds
+        each bubble's (nearest record, distance)."""
         by_anchor = {}
-        for i in range(cfg.size):
-            rec, _ = self._nearest_record(cfg.bubbles[i].a, cfg.is_boundary_index(i), radius)
-            if rec is None:
-                continue
-            key = tuple(np.round(rec.location.coords, 9))
-            by_anchor.setdefault(key, {"record": rec, "members": []})
-            by_anchor[key]["members"].append(i)
+        for i, (rec, d) in enumerate(nearest):
+            if rec is not None and d <= radius:
+                by_anchor.setdefault(rec, []).append(i)
         return by_anchor
 
     # -- region classification -----------------------------------------------------
@@ -228,6 +226,8 @@ class PseudogradientFlow:
         asm = asm or self.model.assemble(cfg)
         params = self.params
         diags = [self.gamma_quantities(cfg, i, asm) for i in range(cfg.size)]
+        nearest = tuple(self._nearest_record(b.a, cfg.is_boundary_index(i), math.pi)
+                        for i, b in enumerate(cfg.bubbles))
         mus = np.array([d.mu for d in diags])
         mu_ratio = float(np.max(mus) / np.min(mus))
 
@@ -238,10 +238,7 @@ class PseudogradientFlow:
 
         if cfg.q:
             b_gam = max(diags[i].gamma_alpha + diags[i].gamma_lambda for i in range(cfg.q))
-            d_trace = 0.0
-            for i in range(cfg.q):
-                _, d = self._nearest_record(cfg.bubbles[i].a, True, math.pi)
-                d_trace = max(d_trace, d)
+            d_trace = max(d for _, d in nearest[:cfg.q])
             r2 = max(ramp(b_gam, 4.0, 6.0), ramp(d_trace, params.eta, 2.0 * params.eta))
         else:
             r2 = 0.0
@@ -250,7 +247,7 @@ class PseudogradientFlow:
         w2 = (1.0 - w4) * (1.0 - r1) * r2
         w3g = (1.0 - w4) * (1.0 - r1) * (1.0 - r2)
 
-        cl = self.clusters(cfg, 2.0 * params.eta)
+        cl = self.clusters(nearest, 2.0 * params.eta)
         weights = {}
         if w4 > 0:
             weights["V4"] = w4
@@ -261,7 +258,7 @@ class PseudogradientFlow:
 
         sub = None
         if w3g > 0:
-            sub = self._v3_subtag(cfg, cl, params.eta)
+            sub = self._v3_subtag(cl, nearest, params.eta)
             if sub is not None:
                 weights[sub] = w3g
             elif cfg.q:
@@ -281,48 +278,42 @@ class PseudogradientFlow:
             tag_out = "mixed" if len(weights) > 1 else tag
         else:
             tag_out = tag
-        label = RegionLabel(tag=tag_out, weights=weights, per_index=diags,
-                            clusters=cl,
-                            tower_set=tower, mu_ratio=mu_ratio)
+        label = RegionLabel(tag=tag_out, weights=weights, per_index=diags, nearest=nearest,
+                            clusters=cl, tower_set=tower, mu_ratio=mu_ratio)
         cfg._memo[self] = (label, None)
         return label
 
-    def _v3_subtag(self, cfg: Configuration, cl: dict, eta: float):
+    def _v3_subtag(self, cl: dict, nearest, eta: float):
         has_v31 = has_v32 = has_v33 = False
-        for key, info in cl.items():
-            rec, members = info["record"], info["members"]
+        for rec, members in cl.items():
             if rec.is_boundary:
                 sign = rec.normal_sign
                 if sign == 0 and len(members) >= 2:
                     has_v31 = True
-                elif sign < 0 and members:
+                elif sign < 0:
                     has_v32 = True
-                elif sign == 0 and rec.laplacian > 0 and members:
+                elif sign == 0 and rec.laplacian > 0:
                     has_v32 = True
                 elif sign > 0 and len(members) >= 2:
                     has_v33 = True
-            else:
-                if rec.laplacian > 0 and members:
-                    has_v32 = True
+            elif rec.laplacian > 0:
+                has_v32 = True
         if has_v31:
             return "V3_1"
         if has_v32:
             return "V3_2"
         if has_v33:
             return "V3_3"
-        return "W" if self._in_w_set(cfg, eta) else None
+        return "W" if self._in_w_set(nearest, eta) else None
 
-    def _in_w_set(self, cfg: Configuration, eta: float) -> bool:
+    @staticmethod
+    def _in_w_set(nearest, eta: float) -> bool:
         used = set()
-        for i in range(cfg.size):
-            rec, _ = self._nearest_record(cfg.bubbles[i].a, cfg.is_boundary_index(i), eta)
-            # each bubble matches a distinct record of K_infinity
-            if rec is None or rec.classification == "other":
+        for rec, d in nearest:
+            # each bubble matches a distinct record of K_infinity within eta
+            if rec is None or d > eta or rec.classification == "other" or rec in used:
                 return False
-            key = tuple(np.round(rec.location.coords, 9))
-            if key in used:
-                return False
-            used.add(key)
+            used.add(rec)
         return True
 
     def _tower_set(self, mus) -> tuple:
@@ -339,18 +330,29 @@ class PseudogradientFlow:
 
     # -- field components -----------------------------------------------------------
 
-    def _unit_drift(self, vec, lam):
-        nrm = float(np.linalg.norm(vec))
+    @staticmethod
+    def _unit_drift(vec, nrm: float, lam: float):
+        """vec / (lam |vec|), zero when vec vanishes; ``nrm`` is |vec|."""
         if nrm < 1e-300:
             return vec * 0.0
         return vec / (lam * nrm)
+
+    def _trace_drift(self, vel: Velocity, asm, i: int, gate: float | None = None):
+        """Add ``gate`` times boundary bubble i's unit drift along the trace
+        gradient; the gate defaults to psi1(lam |grad K_1| / M2)."""
+        f = asm.frames[i]
+        if gate is None:
+            gate = psi1(f.param.lam * f.grad_k1_norm / self.params.M2)
+        if gate > 0:
+            vel.a_dot[i] = vel.a_dot[i] + gate * self._unit_drift(f.grad_k1, f.grad_k1_norm,
+                                                                  f.param.lam)
 
     def _component_base(self, cfg, asm, diags, interior_rates=True, boundary_rates=True,
                         interior_points=True, boundary_rate_scale=1.0) -> Velocity:
         """The shared gated components: rate shrinking, interior point drift,
         weight rebalancing."""
         vel = Velocity.zero(cfg.size, self.n + 1)
-        imb = self.model.imbalances(cfg, asm)
+        imb = asm.imbalances
         for i in range(cfg.size):
             f = asm.frames[i]
             d = diags[i]
@@ -365,42 +367,40 @@ class PseudogradientFlow:
                     gate = psi1(d.gamma_a)
                     if gate > 0:
                         vel.a_dot[i] = vel.a_dot[i] + gate * self._unit_drift(
-                            f.grad_sphere, cfg.bubbles[i].lam)
+                            f.grad_sphere, f.grad_norm, f.param.lam)
                         if interior_rates:
                             # far from critical points the drift is paired with
                             # a rate shrink; the large gate keeps the pair
                             # descending against the Laplacian term
-                            far = psi1(cfg.bubbles[i].lam * f.grad_norm / self.params.M_drift)
+                            far = psi1(f.param.lam * f.grad_norm / self.params.M_drift)
                             vel.loglam_dot[i] -= gate * far
         return vel
 
-    def _field_v1(self, cfg, asm, diags) -> Velocity:
-        return self._component_base(cfg, asm, diags, boundary_rate_scale=1.0 / self.params.M2)
+    # every region's field builder takes (cfg, asm, label, depth)
 
-    def _field_v2(self, cfg, asm, diags) -> Velocity:
-        vel = self._component_base(cfg, asm, diags, interior_rates=False, interior_points=False)
+    def _field_v1(self, cfg, asm, label, depth) -> Velocity:
+        return self._component_base(cfg, asm, label.per_index,
+                                    boundary_rate_scale=1.0 / self.params.M2)
+
+    def _field_v2(self, cfg, asm, label, depth) -> Velocity:
+        vel = self._component_base(cfg, asm, label.per_index, interior_rates=False,
+                                   interior_points=False)
         for i in range(cfg.q):
-            _, d = self._nearest_record(cfg.bubbles[i].a, True, math.pi)
-            gate = ramp(d, self.params.eta, 2.0 * self.params.eta)
-            if gate > 0:
-                g1 = self.K.boundary_gradient(cfg.bubbles[i].a)
-                vel.a_dot[i] = vel.a_dot[i] + gate * self._unit_drift(g1, cfg.bubbles[i].lam)
+            self._trace_drift(vel, asm, i, ramp(label.nearest[i][1], self.params.eta,
+                                                2.0 * self.params.eta))
         return vel
 
-    def _field_v31(self, cfg, asm, diags) -> Velocity:
-        vel = self._component_base(cfg, asm, diags, interior_rates=False,
+    def _field_v31(self, cfg, asm, label, depth) -> Velocity:
+        vel = self._component_base(cfg, asm, label.per_index, interior_rates=False,
                                    interior_points=False, boundary_rates=False)
         for i in range(cfg.q):
-            gate = psi1(2.0 * diags[i].gamma_a)
-            if gate > 0:
-                g1 = self.K.boundary_gradient(cfg.bubbles[i].a)
-                vel.a_dot[i] = vel.a_dot[i] + gate * self._unit_drift(g1, cfg.bubbles[i].lam)
+            self._trace_drift(vel, asm, i, psi1(2.0 * label.per_index[i].gamma_a))
         return vel
 
-    def _field_v32(self, cfg, asm, diags, cl) -> Velocity:
-        vel = self._component_base(cfg, asm, diags, interior_rates=False, interior_points=False)
-        for key, info in cl.items():
-            rec, members = info["record"], info["members"]
+    def _field_v32(self, cfg, asm, label, depth) -> Velocity:
+        vel = self._component_base(cfg, asm, label.per_index, interior_rates=False,
+                                   interior_points=False)
+        for rec, members in label.clusters.items():
             if rec.is_boundary:
                 if rec.normal_sign < 0:
                     for i in members:
@@ -408,41 +408,37 @@ class PseudogradientFlow:
                 elif rec.normal_sign == 0 and rec.laplacian > 0:
                     for i in members:
                         vel.loglam_dot[i] -= 1.0
-                        g1 = self.K.boundary_gradient(cfg.bubbles[i].a)
-                        gate = psi1(cfg.bubbles[i].lam * float(np.linalg.norm(g1)) / self.params.M2)
-                        vel.a_dot[i] = vel.a_dot[i] + gate * self._unit_drift(g1, cfg.bubbles[i].lam)
+                        self._trace_drift(vel, asm, i)
             elif rec.laplacian > 0:
                 for i in members:
                     vel.loglam_dot[i] -= 1.0
         return vel
 
-    def _cluster_field(self, cfg, members) -> Velocity:
+    def _cluster_field(self, cfg, asm, members) -> Velocity:
         """Barycentric contraction of a group of boundary points."""
         vel = Velocity.zero(cfg.size, self.n + 1)
         if len(members) < 2:
             return vel
+        dist = asm.dist_mat
         pairs = [(i, j) for i in members for j in members if i < j]
-        seed_i, seed_j = min(pairs, key=lambda ij: geodesic_distance(
-            cfg.bubbles[ij[0]].a, cfg.bubbles[ij[1]].a))
+        seed_i, seed_j = min(pairs, key=lambda ij: dist[ij])
         group = {seed_i, seed_j}
-        diam = geodesic_distance(cfg.bubbles[seed_i].a, cfg.bubbles[seed_j].a)
+        diam = dist[seed_i, seed_j]
         while True:
             added = False
             for k in members:
                 if k in group:
                     continue
-                if any(geodesic_distance(cfg.bubbles[k].a, cfg.bubbles[g].a)
-                       <= self.params.M4 * diam for g in group):
+                if any(dist[k, g] <= self.params.M4 * diam for g in group):
                     group.add(k)
                     added = True
             if not added:
                 break
-            diam = max(geodesic_distance(cfg.bubbles[r].a, cfg.bubbles[t].a)
-                       for r in group for t in group if r != t)
+            diam = max(dist[r, t] for r in group for t in group if r != t)
         bary = np.mean([cfg.bubbles[k].a.coords for k in group], axis=0)
         bary[-1] = 0.0
         bary /= np.linalg.norm(bary)
-        gamma_i = max(geodesic_distance(cfg.bubbles[seed_i].a, cfg.bubbles[k].a) for k in group)
+        gamma_i = max(dist[seed_i, k] for k in group)
         lam_seed = cfg.bubbles[seed_i].lam
         for k in group:
             ak = cfg.bubbles[k].a.coords
@@ -450,28 +446,25 @@ class PseudogradientFlow:
             vel.a_dot[k] = vel.a_dot[k] + v / (lam_seed * max(gamma_i, 1e-300))
         return vel
 
-    def _field_v33(self, cfg, asm, diags, cl) -> Velocity:
-        vel = self._component_base(cfg, asm, diags, interior_rates=False,
+    def _field_v33(self, cfg, asm, label, depth) -> Velocity:
+        vel = self._component_base(cfg, asm, label.per_index, interior_rates=False,
                                    interior_points=False, boundary_rates=False)
-        for key, info in cl.items():
-            rec, members = info["record"], info["members"]
+        for rec, members in label.clusters.items():
             if rec.is_boundary and rec.normal_sign > 0 and len(members) >= 2:
-                vel.add(self._cluster_field(cfg, members))
+                vel.add(self._cluster_field(cfg, asm, members))
         return vel
 
-    def _field_w(self, cfg, asm, diags) -> Velocity:
-        vel = self._component_base(cfg, asm, diags, interior_rates=False, boundary_rates=False)
+    def _field_w(self, cfg, asm, label, depth) -> Velocity:
+        vel = self._component_base(cfg, asm, label.per_index, interior_rates=False,
+                                   boundary_rates=False)
         for i in range(cfg.q):
-            g1 = self.K.boundary_gradient(cfg.bubbles[i].a)
-            gate = psi1(cfg.bubbles[i].lam * float(np.linalg.norm(g1)) / self.params.M2)
-            if gate > 0:
-                vel.a_dot[i] = vel.a_dot[i] + gate * self._unit_drift(g1, cfg.bubbles[i].lam)
-        for i in range(cfg.size):
-            vel.loglam_dot[i] += 1.0
+            self._trace_drift(vel, asm, i)
+        vel.loglam_dot += 1.0
         return vel
 
-    def _field_v4(self, cfg, asm, diags, label, depth=0) -> Velocity:
+    def _field_v4(self, cfg, asm, label, depth) -> Velocity:
         params = self.params
+        diags = label.per_index
         vel = self._component_base(cfg, asm, diags, interior_rates=False, boundary_rates=False)
         mus = np.array([d.mu for d in diags])
         order = list(np.argsort(mus))
@@ -519,6 +512,9 @@ class PseudogradientFlow:
                 pass
         return vel
 
+    _FIELDS = {"V1": _field_v1, "V2": _field_v2, "V3_1": _field_v31, "V3_2": _field_v32,
+               "V3_3": _field_v33, "W": _field_w, "V4": _field_v4}
+
     def _restrict(self, cfg: Configuration, asm, indices):
         """(sub-configuration on the sorted ``indices``, map back to ``cfg``'s
         indices, its assembly).  The assembly is built from the parent's
@@ -548,27 +544,14 @@ class PseudogradientFlow:
         own = memo is not None and memo[0] is label
         if own and memo[1] is not None:
             return memo[1]
-        diags = label.per_index
         total = Velocity.zero(cfg.size, self.n + 1)
         for name, w in label.weights.items():
             if w <= 0:
                 continue
-            if name == "V1":
-                part = self._field_v1(cfg, asm, diags)
-            elif name == "V2":
-                part = self._field_v2(cfg, asm, diags)
-            elif name == "V3_1":
-                part = self._field_v31(cfg, asm, diags)
-            elif name == "V3_2":
-                part = self._field_v32(cfg, asm, diags, label.clusters)
-            elif name == "V3_3":
-                part = self._field_v33(cfg, asm, diags, label.clusters)
-            elif name == "W":
-                part = self._field_w(cfg, asm, diags)
-            elif name == "V4":
-                part = self._field_v4(cfg, asm, diags, label, depth=depth)
-            else:
+            build = self._FIELDS.get(name)
+            if build is None:
                 raise UnclassifiableState(f"unknown region weight {name}")
+            part = build(self, cfg, asm, label, depth)
             if self.params.strict_lambda_sign and name != "W":
                 part.loglam_dot = np.minimum(part.loglam_dot, 0.0)
             total.add(part.scaled(w))
@@ -594,7 +577,7 @@ class PseudogradientFlow:
             lhs = lhs + Bar(-float(gv @ move) * cfg.alphas[i],
                             gbar * float(np.linalg.norm(move)) * cfg.alphas[i])
 
-        imb = self.model.imbalances(cfg, asm)
+        imb = asm.imbalances
         expo = 2.0 - 1.0 / (n - 2)
         agg = 0.0
         for i in range(cfg.size):
@@ -602,9 +585,8 @@ class PseudogradientFlow:
             if cfg.is_boundary_index(i):
                 agg += abs(imb[i]) ** expo
             else:
-                b = cfg.bubbles[i]
-                ld = b.lam * b.boundary_distance()
-                agg += ld ** (1 - n) + (asm.frames[i].grad_norm / b.lam) ** expo
+                f = asm.frames[i]
+                agg += f.lam_dist ** (1 - n) + (f.grad_norm / f.param.lam) ** expo
         m = cfg.size
         for i in range(m):
             for j in range(i + 1, m):

@@ -31,12 +31,15 @@ expansions in the rate, point and weight directions; the test suite checks
 both routes against honest quadrature.
 
 Each state is evaluated once: ``frames`` builds every bubble's chart data
-in one pass over stacked arrays (one pullback call for all charts), and
-``assemble`` makes one pass over the unordered pairs for the pair table,
-the interaction cross terms and each pair's error-bar slop, which the
-gradient bars read back; eps itself comes from the configuration's
-admissibility check.  The residue budget, every gradient pairing and the
-normal form read those.  The bar constants are module constants.
+in one pass over stacked arrays (one pullback call for all charts), with
+the sphere and trace gradients of K and the scaled boundary distance
+lam * d(a, dS+); ``assemble`` makes one pass over the unordered pairs for
+the pair table, the interaction cross terms and each pair's error-bar
+slop, and computes the weight imbalances, the residue budget and the
+gradient remainder budgets once from the frames and the pair table; eps
+itself comes from the configuration's admissibility check.  The gradient
+pairings, the normal form and the flow read what they need off the
+``Assembly``.  The bar constants are module constants.
 """
 
 from __future__ import annotations
@@ -166,7 +169,9 @@ class BubbleFrame:
     k_val: float          # K at the concentration point (chart-invariant)
     grad_sphere: np.ndarray
     grad_norm: float
+    grad_k1: np.ndarray   # gradient of the trace K_1 on the equator; zero inside
     grad_k1_norm: float
+    lam_dist: float       # lam * d(a, dS+), the scaled distance to the boundary
     kt_val: float         # pullback data at the chart center
     kt_grad: np.ndarray
     kt_hess: np.ndarray
@@ -211,8 +216,8 @@ MATCH_RADIUS = 0.1           # normal form: largest distance of a bubble from it
 
 @dataclass
 class Assembly:
-    """A state's frames, energy with its relative bar, pair table and
-    budgets; the gradient bundle joins it on first use."""
+    """A state's frames, energy with its relative bar, pair table, weight
+    imbalances and budgets; the gradient bundle joins it on first use."""
 
     # no back-reference to the configuration: the configuration holds its
     # assembly, and a cycle would leave both to the cyclic collector
@@ -234,7 +239,8 @@ class Assembly:
     dist_mat: np.ndarray  # geodesic distances between the concentration points
     slop_mat: np.ndarray  # next-order interaction slop, shared by the energy and gradient bars
     vbar: float
-    budgets: tuple | None = None  # (R1, R1_boundary), stored by assemble
+    budgets: tuple        # (R1, R1_boundary)
+    imbalances: np.ndarray  # 1 - alpha_i^{4/(n-2)} K_i A/Gamma per bubble
     grads: GradientComponents | None = None  # stored by gradient_components
 
     def __post_init__(self):
@@ -317,6 +323,7 @@ class ReducedModel:
         dC_dmove = dCdA @ jac
         dl_dmove = np.matvec(np.swapaxes(jac, 1, 2), dldA)
 
+        lam_dist = [b.lam * b.boundary_distance() for b in cfg.bubbles]
         k_val = self.K.value(pts).tolist()
         grad_norm = np.sqrt(np.vecdot(grad_sphere, grad_sphere)).tolist()
         grad_k1_norm = np.sqrt(np.vecdot(grad_k1, grad_k1)).tolist()
@@ -327,8 +334,9 @@ class ReducedModel:
             BubbleFrame(
                 idx=i, boundary=i < cfg.q, alpha=cfg.alphas[i], param=cb.param, cb=cb,
                 k_val=k_val[i], grad_sphere=grad_sphere[i], grad_norm=grad_norm[i],
-                grad_k1_norm=grad_k1_norm[i], kt_val=kt_val[i], kt_grad=grads[i, 0],
-                kt_hess=hess[i, 0], kt_lap=kt_lap[i], h_self=h_self[i],
+                grad_k1=grad_k1[i], grad_k1_norm=grad_k1_norm[i], lam_dist=lam_dist[i],
+                kt_val=kt_val[i], kt_grad=grads[i, 0], kt_hess=hess[i, 0], kt_lap=kt_lap[i],
+                h_self=h_self[i],
                 dl_dloglam=dl_dloglam[i], dC_dloglam=dC_dloglam[i], dC_dmove=dC_dmove[i],
                 dl_dmove=dl_dmove[i])
             for i, cb in enumerate(cbs)]
@@ -440,7 +448,7 @@ class ReducedModel:
                 rel += INTERACTION_BAR_COEFF * alphas[i] * alphas[j] * self.c2 * slop / n_qty
         j_center = num / den ** ((n - 2) / n)
 
-        vbar = self.vbar_budget(cfg, frames)
+        vbar = self.vbar_budget(frames, cfg.eps_mat)
 
         for f in frames:
             rel += f.alpha**pw * f.mult * self._cubic_remainder(f) / den
@@ -460,8 +468,9 @@ class ReducedModel:
         asm = Assembly(frames=frames, a_qty=a_qty, n_qty=n_qty, num=num,
                        den=den, gamma=gamma, j_center=float(j_center), rel_bar=float(rel),
                        eps_mat=cfg.eps_mat, eps_dloglam=eps_dloglam, eps_da=eps_da, w_mat=w_mat,
-                       hmut_mat=hmut_mat, dist_mat=dist_mat, slop_mat=slop_mat, vbar=vbar)
-        asm.budgets = self.remainder_budgets(cfg, asm)
+                       hmut_mat=hmut_mat, dist_mat=dist_mat, slop_mat=slop_mat, vbar=vbar,
+                       budgets=self.remainder_budgets(frames, cfg.eps_mat),
+                       imbalances=self.imbalances(frames, a_qty, gamma))
         cfg._memo[self] = asm
         return asm
 
@@ -476,14 +485,12 @@ class ReducedModel:
         qsum = sum(m * k ** (-(n - 2) / 2.0) for k, m in zip(k_values, mults))
         return self.s_n ** (2.0 / n) * qsum ** (2.0 / n)
 
-    def imbalances(self, cfg: Configuration, asm: Assembly | None = None) -> np.ndarray:
-        """1 - alpha_i^{4/(n-2)} K_i A/Gamma; zero exactly at the balanced weights."""
-        asm = asm or self.assemble(cfg)
+    def imbalances(self, frames: list, a_qty: float, gamma: float) -> np.ndarray:
+        """1 - alpha_i^{4/(n-2)} K_i A/Gamma; zero exactly at the balanced
+        weights.  ``assemble`` keeps the result on the ``Assembly``."""
         n = self.n
-        out = np.empty(cfg.size)
-        for f in asm.frames:
-            out[f.idx] = 1.0 - f.alpha ** (4.0 / (n - 2)) * f.k_val * asm.a_qty / asm.gamma
-        return out
+        return np.array([1.0 - f.alpha ** (4.0 / (n - 2)) * f.k_val * a_qty / gamma
+                         for f in frames])
 
     def normalize_alphas(self, cfg: Configuration) -> Configuration:
         """alpha_i = t K_i^{-(n-2)/4} with s_n * sum m_i alpha_i^2 = 1."""
@@ -494,35 +501,32 @@ class ReducedModel:
         return cfg.replace(alphas=tuple(t * raw))
 
     def check_alpha_slack(self, cfg: Configuration) -> bool:
-        return bool(np.max(np.abs(self.imbalances(cfg))) <= ALPHA_SLACK)
+        return bool(np.max(np.abs(self.assemble(cfg).imbalances)) <= ALPHA_SLACK)
 
     # -- minimizer-residue budget ----------------------------------------------
 
-    def vbar_budget(self, cfg: Configuration, frames=None) -> float:
+    def vbar_budget(self, frames: list, eps_mat: np.ndarray) -> float:
         """Norm budget for the orthogonal remainder of the representation.
 
         sum_i |grad K(a_i)|/lam_i + 1/lam_i^2, plus the dimension-split
         interaction terms and interior tail terms.  ``assemble`` evaluates it
-        from the frames and the configuration's eps and stores the value; a
-        call without frames reads the stored value.
+        from the frames and the configuration's eps and keeps it as ``vbar``.
         """
-        if frames is None:
-            return self.assemble(cfg).vbar
         n = self.n
         total = 0.0
         for f in frames:
             lam = f.param.lam
             total += f.grad_norm / lam + 1.0 / lam**2
             if not f.boundary:
-                ld = lam * f.param.boundary_distance()
+                ld = f.lam_dist
                 if n == 5:
                     total += 1.0 / ld**3
                 else:
                     total += math.log(max(ld, math.e)) / ld ** ((n + 2) / 2.0)
-        m = cfg.size
+        m = len(frames)
         for i in range(m):
             for j in range(i + 1, m):
-                e = cfg.eps_mat[i, j]
+                e = eps_mat[i, j]
                 if e <= 0.0:
                     continue
                 le = math.log(1.0 / e)
@@ -623,36 +627,34 @@ class ReducedModel:
 
     # -- gradient components -----------------------------------------------------
 
-    def remainder_budgets(self, cfg: Configuration, asm: Assembly | None = None):
+    def remainder_budgets(self, frames: list, eps_mat: np.ndarray) -> tuple:
         """(R1, R1_boundary): the gradient remainder aggregates.
 
         R1 sums (|grad K|/lam)^{n/2} + (1/lam^2)^{(n+1)/3} over every profile,
         the log-weighted interaction powers over every pair, and the interior
         chart tails; the boundary variant restricts to boundary indices.
-        ``assemble`` stores the pair on the Assembly; later calls read it.
+        ``assemble`` evaluates the pair from the frames and the configuration's
+        eps and keeps it as ``budgets``.
         """
-        if asm is None or asm.budgets is not None:
-            return (asm or self.assemble(cfg)).budgets
         n = self.n
         r1 = r1b = 0.0
-        for f in asm.frames:
+        for f in frames:
             own = (f.grad_norm / f.param.lam) ** (n / 2.0) \
                 + (1.0 / f.param.lam**2) ** ((n + 1) / 3.0)
             r1 += own
             if f.boundary:
                 r1b += own
             else:
-                ld = f.param.lam * f.param.boundary_distance()
-                r1 += 1.0 / ld**n
-        m = cfg.size
+                r1 += 1.0 / f.lam_dist**n
+        m = len(frames)
         for i in range(m):
             for j in range(i + 1, m):
-                e = asm.eps_mat[i, j]
+                e = eps_mat[i, j]
                 if e <= 0.0:
                     continue
                 term = 2.0 * e ** (n / (n - 2.0)) * math.log(1.0 / e)
                 r1 += term
-                if i < cfg.q and j < cfg.q:
+                if frames[i].boundary and frames[j].boundary:
                     r1b += term
         return float(r1), float(r1b)
 

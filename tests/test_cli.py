@@ -150,6 +150,42 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["--config", str(path), "census"]) == 2
 
+    @pytest.mark.parametrize("doc", ['"a string"', "[]", "3", "null"],
+                             ids=["string", "list", "number", "null"])
+    def test_config_not_an_object(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        assert main(["--config", str(path), "census"]) == 2
+        assert "configuration must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("monomial", [3, [0, 9]], ids=["number", "index_list"])
+    def test_monomial_not_a_string(self, tmp_path, capsys, monomial):
+        cfgp = write_config(tmp_path, field_terms=[{"monomial": monomial, "coeff": 0.05}])
+        assert main(["--config", str(cfgp), "critical-points"]) == 2
+        assert "is not a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mass_max", [0, -1])
+    def test_mass_max_below_one(self, tmp_path, capsys, mass_max):
+        cfgp = write_config(tmp_path, extra={"mass_max": mass_max})
+        assert main(["--config", str(cfgp), "census"]) == 2
+        assert "mass_max must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_max", ["nan", "-1", "inf"])
+    def test_flow_t_max_finite_and_not_negative(self, tmp_path, capsys, monkeypatch, t_max):
+        # rejected before the landscape is built, so no integration starts
+        import hemiflow.cli as cli
+
+        def never(cfg):
+            raise AssertionError("the landscape was built")
+
+        monkeypatch.setattr(cli, "_landscape", never)
+        cfgp = write_config(tmp_path)
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(_one_bubble()))
+        assert main(["--config", str(cfgp), "flow", "--state", str(state_path),
+                     "--t-max", t_max]) == 2
+        assert "--t-max must be finite and not negative" in capsys.readouterr().err
+
     def test_invalid_field_dimension(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dimension": 3, "field": {"kappa0": 1.0, "terms": []}}))

@@ -73,6 +73,19 @@ class TestParsing:
             K.quadratic[:5, :5][0, 0] = 1.0
         assert K.to_config() == ScalarField(N, 1.0, [("x1", 0.05), ("x2*x3", -0.02)]).to_config()
 
+    def test_equal_fields_compare_and_hash_equal(self):
+        K = ScalarField(N, 1.0, [("x1", 0.05)])
+        twin = ScalarField(N, 1.0, [("x1", 0.05)])
+        K.min_max()  # fills K's kept critical points only
+        assert K == twin and hash(K) == hash(twin)
+        assert K == ScalarField(N, 1.0, [((0,), 0.05)])
+        others = [ScalarField(N, 1.1, [("x1", 0.05)]), ScalarField(N, 1.0, [("x1", 0.04)]),
+                  ScalarField(N, 1.0, [("x1", 0.05), ("x1*x2", 0.01)]),
+                  ScalarField(N + 1, 1.0, [("x1", 0.05)])]
+        assert all(K != other for other in others)
+        assert len({K, twin, *others}) == 1 + len(others)
+        assert K != K.to_config()
+
 
 class TestPositivity:
     def test_conservative_bound(self):

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import hemiflow.flow as flow_module
 from hemiflow.bubbles import BubbleParam
 from hemiflow.config import RunConfig
 from hemiflow.errors import ConfigError, OutsideNeighborhood, StepFailure
@@ -735,6 +736,78 @@ class TestOneFieldPerState:
             assert alive and all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+
+class TestOnePathPerQuantity:
+    """Each per-state quantity has one computation: the fields read the trace
+    gradient off the frames, the pair distances off the pair table, the
+    nearest records off the region label and the imbalances off the
+    assembly."""
+
+    @staticmethod
+    def _trajectory(setup, region, monkeypatch):
+        model, records, flow = setup
+        if region == "V3_3":
+            cfg = sample_cluster(model, E[0], np.random.default_rng(5), count=2)
+        else:
+            cfg = sample_v4(model, np.random.default_rng(3), boundary_anchor=E[0])
+        counts = dict.fromkeys(("boundary_gradient", "_nearest_record", "gamma_quantities",
+                                "imbalances", "assemble_frames", "_cluster_field",
+                                "geodesic_distance"), 0)
+        inside_cluster = []
+
+        def counted(owner, name):
+            orig = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                inside_cluster.append(name == "_cluster_field")
+                try:
+                    return orig(*args, **kwargs)
+                finally:
+                    inside_cluster.pop()
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in ((ScalarField, "boundary_gradient"),
+                            (PseudogradientFlow, "_nearest_record"),
+                            (PseudogradientFlow, "gamma_quantities"),
+                            (ReducedModel, "imbalances"), (ReducedModel, "assemble_frames"),
+                            (PseudogradientFlow, "_cluster_field")):
+            counted(owner, name)
+        geodesic = flow_module.geodesic_distance
+
+        def distance(p, q):
+            if any(inside_cluster):
+                counts["geodesic_distance"] += 1
+            return geodesic(p, q)
+
+        monkeypatch.setattr(flow_module, "geodesic_distance", distance)
+        traj = flow.integrate(cfg, 0.3)
+        for pt in traj.points:
+            flow.decrease_certificate(pt.cfg)
+        assert traj.points[0].label_tag == region and len(traj.points) >= 2
+        return counts
+
+    @pytest.fixture(params=["V3_3", "V4"])
+    def counts(self, request, lin_setup, bmax_setup, monkeypatch):
+        setup = bmax_setup if request.param == "V3_3" else lin_setup
+        return self._trajectory(setup, request.param, monkeypatch)
+
+    def test_trace_gradient_read_off_the_frames(self, lin_setup, bmax_setup, monkeypatch):
+        for setup, region in ((bmax_setup, "V3_3"), (lin_setup, "V4")):
+            assert self._trajectory(setup, region, monkeypatch)["boundary_gradient"] == 0
+
+    def test_one_nearest_record_lookup_per_bubble_classification(self, counts):
+        # gamma_quantities runs once per bubble of each state classified
+        assert counts["_nearest_record"] == counts["gamma_quantities"] > 0
+
+    def test_one_imbalance_vector_per_assembly(self, counts):
+        assert counts["imbalances"] == counts["assemble_frames"] > 0
+
+    def test_cluster_field_reads_the_pair_table(self, bmax_setup, monkeypatch):
+        counts = self._trajectory(bmax_setup, "V3_3", monkeypatch)
+        assert counts["_cluster_field"] > 0
+        assert counts["geodesic_distance"] == 0
 
 
 class TestNearestRecord:

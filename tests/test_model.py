@@ -18,7 +18,7 @@ from hemiflow.landscape import find_critical_points
 from hemiflow.model import SEP_DISTANCE, Assembly, Configuration, ReducedModel
 from hemiflow.oracles import quadrature_J_boundary, quadrature_J_interior
 
-from _fixtures import (E, N, field_boundary_max, field_diag, field_linear,
+from _fixtures import (E, N, boundary_point, field_boundary_max, field_diag, field_linear,
                        interior_point, make_cfg)
 
 
@@ -159,7 +159,7 @@ class TestNormalization:
 
     def test_imbalance_zero_after_normalization(self, model_lin):
         cfg = single_boundary(model_lin)
-        assert np.max(np.abs(model_lin.imbalances(cfg))) < 1e-14
+        assert np.max(np.abs(model_lin.assemble(cfg).imbalances)) < 1e-14
         assert model_lin.check_alpha_slack(cfg)
 
 
@@ -245,7 +245,7 @@ class TestWeightGradient:
         cfg = self._pair(model_lin)
         inflated = cfg.replace(alphas=(1.1 * cfg.alphas[0], cfg.alphas[1]))
         assert model_lin.grad_alpha(inflated, 0).center < 0.0
-        assert model_lin.imbalances(inflated)[0] < 0.0
+        assert model_lin.assemble(inflated).imbalances[0] < 0.0
 
     def test_slope_against_finite_differences(self, model_lin):
         cfg = self._pair(model_lin)
@@ -469,6 +469,18 @@ class TestFrames:
         assert len(frames) == 3
         assert calls == [(3, 1, N)]
 
+    @pytest.mark.parametrize("field", [field_linear, field_boundary_max, field_diag])
+    def test_frame_trace_gradient_is_the_boundary_gradient(self, model_lin, field):
+        # the descent fields read the trace gradient off the frames
+        model = ReducedModel(field(), model_lin.tbl)
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            b = BubbleParam(boundary_point(rng), 50.0)
+            (f,) = model.frames(Configuration((1.0,), (b,), 1, 0, 0.12))
+            g = model.K.boundary_gradient(b.a)
+            assert np.array_equal(f.grad_k1, g)
+            assert f.grad_k1_norm == float(np.linalg.norm(g))
+
     def test_frames_match_per_bubble_evaluations(self, model_lin):
         K = model_lin.K
         cfg = self._three_bubbles(model_lin)
@@ -479,7 +491,9 @@ class TestFrames:
             assert np.array_equal(f.grad_sphere, K.tangent_gradient(b.a))
             assert f.grad_norm == float(np.linalg.norm(K.tangent_gradient(b.a)))
             k1 = K.boundary_gradient(b.a) if f.boundary else np.zeros(N + 1)
+            assert np.array_equal(f.grad_k1, k1)
             assert f.grad_k1_norm == float(np.linalg.norm(k1))
+            assert f.lam_dist == b.lam * b.boundary_distance()
             val, grad, hess = K.chart_data(f.cb.chart, f.cb.center)
             assert f.kt_val == val
             assert np.array_equal(f.kt_grad, grad) and np.array_equal(f.kt_hess, hess)
@@ -524,17 +538,17 @@ class TestAssemblyKept:
 class TestResidueBudget:
     def test_constant_single_boundary_exact(self, model_const):
         cfg = single_boundary(model_const, lam=50.0)
-        assert abs(model_const.vbar_budget(cfg) - 1.0 / 50.0**2) < 1e-15
+        assert abs(model_const.assemble(cfg).vbar - 1.0 / 50.0**2) < 1e-15
 
     def test_monotone_in_rates(self, model_lin):
         base = make_cfg(model_lin, [
             BubbleParam(BoundarySpherePoint(E[0]), 40.0),
             BubbleParam(BoundarySpherePoint(E[1]), 60.0),
         ], q=2)
-        prev = model_lin.vbar_budget(base)
+        prev = model_lin.assemble(base).vbar
         for scale in (1.5, 2.5, 4.0):
             bubbles = [BubbleParam(b.a, b.lam * scale) for b in base.bubbles]
-            cur = model_lin.vbar_budget(base.replace(bubbles=bubbles))
+            cur = model_lin.assemble(base.replace(bubbles=bubbles)).vbar
             assert cur <= prev + 1e-15
             prev = cur
 
@@ -556,7 +570,7 @@ class TestResidueBudget:
         # at n = 6 the interaction exponent (n+2)/(2(n-2)) equals 1 and the
         # logarithm power becomes (n+2)/(2n) = 8/12
         expected6 = (g1 + g2) / 40.0 + 2 / 40.0**2 + 2 * e ** 1.0 * le ** (8.0 / 12.0)
-        got6 = m6.vbar_budget(cfg6)
+        got6 = m6.assemble(cfg6).vbar
         assert abs(got6 - expected6) < 1e-12
 
         model5 = ReducedModel(field_linear())
@@ -569,7 +583,7 @@ class TestResidueBudget:
         g1 = np.linalg.norm(model5.K.tangent_gradient(cfg5.bubbles[0].a))
         g2 = np.linalg.norm(model5.K.tangent_gradient(cfg5.bubbles[1].a))
         expected5 = (g1 + g2) / 40.0 + 2 / 40.0**2 + 2 * e5 * math.log(1 / e5) ** 0.6
-        assert abs(model5.vbar_budget(cfg5) - expected5) < 1e-12
+        assert abs(model5.assemble(cfg5).vbar - expected5) < 1e-12
 
 
 def compute_tbl(n):
@@ -750,13 +764,13 @@ class TestGradientBundle:
             BubbleParam(BoundarySpherePoint(E[0]), 50.0),
             BubbleParam(BoundarySpherePoint(E[1]), 60.0),
         ], q=2)
-        r1, r1b = model_lin.remainder_budgets(cfg_b)
+        r1, r1b = model_lin.assemble(cfg_b).budgets
         assert abs(r1 - r1b) < 1e-18  # no interior content
         cfg_m = make_cfg(model_lin, [
             BubbleParam(BoundarySpherePoint(E[0]), 50.0),
             BubbleParam(SpherePoint(E[-1]), 60.0),
         ], q=1)
-        r1m, r1bm = model_lin.remainder_budgets(cfg_m)
+        r1m, r1bm = model_lin.assemble(cfg_m).budgets
         assert r1m > r1bm
 
 
