@@ -21,9 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import LevelInsideBand
-from .landscape import AssumptionReport, classify
+
+if TYPE_CHECKING:
+    from .landscape import AssumptionReport
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +232,7 @@ def existence_check(records, report: AssumptionReport, k_min: float, k_max: floa
     Returns (verdict, table): the first conclusive test (weakest pinch
     first), else an ``auto`` verdict holding all three, and the full table.
     """
+    from .landscape import classify
     families = classify(records)
     pinch = k_max / k_min
     bset = a1_boundary_set(records)
@@ -282,6 +286,7 @@ def existence_check(records, report: AssumptionReport, k_min: float, k_max: floa
 
 def census_report(records, report, k_min, k_max, s_n, n, mass_max=4) -> dict:
     """Machine-readable bundle: census, bands, counts, verdicts."""
+    from .landscape import classify
     census = enumerate_census(records, mass_max, s_n, n)
     bands, plain, deform = level_bands(k_min, k_max, s_n, n, mass_max)
     bset = a1_boundary_set(records)

@@ -9,23 +9,36 @@ Exit codes: 0 success, 1 domain error, 2 configuration error.
 
 Each subcommand imports the layers it runs when it runs, so a process loads
 only those: the census for census, existence and counting, the model and
-the flow for flow.
+the flow for flow.  ``counting`` without ``--config`` loads no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import constants as constants_mod
-from .config import RunConfig
 from .errors import ConfigError, DomainError
-from .landscape import (check_assumptions, classify, find_critical_points,
-                        hemisphere_index_tally, poincare_hopf_boundary, save_records)
+
+if TYPE_CHECKING:
+    from .config import RunConfig
+
+# the layer names this module runs stay reachable as its attributes
+# (``hemiflow.cli.find_critical_points``), imported on first access (PEP 562)
+_LAYER_OF = {"RunConfig": "config", "check_assumptions": "landscape", "classify": "landscape",
+             "find_critical_points": "landscape", "hemisphere_index_tally": "landscape",
+             "poincare_hopf_boundary": "landscape", "save_records": "landscape"}
+
+
+def __getattr__(name):
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAYER_OF[name]}", __package__), name)
 
 
 def _write_json(path: Path, doc) -> None:
@@ -42,6 +55,8 @@ def _stamped(cfg: RunConfig, table, payload: dict) -> dict:
 
 
 def _landscape(cfg: RunConfig):
+    from . import constants as constants_mod
+    from .landscape import find_critical_points
     K = cfg.build_field()
     table = constants_mod.compute_constants(cfg.n, cfg.quadrature_tol)
     records = find_critical_points(K, cfg.seeds_per_dim, seed=cfg.seed)
@@ -50,11 +65,13 @@ def _landscape(cfg: RunConfig):
 
 def _pipeline(cfg: RunConfig):
     """The landscape plus its assumption report."""
+    from .landscape import check_assumptions
     K, table, records = _landscape(cfg)
     return K, table, records, check_assumptions(records, K)
 
 
 def cmd_constants(cfg: RunConfig, args) -> int:
+    from . import constants as constants_mod
     table = constants_mod.compute_constants(cfg.n, cfg.quadrature_tol)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -64,6 +81,8 @@ def cmd_constants(cfg: RunConfig, args) -> int:
 
 
 def cmd_critical_points(cfg: RunConfig, args) -> int:
+    from .landscape import (classify, hemisphere_index_tally, poincare_hopf_boundary,
+                            save_records)
     K, table, records, report = _pipeline(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,6 +213,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         print(f"suite {name}: {'PASS' if passed else 'FAIL'} ({detail})")
         ok = ok and passed
     if cfg is not None:
+        from . import constants as constants_mod
         table = constants_mod.compute_constants(cfg.n, cfg.quadrature_tol)
         _write_json(Path(cfg.output_dir) / "verify.json", _stamped(cfg, table, results))
     return 0 if ok else 1
@@ -235,6 +255,7 @@ def main(argv=None) -> int:
     cfg = None
     try:
         if args.config is not None:
+            from .config import RunConfig
             cfg = RunConfig.load(args.config)
         elif needs_config:
             raise ConfigError("--config is required for this subcommand")

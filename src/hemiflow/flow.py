@@ -564,24 +564,35 @@ class PseudogradientFlow:
     # -- descent certificate ----------------------------------------------------------
 
     def decrease_certificate(self, cfg: Configuration, velocity: Velocity | None = None) -> dict:
+        """-dJ along the velocity (``lhs``, the pairings summed with their
+        bars) against C_FIT times the decrease aggregate, which reads each
+        bubble's scale mu_i off the state's region label."""
         asm = self.model.assemble(cfg)
-        vel = velocity if velocity is not None else self.pseudogradient(cfg, asm=asm)
+        label = self.classify_region(cfg, asm)
+        vel = velocity if velocity is not None else self.pseudogradient(cfg, label, asm)
         grads = self.model.gradient_components(cfg, asm)
         n = self.n
-        lhs = Bar(0.0, 0.0)
+        # centers and halfwidths summed as floats, in the order of a chain of
+        # Bar sums; a NaN or inf term survives to the one Bar built at the end
+        center = halfwidth = 0.0
         for i in range(cfg.size):
-            lhs = lhs + grads.alpha_pairings[i] * (-float(vel.alpha_dot[i]))
-            lhs = lhs + grads.lam_pairings[i] * (-float(vel.loglam_dot[i]) * cfg.alphas[i])
+            w = -float(vel.alpha_dot[i])
+            center += grads.alpha_pairings[i].center * w
+            halfwidth += abs(w) * grads.alpha_pairings[i].halfwidth
+            w = -float(vel.loglam_dot[i]) * cfg.alphas[i]
+            center += grads.lam_pairings[i].center * w
+            halfwidth += abs(w) * grads.lam_pairings[i].halfwidth
             gv, gbar = grads.a_pairings[i]
             move = cfg.bubbles[i].lam * vel.a_dot[i]
-            lhs = lhs + Bar(-float(gv @ move) * cfg.alphas[i],
-                            gbar * float(np.linalg.norm(move)) * cfg.alphas[i])
+            center += -float(gv @ move) * cfg.alphas[i]
+            halfwidth += gbar * float(np.linalg.norm(move)) * cfg.alphas[i]
+        lhs = Bar(center, halfwidth)
 
         imb = asm.imbalances
         expo = 2.0 - 1.0 / (n - 2)
         agg = 0.0
         for i in range(cfg.size):
-            agg += self.mu(cfg, i, asm) ** (-expo)
+            agg += label.per_index[i].mu ** (-expo)
             if cfg.is_boundary_index(i):
                 agg += abs(imb[i]) ** expo
             else:

@@ -40,6 +40,12 @@ gradient remainder budgets once from the frames and the pair table; eps
 itself comes from the configuration's admissibility check.  The gradient
 pairings, the normal form and the flow read what they need off the
 ``Assembly``.  The bar constants are module constants.
+
+A bubble's point pairing needs no tangent basis: the pairing is linear in
+the move, so one call pairs the rate direction and the n+1 ambient axes,
+and the orthogonal projector onto the admissible moves (g - (a.g) a, with
+the e_n component dropped for equator-tangential moves only) turns the
+ambient covector g into the tangent vector.
 """
 
 from __future__ import annotations
@@ -597,12 +603,13 @@ class ReducedModel:
         f = asm.frames[i]
         return f.grad_norm / f.param.lam + 1.0 / f.param.lam**2 + float(np.sum(asm.eps_mat[i]))
 
-    def _grad_bar_common(self, asm: Assembly, i: int) -> float:
+    def _grad_bar_common(self, asm: Assembly, i: int, coupling: float | None = None) -> float:
         """Shared error-bar aggregate for the rate/point gradients of bubble i.
 
         Covers the cubic Taylor remainder, interior chart tails, the
         next-order interaction corrections (the stored pair slop), the
-        remainder aggregates, and the coupling to the residue budget.
+        remainder aggregates, and the coupling to the residue budget
+        (``coupling``, computed here when not given).
         """
         n = self.n
         f = asm.frames[i]
@@ -620,7 +627,9 @@ class ReducedModel:
                 # positional drift of the mutual regular part is budgeted, not tracked
                 slop += fj.alpha * self.c2 * (asm.slop_mat[i, j] + 3.0 * asm.hmut_mat[i, j])
         bar += 2.0 * asm.j_center / asm.n_qty * slop
-        bar += 2.0 * asm.j_center / asm.n_qty * self.s_n * asm.vbar * self._residue_coupling(asm, i)
+        if coupling is None:
+            coupling = self._residue_coupling(asm, i)
+        bar += 2.0 * asm.j_center / asm.n_qty * self.s_n * asm.vbar * coupling
         r1, r1b = asm.budgets
         bar += 2.0 * asm.j_center / asm.n_qty * (r1b if f.boundary else r1)
         return float(bar)
@@ -661,7 +670,8 @@ class ReducedModel:
     def gradient_components(self, cfg: Configuration, asm: Assembly | None = None) -> "GradientComponents":
         """Bundle of every pairing, the interaction data, and the budgets,
         built once per assembly and kept on it; its arrays are read-only.
-        Each bubble's rate and point pairings come from one pairing call."""
+        Each bubble's rate and point pairings come from one pairing call,
+        and its residue coupling is computed once for both bars."""
         asm = asm or self.assemble(cfg)
         if asm.grads is not None:
             return asm.grads
@@ -669,8 +679,9 @@ class ReducedModel:
         lam_pairings = []
         a_pairings = []
         for i in range(cfg.size):
-            alpha_pairings.append(self.grad_alpha(cfg, i, asm))
-            lam_bar, a_pair = self.grad_a(cfg, i, asm, with_rate=True)
+            coupling = self._residue_coupling(asm, i)
+            alpha_pairings.append(self.grad_alpha(cfg, i, asm, coupling))
+            lam_bar, a_pair = self.grad_a(cfg, i, asm, with_rate=True, coupling=coupling)
             lam_pairings.append(lam_bar)
             a_pairings.append(a_pair)
         asm.eps_dloglam.flags.writeable = False
@@ -687,8 +698,10 @@ class ReducedModel:
         asm.grads = grads
         return grads
 
-    def grad_alpha(self, cfg: Configuration, i: int, asm: Assembly | None = None) -> Bar:
-        """Pairing of the gradient with the i-th profile direction."""
+    def grad_alpha(self, cfg: Configuration, i: int, asm: Assembly | None = None,
+                   coupling: float | None = None) -> Bar:
+        """Pairing of the gradient with the i-th profile direction;
+        ``coupling`` is bubble i's residue coupling when the caller has it."""
         asm = asm or self.assemble(cfg)
         n = self.n
         f = asm.frames[i]
@@ -696,7 +709,7 @@ class ReducedModel:
         dnum = 2.0 * f.alpha * w_i
         dden = (2.0 * n / (n - 2)) * f.alpha ** ((n + 2) / (n - 2)) * self._t_value(f)
         center = asm.j_center * (dnum / asm.num - (n - 2) / n * dden / asm.den)
-        bar_terms = self._residue_coupling(asm, i)
+        bar_terms = coupling if coupling is not None else self._residue_coupling(asm, i)
         if not f.boundary:
             bar_terms += f.image_distance ** (2 - n)
         bar = 2.0 * asm.j_center * f.mult * self.s_n / asm.n_qty * bar_terms
@@ -714,30 +727,36 @@ class ReducedModel:
         return self.grad_a(cfg, i, asm, with_rate=True)[0]
 
     def grad_a(self, cfg: Configuration, i: int, asm: Assembly | None = None,
-               include_normal: bool = True, with_rate: bool = False):
+               include_normal: bool = True, with_rate: bool = False,
+               coupling: float | None = None):
         """Pairing with (1/lam_i) d(profile)/d a_i as an ambient tangent vector.
 
-        Boundary bubbles get the equator-tangential components plus (when
-        ``include_normal``) the inward-normal component carrying the
-        weight-imbalance and normal-derivative terms.  With ``with_rate`` the
-        rate direction lam_i d/dlam_i rides in the same pairing call, and the
-        result is (rate pairing, (vector, bar)).
+        The pairing is linear in the move, so one pairing call takes the
+        n+1 ambient axes and gives the ambient covector g; the result is its
+        orthogonal projection onto the admissible moves.  For an interior
+        bubble these span a_i^perp, the sphere's tangent space, and so do
+        the equator-tangential moves plus the inward normal e_n of a
+        boundary bubble: the vector is g - (a_i . g) a_i.  Without
+        ``include_normal`` a boundary bubble also drops its e_n component,
+        the one carrying the weight-imbalance and normal-derivative terms.
+        With ``with_rate`` the rate direction lam_i d/dlam_i rides in the
+        same pairing call, and the result is (rate pairing, (vector, bar)).
+        ``coupling`` is bubble i's residue coupling when the caller has it.
         """
         asm = asm or self.assemble(cfg)
         n = self.n
         f = asm.frames[i]
         a = f.param.a.coords
         lam = f.param.lam
-        basis = tangent_basis(a, within_equator=f.boundary)
-        if f.boundary and include_normal:
-            e_up = np.zeros_like(a)
-            e_up[-1] = 1.0
-            basis = np.vstack((basis, e_up))  # inward direction off the equator
         others = np.arange(cfg.size) != i
-        # row 0: the rate direction; rows 1..: the basis directions
-        dC = np.vstack((f.dC_dloglam, basis @ f.dC_dmove.T / lam))
-        dloglam = np.concatenate(([f.dl_dloglam], basis @ f.dl_dmove / lam))
-        deps = np.vstack((asm.eps_dloglam[i, others], basis @ asm.eps_da[i, others].T / lam))
+        # row 0: the rate direction; rows 1..: the ambient axes e_0..e_n.
+        # dC is built row-major: the pairing's matrix products round the
+        # rate row differently on a column-major stack
+        dC = np.empty((n + 2, n))
+        dC[0] = f.dC_dloglam
+        np.divide(f.dC_dmove.T, lam, out=dC[1:])
+        dloglam = np.concatenate(([f.dl_dloglam], f.dl_dmove / lam))
+        deps = np.vstack((asm.eps_dloglam[i, others], asm.eps_da[i, others].T / lam))
         dh_mut = np.zeros_like(deps)
         dCn_domain = 0.0
         if f.boundary:
@@ -749,8 +768,12 @@ class ReducedModel:
         else:
             dh_mut[0] = -(n - 2) / 2.0 * asm.hmut_mat[i, others] * f.dl_dloglam
         dJ = self._pairing(asm, i, dC, dloglam, dCn_domain, deps, dh_mut) / f.alpha
-        bar = abs(self._grad_bar_common(asm, i))
-        point = (dJ[1:] @ basis, float(bar / lam))
+        g = dJ[1:]
+        vec = g - (a @ g) * a
+        if f.boundary and not include_normal:
+            vec[-1] = 0.0
+        bar = abs(self._grad_bar_common(asm, i, coupling))
+        point = (vec, float(bar / lam))
         return (Bar(float(dJ[0]), bar), point) if with_rate else point
 
     # -- normal form near a matched critical collection ---------------------------

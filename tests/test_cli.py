@@ -85,9 +85,10 @@ class TestSubcommands:
 
     def test_flow_runs_no_assumption_report(self, tmp_path, monkeypatch, capsys):
         # flow writes no assumption report, so it must not pay for one
-        import hemiflow.cli as cli
+        # the CLI imports the landscape functions when a subcommand runs
+        import hemiflow.landscape as landscape
         calls = []
-        monkeypatch.setattr(cli, "check_assumptions", lambda *args: calls.append(args))
+        monkeypatch.setattr(landscape, "check_assumptions", lambda *args: calls.append(args))
         cfgp = write_config(tmp_path)
         state_path = tmp_path / "state.json"
         state_path.write_text(json.dumps({
@@ -320,6 +321,25 @@ print(json.dumps([bare, heavy, codes, "numpy.random" in sys.modules]))
     assert heavy == []
     assert codes == [0, 0, 0]
     assert not random_loaded
+
+
+def test_counting_loads_no_numpy(tmp_path):
+    # counting is pure integer arithmetic: without --config it loads neither
+    # the field layers nor numpy
+    out = tmp_path / "counting.json"
+    code = f"""
+import json, sys
+from hemiflow.cli import main
+code = main(["counting", "--indices", "4,4,3", "--A", "--B", "--out", {str(out)!r}])
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    code, numpy_loaded = json.loads(res.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert not numpy_loaded
+    assert set(json.loads(out.read_text())) == {"A", "B"}
 
 
 def test_every_exported_name_resolves():

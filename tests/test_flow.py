@@ -9,10 +9,11 @@ import pytest
 import hemiflow.flow as flow_module
 from hemiflow.bubbles import BubbleParam
 from hemiflow.config import RunConfig
-from hemiflow.errors import ConfigError, OutsideNeighborhood, StepFailure
+from hemiflow.errors import ConfigError, NonFiniteBar, OutsideNeighborhood, StepFailure
 from hemiflow.fields import ScalarField
 from hemiflow.flow import FlowParams, PseudogradientFlow, psi1, ramp
 from hemiflow.geometry import BoundarySpherePoint, SpherePoint, geodesic_distance
+from hemiflow.intervals import Bar
 from hemiflow.landscape import find_critical_points
 from hemiflow.model import Configuration, ReducedModel
 
@@ -368,6 +369,47 @@ class TestCertificates:
         cert = flow.decrease_certificate(cfg, velocity=vel.scaled(-1.0))
         assert not cert["satisfied"]
         assert cert["lhs"].center < 0.0
+
+    @staticmethod
+    def _bar_chain_lhs(model, cfg, vel):
+        """The certificate's lhs as a chain of Bar sums and scalings."""
+        grads = model.gradient_components(cfg)
+        lhs = Bar(0.0, 0.0)
+        for i in range(cfg.size):
+            lhs = lhs + grads.alpha_pairings[i] * (-float(vel.alpha_dot[i]))
+            lhs = lhs + grads.lam_pairings[i] * (-float(vel.loglam_dot[i]) * cfg.alphas[i])
+            gv, gbar = grads.a_pairings[i]
+            move = cfg.bubbles[i].lam * vel.a_dot[i]
+            lhs = lhs + Bar(-float(gv @ move) * cfg.alphas[i],
+                            gbar * float(np.linalg.norm(move)) * cfg.alphas[i])
+        return lhs
+
+    @pytest.mark.parametrize("region", ["V1", "V2", "V4"])
+    def test_lhs_is_the_bar_chain_sum(self, lin_setup, region):
+        model, records, flow = lin_setup
+        rng = np.random.default_rng(4)
+        if region == "V1":
+            cfg = sample_v1(model, rng)
+        elif region == "V2":
+            cfg = sample_v2(model, [r.location.coords for r in records if r.is_boundary], rng)
+        else:
+            cfg = _v4_two_interior(model)
+        assert flow.classify_region(cfg).tag == region
+        vel = flow.pseudogradient(cfg)
+        want = self._bar_chain_lhs(model, cfg, vel)
+        for got in (flow.decrease_certificate(cfg)["lhs"],
+                    flow.decrease_certificate(cfg, vel.scaled(-0.5))["lhs"] * -2.0):
+            assert abs(got.center - want.center) <= 1e-13 * abs(want.center)
+            assert abs(got.halfwidth - want.halfwidth) <= 1e-13 * want.halfwidth
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_velocity_raises(self, lin_setup, value):
+        model, records, flow = lin_setup
+        cfg = make_cfg(model, [BubbleParam(BoundarySpherePoint(E[0]), 150.0)], q=1)
+        vel = flow.pseudogradient(cfg).scaled(1.0)
+        vel.alpha_dot[0] = value
+        with pytest.raises(NonFiniteBar):
+            flow.decrease_certificate(cfg, vel)
 
 
 class TestTerminationReasons:
@@ -753,7 +795,7 @@ class TestOnePathPerQuantity:
             cfg = sample_v4(model, np.random.default_rng(3), boundary_anchor=E[0])
         counts = dict.fromkeys(("boundary_gradient", "_nearest_record", "gamma_quantities",
                                 "imbalances", "assemble_frames", "_cluster_field",
-                                "geodesic_distance"), 0)
+                                "geodesic_distance", "mu"), 0)
         inside_cluster = []
 
         def counted(owner, name):
@@ -772,7 +814,7 @@ class TestOnePathPerQuantity:
                             (PseudogradientFlow, "_nearest_record"),
                             (PseudogradientFlow, "gamma_quantities"),
                             (ReducedModel, "imbalances"), (ReducedModel, "assemble_frames"),
-                            (PseudogradientFlow, "_cluster_field")):
+                            (PseudogradientFlow, "_cluster_field"), (PseudogradientFlow, "mu")):
             counted(owner, name)
         geodesic = flow_module.geodesic_distance
 
@@ -803,6 +845,11 @@ class TestOnePathPerQuantity:
 
     def test_one_imbalance_vector_per_assembly(self, counts):
         assert counts["imbalances"] == counts["assemble_frames"] > 0
+
+    def test_certificate_reads_the_scales_off_the_label(self, counts):
+        # every trajectory point gets a certificate; mu runs only inside the
+        # classification, once per bubble
+        assert counts["mu"] == counts["gamma_quantities"] > 0
 
     def test_cluster_field_reads_the_pair_table(self, bmax_setup, monkeypatch):
         counts = self._trajectory(bmax_setup, "V3_3", monkeypatch)

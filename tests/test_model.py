@@ -445,6 +445,69 @@ class TestPointGradient:
             assert np.linalg.norm(want) > 0.0
             assert np.linalg.norm(vec - want) <= 1e-14 * np.linalg.norm(want)
 
+    @staticmethod
+    def _state(model, name):
+        if name == "boundary_at_trace_critical_point":
+            return single_boundary(model, lam=80.0)
+        if name == "lone_interior":
+            return single_interior(model)
+        return make_cfg(model, [
+            BubbleParam(BoundarySpherePoint(np.array([0.8, 0.6, 0, 0, 0, 0])), 50.0),
+            BubbleParam(BoundarySpherePoint(np.array([0, 0.6, 0.8, 0, 0, 0])), 60.0),
+            BubbleParam(SpherePoint(np.array([0.6, 0, 0, 0, 0, 0.8])), 70.0),
+        ], q=2)
+
+    @pytest.mark.parametrize("include_normal", [True, False])
+    @pytest.mark.parametrize("state", ["boundary_at_trace_critical_point", "lone_interior"])
+    def test_projected_ambient_pairing_matches_the_per_direction_loop(self, model_lin, state,
+                                                                      include_normal):
+        # the mixed state is the one of the test above
+        cfg = self._state(model_lin, state)
+        asm = model_lin.assemble(cfg)
+        for i in range(cfg.size):
+            vec, _ = model_lin.grad_a(cfg, i, asm, include_normal=include_normal)
+            want = self._per_direction(model_lin, cfg, i, asm, include_normal)
+            assert np.linalg.norm(vec - want) <= 1e-14 * np.linalg.norm(want)
+        if state == "boundary_at_trace_critical_point":
+            # the trace gradient vanishes; only the normal component is left
+            assert np.linalg.norm(vec[:-1]) <= 1e-14 * abs(model_lin.grad_a(cfg, 0, asm)[0][-1])
+
+    @pytest.mark.parametrize("field", [field_linear, field_boundary_max, field_diag])
+    def test_point_vector_is_tangent(self, model_lin, field):
+        model = ReducedModel(field(), model_lin.tbl)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            bubbles = [BubbleParam(boundary_point(rng), rng.uniform(40.0, 400.0)),
+                       BubbleParam(interior_point(rng), rng.uniform(40.0, 400.0))]
+            try:
+                cfg = make_cfg(model, bubbles, q=1)
+            except InvalidConfiguration:
+                continue
+            asm = model.assemble(cfg)
+            for i in range(cfg.size):
+                a = cfg.bubbles[i].a.coords
+                for include_normal in (True, False):
+                    vec, _ = model.grad_a(cfg, i, asm, include_normal=include_normal)
+                    assert abs(a @ vec) <= 1e-15 * np.linalg.norm(vec)
+                    if i < cfg.q and not include_normal:
+                        assert vec[-1] == 0.0
+
+    def test_gradient_bundle_builds_no_tangent_basis(self, model_lin, monkeypatch):
+        import hemiflow.geometry as geometry_mod
+        import hemiflow.model as model_mod
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return tangent_basis(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "tangent_basis", counted)
+        monkeypatch.setattr(geometry_mod, "tangent_basis", counted)
+        for name in ("boundary_at_trace_critical_point", "lone_interior", "mixed"):
+            cfg = self._state(model_lin, name)
+            model_lin.gradient_components(cfg)
+        assert calls == []
+
 
 class TestFrames:
     @staticmethod
