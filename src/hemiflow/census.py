@@ -232,12 +232,20 @@ def existence_check(records, report: AssumptionReport, k_min: float, k_max: floa
     Returns (verdict, table): the first conclusive test (weakest pinch
     first), else an ``auto`` verdict holding all three, and the full table.
     """
+    return _existence(records, report, k_min, k_max, n)[:2]
+
+
+def _existence(records, report, k_min, k_max, n):
+    """(verdict, table, A1 set, A, B): ``existence_check`` with the A1
+    boundary set and the alternating sums it reads, which ``census_report``
+    reports too, so that the records are classified once per call."""
     from .landscape import classify
     families = classify(records)
-    pinch = k_max / k_min
     bset = a1_boundary_set(records)
-    a1 = counting_A([n - 1 - r.morse_index for r in bset])[0]
-    b1 = counting_B([n - r.morse_index for r in families["K_in_minus"]])[0]
+    a_vals = counting_A([n - 1 - r.morse_index for r in bset])
+    b_vals = counting_B([n - r.morse_index for r in families["K_in_minus"]])
+    pinch = k_max / k_min
+    a1, b1 = a_vals[0], b_vals[0]
     n_inf = len(families["K_infinity"])
 
     trace_nondeg = all(r.nondegenerate for r in records if r.is_boundary)
@@ -277,23 +285,19 @@ def existence_check(records, report: AssumptionReport, k_min: float, k_max: floa
     })
 
     table = {"T1_1": t11, "T1_2": t12, "T1_3": t13}
-    for name in ("T1_2", "T1_3", "T1_1"):
-        if table[name].conclusion == "solution_exists":
-            return table[name], table
-    return ExistenceVerdict(theorem="auto", conclusion="inconclusive",
-                            hypotheses={k: v.to_json() for k, v in table.items()}), table
+    verdict = next((table[name] for name in ("T1_2", "T1_3", "T1_1")
+                    if table[name].conclusion == "solution_exists"), None)
+    if verdict is None:
+        verdict = ExistenceVerdict(theorem="auto", conclusion="inconclusive",
+                                   hypotheses={k: v.to_json() for k, v in table.items()})
+    return verdict, table, bset, a_vals, b_vals
 
 
 def census_report(records, report, k_min, k_max, s_n, n, mass_max=4) -> dict:
     """Machine-readable bundle: census, bands, counts, verdicts."""
-    from .landscape import classify
     census = enumerate_census(records, mass_max, s_n, n)
     bands, plain, deform = level_bands(k_min, k_max, s_n, n, mass_max)
-    bset = a1_boundary_set(records)
-    families = classify(records)
-    a_vals = counting_A([n - 1 - r.morse_index for r in bset])
-    b_vals = counting_B([n - r.morse_index for r in families["K_in_minus"]])
-    verdict, table = existence_check(records, report, k_min, k_max, n)
+    verdict, table, bset, a_vals, b_vals = _existence(records, report, k_min, k_max, n)
     admissible = admissible_boundary(records)
     return {
         "census": [e.to_json() for e in census],

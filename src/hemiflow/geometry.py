@@ -250,19 +250,3 @@ class RotatedChart:
         p = np.concatenate(([1.0 - s], 2.0 * v)) / (1.0 + s)
         return self.rotation @ p
 
-
-def chart_jacobians(rotations, coords) -> np.ndarray:
-    """d(chart)/d(sphere point) of a stack of charts, each at its own point.
-
-    ``rotations`` (m, n+1, n+1) are the charts' rotations and ``coords``
-    (m, n+1) the sphere points; the result (m, n, n+1) holds chart j's
-    Jacobian at coords[j].
-    """
-    rot_t = np.swapaxes(rotations, 1, 2)
-    p = np.matvec(rot_t, coords)
-    nn = p.shape[1] - 1
-    d = 1.0 + p[:, 0]
-    jac = np.empty((p.shape[0], nn, nn + 1))
-    jac[:, :, 0] = -(p[:, 1:] / d[:, None]) / d[:, None]
-    jac[:, :, 1:] = np.eye(nn) / d[:, None, None]
-    return jac @ rot_t

@@ -31,21 +31,23 @@ expansions in the rate, point and weight directions; the test suite checks
 both routes against honest quadrature.
 
 Each state is evaluated once: ``frames`` builds every bubble's chart data
-in one pass over stacked arrays (one pullback call for all charts), with
-the sphere and trace gradients of K and the scaled boundary distance
-lam * d(a, dS+); ``assemble`` makes one pass over the unordered pairs for
-the pair table, the interaction cross terms and each pair's error-bar
-slop, and computes the weight imbalances, the residue budget and the
-gradient remainder budgets once from the frames and the pair table; eps
-itself comes from the configuration's admissibility check.  The gradient
-pairings, the normal form and the flow read what they need off the
-``Assembly``.  The bar constants are module constants.
+in one pass over stacked arrays, in closed ambient form (every chart
+quantity lives in the bubble's meridian plane, so no chart rotation or
+pullback call is made), with the sphere and trace gradients of K and the
+scaled boundary distance lam * d(a, dS+); ``assemble`` makes one pass over
+the unordered pairs for the pair table, the interaction cross terms and
+each pair's error-bar slop, and computes the weight imbalances, the residue
+budget and the gradient remainder budgets once from the frames and the pair
+table; eps itself comes from the configuration's admissibility check.  The
+gradient pairings, the normal form and the flow read what they need off
+the ``Assembly``.  The bar constants are module constants.
 
 A bubble's point pairing needs no tangent basis: the pairing is linear in
 the move, so one call pairs the rate direction and the n+1 ambient axes,
-and the orthogonal projector onto the admissible moves (g - (a.g) a, with
-the e_n component dropped for equator-tangential moves only) turns the
-ambient covector g into the tangent vector.
+whose chart shifts are the frame's four move covectors, and the orthogonal
+projector onto the admissible moves (g - (a.g) a, with the e_n component
+dropped for equator-tangential moves only) turns the ambient covector g
+into the tangent vector.
 """
 
 from __future__ import annotations
@@ -55,14 +57,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bubbles import (BubbleParam, ChartedBubble, epsilon, epsilon_da,
-                      epsilon_dlambda, greens_regular_part)
+from .bubbles import (BOUNDARY_HEIGHT_TOL, BubbleParam, epsilon, epsilon_da,
+                      epsilon_dlambda)
 from .constants import ConstantsTable, compute_constants
 from .errors import (IndexNotBoundary, IndexNotInterior, InvalidConfiguration,
-                     NonFiniteBar, NotInWSet)
+                     NonFiniteBar, NotInWSet, PoleSingularity)
 from .fields import ScalarField
-from .geometry import (BoundarySpherePoint, SpherePoint, chart_jacobians,
-                       geodesic_distance, tangent_basis)
+from .geometry import (POLE_TOL, BoundarySpherePoint, SpherePoint, geodesic_distance,
+                       tangent_basis)
 from .intervals import Bar
 
 
@@ -165,13 +167,30 @@ class Configuration:
 @dataclass
 class BubbleFrame:
     """One bubble's chart data and movement calculus; ``ReducedModel.frames``
-    builds all of a state's frames in one pass."""
+    builds all of a state's frames in one pass.
+
+    The bubble's adapted chart is the stereographic projection that sends
+    its anchor b = (a_h/|a_h|, 0) (e_1 at the pole) to the origin and keeps
+    e_{n+1} vertical.  Every chart quantity the model reads is fixed by the
+    meridian plane span(b, e_{n+1}), so the frame holds them in ambient
+    form: the chart center C = t e_n (``height`` t), the rate, the pullback
+    Kt's value, vertical derivative, vertical second derivative and
+    Laplacian at C, and four covectors that turn a sphere move x of the
+    point into the chart shifts the pairing reads (derived in
+    ``ReducedModel.frames``):
+
+        grad Kt . dC     = move_g.x + g_n move_v.x
+        (Hess Kt . dC)_n = move_w.x + h_nn move_v.x
+        dC_n = move_v.x,   dlog(rate) = move_l.x
+    """
 
     idx: int
     boundary: bool
     alpha: float
     param: BubbleParam
-    cb: ChartedBubble
+    anchor: np.ndarray    # b, the equator point below the concentration point
+    rate: float           # chart rate mu
+    height: float         # last coordinate t of the chart center (0 on the equator)
     k_val: float          # K at the concentration point (chart-invariant)
     grad_sphere: np.ndarray
     grad_norm: float
@@ -179,18 +198,16 @@ class BubbleFrame:
     grad_k1_norm: float
     lam_dist: float       # lam * d(a, dS+), the scaled distance to the boundary
     kt_val: float         # pullback data at the chart center
-    kt_grad: np.ndarray
-    kt_hess: np.ndarray
+    g_n: float            # dKt/dx_n
+    h_nn: float           # d^2Kt/dx_n^2
     kt_lap: float
     h_self: float         # H(C, C), interior only (else 0)
     dl_dloglam: float     # dlog(chart rate)/dlog(lam)
-    dC_dloglam: np.ndarray
-    dC_dmove: np.ndarray  # n x (n+1): chart-center shift per unit sphere move
-    dl_dmove: np.ndarray  # (n+1,): dlog(chart rate) per unit sphere move
-
-    @property
-    def rate(self) -> float:
-        return self.cb.rate
+    dh_dloglam: float     # dC_n/dlog(lam); the rate move shifts C vertically only
+    move_g: np.ndarray    # (n+1,) covectors of a unit sphere move, see above
+    move_w: np.ndarray
+    move_v: np.ndarray
+    move_l: np.ndarray
 
     @property
     def mult(self) -> int:
@@ -198,14 +215,9 @@ class BubbleFrame:
         return 1 if self.boundary else 2
 
     @property
-    def g_n(self) -> float:
-        """Vertical chart derivative of the pullback at the center."""
-        return float(self.kt_grad[-1])
-
-    @property
     def image_distance(self) -> float:
         """2 mu C_n, the scaled distance from the chart center to its mirror image."""
-        return 2.0 * self.rate * max(self.cb.height, 1e-300)
+        return 2.0 * self.rate * max(self.height, 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +290,6 @@ class ReducedModel:
         from .constants import radial_moment, sphere_area
         v, _ = radial_moment(n, 3, float(n), 1e-6)
         self.cp_i3h = t.cp * 0.5 * sphere_area(n - 1) * v
-        self._eye = np.eye(n)
         # one third-derivative bound for every chart of K (see _cubic_remainder)
         lam_q = np.linalg.eigvalsh(K.quadratic)
         self.m3 = float(4.0 * np.linalg.norm(K.linear) + 12.0 * (lam_q[-1] - lam_q[0]))
@@ -286,66 +297,141 @@ class ReducedModel:
     # -- frames ---------------------------------------------------------------
 
     def frames(self, cfg: Configuration) -> list:
-        """Every bubble's frame, from one pass over (m, ...) arrays: one
-        pullback call at the stacked chart centers and one batched tangent
-        gradient.  Squares go through the C library's pow (``np.float_power``),
-        as on Python floats, so that every frame holds the bits of its
-        one-bubble evaluation.
+        """Every bubble's frame, from one pass over (m, ...) arrays in closed
+        ambient form: no chart rotation, no pullback call.
+
+        The chart is y = (R^T x)[1:]/(1 + (R^T x)_0), R a rotation that maps
+        e_1 to the anchor b and fixes e_{n+1} (``geometry.RotatedChart``).
+        With r = b.a the concentration point is a = r b + a_n e_{n+1} (at the
+        pole, where b = e_1, up to its horizontal part below 1e-12); the
+        chart sends it to tau e_n, tau = a_n/(1 + r), so with D = lam^2 + tau^2
+        the rate is mu = D/(lam (1 + tau^2)) and the center C = t e_n with
+        t = tau (lam^2 - 1)/D (t = 0 on the equator).
+        The inverse chart p(y) = R((1 - |y|^2, 2y)/(1 + |y|^2)) maps C to
+        P = ((1 - t^2) b + 2t e_{n+1})/d, d = 1 + t^2, with Jacobian
+        J = (2/d)[E, T]: E an orthonormal basis of the horizontal complement of b
+        (the chart's first n-1 axes) and T = (-2t b + (1 - t^2) e_{n+1})/d the
+        meridian tangent, so {E, T, P} is an orthonormal basis of R^{n+1}.
+        With g = lin + 2QP, Kt(C) = K(P) and g_n = (2/d) T.g.  The Hessian
+        is J^T 2Q J plus sum_a g_a D^2 p_a, which at y = t e_n is (see
+        ``ScalarField.chart_data``, c = b.g + t g_{n+1})
+        -4c/d^2 I - 4t(g_y e_n^T + e_n g_y^T)/d^2 + 16c t^2/d^3 e_n e_n^T,
+        g_y = (E.g, g_{n+1}) the chart components of g.  With
+        corr = -8t g_{n+1}/d^2 + 16c t^2/d^3 and tr Q = E.QE + T.QT + P.QP:
+
+            lap Kt = (8/d^2)(tr Q - P.QP) - 4cn/d^2 + corr
+            H_nn   = (8/d^2) T.QT - 4c/d^2 + corr
+            H_nE   = (8/d^2) E.QT - (4t/d^2) E.g
+
+        A sphere move x moves the chart image A of a by the chart map's
+        Jacobian at a: E^T x/(1 + r) on the horizontal axes and V.x on the
+        vertical one, V = -a_n/(1 + r)^2 b + e_{n+1}/(1 + r).  At A = tau e_n,
+        dC/dA = (lam^2 - 1)(I/D - 2AA^T/D^2) is diagonal: delta_h =
+        (lam^2 - 1)/D horizontally, delta_v = (lam^2 - 1)(1/D - 2tau^2/D^2)
+        vertically; dlog(mu)/dA = ell e_n, ell = 2tau(1 - lam^2)/(lam (1 +
+        tau^2)^2 mu).  So grad Kt . dC = (2/d) delta_h (E^T g).(E^T x)/(1 + r)
+        + g_n delta_v V.x, and likewise with the row H_n. for (Hess Kt . dC)_n;
+        with P_perp x = x - (b.x)b - x_{n+1} e_{n+1} = E E^T x the chart
+        products contract to the covectors of ``BubbleFrame``:
+
+            move_g = 2 delta_h/(d(1 + r)) P_perp g
+            move_w = delta_h/(1 + r) P_perp(8QT/d^2 - 4t g/d^2)
+            move_v = delta_v V,   move_l = ell V.
+
+        The rate move lam d/dlam shifts log(mu) by (lam^2 - tau^2)/D and C by
+        2tau lam^2 (1 + tau^2)/D^2 e_n.
         """
         nn = self.n
+        K = self.K
         for i, b in enumerate(cfg.bubbles):
             if b.a.coords.shape[0] != nn + 1:
                 raise InvalidConfiguration(
                     f"bubble {i}: point has {b.a.coords.shape[0]} coordinates, field needs {nn + 1}")
-        cbs = [ChartedBubble.build(b) for b in cfg.bubbles]
         pts = np.array([b.a.coords for b in cfg.bubbles])
-        lam = np.array([b.lam for b in cfg.bubbles])
-        rot = np.array([cb.chart.rotation for cb in cbs])
-        a_chart = np.array([cb.a_chart for cb in cbs])
-        rate = np.array([cb.rate for cb in cbs])
+        anchor = pts.copy()
+        anchor[:, -1] = 0.0
+        r_h = np.sqrt(np.vecdot(anchor, anchor))
+        pole = r_h < 1e-12
+        anchor /= np.where(pole, 1.0, r_h)[:, None]
+        anchor[pole] = np.eye(nn + 1)[0]
+        up = np.eye(nn + 1)[-1]
 
-        vals, grads, hess = self.K.chart_data(rot, np.array([cb.center for cb in cbs])[:, None, :])
-        grad_sphere = self.K.tangent_gradient(pts)
+        # the meridian scalars as floats, bubble by bubble (m is a handful)
+        lam = [b.lam for b in cfg.bubbles]
+        a_n = pts[:, -1].tolist()
+        r1 = (1.0 + np.vecdot(anchor, pts)).tolist()
+        tau = [h / r for h, r in zip(a_n, r1)]
+        t = [0.0 if abs(h) <= BOUNDARY_HEIGHT_TOL else s * ((l * l - 1.0) / (l * l + s * s))
+             for h, s, l in zip(a_n, tau, lam)]
+        d = [1.0 + x * x for x in t]
+        cos = np.array([(1.0 - x * x) / dd for x, dd in zip(t, d)])[:, None]
+        sin = np.array([2.0 * x / dd for x, dd in zip(t, d)])[:, None]
+        P = cos * anchor + sin * up
+        T = cos * up - sin * anchor
+        qp, qt = np.matvec(K.quadratic, P), np.matvec(K.quadratic, T)
+        g = K.linear + 2.0 * qp
+        dots = zip(*(np.vecdot(u, v).tolist()
+                     for u, v in ((anchor, g), (P, qp), (T, qt), (T, g), (K.linear, P))))
+
+        # pullback data at the chart center, and the coefficients of the
+        # move covectors on P_perp g, P_perp QT, b and e_{n+1}
+        tr_q = float(np.trace(K.quadratic))
+        rate, kt_val, g_n, h_nn, kt_lap, dl_dloglam, dh_dloglam, coef = ([] for _ in range(8))
+        for lam_i, a_i, r, s, t_i, d_i, (bg, pqp, tqt, tg, lin_p), g_up in zip(
+                lam, a_n, r1, tau, t, d, dots, g[:, -1].tolist()):
+            l2, s2 = lam_i * lam_i, s * s
+            denom = l2 + s2
+            d2 = d_i * d_i
+            c = bg + t_i * g_up
+            corr = -8.0 * t_i * g_up / d2 + 16.0 * c * t_i * t_i / (d2 * d_i)
+            mu = denom / (lam_i * (1.0 + s2))
+            rate.append(mu)
+            kt_val.append(K.kappa0 + lin_p + pqp)
+            g_n.append(2.0 / d_i * tg)
+            h_nn.append(8.0 / d2 * tqt - 4.0 * c / d2 + corr)
+            kt_lap.append(8.0 / d2 * (tr_q - pqp) - 4.0 * c * nn / d2 + corr)
+            dl_dloglam.append((l2 - s2) / denom)
+            dh_dloglam.append(2.0 * s * l2 * (1.0 + s2) / (denom * denom))
+            delta_h = (l2 - 1.0) / denom
+            delta_v = (l2 - 1.0) * (1.0 / denom - 2.0 * s2 / (denom * denom))
+            ell = 2.0 * s * (1.0 - l2) / (lam_i * (1.0 + s2) * (1.0 + s2) * mu)
+            coef.append((2.0 * delta_h / (d_i * r), delta_h / r * (8.0 / d2),
+                         -delta_h / r * (4.0 * t_i / d2), -a_i / (r * r), 1.0 / r, delta_v, ell))
+        coef = np.array(coef).T[..., None]
+
+        def perp(x):
+            x = x - np.vecdot(anchor, x)[:, None] * anchor
+            x[:, -1] = 0.0
+            return x
+
+        perp_g = perp(g)
+        move_g = coef[0] * perp_g
+        move_w = coef[1] * perp(qt) + coef[2] * perp_g
+        V = coef[3] * anchor + coef[4] * up
+        move_v = coef[5] * V
+        move_l = coef[6] * V
+
+        grad_sphere = K.tangent_gradient(pts)
         grad_k1 = grad_sphere.copy()   # gradient of the trace on the equator sphere
         grad_k1[:, -1] = 0.0
         grad_k1[cfg.q:] = 0.0
         # H(C, C) = (2 C_n)^{2-n}, interior bubbles only
-        h_self = [((2.0 * cb.height) * (2.0 * cb.height)) ** ((2 - nn) / 2.0)
-                  if i >= cfg.q and cb.height > 0 else 0.0 for i, cb in enumerate(cbs)]
-
-        l2 = lam * lam
-        s2 = np.vecdot(a_chart, a_chart)
-        denom = l2 + s2
-        denom2 = np.float_power(denom, 2)
-        dl_dloglam = (l2 - s2) / denom
-        dC_dloglam = a_chart * (2.0 * l2 * (1.0 + s2) / denom2)[:, None]
-        # chart-center shift per sphere move: dC/dA . dA/da
-        dCdA = (l2 - 1.0)[:, None, None] * (
-            self._eye / denom[:, None, None]
-            - 2.0 * (a_chart[:, :, None] * a_chart[:, None, :]) / denom2[:, None, None])
-        dldA = (2.0 * a_chart * (1.0 - l2)[:, None]
-                / (lam * np.float_power(1.0 + s2, 2))[:, None] / rate[:, None])
-        jac = chart_jacobians(rot, pts)
-        dC_dmove = dCdA @ jac
-        dl_dmove = np.matvec(np.swapaxes(jac, 1, 2), dldA)
-
+        h_self = [(2.0 * h * (2.0 * h)) ** ((2 - nn) / 2.0) if i >= cfg.q and h > 0 else 0.0
+                  for i, h in enumerate(t)]
         lam_dist = [b.lam * b.boundary_distance() for b in cfg.bubbles]
-        k_val = self.K.value(pts).tolist()
+        k_val = K.value(pts).tolist()
         grad_norm = np.sqrt(np.vecdot(grad_sphere, grad_sphere)).tolist()
         grad_k1_norm = np.sqrt(np.vecdot(grad_k1, grad_k1)).tolist()
-        kt_val = vals[:, 0].tolist()
-        kt_lap = hess[:, 0].trace(axis1=1, axis2=2).tolist()
-        dl_dloglam = dl_dloglam.tolist()
         return [
             BubbleFrame(
-                idx=i, boundary=i < cfg.q, alpha=cfg.alphas[i], param=cb.param, cb=cb,
-                k_val=k_val[i], grad_sphere=grad_sphere[i], grad_norm=grad_norm[i],
-                grad_k1=grad_k1[i], grad_k1_norm=grad_k1_norm[i], lam_dist=lam_dist[i],
-                kt_val=kt_val[i], kt_grad=grads[i, 0], kt_hess=hess[i, 0], kt_lap=kt_lap[i],
-                h_self=h_self[i],
-                dl_dloglam=dl_dloglam[i], dC_dloglam=dC_dloglam[i], dC_dmove=dC_dmove[i],
-                dl_dmove=dl_dmove[i])
-            for i, cb in enumerate(cbs)]
+                idx=i, boundary=i < cfg.q, alpha=cfg.alphas[i], param=b, anchor=anchor[i],
+                rate=rate[i], height=t[i], k_val=k_val[i], grad_sphere=grad_sphere[i],
+                grad_norm=grad_norm[i], grad_k1=grad_k1[i], grad_k1_norm=grad_k1_norm[i],
+                lam_dist=lam_dist[i], kt_val=kt_val[i], g_n=g_n[i], h_nn=h_nn[i],
+                kt_lap=kt_lap[i], h_self=h_self[i], dl_dloglam=dl_dloglam[i],
+                dh_dloglam=dh_dloglam[i], move_g=move_g[i], move_w=move_w[i],
+                move_v=move_v[i], move_l=move_l[i])
+            for i, b in enumerate(cfg.bubbles)]
 
     # -- core assembly --------------------------------------------------------
 
@@ -378,14 +464,28 @@ class ReducedModel:
         """
         return REM3_COEFF * self.m3 * self.cp_i3h / f.rate**3
 
+    def _regular_part(self, f: BubbleFrame, x: np.ndarray) -> float:
+        """H(C, X) = |X - C*|^{2-n}, C* = -t e_n the mirror of f's chart
+        center and X the chart image of the sphere point x.  With
+        beta = b.x the chart sends x to (E.x, x_{n+1})/(1 + beta), so
+        |X|^2 = |x - beta b|^2/(1 + beta)^2 (= (1 - beta)/(1 + beta), without
+        its cancellation for x near b) and X_n = x_{n+1}/(1 + beta)."""
+        beta = float(f.anchor @ x)
+        if 1.0 + beta < POLE_TOL:
+            raise PoleSingularity("point too close to the chart pole")
+        w = x - beta * f.anchor
+        t = f.height
+        sq = float(w @ w) / ((1.0 + beta) * (1.0 + beta)) + t * (2.0 * x[-1] / (1.0 + beta) + t)
+        return sq ** ((2 - self.n) / 2.0)
+
     def mutual_h(self, fi: BubbleFrame, fj: BubbleFrame) -> float:
         """Symmetrized regular-part pair term H_ij / (mu_i mu_j)^{(n-2)/2};
         zero unless both profiles are interior."""
         if fi.boundary or fj.boundary:
             return 0.0
         n = self.n
-        h_ij = greens_regular_part(fi.cb.center, fi.cb.chart.to_chart(fj.param.a.coords))
-        h_ji = greens_regular_part(fj.cb.center, fj.cb.chart.to_chart(fi.param.a.coords))
+        h_ij = self._regular_part(fi, fj.param.a.coords)
+        h_ji = self._regular_part(fj, fi.param.a.coords)
         return 0.5 * (h_ij + h_ji) / (fi.rate * fj.rate) ** ((n - 2) / 2.0)
 
     def assemble(self, cfg: Configuration) -> Assembly:
@@ -544,27 +644,28 @@ class ReducedModel:
 
     # -- movement calculus ------------------------------------------------------
 
-    def _pairing(self, asm: Assembly, i: int, dC, dloglam, dCn_domain, deps, dh_mut):
+    def _pairing(self, asm: Assembly, i: int, moves, deps, dh_mut):
         """dJ per unit move of bubble i's parameters.
 
-        dC        : chart-center shift (n-vector)
+        ``moves`` holds, row by row, what the pairing reads of the chart:
+        grad_dC   : grad Kt . dC, the pullback's shift with the chart center
+        hess_dC_n : (Hess Kt . dC)_n, the shift of its vertical derivative
+        dh        : dC_n, the shift of the center height
         dloglam   : shift of log chart rate
         dCn_domain: boundary-normal chart displacement (activates the
                     domain-variation constants c4/c5)
         deps      : array over j != i of d eps_ij along the move
         dh_mut    : array over j of d[H_ij/(mu_i mu_j)^{(n-2)/2}] (rate moves)
 
-        The pairing is linear in the move, so k moves may come stacked on a
-        leading axis (dC (k, n), dloglam and dCn_domain (k,), deps and dh_mut
-        (k, m-1)); the result then has shape (k,).
+        The pairing is linear in the move, so k moves may come stacked
+        (``moves`` (5, k), deps and dh_mut (k, m-1)); the result then has
+        shape (k,).
         """
         n = self.n
         f = asm.frames[i]
         mu = f.rate
         pw = 2.0 * n / (n - 2)
-        grad_dC = f.kt_grad @ dC.T
-        hess_dC_n = (f.kt_hess @ dC.T)[-1]
-        dh = dC[..., -1]
+        grad_dC, hess_dC_n, dh, dloglam, dCn_domain = moves
 
         if f.boundary:
             dT = (self.s_n * grad_dC
@@ -572,7 +673,7 @@ class ReducedModel:
                   - self.cp_i2h * f.kt_lap * dloglam / (n * mu * mu))
             dnum_own = 0.0
         else:
-            dH = (2.0 - n) * (2.0 * f.cb.height) ** (1 - n) * 2.0 * dh
+            dH = (2.0 - n) * (2.0 * f.height) ** (1 - n) * 2.0 * dh
             dHmu = (dH - (n - 2) * f.h_self * dloglam) / mu ** (n - 2)
             dT = (2.0 * self.s_n * grad_dC
                   + self.cp_i2h * (-2.0 * f.kt_lap * dloglam) / (n * mu * mu)
@@ -619,7 +720,7 @@ class ReducedModel:
         if not f.boundary:
             ld = f.image_distance
             tail = self.s_n * f.kt_val * (n * ld ** (-n) + ld ** (1 - n)) \
-                + self.c2 * f.kt_val * ld ** (2 - n) / max(mu * f.cb.height, 1.0)
+                + self.c2 * f.kt_val * ld ** (2 - n) / max(mu * f.height, 1.0)
             bar += 2.0 * asm.j_center * f.alpha ** (pw - 1.0) * tail / asm.den
         slop = 0.0
         for j, fj in enumerate(asm.frames):
@@ -732,7 +833,8 @@ class ReducedModel:
         """Pairing with (1/lam_i) d(profile)/d a_i as an ambient tangent vector.
 
         The pairing is linear in the move, so one pairing call takes the
-        n+1 ambient axes and gives the ambient covector g; the result is its
+        n+1 ambient axes, read off the frame's move covectors, and gives the
+        ambient covector g; the result is its
         orthogonal projection onto the admissible moves.  For an interior
         bubble these span a_i^perp, the sphere's tangent space, and so do
         the equator-tangential moves plus the inward normal e_n of a
@@ -749,25 +851,30 @@ class ReducedModel:
         a = f.param.a.coords
         lam = f.param.lam
         others = np.arange(cfg.size) != i
-        # row 0: the rate direction; rows 1..: the ambient axes e_0..e_n.
-        # dC is built row-major: the pairing's matrix products round the
-        # rate row differently on a column-major stack
-        dC = np.empty((n + 2, n))
-        dC[0] = f.dC_dloglam
-        np.divide(f.dC_dmove.T, lam, out=dC[1:])
-        dloglam = np.concatenate(([f.dl_dloglam], f.dl_dmove / lam))
+        # column 0: the rate direction; columns 1..: the ambient axes
+        # e_0..e_n; rows as the pairing reads them
+        s = f.dh_dloglam
+        moves = np.empty((5, n + 2))
+        moves[:, 0] = (f.g_n * s, f.h_nn * s, s, f.dl_dloglam, 0.0)
+        axes = moves[:, 1:]
+        axes[0] = f.move_g
+        axes[1] = f.move_w
+        axes[3] = f.move_l
         deps = np.vstack((asm.eps_dloglam[i, others], asm.eps_da[i, others].T / lam))
         dh_mut = np.zeros_like(deps)
-        dCn_domain = 0.0
         if f.boundary:
             # tangential moves keep the center on the chart boundary; the
             # vertical displacement is handled by the domain-variation term
-            dCn_domain = dC[:, -1].copy()
-            dCn_domain[0] = 0.0
-            dC[1:, -1] = 0.0
+            axes[2] = 0.0
+            axes[4] = f.move_v
         else:
+            axes[0] += f.g_n * f.move_v
+            axes[1] += f.h_nn * f.move_v
+            axes[2] = f.move_v
+            axes[4] = 0.0
             dh_mut[0] = -(n - 2) / 2.0 * asm.hmut_mat[i, others] * f.dl_dloglam
-        dJ = self._pairing(asm, i, dC, dloglam, dCn_domain, deps, dh_mut) / f.alpha
+        axes /= lam
+        dJ = self._pairing(asm, i, moves, deps, dh_mut) / f.alpha
         g = dJ[1:]
         vec = g - (a @ g) * a
         if f.boundary and not include_normal:
@@ -798,10 +905,9 @@ class ReducedModel:
             d = geodesic_distance(cfg.bubbles[k].a, rec.location)
             if d > MATCH_RADIUS:
                 raise NotInWSet(f"bubble {k} is {d:.3f} away from its match")
-            key = tuple(np.round(rec.location.coords, 9))
-            if key in seen:
+            if rec in seen:
                 raise NotInWSet("matched critical points must be distinct")
-            seen.add(key)
+            seen.add(rec)
             if (k < cfg.q) != (rec.kind == "boundary_of_K1"):
                 raise NotInWSet(f"bubble {k} matched to a record of the wrong kind")
 

@@ -289,6 +289,38 @@ class TestExistence:
         thr = doc["theorems"]["T1_2"]["hypotheses"]["pinch_below_threshold"]["threshold"]
         assert thr == pinch_threshold(1, N)
 
+    @pytest.mark.parametrize("make", [field_diag, field_linear, field_all_positive_laplacian,
+                                      field_boundary_max])
+    def test_report_classifies_once(self, make, s_n, monkeypatch):
+        import hemiflow.census as census_mod
+        import hemiflow.landscape as landscape_mod
+        K = make()
+        records = find_critical_points(K, 8)
+        report = check_assumptions(records, K)
+        kmin, kmax = K.min_max(10)
+        verdict, table = existence_check(records, report, kmin, kmax, N)
+        bset = a1_boundary_set(records)
+        calls = []
+
+        def counted(fn):
+            def wrapper(recs):
+                calls.append(fn.__name__)
+                return fn(recs)
+            return wrapper
+
+        monkeypatch.setattr(landscape_mod, "classify", counted(classify))
+        monkeypatch.setattr(census_mod, "a1_boundary_set", counted(a1_boundary_set))
+        doc = census_report(records, report, kmin, kmax, s_n, N, mass_max=4)
+        assert sorted(calls) == ["a1_boundary_set", "classify"]
+        # the document the public pieces give, one by one
+        interior = classify(records)["K_in_minus"]
+        assert doc["A"] == list(counting_A([N - 1 - r.morse_index for r in bset]))
+        assert doc["B"] == list(counting_B([N - r.morse_index for r in interior]))
+        assert doc["a1_set_size"] == len(bset)
+        assert doc["census"] == [e.to_json() for e in enumerate_census(records, 4, s_n, N)]
+        assert doc["verdict"] == verdict.to_json()
+        assert doc["theorems"] == {k: v.to_json() for k, v in table.items()}
+
 
 class TestCountingProperties:
     from hypothesis import given, settings

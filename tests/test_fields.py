@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from hemiflow.bubbles import BubbleParam
+from hemiflow.bubbles import BubbleParam, ChartedBubble
 from hemiflow.errors import ConfigError, NonPositiveField
 from hemiflow.fields import ScalarField, parse_monomial, reflection_bases
 from hemiflow.geometry import (BoundarySpherePoint, RotatedChart,
                                geodesic_step, tangent_basis)
 from hemiflow.model import ReducedModel
 
+from _chart_route import chart_frame
 from _fixtures import (N, E, boundary_point, field_all_positive_laplacian, field_boundary_max,
                        field_diag, field_h3_quadratic_flat, field_interior_min, field_linear,
                        interior_point, make_cfg, sample_cluster, sample_v4)
@@ -323,7 +324,8 @@ class TestCalculus:
         # Each per-axis central difference of the chart Hessian is a third
         # derivative D^3 Kt(xi)[e_k, e_i, e_j] at a point between C +- h e_k,
         # so it stays within sup |D^3 Kt[u^3]| <= 12 |b| + 36 d = 3 m3, the
-        # bound the m3 of every frame's cubic remainder is derived from.
+        # bound the m3 of every frame's cubic remainder is derived from.  The
+        # chart is each frame's own, built by the chart route.
         K = field_diag()
         model = ReducedModel(K)
         rng = np.random.default_rng(17)
@@ -332,12 +334,15 @@ class TestCalculus:
         assert cfg.size == 2
         h = 0.25
         for frame in model.frames(cfg):
-            center = frame.cb.center
+            cb = ChartedBubble.build(frame.param)
+            center = cb.center
+            assert abs(frame.rate - cb.rate) <= 1e-14 * cb.rate
+            assert np.max(np.abs(center - frame.height * np.eye(N)[-1])) <= 1e-14
             largest = 0.0
             for k in range(N):
                 e = h * np.eye(N)[k]
-                _, _, hp = K.chart_data(frame.cb.chart, center + e)
-                _, _, hm = K.chart_data(frame.cb.chart, center - e)
+                _, _, hp = K.chart_data(cb.chart, center + e)
+                _, _, hm = K.chart_data(cb.chart, center - e)
                 largest = max(largest, float(np.max(np.abs(hp - hm))) / (2 * h))
             assert 0.0 < largest <= 3.0 * model.m3
 
@@ -346,7 +351,8 @@ class TestCalculus:
         # six fixture fields, alternating boundary and interior frames, |z|
         # log-uniform in [0.05, 100].  A sampled m3 (twice the largest Hessian
         # difference at C +- 0.25 e_k) falls short on these draws, by up to
-        # 4.2x on field_all_positive_laplacian.
+        # 4.2x on field_all_positive_laplacian.  The Taylor data come from
+        # the chart route, after checking the frame's against it.
         rng = np.random.default_rng(2)
         worst = {}
         for make in FIXTURE_FIELDS:
@@ -358,12 +364,18 @@ class TestCalculus:
                 pt = boundary_point(rng) if boundary else interior_point(rng)
                 cfg = make_cfg(model, [BubbleParam(pt, rng.uniform(30.0, 400.0))], q=int(boundary))
                 f, = model.frames(cfg)
+                ref = chart_frame(K, f.param)
+                scale = np.max(np.abs(ref.kt_hess)) + np.max(np.abs(ref.kt_grad)) + ref.kt_val
+                for got, want in ((f.kt_val, ref.kt_val), (f.g_n, ref.kt_grad[-1]),
+                                  (f.h_nn, ref.kt_hess[-1, -1]), (f.kt_lap, np.trace(ref.kt_hess))):
+                    assert abs(got - want) <= 1e-14 * scale
                 u = rng.standard_normal((20, N))
                 u /= np.linalg.norm(u, axis=1, keepdims=True)
                 r = np.exp(rng.uniform(np.log(0.05), np.log(100.0), 20))
                 z = u * r[:, None]
-                vals, _, _ = K.chart_data(f.cb.chart, f.cb.center + z)
-                taylor = f.kt_val + z @ f.kt_grad + 0.5 * np.einsum("ki,ij,kj->k", z, f.kt_hess, z)
+                vals, _, _ = K.chart_data(ref.cb.chart, ref.cb.center + z)
+                taylor = (ref.kt_val + z @ ref.kt_grad
+                          + 0.5 * np.einsum("ki,ij,kj->k", z, ref.kt_hess, z))
                 ratio = np.abs(vals - taylor) / (0.5 * model.m3 * r**3)
                 worst[make.__name__] = max(worst[make.__name__], float(ratio.max()))
         assert max(worst.values()) <= 1.0, worst

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hemiflow.bubbles import BubbleParam, epsilon_da
+from hemiflow.bubbles import BubbleParam, ChartedBubble, epsilon_da, greens_regular_part
 from hemiflow.errors import (IndexNotBoundary, IndexNotInterior, InvalidConfiguration,
                              NonFiniteBar, NotInWSet)
 from hemiflow.fields import ScalarField
@@ -18,6 +18,7 @@ from hemiflow.landscape import find_critical_points
 from hemiflow.model import SEP_DISTANCE, Assembly, Configuration, ReducedModel
 from hemiflow.oracles import quadrature_J_boundary, quadrature_J_interior
 
+from _chart_route import chart_frame
 from _fixtures import (E, N, boundary_point, field_boundary_max, field_diag, field_linear,
                        interior_point, make_cfg)
 
@@ -408,9 +409,11 @@ class TestPointGradient:
 
     @staticmethod
     def _per_direction(model, cfg, i, asm, include_normal):
-        """grad_a as one pairing per basis direction."""
+        """grad_a as one pairing per basis direction, each reading its chart
+        shifts off the chart route instead of the frame's covectors."""
         f = asm.frames[i]
         a = f.param.a.coords
+        ref = chart_frame(model.K, f.param)
         basis = list(tangent_basis(a, within_equator=f.boundary))
         if f.boundary and include_normal:
             e_up = np.zeros_like(a)
@@ -420,14 +423,9 @@ class TestPointGradient:
         da_rows = [epsilon_da(cfg.bubbles[i], cfg.bubbles[j]) for j in range(cfg.size) if j != i]
         vec = np.zeros_like(a)
         for e in basis:
-            dC = f.dC_dmove @ e / lam
-            dloglam = float(f.dl_dmove @ e) / lam
-            dCn_domain = float(dC[-1]) if f.boundary else 0.0
-            if f.boundary:
-                dC = dC.copy()
-                dC[-1] = 0.0
             deps = np.array([float(row @ e) / lam for row in da_rows])
-            dJ = model._pairing(asm, i, dC, dloglam, dCn_domain, deps, np.zeros(cfg.size - 1))
+            dJ = model._pairing(asm, i, ref.pairing_rows(e, f.boundary), deps,
+                                np.zeros(cfg.size - 1))
             vec = vec + (dJ / f.alpha) * e
         return vec
 
@@ -518,19 +516,24 @@ class TestFrames:
             BubbleParam(SpherePoint(np.array([0.6, 0, 0, 0, 0, 0.8])), 70.0),
         ], q=2)
 
-    def test_one_pullback_call_per_frames_call(self, model_lin, monkeypatch):
+    def test_frames_make_no_pullback_or_chart_call(self, model_lin, monkeypatch):
+        # the frames are closed ambient forms: the chart route is an oracle only
+        import hemiflow.geometry as geometry_mod
         cfg = self._three_bubbles(model_lin)
         calls = []
-        original = ScalarField.chart_data
 
-        def counted(K, chart, x):
-            calls.append(np.shape(x))
-            return original(K, chart, x)
+        def refused(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("chart route called")
 
-        monkeypatch.setattr(ScalarField, "chart_data", counted)
+        monkeypatch.setattr(ScalarField, "chart_data", refused)
+        monkeypatch.setattr(ChartedBubble, "build", staticmethod(refused))
+        monkeypatch.setattr(geometry_mod.RotatedChart, "for_point", staticmethod(refused))
         frames = model_lin.frames(cfg)
+        asm = model_lin.assemble_frames(cfg, frames)
+        model_lin.gradient_components(cfg, asm)
         assert len(frames) == 3
-        assert calls == [(3, 1, N)]
+        assert calls == []
 
     @pytest.mark.parametrize("field", [field_linear, field_boundary_max, field_diag])
     def test_frame_trace_gradient_is_the_boundary_gradient(self, model_lin, field):
@@ -557,23 +560,93 @@ class TestFrames:
             assert np.array_equal(f.grad_k1, k1)
             assert f.grad_k1_norm == float(np.linalg.norm(k1))
             assert f.lam_dist == b.lam * b.boundary_distance()
-            val, grad, hess = K.chart_data(f.cb.chart, f.cb.center)
-            assert f.kt_val == val
-            assert np.array_equal(f.kt_grad, grad) and np.array_equal(f.kt_hess, hess)
-            # the movement calculus against central differences of the chart
-            # center and log rate along tangent moves, in the frame's own chart
+            ref = chart_frame(K, b)
+            assert_frame_matches_chart_route(f, ref)
+            # the chart route's movement calculus against central differences
+            # of the chart center and log rate along tangent moves
             lam2 = b.lam**2
             h = 1e-6
 
             def center_and_lograte(t, e):
-                x = f.cb.chart.to_chart(geodesic_step(b.a.coords, e, t))
+                x = ref.cb.chart.to_chart(geodesic_step(b.a.coords, e, t))
                 s2 = float(x @ x)
                 return x * (lam2 - 1.0) / (lam2 + s2), math.log((lam2 + s2) / (b.lam * (1.0 + s2)))
 
             for e in tangent_basis(b.a.coords):
                 (cp, lp), (cm, lm) = center_and_lograte(h, e), center_and_lograte(-h, e)
-                assert np.allclose(f.dC_dmove @ e, (cp - cm) / (2 * h), rtol=0.0, atol=1e-7)
-                assert abs(f.dl_dmove @ e - (lp - lm) / (2 * h)) < 1e-7
+                assert np.allclose(ref.dC_dmove @ e, (cp - cm) / (2 * h), rtol=0.0, atol=1e-7)
+                assert abs(ref.dl_dmove @ e - (lp - lm) / (2 * h)) < 1e-7
+
+    @staticmethod
+    def _field(n, rng):
+        terms = [((k,), rng.uniform(-0.02, 0.02)) for k in range(n + 1)]
+        terms += [((k, j), rng.uniform(-0.02, 0.02)) for k in range(n + 1) for j in range(k, n + 1)]
+        return ScalarField(n, 1.0, terms)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_closed_forms_match_the_chart_route(self, n):
+        # the special charts: the pole e_{n+1} (anchor e_1 by convention),
+        # anchors at e_1 and -e_1 (the identity and half-turn rotations), a
+        # boundary bubble at -e_1, and random points with an interior pair
+        rng = np.random.default_rng(40 + n)
+        model = ReducedModel(self._field(n, rng))
+        e = np.eye(n + 1)
+        up = np.array([0.6] + [0.0] * (n - 1) + [0.8])
+        down = up * np.array([-1.0] + [1.0] * n)
+        states = [
+            ([SpherePoint(e[-1])], 0),
+            ([SpherePoint(up)], 0),
+            ([SpherePoint(down)], 0),
+            ([BoundarySpherePoint(-e[0])], 1),
+            ([BoundarySpherePoint(e[0]), SpherePoint(down)], 1),
+        ]
+        for _ in range(4):
+            states.append(([boundary_point(rng, n=n), interior_point(rng, n=n),
+                            interior_point(rng, n=n)], 1))
+        for points, q in states:
+            bubbles = [BubbleParam(pt, rng.uniform(60.0, 400.0)) for pt in points]
+            cfg = make_cfg(model, bubbles, q=q, normalize=False)
+            frames = model.frames(cfg)
+            refs = [chart_frame(model.K, b) for b in cfg.bubbles]
+            for f, ref in zip(frames, refs):
+                assert_frame_matches_chart_route(f, ref)
+            for i in range(q, cfg.size):
+                for j in range(i + 1, cfg.size):
+                    ci, cj = refs[i].cb, refs[j].cb
+                    want = 0.5 * (greens_regular_part(ci.center, ci.chart.to_chart(cj.param.a.coords))
+                                  + greens_regular_part(cj.center, cj.chart.to_chart(ci.param.a.coords)))
+                    want /= (ci.rate * cj.rate) ** ((n - 2) / 2.0)
+                    got = model.mutual_h(frames[i], frames[j])
+                    assert abs(got - want) <= 1e-13 * want
+
+
+def assert_frame_matches_chart_route(f, ref):
+    """Every quantity of a frame, and its covectors contracted with each
+    ambient axis and a random move, against the chart route."""
+    cb = ref.cb
+    n = len(cb.center)
+    assert abs(f.rate - cb.rate) <= 1e-14 * cb.rate
+    assert abs(f.height - cb.height) <= 1e-14 and np.max(np.abs(cb.center[:-1])) <= 1e-14
+    scale = abs(ref.kt_val) + np.max(np.abs(ref.kt_grad)) + np.max(np.abs(ref.kt_hess))
+    for got, want in ((f.kt_val, ref.kt_val), (f.g_n, ref.kt_grad[-1]),
+                      (f.h_nn, ref.kt_hess[-1, -1]), (f.kt_lap, np.trace(ref.kt_hess))):
+        assert abs(got - want) <= 1e-14 * scale, (got, want)
+    assert abs(f.dl_dloglam - ref.dl_dloglam) <= 1e-15
+    assert np.max(np.abs(ref.dC_dloglam[:-1])) <= 1e-14 * max(abs(ref.dC_dloglam[-1]), 1e-3)
+    assert abs(f.dh_dloglam - ref.dC_dloglam[-1]) <= 1e-14 * max(abs(ref.dC_dloglam[-1]), 1e-3)
+    lam = f.param.lam
+    moves = np.vstack([np.eye(n + 1), np.random.default_rng(3).standard_normal(n + 1)])
+    for x in moves:
+        want = ref.pairing_rows(x, f.boundary)
+        v, g, w, ell = (f.move_v @ x, f.move_g @ x, f.move_w @ x, f.move_l @ x)
+        got = (np.array([g, w, 0.0, ell, v]) if f.boundary
+               else np.array([g + f.g_n * v, w + f.h_nn * v, v, ell, 0.0])) / lam
+        # the chart route leaves rounding of about 1e-19 where the closed
+        # forms hold exact zeros (tau = 0 on the equator), hence the + 1
+        shift = np.max(np.abs(ref.dC_dmove @ x)) / lam
+        rate_shift = (np.max(np.abs(ref.dl_dmove)) + 1.0) * np.max(np.abs(x)) / lam
+        tol = 1e-14 * np.array([scale * shift, scale * shift, shift, rate_shift, shift])
+        assert np.all(np.abs(got - want) <= tol + 1e-300), (got, want)
 
 
 class TestAssemblyKept:
