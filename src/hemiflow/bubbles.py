@@ -195,32 +195,3 @@ def epsilon_da(bi: BubbleParam, bj: BubbleParam) -> np.ndarray:
     li, lj = bi.lam, bj.lam
     eps_pow = (li / lj + lj / li + 2.0 * li * lj * _separation(bi, bj)) ** (-n / 2.0)
     return (n - 2) * li * lj * (bj.a.coords - bi.a.coords) * eps_pow
-
-
-def barycentric_pairing(bi: BubbleParam, bj: BubbleParam, b_coords) -> float:
-    """d(eps)/da_i . (b - <a_i,b> a_i) + d(eps)/da_j . (b - <a_j,b> a_j).
-
-    For two boundary bubbles drifting toward a common boundary point this is
-    bounded below by a positive multiple of eps (the barycentric descent
-    mechanism); the exact identity is
-    (n-2) lam_i lam_j eps^{n/(n-2)} <a_i + a_j, b> (1 - <a_i, a_j>).
-    """
-    b = np.asarray(b_coords, dtype=float)
-    gi = epsilon_da(bi, bj)
-    gj = epsilon_da(bj, bi)
-    vi = b - float(np.dot(bi.a.coords, b)) * bi.a.coords
-    vj = b - float(np.dot(bj.a.coords, b)) * bj.a.coords
-    return float(gi @ vi + gj @ vj)
-
-
-def delta_chart_identity_error(b: BubbleParam, x: SpherePoint) -> float:
-    """|delta(b, x) - conformal_factor^{-(n-2)/2} * flat_bubble(chart x)|.
-
-    Diagnostic for the exact sphere/half-space correspondence.
-    """
-    cb = ChartedBubble.build(b)
-    xc = cb.chart.to_chart(x.coords)
-    n = b.n
-    rho = 2.0 / (1.0 + float(xc @ xc))
-    flat = cb.flat_value(xc)
-    return abs(delta(b, x) - flat * rho ** (-(n - 2) / 2.0))

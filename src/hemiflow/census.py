@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import LevelInsideBand
-
 if TYPE_CHECKING:
     from .landscape import AssumptionReport
 
@@ -147,23 +145,6 @@ def enumerate_census(records, mass_max: int, s_n: float, n: int) -> list:
                     ))
     entries.sort(key=lambda e: (e.level, e.mass, e.index))
     return entries
-
-
-def homology_contribution(entry: CensusEntry) -> int:
-    """Degree at which crossing the entry's level adds one generator."""
-    return entry.index
-
-
-def chi_below(census, level: float, bands) -> int:
-    """Alternating index sum over entries strictly below a gap level.
-
-    The level must lie outside every band up to the largest census mass;
-    inside a band the sum has no topological meaning and the call fails.
-    """
-    for band in bands:
-        if band.lo <= level <= band.hi:
-            raise LevelInsideBand(f"level {level} lies inside the mass-{band.mass} band")
-    return int(sum((-1) ** e.index for e in census if e.level < level))
 
 
 # ---------------------------------------------------------------------------

@@ -212,10 +212,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         results[name] = {"passed": passed, "detail": detail}
         print(f"suite {name}: {'PASS' if passed else 'FAIL'} ({detail})")
         ok = ok and passed
-    if cfg is not None:
-        from . import constants as constants_mod
-        table = constants_mod.compute_constants(cfg.n, cfg.quadrature_tol)
-        _write_json(Path(cfg.output_dir) / "verify.json", _stamped(cfg, table, results))
+    from . import constants as constants_mod
+    table = constants_mod.compute_constants(cfg.n, cfg.quadrature_tol)
+    _write_json(Path(cfg.output_dir) / "verify.json", _stamped(cfg, table, results))
     return 0 if ok else 1
 
 

@@ -23,7 +23,9 @@ exact enumeration and does not depend on them.  ``grid_density`` is
 validated at load (at least 10) but has no effect: the extrema are exact.
 ``mass_max`` must be at least 1.  The document must be a JSON object, and
 field monomials must be strings such as ``"x1*x2"``.
-Flow constants must be finite at load; their smallness is checked by ``flow``.
+Flow constants must be finite at load, ``M0``, ``M2``, ``M4``, ``eta`` and
+``eps`` positive and ``max_qp`` at least 1; their smallness is checked by
+``flow``.
 Unset ``M0``/``M2``/``M4`` come from ``FlowParams.for_mass(max_qp, dimension)``.
 """
 
@@ -67,14 +69,21 @@ class FlowParams:
     stagnation_tol: float = 1e-10
     max_rejects: int = 10
 
-    def check_finite(self):
+    def check_values(self):
+        """Every constant finite, M0, M2, M4, eta and eps positive, max_qp >= 1."""
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ConfigError(f"flow constant {name} must be finite, got {value}")
+        for name in ("M0", "M2", "M4", "eta", "eps"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigError(f"flow constant {name} must be positive, got {value}")
+        if self.max_qp < 1:
+            raise ConfigError(f"flow constant max_qp must be at least 1, got {self.max_qp}")
 
     def validate(self):
         # every comparison below is false on NaN, so finiteness comes first
-        self.check_finite()
+        self.check_values()
         n_free = max(self.max_qp - 1, 1)
         checks = {
             "M0_over_M4sq": self.M0 / self.M4**2,
@@ -190,7 +199,7 @@ class RunConfig:
             cfg.flow = replace(FlowParams.for_mass(given.get("max_qp", 2), cfg.n), **given)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid configuration value: {exc}") from exc
-        # the smallness checks wait for the flow; a non-finite constant is
-        # rejected at load by every subcommand
-        cfg.flow.check_finite()
+        # the smallness checks wait for the flow; a non-finite or out-of-range
+        # constant is rejected at load by every subcommand
+        cfg.flow.check_values()
         return cfg

@@ -286,11 +286,6 @@ def radial_moment(n: int, weight_power: int, profile_power: float, tol: float = 
     return _radial_quad(lambda r: (1.0 + r * r) ** (-profile_power), n, weight_power, tol)
 
 
-def c2_interaction_constant(n: int, tol: float = 1e-8) -> float:
-    """The two-bubble interaction constant via its defining quadrature."""
-    return compute_constants(n, tol).values["c2"]
-
-
 def save_report(table: ConstantsTable, json_path, text_path=None):
     with open(json_path, "w") as fh:
         json.dump(table.to_json(), fh, indent=2, sort_keys=True)

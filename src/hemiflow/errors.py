@@ -41,24 +41,12 @@ class NotInWSet(DomainError):
     """Configuration is not close enough to a matched critical collection."""
 
 
-class IndexNotBoundary(DomainError):
-    """Index does not refer to a boundary bubble."""
-
-
-class IndexNotInterior(DomainError):
-    """Index does not refer to an interior bubble."""
-
-
 class DegenerateCriticalPoint(DomainError):
     """Hessian eigenvalue below the nondegeneracy floor at a located root."""
 
 
 class AmbiguousSign(DomainError):
     """Normal derivative falls inside the dead-band where its sign is unreliable."""
-
-
-class LevelInsideBand(DomainError):
-    """Requested cut level lies inside an energy band instead of a gap."""
 
 
 class OutsideNeighborhood(DomainError):

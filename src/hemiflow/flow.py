@@ -524,8 +524,7 @@ class PseudogradientFlow:
         sub = Configuration(tuple(cfg.alphas[i] for i in indices),
                             tuple(cfg.bubbles[i] for i in indices),
                             q_sub, len(indices) - q_sub, cfg.eps_scale)
-        sub_asm = self.model.assemble_frames(sub, [replace(asm.frames[i], idx=k)
-                                                   for k, i in enumerate(indices)])
+        sub_asm = self.model.assemble_frames(sub, [asm.frames[i] for i in indices])
         return sub, list(indices), sub_asm
 
     # -- assembled field -----------------------------------------------------------

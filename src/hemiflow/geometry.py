@@ -178,20 +178,6 @@ def stereographic_to_halfspace(p: SpherePoint) -> HalfSpacePoint:
     return HalfSpacePoint(x)
 
 
-def halfspace_to_sphere(x) -> SpherePoint:
-    """Inverse of :func:`stereographic_to_halfspace`."""
-    v = np.asarray(x, dtype=float)
-    s = float(np.dot(v, v))
-    coords = np.concatenate(([1.0 - s], 2.0 * v)) / (1.0 + s)
-    return SpherePoint(coords)
-
-
-def chart_conformal_factor(x) -> float:
-    """rho(x) with pullback metric rho^2 * euclidean: rho = 2/(1+|x|^2)."""
-    v = np.asarray(x, dtype=float)
-    return 2.0 / (1.0 + float(np.dot(v, v)))
-
-
 @dataclass(frozen=True)
 class RotatedChart:
     """Stereographic chart whose pole is opposite a chosen equator anchor.
@@ -243,10 +229,3 @@ class RotatedChart:
         if 1.0 + p[0] < POLE_TOL:
             raise PoleSingularity("point too close to the chart pole")
         return p[1:] / (1.0 + p[0])
-
-    def to_sphere(self, x) -> np.ndarray:
-        v = np.asarray(x, dtype=float)
-        s = float(np.dot(v, v))
-        p = np.concatenate(([1.0 - s], 2.0 * v)) / (1.0 + s)
-        return self.rotation @ p
-

@@ -50,9 +50,6 @@ class Bar:
 
     __rmul__ = __mul__
 
-    def widen(self, extra: float) -> "Bar":
-        return Bar(self.center, self.halfwidth + abs(extra))
-
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= value <= self.hi + slack
 

@@ -87,20 +87,6 @@ class CriticalPointRecord:
             "hessian_eigenvalues": [float(v) for v in self.hessian_eigenvalues],
         }
 
-    @staticmethod
-    def from_json(doc: dict) -> "CriticalPointRecord":
-        coords = np.asarray(doc["location"], dtype=float)
-        loc = BoundarySpherePoint(coords) if doc["kind"] == "boundary_of_K1" else SpherePoint(coords)
-        return CriticalPointRecord(
-            location=loc, kind=doc["kind"], morse_index=int(doc["morse_index"]),
-            value=float(doc["value"]), laplacian=float(doc["laplacian"]),
-            normal_derivative=(None if doc["normal_derivative"] is None
-                               else float(doc["normal_derivative"])),
-            nondegenerate=bool(doc["nondegenerate"]),
-            classification=doc["classification"],
-            hessian_eigenvalues=tuple(doc["hessian_eigenvalues"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Exact enumeration
@@ -242,9 +228,6 @@ class AssumptionReport:
     h3_branches: dict
     violations: list
 
-    def all_hold(self) -> bool:
-        return self.h1 and self.h2 and self.h3
-
     def to_json(self) -> dict:
         return {
             "H1": self.h1, "H2": self.h2, "H3": self.h3,
@@ -351,8 +334,3 @@ def save_records(records, path):
     with open(path, "w") as fh:
         json.dump([r.to_json() for r in records], fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_records(path):
-    with open(path) as fh:
-        return [CriticalPointRecord.from_json(doc) for doc in json.load(fh)]

@@ -60,8 +60,8 @@ import numpy as np
 from .bubbles import (BOUNDARY_HEIGHT_TOL, BubbleParam, epsilon, epsilon_da,
                       epsilon_dlambda)
 from .constants import ConstantsTable, compute_constants
-from .errors import (IndexNotBoundary, IndexNotInterior, InvalidConfiguration,
-                     NonFiniteBar, NotInWSet, PoleSingularity)
+from .census import entry_level
+from .errors import InvalidConfiguration, NonFiniteBar, NotInWSet, PoleSingularity
 from .fields import ScalarField
 from .geometry import (POLE_TOL, BoundarySpherePoint, SpherePoint, geodesic_distance,
                        tangent_basis)
@@ -94,6 +94,8 @@ class Configuration:
     def __post_init__(self):
         if self.q < 0 or self.p < 0 or self.q + self.p < 1:
             raise InvalidConfiguration("need q, p >= 0 with q + p >= 1")
+        if not self.eps_scale > 0:
+            raise InvalidConfiguration(f"neighborhood scale eps = {self.eps_scale} must be positive")
         if len(self.alphas) != self.q + self.p or len(self.bubbles) != self.q + self.p:
             raise InvalidConfiguration("alphas/bubbles length mismatch")
         if any(a <= 0 for a in self.alphas):
@@ -155,6 +157,8 @@ class Configuration:
         lams = [float(entry["lambda"]) for entry in doc["bubbles"]]
         if not all(map(math.isfinite, (eps, *alphas, *lams))):
             raise ValueError("alpha, lambda and eps must be finite")
+        if eps <= 0:
+            raise ValueError(f"eps must be positive, got {eps}")
         bubbles = tuple(BubbleParam((BoundarySpherePoint if k < q else SpherePoint)(entry["point"]), lam)
                         for k, (entry, lam) in enumerate(zip(doc["bubbles"], lams)))
         return Configuration(alphas, bubbles, q, p, eps)
@@ -184,7 +188,6 @@ class BubbleFrame:
         dC_n = move_v.x,   dlog(rate) = move_l.x
     """
 
-    idx: int
     boundary: bool
     alpha: float
     param: BubbleParam
@@ -225,7 +228,6 @@ class BubbleFrame:
 # ---------------------------------------------------------------------------
 
 SEP_DISTANCE = 0.1           # pairwise-separation hypothesis scale
-ALPHA_SLACK = 0.05           # tolerated post-normalization imbalance
 REM3_COEFF = 0.5             # third-order Taylor remainder multiplier
 INTERACTION_BAR_COEFF = 4.0  # weight of the pair slop in the energy bar
 PAIR_OVERLAP_COEFF = 0.5     # half-space halving of boundary pairs
@@ -424,7 +426,7 @@ class ReducedModel:
         grad_k1_norm = np.sqrt(np.vecdot(grad_k1, grad_k1)).tolist()
         return [
             BubbleFrame(
-                idx=i, boundary=i < cfg.q, alpha=cfg.alphas[i], param=b, anchor=anchor[i],
+                boundary=i < cfg.q, alpha=cfg.alphas[i], param=b, anchor=anchor[i],
                 rate=rate[i], height=t[i], k_val=k_val[i], grad_sphere=grad_sphere[i],
                 grad_norm=grad_norm[i], grad_k1=grad_k1[i], grad_k1_norm=grad_k1_norm[i],
                 lam_dist=lam_dist[i], kt_val=kt_val[i], g_n=g_n[i], h_nn=h_nn[i],
@@ -490,9 +492,15 @@ class ReducedModel:
 
     def assemble(self, cfg: Configuration) -> Assembly:
         """The configuration's assembly, built once per configuration object
-        and model and kept on the configuration."""
+        and model and kept on the configuration.  A state whose energy
+        overflows the float range raises NonFiniteBar."""
         asm = cfg._memo.get(self)
-        return asm if asm is not None else self.assemble_frames(cfg, self.frames(cfg))
+        if asm is not None:
+            return asm
+        try:
+            return self.assemble_frames(cfg, self.frames(cfg))
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise NonFiniteBar(f"energy out of float range: {exc}") from exc
 
     def assemble_frames(self, cfg: Configuration, frames: list) -> Assembly:
         """Assemble ``cfg`` from its frames (as ``frames(cfg)`` builds them)
@@ -585,12 +593,6 @@ class ReducedModel:
     def reduced_J(self, cfg: Configuration) -> Bar:
         return self.assemble(cfg).j_bar
 
-    def leading_level(self, k_values, mults) -> float:
-        """s_n^{2/n} (sum m_i K_i^{-(n-2)/2})^{2/n}, the limiting energy."""
-        n = self.n
-        qsum = sum(m * k ** (-(n - 2) / 2.0) for k, m in zip(k_values, mults))
-        return self.s_n ** (2.0 / n) * qsum ** (2.0 / n)
-
     def imbalances(self, frames: list, a_qty: float, gamma: float) -> np.ndarray:
         """1 - alpha_i^{4/(n-2)} K_i A/Gamma; zero exactly at the balanced
         weights.  ``assemble`` keeps the result on the ``Assembly``."""
@@ -605,9 +607,6 @@ class ReducedModel:
         mult = np.array([1.0 if i < cfg.q else 2.0 for i in range(cfg.size)])
         t = (self.s_n * float(np.sum(mult * raw**2))) ** -0.5
         return cfg.replace(alphas=tuple(t * raw))
-
-    def check_alpha_slack(self, cfg: Configuration) -> bool:
-        return bool(np.max(np.abs(self.assemble(cfg).imbalances)) <= ALPHA_SLACK)
 
     # -- minimizer-residue budget ----------------------------------------------
 
@@ -769,8 +768,8 @@ class ReducedModel:
         return float(r1), float(r1b)
 
     def gradient_components(self, cfg: Configuration, asm: Assembly | None = None) -> "GradientComponents":
-        """Bundle of every pairing, the interaction data, and the budgets,
-        built once per assembly and kept on it; its arrays are read-only.
+        """Bundle of every pairing, built once per assembly and kept on it;
+        its arrays, and the assembly's eps_dloglam table, are read-only.
         Each bubble's rate and point pairings come from one pairing call,
         and its residue coupling is computed once for both bars."""
         asm = asm or self.assemble(cfg)
@@ -790,9 +789,6 @@ class ReducedModel:
             alpha_pairings=tuple(alpha_pairings),
             lam_pairings=tuple(lam_pairings),
             a_pairings=tuple(a_pairings),
-            eps=asm.eps_mat,
-            eps_dloglam=asm.eps_dloglam,
-            r1=asm.budgets[0], r1_boundary=asm.budgets[1],
         )
         for vec, _ in a_pairings:
             vec.flags.writeable = False
@@ -815,17 +811,6 @@ class ReducedModel:
             bar_terms += f.image_distance ** (2 - n)
         bar = 2.0 * asm.j_center * f.mult * self.s_n / asm.n_qty * bar_terms
         return Bar(float(center), abs(bar))
-
-    def grad_lambda_boundary(self, cfg: Configuration, i: int, asm: Assembly | None = None) -> Bar:
-        """Pairing with lam_i d(profile)/d lam_i for a boundary bubble."""
-        if not cfg.is_boundary_index(i):
-            raise IndexNotBoundary(f"index {i} is interior")
-        return self.grad_a(cfg, i, asm, with_rate=True)[0]
-
-    def grad_lambda_interior(self, cfg: Configuration, i: int, asm: Assembly | None = None) -> Bar:
-        if cfg.is_boundary_index(i):
-            raise IndexNotInterior(f"index {i} is boundary")
-        return self.grad_a(cfg, i, asm, with_rate=True)[0]
 
     def grad_a(self, cfg: Configuration, i: int, asm: Assembly | None = None,
                include_normal: bool = True, with_rate: bool = False,
@@ -913,7 +898,7 @@ class ReducedModel:
 
         mults = [1 if k < cfg.q else 2 for k in range(cfg.size)]
         k_vals = [self.K.value(rec.location) for rec in matches]
-        level0 = self.leading_level(k_vals, mults)
+        level0 = entry_level(matches[:cfg.q], matches[cfg.q:], self.s_n, n)
         qsum = sum(m * k ** (-(n - 2) / 2.0) for k, m in zip(k_vals, mults))
 
         # weight deviation through the exact leading functional
@@ -967,22 +952,14 @@ class ReducedModel:
 
 @dataclass(frozen=True)
 class GradientComponents:
-    """Per-index pairings, interaction data, and remainder budgets.
+    """Per-index pairings; the interaction data and the remainder budgets
+    they read are on the ``Assembly``.
 
     alpha_pairings[i]: pairing with the i-th profile direction
     lam_pairings[i]:   pairing with lam_i d/dlam_i
     a_pairings[i]:     (tangent vector, bar) for (1/lam_i) d/da_i
-    eps, eps_dloglam:  pairwise interactions and their scaled rate derivatives
-    r1, r1_boundary:   nonnegative remainder aggregates
     """
 
     alpha_pairings: tuple
     lam_pairings: tuple
     a_pairings: tuple
-    eps: np.ndarray
-    eps_dloglam: np.ndarray
-    r1: float
-    r1_boundary: float
-
-    def __post_init__(self):
-        assert self.r1 >= 0.0 and self.r1_boundary >= 0.0

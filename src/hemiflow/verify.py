@@ -38,8 +38,8 @@ def _suite_counting(cfg) -> tuple:
 
 
 def _suite_constants(cfg) -> tuple:
-    n = cfg.n if cfg is not None else 5
-    tol = cfg.quadrature_tol if cfg is not None else 1e-8
+    n = cfg.n
+    tol = cfg.quadrature_tol
     worst = 0.0
     for dim in sorted({n, 5, 6, 7}):
         table = constants_mod.compute_constants(dim, tol)
@@ -49,7 +49,7 @@ def _suite_constants(cfg) -> tuple:
             worst = max(worst, rel)
             if rel > 1e-6:
                 return False, f"{key} at n={dim}: relative error {rel}"
-    rng = np.random.default_rng(cfg.seed if cfg is not None else 0)
+    rng = np.random.default_rng(cfg.seed)
     radii = rng.uniform(0.3, 3.0, 100)
     res = oracles.flat_bubble_pde_residual(n, radii)
     if res > 1e-8:
@@ -58,8 +58,8 @@ def _suite_constants(cfg) -> tuple:
 
 
 def _suite_interaction(cfg) -> tuple:
-    n = cfg.n if cfg is not None else 5
-    rng = np.random.default_rng(cfg.seed if cfg is not None else 0)
+    n = cfg.n
+    rng = np.random.default_rng(cfg.seed)
     count = 10_000
     pts = rng.standard_normal((2, count, n + 1))
     pts[..., -1] = np.abs(pts[..., -1])

@@ -6,6 +6,9 @@ at the chart center (``ScalarField.chart_data``) and differentiates the
 chart center and log rate through the chart Jacobian at the concentration
 point (``chart_jacobians``): every quantity in the chart's own coordinates,
 from which the frame's closed forms are derived.
+
+The inverse charts (``halfspace_to_sphere``, ``to_sphere``), the conformal
+factor and the sphere/chart profile identity check the forward charts.
 """
 
 from __future__ import annotations
@@ -14,7 +17,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hemiflow.bubbles import BubbleParam, ChartedBubble
+from hemiflow.bubbles import BubbleParam, ChartedBubble, delta
+from hemiflow.geometry import RotatedChart, SpherePoint
+
+
+def _inverse_stereographic(x) -> np.ndarray:
+    v = np.asarray(x, dtype=float)
+    s = float(np.dot(v, v))
+    return np.concatenate(([1.0 - s], 2.0 * v)) / (1.0 + s)
+
+
+def halfspace_to_sphere(x) -> SpherePoint:
+    """Inverse of ``geometry.stereographic_to_halfspace``."""
+    return SpherePoint(_inverse_stereographic(x))
+
+
+def chart_conformal_factor(x) -> float:
+    """rho(x) with pullback metric rho^2 * euclidean: rho = 2/(1+|x|^2)."""
+    v = np.asarray(x, dtype=float)
+    return 2.0 / (1.0 + float(np.dot(v, v)))
+
+
+def to_sphere(chart: RotatedChart, x) -> np.ndarray:
+    """Inverse of ``chart.to_chart``."""
+    return chart.rotation @ _inverse_stereographic(x)
+
+
+def delta_chart_identity_error(b: BubbleParam, x: SpherePoint) -> float:
+    """|delta(b, x) - conformal_factor^{-(n-2)/2} * flat_bubble(chart x)|,
+    which the exact sphere/half-space correspondence makes zero."""
+    cb = ChartedBubble.build(b)
+    xc = cb.chart.to_chart(x.coords)
+    n = b.n
+    rho = chart_conformal_factor(xc)
+    flat = cb.flat_value(xc)
+    return abs(delta(b, x) - flat * rho ** (-(n - 2) / 2.0))
 
 
 def chart_jacobians(rotations, coords) -> np.ndarray:

@@ -125,7 +125,7 @@ def test_acceptance_expansion_fidelity():
 
     lam, h = 20.0, 0.05
     cfg = make_cfg(model, [BubbleParam(z, lam)], q=1)
-    grad = model.grad_lambda_boundary(cfg, 0)
+    grad = model.grad_a(cfg, 0, with_rate=True)[0]
     fd = (quadrature_J_boundary(K, E[0], lam * math.exp(h))
           - quadrature_J_boundary(K, E[0], lam * math.exp(-h))) / (2 * h)
     rel_flat = abs(fd - cfg.alphas[0] * grad.center) / abs(fd)
@@ -136,7 +136,7 @@ def test_acceptance_expansion_fidelity():
     assert K2.normal_derivative(z) > 0
     model2 = ReducedModel(K2)
     cfg2 = make_cfg(model2, [BubbleParam(z, lam)], q=1)
-    grad2 = model2.grad_lambda_boundary(cfg2, 0)
+    grad2 = model2.grad_a(cfg2, 0, with_rate=True)[0]
     fd2 = (quadrature_J_boundary(K2, E[0], lam * math.exp(h))
            - quadrature_J_boundary(K2, E[0], lam * math.exp(-h))) / (2 * h)
     rel_nu = abs(fd2 - cfg2.alphas[0] * grad2.center) / abs(fd2)
@@ -209,10 +209,7 @@ def test_acceptance_gradient_self_consistency():
             fd = (jp - jm) / (2 * h)
             assert abs(fd - ga.center) <= ga.halfwidth + 1e-9
 
-            if i < cfg.q:
-                gl = model.grad_lambda_boundary(cfg, i, asm)
-            else:
-                gl = model.grad_lambda_interior(cfg, i, asm)
+            gl = model.grad_a(cfg, i, asm, with_rate=True)[0]
             hh = 1e-4
             bb = list(cfg.bubbles)
             bb[i] = BubbleParam(bb[i].a, bb[i].lam * math.exp(hh))

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hemiflow.bubbles import (BubbleParam, _interaction_terms, barycentric_pairing,
-                              bubble_normalization, delta, delta_chart_identity_error,
+from hemiflow.bubbles import (BubbleParam, _interaction_terms, bubble_normalization, delta,
                               epsilon, epsilon_da, epsilon_dlambda, greens_regular_part,
                               phi_approx)
 from hemiflow.errors import BoundaryPoint, InvalidConfiguration
 from hemiflow.geometry import (BoundarySpherePoint, SpherePoint, geodesic_distance,
                                geodesic_step, tangent_basis)
 
+from _chart_route import delta_chart_identity_error
 from _fixtures import N, E
 
 
@@ -205,6 +205,22 @@ class TestInteractionPointDerivative:
             fd = (epsilon(BubbleParam(SpherePoint(geodesic_step(bi.a.coords, e, h)), bi.lam), bj)
                   - epsilon(BubbleParam(SpherePoint(geodesic_step(bi.a.coords, e, -h)), bi.lam), bj)) / (2 * h)
             assert abs(float(g @ e) - fd) <= 1e-6 * max(abs(fd), 1e-12)
+
+
+def barycentric_pairing(bi: BubbleParam, bj: BubbleParam, b_coords) -> float:
+    """d(eps)/da_i . (b - <a_i,b> a_i) + d(eps)/da_j . (b - <a_j,b> a_j).
+
+    For two boundary bubbles drifting toward a common boundary point this is
+    bounded below by a positive multiple of eps (the barycentric descent
+    mechanism); the exact identity is
+    (n-2) lam_i lam_j eps^{n/(n-2)} <a_i + a_j, b> (1 - <a_i, a_j>).
+    """
+    b = np.asarray(b_coords, dtype=float)
+    gi = epsilon_da(bi, bj)
+    gj = epsilon_da(bj, bi)
+    vi = b - float(np.dot(bi.a.coords, b)) * bi.a.coords
+    vj = b - float(np.dot(bj.a.coords, b)) * bj.a.coords
+    return float(gi @ vi + gj @ vj)
 
 
 class TestBarycentricMechanism:

@@ -237,6 +237,23 @@ class TestExitCodes:
                      "--t-max", "0.2"]) == 2
         assert f"flow constant {next(iter(flow))} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flow, message", [
+        ({"M0": -1}, "M0 must be positive"), ({"M2": -10}, "M2 must be positive"),
+        ({"M0": 0}, "M0 must be positive"), ({"M2": 0}, "M2 must be positive"),
+        ({"M4": 0}, "M4 must be positive"), ({"M4": -1000}, "M4 must be positive"),
+        ({"eta": -0.1}, "eta must be positive"), ({"eps": 0}, "eps must be positive"),
+        ({"max_qp": 0}, "max_qp must be at least 1"),
+    ], ids=["negative_M0", "negative_M2", "zero_M0", "zero_M2", "zero_M4", "negative_M4",
+            "negative_eta", "zero_eps", "zero_max_qp"])
+    def test_flow_constant_out_of_range(self, tmp_path, capsys, flow, message):
+        # the smallness checks divide by and take roots of M0, M2 and M4
+        cfgp = write_config(tmp_path, extra={"flow": flow})
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(_one_bubble()))
+        assert main(["--config", str(cfgp), "flow", "--state", str(state_path),
+                     "--t-max", "0.2"]) == 2
+        assert f"configuration error: flow constant {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["critical-points", "census", "existence"])
     def test_non_finite_flow_constant_rejected_at_load(self, tmp_path, capsys, command):
         # the subcommands that never run the flow still read the configuration
@@ -387,11 +404,25 @@ class TestFlowStateErrors:
         _one_bubble(alpha=float("inf")),
         _one_bubble(point=[1, float("nan"), 0, 0, 0, 0]),
         _one_bubble(eps=float("nan")),
+        _one_bubble(eps=0.0),
+        _one_bubble(eps=-0.1),
     ], ids=["missing_q", "non_unit_point", "wrong_dimension", "nan_lambda", "nan_alpha",
-            "inf_alpha", "nan_point", "nan_eps"])
+            "inf_alpha", "nan_point", "nan_eps", "zero_eps", "negative_eps"])
     def test_malformed_state(self, tmp_path, capsys, state):
         cfgp = write_config(tmp_path)
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state))
         assert main(["--config", str(cfgp), "flow", "--state", str(path)]) == 2
         assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("state", [_one_bubble(lam=1e160), _one_bubble(alpha=1e300),
+                                       _one_bubble(alpha=1e-300)],
+                             ids=["huge_lambda", "huge_alpha", "tiny_alpha"])
+    def test_state_out_of_float_range(self, tmp_path, capsys, state):
+        # the energy's powers overflow or its denominator underflows to zero
+        cfgp = write_config(tmp_path)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        assert main(["--config", str(cfgp), "flow", "--state", str(path)]) == 1
+        assert "error: NonFiniteBar: energy out of float range" in capsys.readouterr().err

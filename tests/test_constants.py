@@ -6,7 +6,7 @@ from scipy import integrate
 from scipy.special import gamma
 
 from hemiflow import constants
-from hemiflow.constants import (ConstantsTable, c2_interaction_constant, closed_forms,
+from hemiflow.constants import (ConstantsTable, closed_forms,
                                 compute_constants, radial_moment)
 from hemiflow.errors import ConfigError, ToleranceNotMet
 from hemiflow.oracles import (c2_scheme_crosscheck, flat_bubble_pde_residual, flat_epsilon,
@@ -113,7 +113,7 @@ class TestInteractionConstant:
         assert abs(a - b) <= max(1e-12 * abs(a), 1e-7)
 
     def test_positive(self, table5):
-        assert c2_interaction_constant(5) > 0
+        assert table5.c2 > 0
 
     def test_against_two_profile_overlap(self, table5):
         # direct overlap integral over flat space at rate 50, separation 0.5

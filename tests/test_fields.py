@@ -8,7 +8,7 @@ from hemiflow.geometry import (BoundarySpherePoint, RotatedChart,
                                geodesic_step, tangent_basis)
 from hemiflow.model import ReducedModel
 
-from _chart_route import chart_frame
+from _chart_route import chart_frame, to_sphere
 from _fixtures import (N, E, boundary_point, field_all_positive_laplacian, field_boundary_max,
                        field_diag, field_h3_quadratic_flat, field_interior_min, field_linear,
                        interior_point, make_cfg, sample_cluster, sample_v4)
@@ -284,7 +284,7 @@ class TestCalculus:
         K = ScalarField(N, 1.0, [("x1", 0.05), ("x1*x2", 0.03), ("x6^2", 0.02)])
         chart = RotatedChart.for_anchor(np.array([0.6, 0.8, 0, 0, 0, 0.0]))
         def f(x):
-            return K.value(chart.to_sphere(x))
+            return K.value(to_sphere(chart, x))
         # a batch with one point beyond the unit ball; each row is checked against
         # the single-point call and against finite differences
         pts = np.array([[0.1, -0.2, 0.3, 0.05, 0.4],

@@ -8,6 +8,7 @@ import pytest
 
 import hemiflow.flow as flow_module
 from hemiflow.bubbles import BubbleParam
+from hemiflow.census import entry_level
 from hemiflow.config import RunConfig
 from hemiflow.errors import ConfigError, NonFiniteBar, OutsideNeighborhood, StepFailure
 from hemiflow.fields import ScalarField
@@ -291,7 +292,8 @@ class TestTrajectories:
         js = [p.j_value.center for p in traj.points]
         assert all(b >= a for a, b in zip(lams, lams[1:]))
         assert all(b <= a + 1e-8 for a, b in zip(js, js[1:]))
-        level = model.leading_level([model.K.value(BoundarySpherePoint(E[0]))], [1])
+        top = min(records, key=lambda r: np.linalg.norm(r.location.coords - E[0]))
+        level = entry_level([top], [], model.s_n, N)
         assert js[-1] >= level - 1e-9
         assert js[-1] - level < js[0] - level
 
@@ -633,7 +635,7 @@ class TestOneAssemblyPerState:
         assert label.tag == "V4" and 0 < len(label.tower_set) < cfg.size
         sub_cfg, back, sub_asm = flow._restrict(cfg, asm, sorted(label.tower_set))
         assert model.assemble(sub_cfg) is sub_asm
-        assert [f.idx for f in sub_asm.frames] == list(range(len(back)))
+        assert all(sub_asm.frames[k] is asm.frames[back[k]] for k in range(len(back)))
         fresh = ReducedModel(model.K, model.tbl).assemble(
             Configuration(sub_cfg.alphas, sub_cfg.bubbles, sub_cfg.q, sub_cfg.p, sub_cfg.eps_scale))
         assert sub_asm.j_center == fresh.j_center
@@ -757,7 +759,8 @@ class TestOneFieldPerState:
         cfg = _v4_two_interior(model)
         vel = flow.pseudogradient(cfg)
         grads = model.gradient_components(cfg)
-        shared = (vel.alpha_dot, vel.loglam_dot, *vel.a_dot, grads.eps, grads.eps_dloglam,
+        asm = model.assemble(cfg)
+        shared = (vel.alpha_dot, vel.loglam_dot, *vel.a_dot, asm.eps_mat, asm.eps_dloglam,
                   *(vec for vec, _ in grads.a_pairings))
         for arr in shared:
             with pytest.raises(ValueError):

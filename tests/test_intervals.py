@@ -32,10 +32,6 @@ def test_contains_and_overlaps():
     assert not a.overlaps(Bar(1.3, 0.05))
 
 
-def test_widen():
-    assert abs(Bar(1.0, 0.1).widen(0.05).halfwidth - 0.15) < 1e-15
-
-
 def test_negative_halfwidth_rejected():
     with pytest.raises(ValueError):
         Bar(0.0, -1.0)

@@ -8,10 +8,10 @@ from hemiflow.census import census_report, existence_check
 from hemiflow.constants import compute_constants
 from hemiflow.errors import AmbiguousSign, DegenerateCriticalPoint
 from hemiflow.fields import ScalarField, SphereRoots
-from hemiflow.geometry import tangent_basis
-from hemiflow.landscape import (CriticalPointRecord, _classify_boundary,
+from hemiflow.geometry import BoundarySpherePoint, SpherePoint, tangent_basis
+from hemiflow.landscape import (_classify_boundary,
                                 check_assumptions, classify, find_critical_points,
-                                hemisphere_index_tally, load_records,
+                                hemisphere_index_tally,
                                 poincare_hopf_boundary, save_records)
 
 from _fixtures import (E, N, field_all_positive_laplacian, field_boundary_max, field_diag,
@@ -526,7 +526,7 @@ class TestBatchedRecords:
 class TestAssumptions:
     def test_linear_field_satisfies_all(self, linear_records):
         rep = check_assumptions(linear_records, field_linear())
-        assert rep.all_hold()
+        assert rep.h1 and rep.h2 and rep.h3
         assert rep.violations == []
         # the field has no height dependence: both branch reports hold with
         # the ratio chain identically zero
@@ -538,7 +538,7 @@ class TestAssumptions:
         K = field_boundary_max()
         recs = find_critical_points(K, 8)
         rep = check_assumptions(recs, K)
-        assert rep.all_hold()
+        assert rep.h1 and rep.h2 and rep.h3
         families = classify(recs)
         assert len(families["K_b_plus"]) == 1
         assert families["K_b_plus"][0].is_local_max()
@@ -819,16 +819,17 @@ class TestSerialization:
         path = tmp_path / "records.json"
         save_records(diag_records, path)
         K = field_diag()
-        loaded = load_records(path)
-        assert len(loaded) == len(diag_records)
-        for r in loaded:
-            g = (K.boundary_gradient(r.location) if r.is_boundary
-                 else K.tangent_gradient(r.location))
+        docs = json.loads(path.read_text())
+        assert docs == [r.to_json() for r in diag_records]
+        for doc in docs:
+            if doc["kind"] == "boundary_of_K1":
+                g = K.boundary_gradient(BoundarySpherePoint(doc["location"]))
+            else:
+                g = K.tangent_gradient(SpherePoint(doc["location"]))
             assert np.linalg.norm(g) <= 1e-9
 
     def test_json_fields(self, linear_records):
-        doc = linear_records[0].to_json()
-        back = CriticalPointRecord.from_json(json.loads(json.dumps(doc)))
-        assert back.kind == linear_records[0].kind
-        assert back.morse_index == linear_records[0].morse_index
-        assert np.allclose(back.location.coords, linear_records[0].location.coords)
+        back = json.loads(json.dumps(linear_records[0].to_json()))
+        assert back["kind"] == linear_records[0].kind
+        assert back["morse_index"] == linear_records[0].morse_index
+        assert np.allclose(back["location"], linear_records[0].location.coords)
