@@ -71,9 +71,6 @@ class RegionLabel:
     tower_set: tuple     # comparable-scale index set in the spread regime
     mu_ratio: float
 
-    def weight(self, name: str) -> float:
-        return self.weights.get(name, 0.0)
-
 
 @dataclass
 class Velocity:
@@ -167,7 +164,7 @@ class PseudogradientFlow:
         asm = asm or self.model.assemble(cfg)
         m2 = self.params.M2
         b = cfg.bubbles[i]
-        eps_sum = float(np.sum(asm.eps_mat[i]))
+        eps_sum = asm.eps_sums[i]
         mu_i = self.mu(cfg, i, asm)
         imb = abs(asm.imbalances[i])
         g_alpha = imb / (m2 * (eps_sum + 1.0 / mu_i))

@@ -31,10 +31,10 @@ expansions in the rate, point and weight directions; the test suite checks
 both routes against honest quadrature.
 
 Each state is evaluated once: ``frames`` builds every bubble's chart data
-in one pass over stacked arrays, in closed ambient form (every chart
-quantity lives in the bubble's meridian plane, so no chart rotation or
-pullback call is made), with the sphere and trace gradients of K and the
-scaled boundary distance lam * d(a, dS+); ``assemble`` makes one pass over
+in closed ambient form (every chart quantity lives in the bubble's meridian
+plane, so no chart rotation or pullback call is made), with the sphere and
+trace gradients of K and the scaled boundary distance lam * d(a, dS+);
+``assemble`` makes one pass over
 the unordered pairs for the pair table, the interaction cross terms and
 each pair's error-bar slop, and computes the weight imbalances, the residue
 budget and the gradient remainder budgets once from the frames and the pair
@@ -48,12 +48,20 @@ whose chart shifts are the frame's four move covectors, and the orthogonal
 projector onto the admissible moves (g - (a.g) a, with the e_n component
 dropped for equator-tangential moves only) turns the ambient covector g
 into the tangent vector.
+
+Per-bubble scalars are Python floats: with m <= 3 bubbles, numpy's call
+overhead on (m, n+1) arrays cost more than the arithmetic.  numpy stays
+where the result is an (n+1)-vector (one Q.b product and the covectors per
+bubble, the projected point pairing) and for the batched K calls.  The
+pairing evaluates its expression move by move in floats, which rounds
+exactly as the same expression over numpy arrays of moves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -252,6 +260,7 @@ class Assembly:
     # the pair table, one entry per ordered pair (i, j), built in one pass
     # over the unordered pairs; diagonals are zero
     eps_mat: np.ndarray       # interaction coefficients eps_ij (the configuration's)
+    eps_sums: list            # each bubble's row sum of eps_mat, as np.sum sums the row
     eps_dloglam: np.ndarray   # lam_i d eps_ij / d lam_i
     eps_da: np.ndarray        # (m, m, n+1): d eps_ij / d a_i; [j, i] = -[i, j]
     w_mat: np.ndarray     # pair overlap weights (1/2 when a boundary bubble is involved)
@@ -295,12 +304,24 @@ class ReducedModel:
         # one third-derivative bound for every chart of K (see _cubic_remainder)
         lam_q = np.linalg.eigvalsh(K.quadratic)
         self.m3 = float(4.0 * np.linalg.norm(K.linear) + 12.0 * (lam_q[-1] - lam_q[0]))
+        # what ``frames`` reads of K as floats, and the fixed rows of its
+        # covector product: lin_h, (Q.b)_h (set per bubble), Qe_h, b (set
+        # per bubble) and e_{n+1}
+        q = K.quadratic
+        self._lin = K.linear.tolist()
+        self._q_nn = float(q[-1, -1])
+        self._tr_q = float(np.trace(q))
+        rows = np.zeros((5, n + 1))
+        rows[0, :-1] = K.linear[:-1]
+        rows[2, :-1] = q[:-1, -1]
+        rows[4, -1] = 1.0
+        self._move_rows = rows
 
     # -- frames ---------------------------------------------------------------
 
     def frames(self, cfg: Configuration) -> list:
-        """Every bubble's frame, from one pass over (m, ...) arrays in closed
-        ambient form: no chart rotation, no pullback call.
+        """Every bubble's frame in closed ambient form: no chart rotation, no
+        pullback call.
 
         The chart is y = (R^T x)[1:]/(1 + (R^T x)_0), R a rotation that maps
         e_1 to the anchor b and fixes e_{n+1} (``geometry.RotatedChart``).
@@ -342,6 +363,32 @@ class ReducedModel:
 
         The rate move lam d/dlam shifts log(mu) by (lam^2 - tau^2)/D and C by
         2tau lam^2 (1 + tau^2)/D^2 e_n.
+
+        Each bubble is evaluated on its own, its scalars in Python floats.
+        Q enters only through the one product Q.b: P and T lie in
+        span(b, e_{n+1}), so with cos = (1 - t^2)/d, sin = 2t/d and
+        Qe = Q e_{n+1} (the last column of Q)
+
+            QP = cos Qb + sin Qe,   QT = cos Qe - sin Qb,
+
+        and, Q being symmetric, b.Qe = (Qb)_{n+1}.  Hence
+        P.QP = cos^2 b.Qb + 2 cos sin b.Qe + sin^2 Q_{n+1,n+1}, T.QT likewise,
+        b.g = b.lin + 2(cos b.Qb + sin b.Qe), g_{n+1} = lin_{n+1} +
+        2(cos b.Qe + sin Q_{n+1,n+1}), T.g = cos g_{n+1} - sin b.g and
+        lin.P = cos b.lin + sin lin_{n+1}.  The four covectors are one
+        product of a (4, 5) coefficient matrix with the rows lin_h, (Qb)_h,
+        Qe_h, b and e_{n+1} (_h: last entry dropped): g_h = lin_h +
+        2 cos (Qb)_h + 2 sin Qe_h and (QT)_h = cos Qe_h - sin (Qb)_h, and
+        P_perp x = x_h - (b.x_h) b is applied after the sum, so that a move
+        along b = +-e_k pairs to an exact 0.  ``ReducedModel.__init__``
+        converts lin, Q_{n+1,n+1} and tr Q to floats and stacks the fixed
+        rows once per field.
+
+        K's value, its sphere and trace gradients and their norms stay on
+        one batched ``K.value``/``K.tangent_gradient``/``np.vecdot`` call
+        each: every row of a batch gets the bits of its single-point call,
+        so these fields equal K's pointwise results exactly, and a bubble's
+        frame is the frame it has alone in a one-bubble configuration.
         """
         nn = self.n
         K = self.K
@@ -349,91 +396,95 @@ class ReducedModel:
             if b.a.coords.shape[0] != nn + 1:
                 raise InvalidConfiguration(
                     f"bubble {i}: point has {b.a.coords.shape[0]} coordinates, field needs {nn + 1}")
+        # K's value and sphere gradient in one batched call each; every row
+        # gets the bits of its single-point call
         pts = np.array([b.a.coords for b in cfg.bubbles])
-        anchor = pts.copy()
-        anchor[:, -1] = 0.0
-        r_h = np.sqrt(np.vecdot(anchor, anchor))
-        pole = r_h < 1e-12
-        anchor /= np.where(pole, 1.0, r_h)[:, None]
-        anchor[pole] = np.eye(nn + 1)[0]
-        up = np.eye(nn + 1)[-1]
-
-        # the meridian scalars as floats, bubble by bubble (m is a handful)
-        lam = [b.lam for b in cfg.bubbles]
-        a_n = pts[:, -1].tolist()
-        r1 = (1.0 + np.vecdot(anchor, pts)).tolist()
-        tau = [h / r for h, r in zip(a_n, r1)]
-        t = [0.0 if abs(h) <= BOUNDARY_HEIGHT_TOL else s * ((l * l - 1.0) / (l * l + s * s))
-             for h, s, l in zip(a_n, tau, lam)]
-        d = [1.0 + x * x for x in t]
-        cos = np.array([(1.0 - x * x) / dd for x, dd in zip(t, d)])[:, None]
-        sin = np.array([2.0 * x / dd for x, dd in zip(t, d)])[:, None]
-        P = cos * anchor + sin * up
-        T = cos * up - sin * anchor
-        qp, qt = np.matvec(K.quadratic, P), np.matvec(K.quadratic, T)
-        g = K.linear + 2.0 * qp
-        dots = zip(*(np.vecdot(u, v).tolist()
-                     for u, v in ((anchor, g), (P, qp), (T, qt), (T, g), (K.linear, P))))
-
-        # pullback data at the chart center, and the coefficients of the
-        # move covectors on P_perp g, P_perp QT, b and e_{n+1}
-        tr_q = float(np.trace(K.quadratic))
-        rate, kt_val, g_n, h_nn, kt_lap, dl_dloglam, dh_dloglam, coef = ([] for _ in range(8))
-        for lam_i, a_i, r, s, t_i, d_i, (bg, pqp, tqt, tg, lin_p), g_up in zip(
-                lam, a_n, r1, tau, t, d, dots, g[:, -1].tolist()):
-            l2, s2 = lam_i * lam_i, s * s
-            denom = l2 + s2
-            d2 = d_i * d_i
-            c = bg + t_i * g_up
-            corr = -8.0 * t_i * g_up / d2 + 16.0 * c * t_i * t_i / (d2 * d_i)
-            mu = denom / (lam_i * (1.0 + s2))
-            rate.append(mu)
-            kt_val.append(K.kappa0 + lin_p + pqp)
-            g_n.append(2.0 / d_i * tg)
-            h_nn.append(8.0 / d2 * tqt - 4.0 * c / d2 + corr)
-            kt_lap.append(8.0 / d2 * (tr_q - pqp) - 4.0 * c * nn / d2 + corr)
-            dl_dloglam.append((l2 - s2) / denom)
-            dh_dloglam.append(2.0 * s * l2 * (1.0 + s2) / (denom * denom))
-            delta_h = (l2 - 1.0) / denom
-            delta_v = (l2 - 1.0) * (1.0 / denom - 2.0 * s2 / (denom * denom))
-            ell = 2.0 * s * (1.0 - l2) / (lam_i * (1.0 + s2) * (1.0 + s2) * mu)
-            coef.append((2.0 * delta_h / (d_i * r), delta_h / r * (8.0 / d2),
-                         -delta_h / r * (4.0 * t_i / d2), -a_i / (r * r), 1.0 / r, delta_v, ell))
-        coef = np.array(coef).T[..., None]
-
-        def perp(x):
-            x = x - np.vecdot(anchor, x)[:, None] * anchor
-            x[:, -1] = 0.0
-            return x
-
-        perp_g = perp(g)
-        move_g = coef[0] * perp_g
-        move_w = coef[1] * perp(qt) + coef[2] * perp_g
-        V = coef[3] * anchor + coef[4] * up
-        move_v = coef[5] * V
-        move_l = coef[6] * V
-
         grad_sphere = K.tangent_gradient(pts)
         grad_k1 = grad_sphere.copy()   # gradient of the trace on the equator sphere
         grad_k1[:, -1] = 0.0
         grad_k1[cfg.q:] = 0.0
-        # H(C, C) = (2 C_n)^{2-n}, interior bubbles only
-        h_self = [(2.0 * h * (2.0 * h)) ** ((2 - nn) / 2.0) if i >= cfg.q and h > 0 else 0.0
-                  for i, h in enumerate(t)]
-        lam_dist = [b.lam * b.boundary_distance() for b in cfg.bubbles]
         k_val = K.value(pts).tolist()
         grad_norm = np.sqrt(np.vecdot(grad_sphere, grad_sphere)).tolist()
         grad_k1_norm = np.sqrt(np.vecdot(grad_k1, grad_k1)).tolist()
-        return [
-            BubbleFrame(
-                boundary=i < cfg.q, alpha=cfg.alphas[i], param=b, anchor=anchor[i],
-                rate=rate[i], height=t[i], k_val=k_val[i], grad_sphere=grad_sphere[i],
+
+        quad, lin, q_nn, tr_q = K.quadratic, self._lin, self._q_nn, self._tr_q
+        lin_n = lin[-1]
+        frames = []
+        for i, b in enumerate(cfg.bubbles):
+            lam = b.lam
+            xs = b.a.coords.tolist()
+            a_n = xs[-1]
+            r = math.hypot(*xs[:-1])
+            if r < 1e-12:
+                bl = [1.0] + [0.0] * nn
+                r = xs[0]
+            else:
+                bl = [x / r for x in xs[:-1]] + [0.0]
+            anchor = np.array(bl)
+            qb_vec = quad.dot(anchor)
+            qb = qb_vec.tolist()
+            b_qb = sum(map(mul, bl, qb))      # b.Qb
+            b_qe = qb[-1]                     # b.Q e_{n+1}, Q symmetric
+            b_lin = sum(map(mul, bl, lin))
+
+            # the meridian scalars
+            r1 = 1.0 + r
+            s = a_n / r1
+            l2, s2 = lam * lam, s * s
+            denom = l2 + s2
+            t = 0.0 if abs(a_n) <= BOUNDARY_HEIGHT_TOL else s * ((l2 - 1.0) / denom)
+            d = 1.0 + t * t
+            d2 = d * d
+            cos, sin = (1.0 - t * t) / d, 2.0 * t / d
+            # P.QP, T.QT, b.g, g_{n+1} and T.g from Q.b, as P and T
+            # lie in span(b, e_{n+1})
+            pqp = cos * cos * b_qb + 2.0 * cos * sin * b_qe + sin * sin * q_nn
+            tqt = cos * cos * q_nn - 2.0 * cos * sin * b_qe + sin * sin * b_qb
+            bg = b_lin + 2.0 * (cos * b_qb + sin * b_qe)
+            g_up = lin_n + 2.0 * (cos * b_qe + sin * q_nn)
+            tg = cos * g_up - sin * bg
+
+            # pullback data at the chart center
+            c = bg + t * g_up
+            corr = -8.0 * t * g_up / d2 + 16.0 * c * t * t / (d2 * d)
+            kt_val = K.kappa0 + (cos * b_lin + sin * lin_n) + pqp
+            h_nn = 8.0 / d2 * tqt - 4.0 * c / d2 + corr
+            kt_lap = 8.0 / d2 * (tr_q - pqp) - 4.0 * c * nn / d2 + corr
+            mu = denom / (lam * (1.0 + s2))
+            # H(C, C) = (2 C_n)^{2-n}, interior bubbles only
+            h_self = (2.0 * t * (2.0 * t)) ** ((2 - nn) / 2.0) if i >= cfg.q and t > 0 else 0.0
+
+            # the move covectors as one product of coefficient rows with the
+            # rows (lin_h, Qb_h, Qe_h, b, e_{n+1}), _h the horizontal part:
+            # g_h = lin_h + 2 cos Qb_h + 2 sin Qe_h, QT_h = cos Qe_h - sin Qb_h
+            # and V = vb b + ve e_{n+1}; then P_perp x_h = x_h - (b.x_h) b
+            delta_h = (l2 - 1.0) / denom
+            delta_v = (l2 - 1.0) * (1.0 / denom - 2.0 * s2 / (denom * denom))
+            ell = 2.0 * s * (1.0 - l2) / (lam * (1.0 + s2) * (1.0 + s2) * mu)
+            cg = 2.0 * delta_h / (d * r1)
+            cq = delta_h / r1 * (8.0 / d2)
+            cw = -delta_h / r1 * (4.0 * t / d2)
+            vb, ve = -a_n / (r1 * r1), 1.0 / r1
+            rows = self._move_rows.copy()
+            rows[1] = qb_vec
+            rows[1, -1] = 0.0
+            rows[3] = anchor
+            moves = np.array((
+                (cg, 2.0 * cg * cos, 2.0 * cg * sin, 0.0, 0.0),
+                (cw, 2.0 * cw * cos - cq * sin, 2.0 * cw * sin + cq * cos, 0.0, 0.0),
+                (0.0, 0.0, 0.0, delta_v * vb, delta_v * ve),
+                (0.0, 0.0, 0.0, ell * vb, ell * ve))).dot(rows)
+            # projected after the sum, so that a move along b = +-e_k pairs to 0
+            moves[:2] -= moves[:2].dot(anchor)[:, None] * anchor
+            frames.append(BubbleFrame(
+                boundary=i < cfg.q, alpha=cfg.alphas[i], param=b, anchor=anchor,
+                rate=mu, height=t, k_val=k_val[i], grad_sphere=grad_sphere[i],
                 grad_norm=grad_norm[i], grad_k1=grad_k1[i], grad_k1_norm=grad_k1_norm[i],
-                lam_dist=lam_dist[i], kt_val=kt_val[i], g_n=g_n[i], h_nn=h_nn[i],
-                kt_lap=kt_lap[i], h_self=h_self[i], dl_dloglam=dl_dloglam[i],
-                dh_dloglam=dh_dloglam[i], move_g=move_g[i], move_w=move_w[i],
-                move_v=move_v[i], move_l=move_l[i])
-            for i, b in enumerate(cfg.bubbles)]
+                lam_dist=lam * b.boundary_distance(), kt_val=kt_val, g_n=2.0 / d * tg, h_nn=h_nn,
+                kt_lap=kt_lap, h_self=h_self, dl_dloglam=(l2 - s2) / denom,
+                dh_dloglam=2.0 * s * l2 * (1.0 + s2) / (denom * denom),
+                move_g=moves[0], move_w=moves[1], move_v=moves[2], move_l=moves[3]))
+        return frames
 
     # -- core assembly --------------------------------------------------------
 
@@ -507,8 +558,9 @@ class ReducedModel:
         and keep the result as the configuration's assembly for this model."""
         n = self.n
         alphas = np.array(cfg.alphas)
-        mult = np.array([f.mult for f in frames], dtype=float)
-        a_qty = float(np.sum(mult * alphas**2))
+        # in floats, so that an overflow reaches NonFiniteBar without a numpy
+        # warning; up to 7 terms this is the sum np.sum makes of the same terms
+        a_qty = sum(f.mult * (a * a) for f, a in zip(frames, map(float, cfg.alphas)))
         n_qty = self.s_n * a_qty
         pw = 2.0 * n / (n - 2)
 
@@ -581,7 +633,8 @@ class ReducedModel:
 
         asm = Assembly(frames=frames, a_qty=a_qty, n_qty=n_qty, num=num,
                        den=den, gamma=gamma, j_center=float(j_center), rel_bar=float(rel),
-                       eps_mat=cfg.eps_mat, eps_dloglam=eps_dloglam, eps_da=eps_da, w_mat=w_mat,
+                       eps_mat=cfg.eps_mat, eps_sums=cfg.eps_mat.sum(axis=1).tolist(),
+                       eps_dloglam=eps_dloglam, eps_da=eps_da, w_mat=w_mat,
                        hmut_mat=hmut_mat, dist_mat=dist_mat, slop_mat=slop_mat, vbar=vbar,
                        budgets=self.remainder_budgets(frames, cfg.eps_mat),
                        imbalances=self.imbalances(frames, a_qty, gamma))
@@ -653,55 +706,80 @@ class ReducedModel:
         dloglam   : shift of log chart rate
         dCn_domain: boundary-normal chart displacement (activates the
                     domain-variation constants c4/c5)
-        deps      : array over j != i of d eps_ij along the move
-        dh_mut    : array over j of d[H_ij/(mu_i mu_j)^{(n-2)/2}] (rate moves)
+        deps      : over j != i, d eps_ij along the move
+        dh_mut    : over j != i, d[H_ij/(mu_i mu_j)^{(n-2)/2}] (rate moves)
 
-        The pairing is linear in the move, so k moves may come stacked
-        (``moves`` (5, k), deps and dh_mut (k, m-1)); the result then has
-        shape (k,).
+        The pairing is linear in the move, so k moves may come stacked: each
+        row of ``moves`` then holds k shifts, and deps[j], dh_mut[j] the k
+        shifts of pair j; the result is then a list of k pairings.
+
+        The moves are paired one by one in Python floats.  Every factor that
+        does not depend on the move is computed once, as the same left-to-
+        right product that opens the expression, so each move's pairing
+        rounds exactly as an element of the same expression over numpy
+        arrays of moves: float64 + - * / round each element as floats do.
         """
         n = self.n
         f = asm.frames[i]
-        mu = f.rate
+        stacked = hasattr(moves[0], "__len__")
+        if not stacked:
+            moves, deps, dh_mut = [[x] for x in moves], [[x] for x in deps], [[x] for x in dh_mut]
+        s_n, c2, cp_i2h = self.s_n, self.c2, self.cp_i2h
+        alpha, mu, g_n, kt_val, h_self = f.alpha, f.rate, f.g_n, f.kt_val, f.h_self
         pw = 2.0 * n / (n - 2)
-        grad_dC, hess_dC_n, dh, dloglam, dCn_domain = moves
+        nmu2 = n * mu * mu
+        mu_n2 = mu ** (n - 2)
 
+        # the own terms (dnum, dT) of each move
         if f.boundary:
-            dT = (self.s_n * grad_dC
-                  + self.cp_xn * (hess_dC_n - f.g_n * dloglam) / mu
-                  - self.cp_i2h * f.kt_lap * dloglam / (n * mu * mu))
-            dnum_own = 0.0
+            cp_xn = self.cp_xn
+            lap_dl = cp_i2h * f.kt_lap
+            own = [(0.0, s_n * g + cp_xn * (h - g_n * dl) / mu - lap_dl * dl / nmu2)
+                   for g, h, _, dl, _ in zip(*moves)]
         else:
-            dH = (2.0 - n) * (2.0 * f.height) ** (1 - n) * 2.0 * dh
-            dHmu = (dH - (n - 2) * f.h_self * dloglam) / mu ** (n - 2)
-            dT = (2.0 * self.s_n * grad_dC
-                  + self.cp_i2h * (-2.0 * f.kt_lap * dloglam) / (n * mu * mu)
-                  + (2.0 * n / (n - 2)) * self.c2 * (grad_dC * f.h_self / mu ** (n - 2)
-                                                     + f.kt_val * dHmu))
-            dnum_own = self.c2 * f.alpha**2 * dHmu
+            dh_coef = (2.0 - n) * (2.0 * f.height) ** (1 - n) * 2.0
+            hs_dl = (n - 2) * h_self
+            two_s_n = 2.0 * s_n
+            lap2 = -2.0 * f.kt_lap
+            pw_c2 = (2.0 * n / (n - 2)) * c2
+            own_num = c2 * alpha**2
+            own = []
+            for g, _, dh, dl, _ in zip(*moves):
+                dHmu = (dh_coef * dh - hs_dl * dl) / mu_n2
+                own.append((own_num * dHmu, two_s_n * g + cp_i2h * (lap2 * dl) / nmu2
+                             + pw_c2 * (g * h_self / mu_n2 + kt_val * dHmu)))
 
-        dnum = dnum_own + f.alpha**2 * 2.0 * mu * self.c4 * dCn_domain
-        dden = f.alpha**pw * dT
-        dden += f.alpha**pw * pw * mu * (f.kt_val * self.c4 + n * self.c5 * f.g_n / mu) * dCn_domain
-
-        for j, fj in enumerate(asm.frames):
-            if j == i:
-                continue
-            jj = j if j < i else j - 1
-            de = deps[..., jj] + dh_mut[..., jj]
-            w = asm.w_mat[i, j]
-            dnum += 2.0 * f.alpha * fj.alpha * self.c2 * w * de
-            dden += (pw * self.c2 * w
-                     * (f.alpha ** ((n + 2) / (n - 2)) * f.k_val * fj.alpha
-                        + fj.alpha ** ((n + 2) / (n - 2)) * fj.k_val * f.alpha) * de)
-
-        return asm.j_center * (dnum / asm.num - (n - 2) / n * dden / asm.den)
+        # the domain-variation and pair terms: each other bubble's prefixes
+        # with its shifts deps[j] + dh_mut[j]
+        apw = alpha**pw
+        num_domain = alpha**2 * 2.0 * mu * self.c4
+        den_domain = apw * pw * mu * (kt_val * self.c4 + n * self.c5 * g_n / mu)
+        others = [(fj, w) for j, (fj, w) in enumerate(zip(asm.frames, asm.w_mat[i].tolist()))
+                  if j != i]
+        pw_e = (n + 2) / (n - 2)
+        pair_terms = []
+        for (fj, w), dep, dhm in zip(others, deps, dh_mut):
+            pair_terms.append((2.0 * alpha * fj.alpha * c2 * w,
+                               pw * c2 * w * (alpha**pw_e * f.k_val * fj.alpha
+                                              + fj.alpha**pw_e * fj.k_val * alpha),
+                               [x + y for x, y in zip(dep, dhm)]))
+        jc, num, den, den_ratio = asm.j_center, asm.num, asm.den, (n - 2) / n
+        out = []
+        for c, ((dnum, dT), dCn_domain) in enumerate(zip(own, moves[4])):
+            dnum += num_domain * dCn_domain
+            dden = apw * dT
+            dden += den_domain * dCn_domain
+            for a_num, a_den, de in pair_terms:
+                dnum += a_num * de[c]
+                dden += a_den * de[c]
+            out.append(jc * (dnum / num - den_ratio * dden / den))
+        return out if stacked else out[0]
 
     @staticmethod
     def _residue_coupling(asm: Assembly, i: int) -> float:
         """Bubble i's coupling to the residue budget, |grad K|/lam + 1/lam^2 + sum_j eps_ij."""
         f = asm.frames[i]
-        return f.grad_norm / f.param.lam + 1.0 / f.param.lam**2 + float(np.sum(asm.eps_mat[i]))
+        return f.grad_norm / f.param.lam + 1.0 / f.param.lam**2 + asm.eps_sums[i]
 
     def _grad_bar_common(self, asm: Assembly, i: int, coupling: float | None = None) -> float:
         """Shared error-bar aggregate for the rate/point gradients of bubble i.
@@ -829,38 +907,47 @@ class ReducedModel:
         With ``with_rate`` the rate direction lam_i d/dlam_i rides in the
         same pairing call, and the result is (rate pairing, (vector, bar)).
         ``coupling`` is bubble i's residue coupling when the caller has it.
+
+        The n+2 columns are built as float lists straight from the frame's
+        covectors and the assembly's pair tables; a one-bubble state has no
+        pair shifts.
         """
         asm = asm or self.assemble(cfg)
         n = self.n
         f = asm.frames[i]
         a = f.param.a.coords
         lam = f.param.lam
-        others = np.arange(cfg.size) != i
         # column 0: the rate direction; columns 1..: the ambient axes
         # e_0..e_n; rows as the pairing reads them
         s = f.dh_dloglam
-        moves = np.empty((5, n + 2))
-        moves[:, 0] = (f.g_n * s, f.h_nn * s, s, f.dl_dloglam, 0.0)
-        axes = moves[:, 1:]
-        axes[0] = f.move_g
-        axes[1] = f.move_w
-        axes[3] = f.move_l
-        deps = np.vstack((asm.eps_dloglam[i, others], asm.eps_da[i, others].T / lam))
-        dh_mut = np.zeros_like(deps)
+        g_n, h_nn = f.g_n, f.h_nn
+        move_g, move_w, move_v, move_l = (
+            x.tolist() for x in (f.move_g, f.move_w, f.move_v, f.move_l))
+        zeros = [0.0] * (n + 1)   # 0/lam
         if f.boundary:
             # tangential moves keep the center on the chart boundary; the
             # vertical displacement is handled by the domain-variation term
-            axes[2] = 0.0
-            axes[4] = f.move_v
+            rows = ([x / lam for x in move_g], [x / lam for x in move_w], zeros,
+                    [x / lam for x in move_l], [x / lam for x in move_v])
         else:
-            axes[0] += f.g_n * f.move_v
-            axes[1] += f.h_nn * f.move_v
-            axes[2] = f.move_v
-            axes[4] = 0.0
-            dh_mut[0] = -(n - 2) / 2.0 * asm.hmut_mat[i, others] * f.dl_dloglam
-        axes /= lam
-        dJ = self._pairing(asm, i, moves, deps, dh_mut) / f.alpha
-        g = dJ[1:]
+            rows = ([(x + g_n * v) / lam for x, v in zip(move_g, move_v)],
+                    [(x + h_nn * v) / lam for x, v in zip(move_w, move_v)],
+                    [x / lam for x in move_v], [x / lam for x in move_l], zeros)
+        moves = [[c0] + row for c0, row in zip((g_n * s, h_nn * s, s, f.dl_dloglam, 0.0), rows)]
+        # each other bubble's shifts along the same columns
+        eps_dloglam = asm.eps_dloglam[i].tolist()
+        eps_da = asm.eps_da[i].tolist()
+        hmut = asm.hmut_mat[i].tolist()
+        deps, dh_mut = [], []
+        for j in range(cfg.size):
+            if j == i:
+                continue
+            deps.append([eps_dloglam[j]] + [x / lam for x in eps_da[j]])
+            rate_mut = 0.0 if f.boundary else -(n - 2) / 2.0 * hmut[j] * f.dl_dloglam
+            dh_mut.append([rate_mut] + zeros)
+        alpha = f.alpha
+        dJ = [x / alpha for x in self._pairing(asm, i, moves, deps, dh_mut)]
+        g = np.array(dJ[1:])
         vec = g - (a @ g) * a
         if f.boundary and not include_normal:
             vec[-1] = 0.0

@@ -415,7 +415,7 @@ class TestFlowStateErrors:
         assert main(["--config", str(cfgp), "flow", "--state", str(path)]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("state", [_one_bubble(lam=1e160), _one_bubble(alpha=1e300),
                                        _one_bubble(alpha=1e-300)],
                              ids=["huge_lambda", "huge_alpha", "tiny_alpha"])

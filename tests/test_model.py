@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -15,7 +16,7 @@ from hemiflow.fields import ScalarField
 from hemiflow.geometry import (BoundarySpherePoint, SpherePoint, geodesic_step,
                                tangent_basis)
 from hemiflow.landscape import find_critical_points
-from hemiflow.model import SEP_DISTANCE, Assembly, Configuration, ReducedModel
+from hemiflow.model import SEP_DISTANCE, Assembly, BubbleFrame, Configuration, ReducedModel
 from hemiflow.oracles import quadrature_J_boundary, quadrature_J_interior
 
 from _chart_route import chart_frame
@@ -617,6 +618,38 @@ class TestFrames:
                     want /= (ci.rate * cj.rate) ** ((n - 2) / 2.0)
                     got = model.mutual_h(frames[i], frames[j])
                     assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_each_frame_is_the_frame_of_its_bubble_alone(self, n):
+        # the frames are built bubble by bubble in floats, with K's value and
+        # gradients from batched calls whose rows get the single-point bits
+        rng = np.random.default_rng(60 + n)
+        model = ReducedModel(self._field(n, rng))
+        names = [fld.name for fld in dataclasses.fields(BubbleFrame)]
+        built = []
+        while len(built) < 20:
+            m = int(rng.integers(2, 4))
+            q = int(rng.integers(0, m + 1))
+            pts = [boundary_point(rng, n=n) if k < q else interior_point(rng, n=n)
+                   for k in range(m)]
+            try:
+                cfg = make_cfg(model, [BubbleParam(pt, rng.uniform(40.0, 400.0)) for pt in pts], q=q)
+            except InvalidConfiguration:
+                continue
+            built.append((m, q))
+            for i, f in enumerate(model.frames(cfg)):
+                boundary = i < q
+                alone = Configuration((cfg.alphas[i],), (cfg.bubbles[i],), int(boundary),
+                                      int(not boundary), cfg.eps_scale)
+                (g,) = model.frames(alone)
+                for name in names:
+                    got, want = getattr(f, name), getattr(g, name)
+                    if isinstance(want, np.ndarray):
+                        assert np.array_equal(got, want), name
+                    else:
+                        assert got == want, name
+        # every mix of boundary and interior bubbles in two- and three-bubble states
+        assert set(built) == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)}
 
 
 def assert_frame_matches_chart_route(f, ref):
