@@ -121,10 +121,7 @@ def entry_level(boundary, interior, s_n: float, n: int) -> float:
 
 
 def entry_index(boundary, interior, n: int) -> int:
-    idx = len(boundary) + len(interior) - 1
-    idx += sum(n - 1 - r.morse_index for r in boundary)
-    idx += sum(n - r.morse_index for r in interior)
-    return idx
+    return len(boundary) + len(interior) - 1 + sum(r.iota(n) for r in (*boundary, *interior))
 
 
 def enumerate_census(records, mass_max: int, s_n: float, n: int) -> list:
@@ -223,8 +220,8 @@ def _existence(records, report, k_min, k_max, n):
     from .landscape import classify
     families = classify(records)
     bset = a1_boundary_set(records)
-    a_vals = counting_A([n - 1 - r.morse_index for r in bset])
-    b_vals = counting_B([n - r.morse_index for r in families["K_in_minus"]])
+    a_vals = counting_A([r.iota(n) for r in bset])
+    b_vals = counting_B([r.iota(n) for r in families["K_in_minus"]])
     pinch = k_max / k_min
     a1, b1 = a_vals[0], b_vals[0]
     n_inf = len(families["K_infinity"])

@@ -37,10 +37,6 @@ class InvalidConfiguration(DomainError):
     """Bubble configuration violates the neighborhood-at-infinity invariants."""
 
 
-class NotInWSet(DomainError):
-    """Configuration is not close enough to a matched critical collection."""
-
-
 class DegenerateCriticalPoint(DomainError):
     """Hessian eigenvalue below the nondegeneracy floor at a located root."""
 

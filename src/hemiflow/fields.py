@@ -109,10 +109,6 @@ class ScalarField:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def constant(n: int, value: float = 1.0) -> "ScalarField":
-        return ScalarField(n, value, ())
-
-    @staticmethod
     def from_config(cfg: dict) -> "ScalarField":
         try:
             n = int(cfg["dimension"])

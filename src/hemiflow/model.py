@@ -39,15 +39,16 @@ the unordered pairs for the pair table, the interaction cross terms and
 each pair's error-bar slop, and computes the weight imbalances, the residue
 budget and the gradient remainder budgets once from the frames and the pair
 table; eps itself comes from the configuration's admissibility check.  The
-gradient pairings, the normal form and the flow read what they need off
-the ``Assembly``.  The bar constants are module constants.
+gradient pairings and the flow read what they need off the ``Assembly``.
+``gradient_components`` is the one gradient path: it asks ``grad_a`` for
+each bubble's weight, rate and point pairings and keeps the bundle on the
+``Assembly``.  The bar constants are module constants.
 
 A bubble's point pairing needs no tangent basis: the pairing is linear in
 the move, so one call pairs the rate direction and the n+1 ambient axes,
 whose chart shifts are the frame's four move covectors, and the orthogonal
-projector onto the admissible moves (g - (a.g) a, with the e_n component
-dropped for equator-tangential moves only) turns the ambient covector g
-into the tangent vector.
+projector onto the admissible moves, g - (a.g) a, turns the ambient
+covector g into the tangent vector.
 
 Per-bubble scalars are Python floats: with m <= 3 bubbles, numpy's call
 overhead on (m, n+1) arrays cost more than the arithmetic.  numpy stays
@@ -68,11 +69,9 @@ import numpy as np
 from .bubbles import (BOUNDARY_HEIGHT_TOL, BubbleParam, epsilon, epsilon_da,
                       epsilon_dlambda)
 from .constants import ConstantsTable, compute_constants
-from .census import entry_level
-from .errors import InvalidConfiguration, NonFiniteBar, NotInWSet, PoleSingularity
+from .errors import InvalidConfiguration, NonFiniteBar, PoleSingularity
 from .fields import ScalarField
-from .geometry import (POLE_TOL, BoundarySpherePoint, SpherePoint, geodesic_distance,
-                       tangent_basis)
+from .geometry import POLE_TOL, BoundarySpherePoint, SpherePoint, geodesic_distance
 from .intervals import Bar
 
 
@@ -239,7 +238,6 @@ SEP_DISTANCE = 0.1           # pairwise-separation hypothesis scale
 REM3_COEFF = 0.5             # third-order Taylor remainder multiplier
 INTERACTION_BAR_COEFF = 4.0  # weight of the pair slop in the energy bar
 PAIR_OVERLAP_COEFF = 0.5     # half-space halving of boundary pairs
-MATCH_RADIUS = 0.1           # normal form: largest distance of a bubble from its match
 
 
 @dataclass
@@ -709,9 +707,9 @@ class ReducedModel:
         deps      : over j != i, d eps_ij along the move
         dh_mut    : over j != i, d[H_ij/(mu_i mu_j)^{(n-2)/2}] (rate moves)
 
-        The pairing is linear in the move, so k moves may come stacked: each
-        row of ``moves`` then holds k shifts, and deps[j], dh_mut[j] the k
-        shifts of pair j; the result is then a list of k pairings.
+        The pairing is linear in the move, so the k moves come stacked: each
+        row of ``moves`` holds k shifts, and deps[j], dh_mut[j] the k shifts
+        of the j-th other bubble; the result is the list of k pairings.
 
         The moves are paired one by one in Python floats.  Every factor that
         does not depend on the move is computed once, as the same left-to-
@@ -721,9 +719,6 @@ class ReducedModel:
         """
         n = self.n
         f = asm.frames[i]
-        stacked = hasattr(moves[0], "__len__")
-        if not stacked:
-            moves, deps, dh_mut = [[x] for x in moves], [[x] for x in deps], [[x] for x in dh_mut]
         s_n, c2, cp_i2h = self.s_n, self.c2, self.cp_i2h
         alpha, mu, g_n, kt_val, h_self = f.alpha, f.rate, f.g_n, f.kt_val, f.h_self
         pw = 2.0 * n / (n - 2)
@@ -773,21 +768,15 @@ class ReducedModel:
                 dnum += a_num * de[c]
                 dden += a_den * de[c]
             out.append(jc * (dnum / num - den_ratio * dden / den))
-        return out if stacked else out[0]
+        return out
 
-    @staticmethod
-    def _residue_coupling(asm: Assembly, i: int) -> float:
-        """Bubble i's coupling to the residue budget, |grad K|/lam + 1/lam^2 + sum_j eps_ij."""
-        f = asm.frames[i]
-        return f.grad_norm / f.param.lam + 1.0 / f.param.lam**2 + asm.eps_sums[i]
-
-    def _grad_bar_common(self, asm: Assembly, i: int, coupling: float | None = None) -> float:
+    def _grad_bar_common(self, asm: Assembly, i: int, coupling: float) -> float:
         """Shared error-bar aggregate for the rate/point gradients of bubble i.
 
         Covers the cubic Taylor remainder, interior chart tails, the
         next-order interaction corrections (the stored pair slop), the
         remainder aggregates, and the coupling to the residue budget
-        (``coupling``, computed here when not given).
+        (``coupling``, bubble i's residue coupling).
         """
         n = self.n
         f = asm.frames[i]
@@ -805,8 +794,6 @@ class ReducedModel:
                 # positional drift of the mutual regular part is budgeted, not tracked
                 slop += fj.alpha * self.c2 * (asm.slop_mat[i, j] + 3.0 * asm.hmut_mat[i, j])
         bar += 2.0 * asm.j_center / asm.n_qty * slop
-        if coupling is None:
-            coupling = self._residue_coupling(asm, i)
         bar += 2.0 * asm.j_center / asm.n_qty * self.s_n * asm.vbar * coupling
         r1, r1b = asm.budgets
         bar += 2.0 * asm.j_center / asm.n_qty * (r1b if f.boundary else r1)
@@ -848,75 +835,55 @@ class ReducedModel:
     def gradient_components(self, cfg: Configuration, asm: Assembly | None = None) -> "GradientComponents":
         """Bundle of every pairing, built once per assembly and kept on it;
         its arrays, and the assembly's eps_dloglam table, are read-only.
-        Each bubble's rate and point pairings come from one pairing call,
-        and its residue coupling is computed once for both bars."""
+        Each bubble's pairings come from one ``grad_a`` call."""
         asm = asm or self.assemble(cfg)
         if asm.grads is not None:
             return asm.grads
-        alpha_pairings = []
-        lam_pairings = []
-        a_pairings = []
-        for i in range(cfg.size):
-            coupling = self._residue_coupling(asm, i)
-            alpha_pairings.append(self.grad_alpha(cfg, i, asm, coupling))
-            lam_bar, a_pair = self.grad_a(cfg, i, asm, with_rate=True, coupling=coupling)
-            lam_pairings.append(lam_bar)
-            a_pairings.append(a_pair)
+        alpha_pairings, lam_pairings, a_pairings = zip(*(self.grad_a(asm, i)
+                                                         for i in range(cfg.size)))
         asm.eps_dloglam.flags.writeable = False
-        grads = GradientComponents(
-            alpha_pairings=tuple(alpha_pairings),
-            lam_pairings=tuple(lam_pairings),
-            a_pairings=tuple(a_pairings),
-        )
         for vec, _ in a_pairings:
             vec.flags.writeable = False
-        asm.grads = grads
-        return grads
+        asm.grads = GradientComponents(alpha_pairings=alpha_pairings, lam_pairings=lam_pairings,
+                                       a_pairings=a_pairings)
+        return asm.grads
 
-    def grad_alpha(self, cfg: Configuration, i: int, asm: Assembly | None = None,
-                   coupling: float | None = None) -> Bar:
-        """Pairing of the gradient with the i-th profile direction;
-        ``coupling`` is bubble i's residue coupling when the caller has it."""
-        asm = asm or self.assemble(cfg)
-        n = self.n
-        f = asm.frames[i]
-        w_i = f.mult * self.s_n + (0.0 if f.boundary else self.c2 * f.h_self / f.rate ** (n - 2))
-        dnum = 2.0 * f.alpha * w_i
-        dden = (2.0 * n / (n - 2)) * f.alpha ** ((n + 2) / (n - 2)) * self._t_value(f)
-        center = asm.j_center * (dnum / asm.num - (n - 2) / n * dden / asm.den)
-        bar_terms = coupling if coupling is not None else self._residue_coupling(asm, i)
-        if not f.boundary:
-            bar_terms += f.image_distance ** (2 - n)
-        bar = 2.0 * asm.j_center * f.mult * self.s_n / asm.n_qty * bar_terms
-        return Bar(float(center), abs(bar))
+    def grad_a(self, asm: Assembly, i: int) -> tuple:
+        """Bubble i's pairings: (weight pairing, rate pairing, (point vector, bar)).
 
-    def grad_a(self, cfg: Configuration, i: int, asm: Assembly | None = None,
-               include_normal: bool = True, with_rate: bool = False,
-               coupling: float | None = None):
-        """Pairing with (1/lam_i) d(profile)/d a_i as an ambient tangent vector.
-
-        The pairing is linear in the move, so one pairing call takes the
-        n+1 ambient axes, read off the frame's move covectors, and gives the
-        ambient covector g; the result is its
-        orthogonal projection onto the admissible moves.  For an interior
-        bubble these span a_i^perp, the sphere's tangent space, and so do
-        the equator-tangential moves plus the inward normal e_n of a
-        boundary bubble: the vector is g - (a_i . g) a_i.  Without
-        ``include_normal`` a boundary bubble also drops its e_n component,
-        the one carrying the weight-imbalance and normal-derivative terms.
-        With ``with_rate`` the rate direction lam_i d/dlam_i rides in the
-        same pairing call, and the result is (rate pairing, (vector, bar)).
-        ``coupling`` is bubble i's residue coupling when the caller has it.
+        The weight pairing is the derivative of J along the i-th profile.
+        The rate and point pairings come from one pairing call: the pairing
+        is linear in the move, so one call takes the rate direction
+        lam_i d/dlam_i and the n+1 ambient axes, read off the frame's move
+        covectors, and gives the rate pairing and the ambient covector g of
+        (1/lam_i) d/da_i.  The point vector is g orthogonally projected onto
+        the admissible moves.  For an interior bubble these span a_i^perp,
+        the sphere's tangent space, and so do the equator-tangential moves
+        plus the inward normal e_n of a boundary bubble: the vector is
+        g - (a_i . g) a_i.  Bubble i's residue coupling
+        |grad K|/lam + 1/lam^2 + sum_j eps_ij enters the weight and point
+        bars; it is computed once.
 
         The n+2 columns are built as float lists straight from the frame's
         covectors and the assembly's pair tables; a one-bubble state has no
         pair shifts.
         """
-        asm = asm or self.assemble(cfg)
         n = self.n
         f = asm.frames[i]
         a = f.param.a.coords
         lam = f.param.lam
+        alpha = f.alpha
+        coupling = f.grad_norm / lam + 1.0 / lam**2 + asm.eps_sums[i]
+
+        # the weight direction
+        w_i = f.mult * self.s_n + (0.0 if f.boundary else self.c2 * f.h_self / f.rate ** (n - 2))
+        dnum = 2.0 * alpha * w_i
+        dden = (2.0 * n / (n - 2)) * alpha ** ((n + 2) / (n - 2)) * self._t_value(f)
+        w_center = asm.j_center * (dnum / asm.num - (n - 2) / n * dden / asm.den)
+        bar_terms = coupling if f.boundary else coupling + f.image_distance ** (2 - n)
+        w_bar = 2.0 * asm.j_center * f.mult * self.s_n / asm.n_qty * bar_terms
+        weight = Bar(float(w_center), abs(w_bar))
+
         # column 0: the rate direction; columns 1..: the ambient axes
         # e_0..e_n; rows as the pairing reads them
         s = f.dh_dloglam
@@ -939,102 +906,17 @@ class ReducedModel:
         eps_da = asm.eps_da[i].tolist()
         hmut = asm.hmut_mat[i].tolist()
         deps, dh_mut = [], []
-        for j in range(cfg.size):
+        for j in range(len(asm.frames)):
             if j == i:
                 continue
             deps.append([eps_dloglam[j]] + [x / lam for x in eps_da[j]])
             rate_mut = 0.0 if f.boundary else -(n - 2) / 2.0 * hmut[j] * f.dl_dloglam
             dh_mut.append([rate_mut] + zeros)
-        alpha = f.alpha
         dJ = [x / alpha for x in self._pairing(asm, i, moves, deps, dh_mut)]
         g = np.array(dJ[1:])
         vec = g - (a @ g) * a
-        if f.boundary and not include_normal:
-            vec[-1] = 0.0
         bar = abs(self._grad_bar_common(asm, i, coupling))
-        point = (vec, float(bar / lam))
-        return (Bar(float(dJ[0]), bar), point) if with_rate else point
-
-    # -- normal form near a matched critical collection ---------------------------
-
-    def normal_form(self, cfg: Configuration, matches) -> Bar:
-        """Energy normal form for configurations close to a critical collection.
-
-        ``matches`` lists one landscape record per bubble (boundary records for
-        boundary bubbles, interior records for interior ones); each bubble must
-        lie within ``MATCH_RADIUS`` of its match and the matches must be distinct.
-
-        Value: level * (1 - |alpha-deviation|^2 + sum (|A^-|^2 - |A^+|^2)
-        + rate terms), where A^+/- collect the point deviations along
-        positive/negative Hessian eigendirections; deviations along negative
-        directions (e.g. around a boundary maximum) raise the value.
-        """
-        n = self.n
-        if len(matches) != cfg.size:
-            raise NotInWSet("need one matched critical point per bubble")
-        seen = set()
-        for k, rec in enumerate(matches):
-            d = geodesic_distance(cfg.bubbles[k].a, rec.location)
-            if d > MATCH_RADIUS:
-                raise NotInWSet(f"bubble {k} is {d:.3f} away from its match")
-            if rec in seen:
-                raise NotInWSet("matched critical points must be distinct")
-            seen.add(rec)
-            if (k < cfg.q) != (rec.kind == "boundary_of_K1"):
-                raise NotInWSet(f"bubble {k} matched to a record of the wrong kind")
-
-        mults = [1 if k < cfg.q else 2 for k in range(cfg.size)]
-        k_vals = [self.K.value(rec.location) for rec in matches]
-        level0 = entry_level(matches[:cfg.q], matches[cfg.q:], self.s_n, n)
-        qsum = sum(m * k ** (-(n - 2) / 2.0) for k, m in zip(k_vals, mults))
-
-        # weight deviation through the exact leading functional
-        alphas = np.array(cfg.alphas)
-        mult = np.array(mults, dtype=float)
-        a_qty = float(np.sum(mult * alphas**2))
-        pw = 2.0 * n / (n - 2)
-        gamma = float(np.sum(mult * alphas**pw * np.array(k_vals)))
-        f_alpha = a_qty * self.s_n ** (2.0 / n) / gamma ** ((n - 2) / n)
-        alpha_dev2 = max(0.0, 1.0 - f_alpha / level0)
-
-        asm = self.assemble(cfg)
-        dev_plus = dev_minus = 0.0
-        corr_den = 0.0   # sum alpha^pw (T_i - m_i s_n K_i), the rate corrections
-        corr_num = 0.0   # interior self-interaction correction of the squared norm
-        bar = 0.0
-        for k, (rec, f) in enumerate(zip(matches, asm.frames)):
-            b = f.param
-            mu = f.rate
-            within = rec.kind == "boundary_of_K1"
-            basis = tangent_basis(rec.location.coords, within_equator=within)
-            hess = (self.K.boundary_hessian(rec.location, basis) if within
-                    else self.K.tangent_hessian(rec.location, basis))
-            evals, evecs = np.linalg.eigh(hess)
-            # tangent-frame deviation of the point from its matched critical point
-            dvec = b.a.coords - float(np.dot(b.a.coords, rec.location.coords)) * rec.location.coords
-            comp = evecs.T @ (basis @ dvec)
-            kk = k_vals[k]
-            wts = (n - 2) / (2.0 * n) * mults[k] * kk ** (-n / 2.0) / qsum * np.abs(evals) * comp**2
-            dev_plus += float(np.sum(wts[evals > 0]))
-            dev_minus += float(np.sum(wts[evals < 0]))
-            bar += float(np.sum(np.abs(wts))) * (float(np.linalg.norm(comp)) * 2.0 + 1.0 / mu)
-
-            t_corr = f.alpha**pw * (self._t_value(f) - f.mult * self.s_n * f.kt_val)
-            corr_den += t_corr
-            if not f.boundary:
-                corr_num += self.c2 * f.alpha**2 * f.h_self / mu ** (n - 2)
-            dist = geodesic_distance(b.a, rec.location)
-            bar += abs(t_corr) / (self.s_n * gamma) * (3.0 * dist + 1.0 / mu) \
-                + f.alpha**pw * self._cubic_remainder(f) / (self.s_n * gamma)
-
-        rate_terms = corr_num / (self.s_n * a_qty) - (n - 2) / n * corr_den / (self.s_n * gamma)
-        m = cfg.size
-        for i in range(m):
-            for j in range(i + 1, m):
-                bar += 4.0 * self.c2 * cfg.alphas[i] * cfg.alphas[j] * asm.eps_mat[i, j] / (self.s_n * a_qty)
-
-        center = level0 * (1.0 - alpha_dev2 + dev_minus - dev_plus + rate_terms)
-        return Bar(float(center), float(level0 * (bar + alpha_dev2**1.5 + 1e-12)))
+        return weight, Bar(float(dJ[0]), bar), (vec, float(bar / lam))
 
 
 @dataclass(frozen=True)

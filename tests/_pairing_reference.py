@@ -5,10 +5,12 @@ float evaluation of ``ReducedModel._pairing`` and ``ReducedModel.grad_a``.
 every move as a column; ``rate_and_point`` stacks the rate direction and the
 n+1 ambient axes of bubble i as a (5, n+2) move array, with the pair shifts
 as (n+2, m-1) arrays, and projects the ambient covector as ``grad_a`` does.
-Both read the same ``Assembly`` as the model, so their results must agree
-with the model's bit for bit: numpy's float64 + - * / round each element
-exactly as Python floats do.  ``residue_coupling`` sums bubble i's eps row
-with np.sum on each call, as the model did before it stored the row sums.
+``weight_pairing`` is the closed-form weight pairing as a routine of its
+own.  All read the same ``Assembly`` as the model, so their results must
+agree with the model's bit for bit: numpy's float64 + - * / round each
+element exactly as Python floats do.  ``residue_coupling`` sums bubble i's
+eps row with np.sum on each call, as the model did before it stored the row
+sums.
 """
 
 from __future__ import annotations
@@ -65,7 +67,23 @@ def residue_coupling(asm, i):
     return f.grad_norm / f.param.lam + 1.0 / f.param.lam**2 + float(np.sum(asm.eps_mat[i]))
 
 
-def rate_and_point(model, cfg, i, asm, include_normal=True):
+def weight_pairing(model, asm, i, coupling):
+    """Pairing of the gradient with the i-th profile direction; ``coupling``
+    is bubble i's residue coupling."""
+    n = model.n
+    f = asm.frames[i]
+    w_i = f.mult * model.s_n + (0.0 if f.boundary else model.c2 * f.h_self / f.rate ** (n - 2))
+    dnum = 2.0 * f.alpha * w_i
+    dden = (2.0 * n / (n - 2)) * f.alpha ** ((n + 2) / (n - 2)) * model._t_value(f)
+    center = asm.j_center * (dnum / asm.num - (n - 2) / n * dden / asm.den)
+    bar_terms = coupling
+    if not f.boundary:
+        bar_terms += f.image_distance ** (2 - n)
+    bar = 2.0 * asm.j_center * f.mult * model.s_n / asm.n_qty * bar_terms
+    return Bar(float(center), abs(bar))
+
+
+def rate_and_point(model, cfg, i, asm):
     """(rate pairing, (point vector, bar)) of bubble i, from one array-form
     pairing over the rate direction and the n+1 ambient axes."""
     n = model.n
@@ -99,7 +117,5 @@ def rate_and_point(model, cfg, i, asm, include_normal=True):
     dJ = pairing(model, asm, i, moves, deps, dh_mut) / f.alpha
     g = dJ[1:]
     vec = g - (a @ g) * a
-    if f.boundary and not include_normal:
-        vec[-1] = 0.0
     bar = abs(model._grad_bar_common(asm, i, residue_coupling(asm, i)))
     return Bar(float(dJ[0]), bar), (vec, float(bar / lam))

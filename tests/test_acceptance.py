@@ -125,7 +125,7 @@ def test_acceptance_expansion_fidelity():
 
     lam, h = 20.0, 0.05
     cfg = make_cfg(model, [BubbleParam(z, lam)], q=1)
-    grad = model.grad_a(cfg, 0, with_rate=True)[0]
+    grad = model.gradient_components(cfg).lam_pairings[0]
     fd = (quadrature_J_boundary(K, E[0], lam * math.exp(h))
           - quadrature_J_boundary(K, E[0], lam * math.exp(-h))) / (2 * h)
     rel_flat = abs(fd - cfg.alphas[0] * grad.center) / abs(fd)
@@ -136,7 +136,7 @@ def test_acceptance_expansion_fidelity():
     assert K2.normal_derivative(z) > 0
     model2 = ReducedModel(K2)
     cfg2 = make_cfg(model2, [BubbleParam(z, lam)], q=1)
-    grad2 = model2.grad_a(cfg2, 0, with_rate=True)[0]
+    grad2 = model2.gradient_components(cfg2).lam_pairings[0]
     fd2 = (quadrature_J_boundary(K2, E[0], lam * math.exp(h))
            - quadrature_J_boundary(K2, E[0], lam * math.exp(-h))) / (2 * h)
     rel_nu = abs(fd2 - cfg2.alphas[0] * grad2.center) / abs(fd2)
@@ -199,7 +199,7 @@ def test_acceptance_gradient_self_consistency():
                           for j in range(cfg.size) if j != i))
 
         for i in range(cfg.size):
-            ga = model.grad_alpha(cfg, i, asm)
+            ga = model.gradient_components(cfg, asm).alpha_pairings[i]
             h = 1e-5
             alphas = list(cfg.alphas)
             alphas[i] += h
@@ -209,7 +209,7 @@ def test_acceptance_gradient_self_consistency():
             fd = (jp - jm) / (2 * h)
             assert abs(fd - ga.center) <= ga.halfwidth + 1e-9
 
-            gl = model.grad_a(cfg, i, asm, with_rate=True)[0]
+            gl = model.gradient_components(cfg, asm).lam_pairings[i]
             hh = 1e-4
             bb = list(cfg.bubbles)
             bb[i] = BubbleParam(bb[i].a, bb[i].lam * math.exp(hh))
@@ -219,7 +219,7 @@ def test_acceptance_gradient_self_consistency():
             fd = (jp - jm) / (2 * hh) / cfg.alphas[i]
             assert abs(fd - gl.center) <= gl.halfwidth + interaction_slack(i) + 1e-9
 
-            gv, gbar = model.grad_a(cfg, i, asm)
+            gv, gbar = model.gradient_components(cfg, asm).a_pairings[i]
             basis = tangent_basis(cfg.bubbles[i].a.coords, within_equator=i < cfg.q)
             e = basis[rng.integers(0, len(basis))]
             hh = 1e-3

@@ -10,7 +10,8 @@ from hemiflow.census import (admissible_boundary, a1_boundary_set,
                              enumerate_census, existence_check,
                              level_bands, pinch_threshold)
 from hemiflow.constants import compute_constants
-from hemiflow.landscape import check_assumptions, classify, find_critical_points
+from hemiflow.landscape import (CriticalPointRecord, check_assumptions, classify,
+                                find_critical_points)
 from hemiflow.oracles import brute_force_alternating_sums
 
 from hemiflow.fields import ScalarField
@@ -151,6 +152,8 @@ class TestHomology:
         # two trace points with indices 4 and 3 plus one interior with 5:
         # degree = (3 - 1) + (4-4) + (4-3) + (5-5) = 3
         class Rec:
+            iota = CriticalPointRecord.iota
+
             def __init__(self, morse, boundary, value=1.0):
                 self.morse_index = morse
                 self.value = value

@@ -58,7 +58,7 @@ def test_rate_gradient_fd(setup6):
     lam, h = 25.0, 0.05
     cfg = model.normalize_alphas(
         Configuration((1.0,), (BubbleParam(BoundarySpherePoint(E6[0]), lam),), 1, 0, 0.12))
-    g = model.grad_a(cfg, 0, with_rate=True)[0]
+    g = model.gradient_components(cfg).lam_pairings[0]
     fd = (quadrature_J_boundary(K, E6[0], lam * math.exp(h))
           - quadrature_J_boundary(K, E6[0], lam * math.exp(-h))) / (2 * h)
     assert abs(fd - cfg.alphas[0] * g.center) <= 0.15 * abs(fd)

@@ -398,7 +398,7 @@ class TestCalculus:
 
 class TestMinMax:
     def test_constant_field(self):
-        kmin, kmax = ScalarField.constant(N).min_max(10)
+        kmin, kmax = ScalarField(N, 1.0).min_max(10)
         assert kmin == kmax == 1.0
 
     def test_linear_field_extrema(self):

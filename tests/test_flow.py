@@ -345,7 +345,7 @@ class TestCertificates:
     def test_flat_field_self_interaction_state(self):
         # with a flat curvature the only descent channel is the image-charge
         # term; the certificate holds at the default fitted constant
-        K = ScalarField.constant(N)
+        K = ScalarField(N, 1.0)
         model = ReducedModel(K)
         flow = PseudogradientFlow(model, [], FlowParams())
         th = 0.06  # low enough that the self-interaction ratio is fully active
@@ -702,9 +702,9 @@ class TestOneFieldPerState:
         calls = []
         grad_a = ReducedModel.grad_a
 
-        def counted(self, cfg, i, *args, **kwargs):
+        def counted(self, asm, i):
             calls.append(i)
-            return grad_a(self, cfg, i, *args, **kwargs)
+            return grad_a(self, asm, i)
 
         monkeypatch.setattr(ReducedModel, "grad_a", counted)
         grads = model.gradient_components(cfg, asm)

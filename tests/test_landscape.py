@@ -235,7 +235,7 @@ class TestLinearField:
 class TestDegenerateField:
     def test_constant_raises(self):
         with pytest.raises(DegenerateCriticalPoint):
-            find_critical_points(ScalarField.constant(N), 8)
+            find_critical_points(ScalarField(N, 1.0), 8)
 
     @pytest.mark.parametrize("terms", [
         [("x1^2", 0.02), ("x2^2", 0.02), ("x3^2", 0.03)],  # circle in the x1-x2 plane
