@@ -22,7 +22,10 @@ itself always comes from the file.  ``seeds_per_dim`` (at least 8) and
 exact enumeration and does not depend on them.  ``grid_density`` is
 validated at load (at least 10) but has no effect: the extrema are exact.
 ``mass_max`` must be at least 1.  The document must be a JSON object, and
-field monomials must be strings such as ``"x1*x2"``.
+field monomials must be strings such as ``"x1*x2"``.  Nothing is coerced:
+``dimension``, ``seeds_per_dim``, ``seed``, ``grid_density``, ``mass_max``
+and ``max_qp`` take JSON integers only, the other scalars JSON numbers,
+``strict_lambda_sign`` true or false, and ``output_dir`` a string.
 Flow constants must be finite at load, ``M0``, ``M2``, ``M4``, ``eta`` and
 ``eps`` positive and ``max_qp`` at least 1; their smallness is checked by
 ``flow``.
@@ -46,9 +49,38 @@ def _flag(value) -> bool:
     return value
 
 
-# settable flow parameters and the type each is converted to
-_FLOW_TYPES = {"M0": float, "M2": float, "M4": float, "eta": float, "eps": float,
-              "max_qp": int, "strict_lambda_sign": _flag}
+def _integer(value) -> int:
+    """A JSON integer; a float such as 1.5 or 5.0, a string or a bool is
+    refused instead of truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+# settable flow parameters and the type each is read as
+_FLOW_TYPES = {"M0": _number, "M2": _number, "M4": _number, "eta": _number, "eps": _number,
+              "max_qp": _integer, "strict_lambda_sign": _flag}
+
+
+def _read(doc: dict, key: str, default, kind, section: str = ""):
+    """``doc[key]`` (or ``default``) read as ``kind``; a mistyped value is a
+    ConfigError that names its key."""
+    try:
+        return kind(doc.get(key, default))
+    except (TypeError, OverflowError) as exc:
+        raise ConfigError(f"{section}{key}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -184,17 +216,19 @@ class RunConfig:
         unknown = set(flow_doc) - _FLOW_TYPES.keys()
         if unknown:
             raise ConfigError(f"unknown flow parameters: {sorted(unknown)}")
+        given = {k: _read(flow_doc, k, None, _FLOW_TYPES[k], "flow constant ") for k in flow_doc}
+        if not isinstance(doc["field"], dict):
+            raise ConfigError("'field' must be an object")
         try:
-            given = {k: _FLOW_TYPES[k](v) for k, v in flow_doc.items()}
             cfg = RunConfig(
-                n=int(doc.get("dimension", 5)),
+                n=_read(doc, "dimension", 5, _integer),
                 field_spec=dict(doc["field"]),
-                quadrature_tol=float(doc.get("quadrature_tol", 1e-8)),
-                seeds_per_dim=int(doc.get("seeds_per_dim", 10)),
-                seed=int(doc.get("seed", 20240)),
-                grid_density=int(doc.get("grid_density", 12)),
-                mass_max=int(doc.get("mass_max", 4)),
-                output_dir=str(doc.get("output_dir", "out")),
+                quadrature_tol=_read(doc, "quadrature_tol", 1e-8, _number),
+                seeds_per_dim=_read(doc, "seeds_per_dim", 10, _integer),
+                seed=_read(doc, "seed", 20240, _integer),
+                grid_density=_read(doc, "grid_density", 12, _integer),
+                mass_max=_read(doc, "mass_max", 4, _integer),
+                output_dir=_read(doc, "output_dir", "out", _string),
             )
             cfg.flow = replace(FlowParams.for_mass(given.get("max_qp", 2), cfg.n), **given)
         except (TypeError, ValueError, OverflowError) as exc:

@@ -13,11 +13,24 @@ rates; only inside the matched-collection region do the rates grow.
 Velocities use the correspondence: a rate direction contributes
 dlog(lam)/dt = +-1, a point direction da/dt = e/lam, a weight direction
 dalpha/dt = +-1.
+
+The per-bubble scalars run in Python floats: the nearest-record cosines,
+the scales mu_i, their ratio and ranking, and the weight and rate
+components of every field, which are summed as float lists and become
+arrays once, when ``pseudogradient`` returns the ``Velocity``.  float64
++ - * / round each element exactly as numpy does, so the fields are the
+array form's bit for bit.  The calls whose result feeds the next state
+stay numpy: ``geodesic_step``, the renormalisation in ``_advance``, the
+cluster barycentre, and every dot product and norm of an ambient vector.
+OpenBLAS fuses the multiply-adds of ``dot`` and ``norm``, so a float loop
+would round their last bit differently, and an accepted step could turn
+into a rejected one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,20 +94,52 @@ class Velocity:
     def scaled(self, w: float) -> "Velocity":
         return Velocity(self.alpha_dot * w, [v * w for v in self.a_dot], self.loglam_dot * w)
 
-    def add(self, other: "Velocity"):
-        self.alpha_dot += other.alpha_dot
-        for k in range(len(self.a_dot)):
-            self.a_dot[k] = self.a_dot[k] + other.a_dot[k]
-        self.loglam_dot += other.loglam_dot
-
     def norm(self) -> float:
-        total = float(np.sum(self.alpha_dot**2) + np.sum(self.loglam_dot**2))
+        # float sums in the order np.sum takes below eight entries (from
+        # eight up its pairwise blocks may round the last bit otherwise; the
+        # norm only meets the stagnation threshold); the point parts keep
+        # their BLAS dot
+        total = 0.0
+        for x in self.alpha_dot.tolist():
+            total += x * x
+        rates = 0.0
+        for x in self.loglam_dot.tolist():
+            rates += x * x
+        total += rates
         total += sum(float(v @ v) for v in self.a_dot)
         return math.sqrt(total)
 
-    @staticmethod
-    def zero(size: int, dim: int) -> "Velocity":
-        return Velocity(np.zeros(size), [np.zeros(dim) for _ in range(size)], np.zeros(size))
+
+class _Drive:
+    """A descent field under construction: the weight and rate components
+    as float lists, each point component an array, or None while it is
+    zero.  ``velocity`` turns it into a ``Velocity`` of arrays."""
+
+    __slots__ = ("alpha_dot", "a_dot", "loglam_dot")
+
+    def __init__(self, size: int):
+        self.alpha_dot = [0.0] * size
+        self.a_dot = [None] * size
+        self.loglam_dot = [0.0] * size
+
+    def push(self, i: int, vec):
+        """Add ``vec`` to point component i.  A zero component adds as a zero
+        array would: ``vec + 0.0`` turns a -0.0 entry into 0.0."""
+        cur = self.a_dot[i]
+        self.a_dot[i] = vec + 0.0 if cur is None else cur + vec
+
+    def add(self, other: "_Drive", w: float = 1.0):
+        """Add ``w`` times ``other``, element by element as arrays add."""
+        self.alpha_dot = [a + b * w for a, b in zip(self.alpha_dot, other.alpha_dot)]
+        self.loglam_dot = [a + b * w for a, b in zip(self.loglam_dot, other.loglam_dot)]
+        for i, vec in enumerate(other.a_dot):
+            if vec is not None:
+                self.push(i, vec * w)
+
+    def velocity(self, dim: int) -> Velocity:
+        return Velocity(np.array(self.alpha_dot),
+                        [np.zeros(dim) if v is None else v for v in self.a_dot],
+                        np.array(self.loglam_dot))
 
 
 @dataclass
@@ -144,9 +189,9 @@ class PseudogradientFlow:
         self.params.validate_full(self.n)
         self.trace_crit = [r for r in self.records if r.is_boundary]
         self.interior_crit = [r for r in self.records if not r.is_boundary]
-        # each pool with its record coordinates stacked, keyed by is_boundary
+        # each pool with its records' coordinates as float lists, keyed by is_boundary
         self._pools = {
-            boundary: (pool, np.array([r.location.coords for r in pool]).reshape(len(pool), self.n + 1))
+            boundary: (pool, [r.location.coords.tolist() for r in pool])
             for boundary, pool in ((True, self.trace_crit), (False, self.interior_crit))}
 
     # -- scalar diagnostics ----------------------------------------------------
@@ -166,7 +211,7 @@ class PseudogradientFlow:
         b = cfg.bubbles[i]
         eps_sum = asm.eps_sums[i]
         mu_i = self.mu(cfg, i, asm)
-        imb = abs(asm.imbalances[i])
+        imb = abs(float(asm.imbalances[i]))
         g_alpha = imb / (m2 * (eps_sum + 1.0 / mu_i))
         g_lambda = mu_i * eps_sum / m2
         f = asm.frames[i]
@@ -187,16 +232,26 @@ class PseudogradientFlow:
         record within ``radius``, the last one on a tie; (None, radius) when
         none is that near.
 
-        All distances come from one row-wise product, whose rows do not
-        depend on their position, so equal records tie exactly; the
-        winner's distance, which ``radius`` bounds, is then taken from
+        The records are ranked by their cosine to the point, a float dot
+        product clamped to [-1, 1] as the distance's arccos clamps it, so
+        equal records and records at the point tie exactly; the winner's
+        distance, which ``radius`` bounds, is then taken from
         ``geodesic_distance``.
         """
-        pool, coords = self._pools[boundary]
-        dist = np.arccos(np.clip((coords * point.coords).sum(axis=1), -1.0, 1.0))
-        if dist.size == 0:
+        pool, rows = self._pools[boundary]
+        if not pool:
             return None, radius
-        k = dist.size - 1 - int(np.argmin(dist[::-1]))
+        p = point.coords.tolist()
+        mul = operator.mul
+        k, best = 0, -2.0
+        for pos, row in enumerate(rows):
+            c = sum(map(mul, row, p))
+            if c > 1.0:
+                c = 1.0
+            elif c < -1.0:
+                c = -1.0
+            if c >= best:
+                k, best = pos, c
         d = geodesic_distance(point, pool[k].location)
         return (pool[k], d) if d <= radius else (None, radius)
 
@@ -225,8 +280,8 @@ class PseudogradientFlow:
         diags = [self.gamma_quantities(cfg, i, asm) for i in range(cfg.size)]
         nearest = tuple(self._nearest_record(b.a, cfg.is_boundary_index(i), math.pi)
                         for i, b in enumerate(cfg.bubbles))
-        mus = np.array([d.mu for d in diags])
-        mu_ratio = float(np.max(mus) / np.min(mus))
+        mus = [d.mu for d in diags]
+        mu_ratio = max(mus) / min(mus)
 
         w4 = ramp(mu_ratio, params.M0, 2.0 * params.M0)
         g_in = [diags[i].gamma_h + diags[i].gamma_a + diags[i].gamma_lambda
@@ -313,14 +368,20 @@ class PseudogradientFlow:
             used.add(rec)
         return True
 
-    def _tower_set(self, mus) -> tuple:
-        order = np.argsort(mus)
+    @staticmethod
+    def _rank(mus: list) -> list:
+        """Indices in ascending order of their scale, equal scales in index
+        order (a stable sort)."""
+        return sorted(range(len(mus)), key=mus.__getitem__)
+
+    def _tower_set(self, mus: list) -> tuple:
+        order = self._rank(mus)
         size = len(mus)
         cut = self.params.M0 ** (1.0 / max(size - 1, 1))
-        kept = [int(order[0])]
+        kept = [order[0]]
         for pos in range(1, size):
             if mus[order[pos]] <= cut * mus[order[pos - 1]]:
-                kept.append(int(order[pos]))
+                kept.append(order[pos])
             else:
                 break
         return tuple(kept)
@@ -334,21 +395,20 @@ class PseudogradientFlow:
             return vec * 0.0
         return vec / (lam * nrm)
 
-    def _trace_drift(self, vel: Velocity, asm, i: int, gate: float | None = None):
+    def _trace_drift(self, vel: _Drive, asm, i: int, gate: float | None = None):
         """Add ``gate`` times boundary bubble i's unit drift along the trace
         gradient; the gate defaults to psi1(lam |grad K_1| / M2)."""
         f = asm.frames[i]
         if gate is None:
             gate = psi1(f.param.lam * f.grad_k1_norm / self.params.M2)
         if gate > 0:
-            vel.a_dot[i] = vel.a_dot[i] + gate * self._unit_drift(f.grad_k1, f.grad_k1_norm,
-                                                                  f.param.lam)
+            vel.push(i, gate * self._unit_drift(f.grad_k1, f.grad_k1_norm, f.param.lam))
 
     def _component_base(self, cfg, asm, diags, interior_rates=True, boundary_rates=True,
-                        interior_points=True, boundary_rate_scale=1.0) -> Velocity:
+                        interior_points=True, boundary_rate_scale=1.0) -> _Drive:
         """The shared gated components: rate shrinking, interior point drift,
         weight rebalancing."""
-        vel = Velocity.zero(cfg.size, self.n + 1)
+        vel = _Drive(cfg.size)
         imb = asm.imbalances
         for i in range(cfg.size):
             f = asm.frames[i]
@@ -363,8 +423,8 @@ class PseudogradientFlow:
                 if interior_points:
                     gate = psi1(d.gamma_a)
                     if gate > 0:
-                        vel.a_dot[i] = vel.a_dot[i] + gate * self._unit_drift(
-                            f.grad_sphere, f.grad_norm, f.param.lam)
+                        vel.push(i, gate * self._unit_drift(f.grad_sphere, f.grad_norm,
+                                                            f.param.lam))
                         if interior_rates:
                             # far from critical points the drift is paired with
                             # a rate shrink; the large gate keeps the pair
@@ -375,11 +435,11 @@ class PseudogradientFlow:
 
     # every region's field builder takes (cfg, asm, label, depth)
 
-    def _field_v1(self, cfg, asm, label, depth) -> Velocity:
+    def _field_v1(self, cfg, asm, label, depth) -> _Drive:
         return self._component_base(cfg, asm, label.per_index,
                                     boundary_rate_scale=1.0 / self.params.M2)
 
-    def _field_v2(self, cfg, asm, label, depth) -> Velocity:
+    def _field_v2(self, cfg, asm, label, depth) -> _Drive:
         vel = self._component_base(cfg, asm, label.per_index, interior_rates=False,
                                    interior_points=False)
         for i in range(cfg.q):
@@ -387,14 +447,14 @@ class PseudogradientFlow:
                                                 2.0 * self.params.eta))
         return vel
 
-    def _field_v31(self, cfg, asm, label, depth) -> Velocity:
+    def _field_v31(self, cfg, asm, label, depth) -> _Drive:
         vel = self._component_base(cfg, asm, label.per_index, interior_rates=False,
                                    interior_points=False, boundary_rates=False)
         for i in range(cfg.q):
             self._trace_drift(vel, asm, i, psi1(2.0 * label.per_index[i].gamma_a))
         return vel
 
-    def _field_v32(self, cfg, asm, label, depth) -> Velocity:
+    def _field_v32(self, cfg, asm, label, depth) -> _Drive:
         vel = self._component_base(cfg, asm, label.per_index, interior_rates=False,
                                    interior_points=False)
         for rec, members in label.clusters.items():
@@ -411,9 +471,9 @@ class PseudogradientFlow:
                     vel.loglam_dot[i] -= 1.0
         return vel
 
-    def _cluster_field(self, cfg, asm, members) -> Velocity:
+    def _cluster_field(self, cfg, asm, members) -> _Drive:
         """Barycentric contraction of a group of boundary points."""
-        vel = Velocity.zero(cfg.size, self.n + 1)
+        vel = _Drive(cfg.size)
         if len(members) < 2:
             return vel
         dist = asm.dist_mat
@@ -440,10 +500,10 @@ class PseudogradientFlow:
         for k in group:
             ak = cfg.bubbles[k].a.coords
             v = bary - float(np.dot(ak, bary)) * ak
-            vel.a_dot[k] = vel.a_dot[k] + v / (lam_seed * max(gamma_i, 1e-300))
+            vel.push(k, v / (lam_seed * max(gamma_i, 1e-300)))
         return vel
 
-    def _field_v33(self, cfg, asm, label, depth) -> Velocity:
+    def _field_v33(self, cfg, asm, label, depth) -> _Drive:
         vel = self._component_base(cfg, asm, label.per_index, interior_rates=False,
                                    interior_points=False, boundary_rates=False)
         for rec, members in label.clusters.items():
@@ -451,21 +511,19 @@ class PseudogradientFlow:
                 vel.add(self._cluster_field(cfg, asm, members))
         return vel
 
-    def _field_w(self, cfg, asm, label, depth) -> Velocity:
+    def _field_w(self, cfg, asm, label, depth) -> _Drive:
         vel = self._component_base(cfg, asm, label.per_index, interior_rates=False,
                                    boundary_rates=False)
         for i in range(cfg.q):
             self._trace_drift(vel, asm, i)
-        vel.loglam_dot += 1.0
+        vel.loglam_dot = [x + 1.0 for x in vel.loglam_dot]
         return vel
 
-    def _field_v4(self, cfg, asm, label, depth) -> Velocity:
+    def _field_v4(self, cfg, asm, label, depth) -> _Drive:
         params = self.params
         diags = label.per_index
         vel = self._component_base(cfg, asm, diags, interior_rates=False, boundary_rates=False)
-        mus = np.array([d.mu for d in diags])
-        order = list(np.argsort(mus))
-        rank = {int(idx): pos for pos, idx in enumerate(order)}
+        rank = {idx: pos for pos, idx in enumerate(self._rank([d.mu for d in diags]))}
         size = cfg.size
         tower = set(label.tower_set)
 
@@ -495,10 +553,12 @@ class PseudogradientFlow:
                 sub_cfg, back, sub_asm = self._restrict(cfg, asm, sorted(tower))
                 sub_label = sub_flow.classify_region(sub_cfg, sub_asm)
                 sub_vel = sub_flow.pseudogradient(sub_cfg, sub_label, sub_asm, depth=depth + 1)
+                sub_alpha = sub_vel.alpha_dot.tolist()
+                sub_rates = sub_vel.loglam_dot.tolist()
                 for si, gi in enumerate(back):
-                    vel.alpha_dot[gi] += sub_vel.alpha_dot[si] / params.M2**2
-                    vel.a_dot[gi] = vel.a_dot[gi] + sub_vel.a_dot[si] / params.M2**2
-                    extra = sub_vel.loglam_dot[si] / params.M2**2
+                    vel.alpha_dot[gi] += sub_alpha[si] / params.M2**2
+                    vel.push(gi, sub_vel.a_dot[si] / params.M2**2)
+                    extra = sub_rates[si] / params.M2**2
                     if params.strict_lambda_sign:
                         extra = min(extra, 0.0)
                     vel.loglam_dot[gi] += extra
@@ -532,7 +592,9 @@ class PseudogradientFlow:
 
         At depth 0 the field of the label ``classify_region`` keeps for
         ``cfg`` is built once and kept beside it, with read-only arrays, so
-        every caller shares it; any other label is evaluated afresh.
+        every caller shares it; any other label is evaluated afresh.  The
+        weighted region fields are summed as float lists (see ``_Drive``)
+        and the arrays are built once, here.
         """
         asm = asm or self.model.assemble(cfg)
         label = label or self.classify_region(cfg, asm)
@@ -540,7 +602,7 @@ class PseudogradientFlow:
         own = memo is not None and memo[0] is label
         if own and memo[1] is not None:
             return memo[1]
-        total = Velocity.zero(cfg.size, self.n + 1)
+        drive = _Drive(cfg.size)
         for name, w in label.weights.items():
             if w <= 0:
                 continue
@@ -549,8 +611,11 @@ class PseudogradientFlow:
                 raise UnclassifiableState(f"unknown region weight {name}")
             part = build(self, cfg, asm, label, depth)
             if self.params.strict_lambda_sign and name != "W":
-                part.loglam_dot = np.minimum(part.loglam_dot, 0.0)
-            total.add(part.scaled(w))
+                # min keeps a -0.0 that np.minimum maps to 0.0; the sum
+                # below starts from 0.0, which turns it into 0.0 as well
+                part.loglam_dot = [min(x, 0.0) for x in part.loglam_dot]
+            drive.add(part, w)
+        total = drive.velocity(self.n + 1)
         if own:
             for arr in (total.alpha_dot, total.loglam_dot, *total.a_dot):
                 arr.flags.writeable = False
@@ -571,17 +636,19 @@ class PseudogradientFlow:
         # centers and halfwidths summed as floats, in the order of a chain of
         # Bar sums; a NaN or inf term survives to the one Bar built at the end
         center = halfwidth = 0.0
+        alpha_dot, loglam_dot = vel.alpha_dot.tolist(), vel.loglam_dot.tolist()
         for i in range(cfg.size):
-            w = -float(vel.alpha_dot[i])
+            w = -alpha_dot[i]
             center += grads.alpha_pairings[i].center * w
             halfwidth += abs(w) * grads.alpha_pairings[i].halfwidth
-            w = -float(vel.loglam_dot[i]) * cfg.alphas[i]
+            w = -loglam_dot[i] * cfg.alphas[i]
             center += grads.lam_pairings[i].center * w
             halfwidth += abs(w) * grads.lam_pairings[i].halfwidth
             gv, gbar = grads.a_pairings[i]
             move = cfg.bubbles[i].lam * vel.a_dot[i]
             center += -float(gv @ move) * cfg.alphas[i]
-            halfwidth += gbar * float(np.linalg.norm(move)) * cfg.alphas[i]
+            # np.linalg.norm of a vector is the square root of its dot product
+            halfwidth += gbar * math.sqrt(float(move @ move)) * cfg.alphas[i]
         lhs = Bar(center, halfwidth)
 
         imb = asm.imbalances
@@ -623,7 +690,7 @@ class PseudogradientFlow:
         detail = ""
         while t < t_max - 1e-12:
             vel = self.pseudogradient(cfg, label, asm)
-            points[-1] = replace(points[-1], loglam_dot=tuple(vel.loglam_dot))
+            points[-1].loglam_dot = tuple(vel.loglam_dot)
             if vel.norm() < params.stagnation_tol:
                 reason = "stagnation"
                 break
@@ -664,7 +731,8 @@ class PseudogradientFlow:
         return Trajectory(points=points, reason=reason, detail=detail)
 
     def _advance(self, cfg: Configuration, vel: Velocity, dt: float) -> Configuration:
-        alphas = [a + dt * float(da) for a, da in zip(cfg.alphas, vel.alpha_dot)]
+        alphas = [a + dt * da for a, da in zip(cfg.alphas, vel.alpha_dot.tolist())]
+        rates = vel.loglam_dot.tolist()
         bubbles = []
         for i, b in enumerate(cfg.bubbles):
             coords = geodesic_step(b.a.coords, vel.a_dot[i], dt)
@@ -675,6 +743,6 @@ class PseudogradientFlow:
                 pt = BoundarySpherePoint(coords)
             else:
                 pt = SpherePoint(coords)
-            lam = b.lam * math.exp(dt * float(vel.loglam_dot[i]))
+            lam = b.lam * math.exp(dt * rates[i])
             bubbles.append(BubbleParam(pt, lam))
         return cfg.replace(alphas=alphas, bubbles=bubbles)

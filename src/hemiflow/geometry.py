@@ -73,6 +73,8 @@ class BoundarySpherePoint(SpherePoint):
     """Point on the equator of the hemisphere."""
 
     def __init__(self, coords):
+        # one unit check: the height test below is stricter than the
+        # hemisphere's, and a renormalised point is unit by construction
         v = _as_unit(coords)
         if abs(v[-1]) > HEIGHT_TOL:
             raise ValueError("boundary point must have vanishing last coordinate")
@@ -82,7 +84,7 @@ class BoundarySpherePoint(SpherePoint):
             v = v.copy()
             v[-1] = 0.0
             v = v / np.linalg.norm(v)
-        super().__init__(v)
+        object.__setattr__(self, "coords", v)
 
 
 @dataclass(frozen=True)

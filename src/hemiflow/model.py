@@ -159,7 +159,12 @@ class Configuration:
 
     @staticmethod
     def from_json(doc: dict) -> "Configuration":
-        q, p, eps = int(doc["q"]), int(doc["p"]), float(doc["eps"])
+        q, p, eps = doc["q"], doc["p"], float(doc["eps"])
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (q, p)):
+            raise ValueError(f"q and p must be integers, got {q!r} and {p!r}")
+        if q < 0 or p < 0 or q + p != len(doc["bubbles"]):
+            raise ValueError(f"q = {q} and p = {p} must be at least 0 and add up to the "
+                             f"number of bubbles, {len(doc['bubbles'])}")
         alphas = tuple(float(entry["alpha"]) for entry in doc["bubbles"])
         lams = [float(entry["lambda"]) for entry in doc["bubbles"]]
         if not all(map(math.isfinite, (eps, *alphas, *lams))):

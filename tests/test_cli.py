@@ -282,6 +282,47 @@ class TestExitCodes:
         assert "configuration error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"dimension": 5.5}, "dimension"),
+        ({"dimension": 5.0}, "dimension"),
+        ({"dimension": "5"}, "dimension"),
+        ({"dimension": True}, "dimension"),
+        ({"mass_max": "4"}, "mass_max"),
+        ({"mass_max": 4.0}, "mass_max"),
+        ({"seed": 11.5}, "seed"),
+        ({"seeds_per_dim": False}, "seeds_per_dim"),
+        ({"grid_density": "12"}, "grid_density"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"output_dir": ["out"]}, "output_dir"),
+        ({"quadrature_tol": "1e-8"}, "quadrature_tol"),
+        ({"quadrature_tol": True}, "quadrature_tol"),
+        ({"flow": {"max_qp": 2.5}}, "flow constant max_qp"),
+        ({"flow": {"max_qp": True}}, "flow constant max_qp"),
+        ({"flow": {"M2": True}}, "flow constant M2"),
+    ], ids=["dimension_fraction", "dimension_float", "dimension_string", "dimension_bool",
+            "mass_max_string", "mass_max_float", "seed_fraction", "seeds_per_dim_bool",
+            "grid_density_string", "output_dir_number", "output_dir_list",
+            "quadrature_tol_string", "quadrature_tol_bool", "max_qp_fraction", "max_qp_bool",
+            "M2_bool"])
+    def test_no_silent_coercion(self, tmp_path, capsys, extra, key):
+        # a value of the wrong JSON type is refused, not truncated or parsed
+        cfgp = write_config(tmp_path, extra=extra)
+        assert main(["--config", str(cfgp), "census"]) == 2
+        assert f"configuration error: {key}: expected" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_numbers_keep_their_artifacts(self, tmp_path):
+        # JSON integers where floats are read give the float's artifacts
+        as_float = write_config(tmp_path, extra={"quadrature_tol": 1.0e-8,
+                                                 "flow": {"M2": 10.0}})
+        first = tmp_path / "a"
+        assert main(["--config", str(as_float), "--output-dir", str(first), "census"]) == 0
+        as_int = write_config(tmp_path, extra={"quadrature_tol": 1.0e-8, "flow": {"M2": 10}})
+        second = tmp_path / "b"
+        assert main(["--config", str(as_int), "--output-dir", str(second), "census"]) == 0
+        assert (first / "census.json").read_bytes() == (second / "census.json").read_bytes()
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         cfgp = write_config(tmp_path)
@@ -414,6 +455,20 @@ class TestFlowStateErrors:
         path.write_text(json.dumps(state))
         assert main(["--config", str(cfgp), "flow", "--state", str(path)]) == 2
         assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q, p", [(1.5, 0), (1.0, 0), ("1", 0), (True, 0), (1, 0.0),
+                                      (2, 0), (1, 1), (0, 0), (-1, 2)],
+                             ids=["q_fraction", "q_float", "q_string", "q_bool", "p_float",
+                                  "q_exceeds_bubbles", "q_plus_p_exceeds_bubbles",
+                                  "fewer_than_bubbles", "negative_q"])
+    def test_state_counts_are_integers_matching_the_bubbles(self, tmp_path, capsys, q, p):
+        cfgp = write_config(tmp_path)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(dict(_one_bubble(), q=q, p=p)))
+        assert main(["--config", str(cfgp), "flow", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: invalid state file" in err
+        assert "q and p must be integers" in err or "add up to the number of bubbles, 1" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("state", [_one_bubble(lam=1e160), _one_bubble(alpha=1e300),

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import math
 import weakref
 
@@ -18,6 +19,7 @@ from hemiflow.intervals import Bar
 from hemiflow.landscape import find_critical_points
 from hemiflow.model import Configuration, ReducedModel
 
+import _flow_reference as ref
 from _fixtures import (E, N, field_boundary_max, field_diag, field_interior_min,
                        field_linear, make_cfg, near, sample_cluster, sample_v1,
                        sample_v2, sample_v2_alpha, sample_v4, sample_w)
@@ -766,7 +768,7 @@ class TestOneFieldPerState:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         with pytest.raises(ValueError):
-            vel.add(vel)
+            vel.loglam_dot += vel.loglam_dot
 
     def test_shared_results_die_with_their_configuration(self, lin_setup):
         model, records, flow = lin_setup
@@ -873,22 +875,130 @@ class TestNearestRecord:
     @pytest.mark.parametrize("setup", ["lin_setup", "diag_setup"])
     def test_matches_the_scalar_loop(self, setup, request):
         model, records, _ = request.getfixturevalue(setup)
-        # equal copies of a trace and of an interior record make exact ties
-        twins = [dataclasses.replace(r) for r in records[:1]]
-        twins += [dataclasses.replace(r) for r in records if not r.is_boundary][:1]
+        # two equal copies of every record make exact ties: those, and points
+        # exactly on a record, pick the last one, as the scalar loop and the
+        # array form (a row-wise product over the stacked coordinates) do
+        twins = [dataclasses.replace(r) for r in records for _ in range(2)]
         flow = PseudogradientFlow(model, list(records) + twins, FlowParams())
         rng = np.random.default_rng(5)
         points = [r.location for r in flow.records]
         points += [near(r.location.coords, rng, 0.2, within_equator=r.is_boundary)
                    for r in flow.records]
+        points += [near(r.location.coords, rng, 0.01, within_equator=r.is_boundary)
+                   for r in flow.records]
         for boundary, pool in ((True, flow.trace_crit), (False, flow.interior_crit)):
             for point in points:
-                for radius in (0.05, 0.3, math.pi):
+                for radius in (0.005, 0.05, 0.3, math.pi):
                     got = flow._nearest_record(point, boundary, radius)
                     want = self._loop(point, pool, radius)
                     assert got[0] is want[0] and got[1] == want[1]
+                    want = ref.nearest_record(flow, point, boundary, radius)
+                    assert got[0] is want[0] and got[1] == want[1]
+                    if got[0] is not None and point == got[0].location:
+                        assert got[0] is [r for r in pool if r.location == point][-1]
 
     def test_empty_pool(self, lin_setup):
         model, records, flow = lin_setup
         assert flow.interior_crit == []
         assert flow._nearest_record(SpherePoint(E[-1]), False, 0.3) == (None, 0.3)
+
+
+class TestScaleRanking:
+    def test_equal_scales_rank_as_argsort_up_to_three(self, lin_setup):
+        _, _, flow = lin_setup
+        for size in (1, 2, 3):
+            for mus in itertools.product((1.0, 2.0, 3.0), repeat=size):
+                assert flow._rank(list(mus)) == [int(k) for k in np.argsort(mus)]
+                assert flow._tower_set(list(mus)) == ref.tower_set(flow, mus)
+
+    def test_equal_scales_keep_index_order(self, lin_setup):
+        # np.argsort may reverse ties from four entries up (it does on
+        # AVX-512 machines); the ranking is a stable sort at every size
+        _, _, flow = lin_setup
+        for size in range(1, 8):
+            for mus in itertools.product((1.0, 2.0), repeat=size):
+                order = flow._rank(list(mus))
+                assert sorted(order, key=lambda k: (mus[k], k)) == order
+
+
+def _float_oracle_states(n, per_kind, seed):
+    """(kind, flow, cfg) for ``per_kind`` random states of every region kind
+    in dimension n, each flow under ``FlowParams.for_mass`` of its mass."""
+    E = np.eye(n + 1)
+    setups = {}
+    for key, field in _audit_fields(n).items():
+        model = ReducedModel(field)
+        records = find_critical_points(field, 8)
+        setups[key] = (model, records,
+                       PseudogradientFlow(model, records, FlowParams.for_mass(2, n)))
+    lin_model, lin_records, lin_flow = setups["lin"]
+    bmax_model, _, bmax_flow = setups["bmax"]
+    intmin_model, _, intmin_flow = setups["intmin"]
+    diag_model, diag_records, diag_flow = setups["diag"]
+    mass3_flow = PseudogradientFlow(diag_model, diag_records, FlowParams.for_mass(3, n))
+    crit_lin = [r.location.coords for r in lin_records]
+    rng = np.random.default_rng(seed)
+
+    def tower3():
+        lam = rng.uniform(50.0, 70.0)
+        bubbles = [BubbleParam(BoundarySpherePoint(E[0]), lam),
+                   BubbleParam(BoundarySpherePoint(-E[0]), lam * rng.uniform(1.1, 1.4)),
+                   BubbleParam(SpherePoint(E[-1]), lam * rng.uniform(5e4, 7e4))]
+        return make_cfg(diag_model, bubbles, q=2)
+
+    samplers = {
+        "V1": (lin_flow, lambda: sample_v1(lin_model, rng)),
+        "V2": (lin_flow, lambda: sample_v2(lin_model, crit_lin, rng)),
+        "V2a": (diag_flow, lambda: sample_v2_alpha(diag_model, [E[0], -E[0]], rng)),
+        "V3_1": (lin_flow, lambda: sample_cluster(lin_model, E[0], rng)),
+        "V3_2": (intmin_flow, lambda: make_cfg(intmin_model, [BubbleParam(
+            near(E[-1], rng, 0.05, within_equator=False), rng.uniform(200.0, 400.0))], q=0)),
+        "V3_3": (bmax_flow, lambda: sample_cluster(bmax_model, E[0], rng, count=3)),
+        "V4": (lin_flow, lambda: sample_v4(lin_model, rng)),
+        "V4_boundary": (lin_flow, lambda: sample_v4(lin_model, rng, boundary_anchor=E[0])),
+        "W": (lin_flow, lambda: sample_w(lin_model, lin_records, rng)),
+        "tower3": (mass3_flow, tower3),
+    }
+    for kind, (flow, sample) in samplers.items():
+        for _ in range(per_kind):
+            yield kind, flow, sample()
+
+
+class TestFloatsMatchTheArrayForm:
+    """The flow's float evaluation of the nearest records, the scales and
+    the descent field agrees bit for bit with the array form it replaced
+    (``tests/_flow_reference.py``)."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_labels_and_fields_bit_for_bit(self, n):
+        def same_bits(u, v):
+            return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+
+        regions = set()
+        for kind, flow, cfg in _float_oracle_states(n, 6, seed=2100 + n):
+            asm = flow.model.assemble(cfg)
+            got = flow.classify_region(cfg, asm)
+            want = ref.label(flow, cfg, asm)
+            assert got.weights == want.weights and got.tag == want.tag, kind
+            assert got.mu_ratio == want.mu_ratio and got.tower_set == want.tower_set, kind
+            assert all(g[0] is w[0] and g[1] == w[1]
+                       for g, w in zip(got.nearest, want.nearest)), kind
+            assert got.clusters == want.clusters, kind
+            vel = flow.pseudogradient(cfg, got, asm)
+            want_vel = ref.field(flow, cfg, got, asm)
+            assert same_bits(vel.alpha_dot, want_vel.alpha_dot), kind
+            assert same_bits(vel.loglam_dot, want_vel.loglam_dot), kind
+            assert len(vel.a_dot) == len(want_vel.a_dot) == cfg.size
+            assert all(same_bits(u, v) for u, v in zip(vel.a_dot, want_vel.a_dot)), kind
+            regions.update(got.weights)
+        assert regions == {"V1", "V2", "V3_1", "V3_2", "V3_3", "V4", "W"}
+
+    def test_a_zero_point_component_adds_as_a_zero_array(self):
+        # 0.0 + -0.0 is 0.0: a field's untouched point component is a zero
+        # array, and what is added to it loses the sign of its zeros
+        drive = flow_module._Drive(2)
+        drive.push(0, np.array([-0.0, 1.0, -2.0]))
+        want = np.zeros(3) + np.array([-0.0, 1.0, -2.0])
+        vel = drive.velocity(3)
+        assert vel.a_dot[0].tobytes() == want.tobytes()
+        assert vel.a_dot[1].tobytes() == np.zeros(3).tobytes()

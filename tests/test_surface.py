@@ -24,6 +24,9 @@ KEPT_METHODS = {
     "intervals.Bar.contains": "exported API of the error bars",
     "intervals.Bar.overlaps": "exported API of the error bars",
     "fields.ScalarField.boundary_gradient": "test oracle for the frames' trace gradient",
+    "flow.Velocity.scaled":
+        "a scaled, writable copy of a shared read-only field: how a caller hands "
+        "``decrease_certificate`` a trial velocity",
 }
 
 
