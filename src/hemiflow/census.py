@@ -87,8 +87,8 @@ class CensusEntry:
 
     def to_json(self) -> dict:
         return {
-            "boundary_points": [list(map(float, r.location.coords)) for r in self.boundary_points],
-            "interior_points": [list(map(float, r.location.coords)) for r in self.interior_points],
+            "boundary_points": [r.location.coords.tolist() for r in self.boundary_points],
+            "interior_points": [r.location.coords.tolist() for r in self.interior_points],
             "level": self.level, "index": self.index, "mass": self.mass,
         }
 
@@ -114,32 +114,51 @@ def a1_boundary_set(records) -> list:
     return [r for r in records if r.is_boundary and r.classification in ("K_b_plus", "K_b_0_minus")]
 
 
-def entry_level(boundary, interior, s_n: float, n: int) -> float:
-    qsum = sum(r.value ** (-(n - 2) / 2.0) for r in boundary)
-    qsum += 2.0 * sum(r.value ** (-(n - 2) / 2.0) for r in interior)
+def level_terms(records, n: int) -> list:
+    """Each record's share K^{-(n-2)/2} of an entry's level."""
+    return [r.value ** (-(n - 2) / 2.0) for r in records]
+
+
+def entry_level(boundary_terms, interior_terms, s_n: float, n: int) -> float:
+    """The level of an entry from its points' :func:`level_terms`."""
+    qsum = sum(boundary_terms)
+    qsum += 2.0 * sum(interior_terms)
     return s_n ** (2.0 / n) * qsum ** (2.0 / n)
 
 
-def entry_index(boundary, interior, n: int) -> int:
-    return len(boundary) + len(interior) - 1 + sum(r.iota(n) for r in (*boundary, *interior))
+def entry_index(boundary_iotas, interior_iotas) -> int:
+    """The index of an entry from its points' ``iota``."""
+    return len(boundary_iotas) + len(interior_iotas) - 1 + sum(boundary_iotas) + sum(interior_iotas)
 
 
 def enumerate_census(records, mass_max: int, s_n: float, n: int) -> list:
     """All admissible collections of total mass q + 2p <= mass_max, sorted by level."""
     bnd = admissible_boundary(records)
     inn = [r for r in records if r.classification == "K_in_minus"]
+    return _census(bnd, inn, mass_max, s_n, n)
+
+
+def _census(bnd, inn, mass_max, s_n, n) -> list:
+    """``enumerate_census`` over the admissible boundary points ``bnd`` and
+    interior points ``inn``: each point's level term and iota are computed
+    once, not once per entry."""
+    def points(records):
+        return list(zip(records, level_terms(records, n), [r.iota(n) for r in records]))
+
+    none = ((), (), ())
+    bnd, inn = points(bnd), points(inn)
     entries = []
     for q in range(0, min(len(bnd), mass_max) + 1):
-        for p in range(0, (mass_max - q) // 2 + 1):
-            if q + p < 1 or p > len(inn):
+        for p in range(0, min((mass_max - q) // 2, len(inn)) + 1):
+            if q + p < 1:
                 continue
             for zs in itertools.combinations(bnd, q):
+                z_points, z_terms, z_iotas = zip(*zs) if q else none
                 for ys in itertools.combinations(inn, p):
-                    entries.append(CensusEntry(
-                        boundary_points=zs, interior_points=ys,
-                        level=entry_level(zs, ys, s_n, n),
-                        index=entry_index(zs, ys, n),
-                    ))
+                    y_points, y_terms, y_iotas = zip(*ys) if p else none
+                    entries.append(CensusEntry(z_points, y_points,
+                                               entry_level(z_terms, y_terms, s_n, n),
+                                               entry_index(z_iotas, y_iotas)))
     entries.sort(key=lambda e: (e.level, e.mass, e.index))
     return entries
 
@@ -214,14 +233,16 @@ def existence_check(records, report: AssumptionReport, k_min: float, k_max: floa
 
 
 def _existence(records, report, k_min, k_max, n):
-    """(verdict, table, A1 set, A, B): ``existence_check`` with the A1
-    boundary set and the alternating sums it reads, which ``census_report``
-    reports too, so that the records are classified once per call."""
+    """(verdict, table, A1 set, A, B, interior): ``existence_check`` with
+    the A1 boundary set, the alternating sums it reads and the interior
+    points with negative Laplacian, which ``census_report`` reads too, so
+    that the records are classified once per call."""
     from .landscape import classify
     families = classify(records)
     bset = a1_boundary_set(records)
+    interior = families["K_in_minus"]
     a_vals = counting_A([r.iota(n) for r in bset])
-    b_vals = counting_B([r.iota(n) for r in families["K_in_minus"]])
+    b_vals = counting_B([r.iota(n) for r in interior])
     pinch = k_max / k_min
     a1, b1 = a_vals[0], b_vals[0]
     n_inf = len(families["K_infinity"])
@@ -268,15 +289,15 @@ def _existence(records, report, k_min, k_max, n):
     if verdict is None:
         verdict = ExistenceVerdict(theorem="auto", conclusion="inconclusive",
                                    hypotheses={k: v.to_json() for k, v in table.items()})
-    return verdict, table, bset, a_vals, b_vals
+    return verdict, table, bset, a_vals, b_vals, interior
 
 
 def census_report(records, report, k_min, k_max, s_n, n, mass_max=4) -> dict:
     """Machine-readable bundle: census, bands, counts, verdicts."""
-    census = enumerate_census(records, mass_max, s_n, n)
-    bands, plain, deform = level_bands(k_min, k_max, s_n, n, mass_max)
-    verdict, table, bset, a_vals, b_vals = _existence(records, report, k_min, k_max, n)
+    verdict, table, bset, a_vals, b_vals, interior = _existence(records, report, k_min, k_max, n)
     admissible = admissible_boundary(records)
+    census = _census(admissible, interior, mass_max, s_n, n)
+    bands, plain, deform = level_bands(k_min, k_max, s_n, n, mass_max)
     return {
         "census": [e.to_json() for e in census],
         "bands": [{"mass": b.mass, "lo": b.lo, "hi": b.hi} for b in bands],

@@ -21,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -114,7 +115,7 @@ class ScalarField:
             n = int(cfg["dimension"])
             kappa0 = float(cfg["kappa0"])
             terms = [(t["monomial"], float(t["coeff"])) for t in cfg.get("terms", [])]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid field specification: {exc}") from exc
         for monomial, _ in terms:
             # index tuples are for programmatic construction only
@@ -313,10 +314,16 @@ class ScalarField:
         if grid_density < 10:
             raise ConfigError("grid_density must be at least 10")
         hemisphere, trace = self.sphere_roots
-        upper = np.concatenate([hemisphere.points, hemisphere.tops])
-        pts = [upper[upper[:, -1] > 0.0],
-               np.pad(np.concatenate([trace.points, trace.tops]), ((0, 0), (0, 1)))]
-        vals = self.value(np.concatenate(pts))
+        # the roots above the equator, then the trace roots with a zero last
+        # coordinate, written into one batch
+        rows = [r[r[:, -1] > 0.0] for r in (hemisphere.points, hemisphere.tops) if len(r)]
+        rows += [r for r in (trace.points, trace.tops) if len(r)]
+        pts = np.zeros((sum(map(len, rows)), self.n + 1))
+        at = 0
+        for r in rows:
+            pts[at:at + len(r), :r.shape[1]] = r
+            at += len(r)
+        vals = self.value(pts)
         kmin, kmax = float(vals.min()), float(vals.max())
         if kmin <= 0.0:
             raise NonPositiveField(f"field takes values <= 0 (minimum {kmin})")
@@ -367,15 +374,20 @@ def _secular_roots(p: np.ndarray, s: np.ndarray) -> np.ndarray:
     pencil[k:, :k] = -np.sqrt(np.outer(s, s))
     seeds = np.sort(np.linalg.eigvals(pencil).real)
 
-    def moments(mu):  # f, and -f'/2 and f''/6
+    def moments(mu, count=3):  # the first count of f, -f'/2 and f''/6
         inv = 1.0 / (mu[..., None] - p)
         inv2 = inv * inv
-        return inv2 @ s - 1.0, (inv2 * inv) @ s, (inv2 * inv2) @ s
+        out = [inv2 @ s - 1.0]
+        if count > 1:
+            out.append((inv2 * inv) @ s)
+        if count > 2:
+            out.append((inv2 * inv2) @ s)
+        return out
 
     def pick(cand, lo, hi, score):
-        # per bracket, the candidate inside with the least score, else the middle
+        # per bracket, the candidate inside with the least score of f, else the middle
         cand = np.where((lo[:, None] < cand) & (cand < hi[:, None]), cand, (lo + hi)[:, None] / 2)
-        return cand[np.arange(len(lo)), np.argmin(score(moments(cand)[0]), axis=1)]
+        return cand[np.arange(len(lo)), np.argmin(score(moments(cand, 1)[0]), axis=1)]
 
     lo, hi = p[:-1], p[1:]
     m = start = pick(0.5 * (seeds[1:] + seeds[:-1]), lo, hi, np.asarray)
@@ -391,9 +403,12 @@ def _secular_roots(p: np.ndarray, s: np.ndarray) -> np.ndarray:
     lo = np.concatenate([[p[0] - reach], lo[two], m[two], [p[-1]]])
     hi = np.concatenate([[p[0]], m[two], hi[two], [p[-1] + reach]])
     model = np.concatenate([[p[0]], m[two] - half, m[two] + half, [p[-1]]])
-    mu = pick(np.column_stack([np.broadcast_to(seeds, (len(lo), 2 * k)), model]), lo, hi, np.abs)
+    cand = np.empty((len(lo), 2 * k + 1))
+    cand[:, :-1] = seeds
+    cand[:, -1] = model
+    mu = pick(cand, lo, hi, np.abs)
     for _ in range(2):
-        f, f3, _ = moments(mu)
+        f, f3 = moments(mu, 2)
         new = mu + f / (2.0 * f3)
         mu = np.where((lo < new) & (new < hi), new, mu)
     return mu
@@ -421,7 +436,7 @@ def sphere_critical_points(b: np.ndarray, Q: np.ndarray) -> SphereRoots:
     """
     w, V = np.linalg.eigh(Q)
     c = V.T @ b / 2.0
-    tol = 1e-12 * max(float(np.abs(w).max()), float(np.linalg.norm(c)))
+    tol = 1e-12 * max(float(np.abs(w).max()), math.sqrt(c @ c))
     labels = np.concatenate([[0], np.cumsum(np.diff(w) > tol)])
     poles = np.bincount(labels, w) / np.bincount(labels)
     weights = np.bincount(labels, c * c)
@@ -434,8 +449,11 @@ def sphere_critical_points(b: np.ndarray, Q: np.ndarray) -> SphereRoots:
         return y
 
     def unit_rows(ys):
-        y = np.concatenate(ys) if ys else np.zeros((0, len(c)))
-        x = (y / np.linalg.norm(y, axis=1, keepdims=True)) @ V.T
+        if not ys:  # most fields have no continuum
+            x = np.zeros((0, len(c)))
+        else:
+            y = ys[0] if len(ys) == 1 else np.concatenate(ys)
+            x = (y / np.linalg.norm(y, axis=1, keepdims=True)) @ V.T
         x.flags.writeable = False
         return x
 

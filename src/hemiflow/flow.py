@@ -21,10 +21,11 @@ arrays once, when ``pseudogradient`` returns the ``Velocity``.  float64
 + - * / round each element exactly as numpy does, so the fields are the
 array form's bit for bit.  The calls whose result feeds the next state
 stay numpy: ``geodesic_step``, the renormalisation in ``_advance``, the
-cluster barycentre, and every dot product and norm of an ambient vector.
-OpenBLAS fuses the multiply-adds of ``dot`` and ``norm``, so a float loop
-would round their last bit differently, and an accepted step could turn
-into a rejected one.
+cluster barycentre, and every dot product and norm of an ambient vector
+(a norm is ``math.sqrt(v @ v)``, the dot product ``np.linalg.norm`` takes
+for a contiguous vector).  OpenBLAS fuses the multiply-adds of ``dot``, so
+a float loop would round their last bit differently, and an accepted step
+could turn into a rejected one.
 """
 
 from __future__ import annotations
@@ -494,7 +495,7 @@ class PseudogradientFlow:
             diam = max(dist[r, t] for r in group for t in group if r != t)
         bary = np.mean([cfg.bubbles[k].a.coords for k in group], axis=0)
         bary[-1] = 0.0
-        bary /= np.linalg.norm(bary)
+        bary /= math.sqrt(bary @ bary)
         gamma_i = max(dist[seed_i, k] for k in group)
         lam_seed = cfg.bubbles[seed_i].lam
         for k in group:
@@ -739,7 +740,7 @@ class PseudogradientFlow:
             if cfg.is_boundary_index(i):
                 coords = coords.copy()
                 coords[-1] = 0.0
-                coords /= np.linalg.norm(coords)
+                coords /= math.sqrt(coords @ coords)
                 pt = BoundarySpherePoint(coords)
             else:
                 pt = SpherePoint(coords)

@@ -25,7 +25,7 @@ def _as_unit(coords, tol=UNIT_TOL):
     v = np.asarray(coords, dtype=float)
     if v.ndim != 1:
         raise ValueError("point coordinates must be a 1-d vector")
-    r = np.linalg.norm(v)
+    r = math.sqrt(v @ v)
     if not abs(r - 1.0) <= tol:  # NaN and inf coordinates fail too
         raise ValueError(f"|coords| = {r!r} is not 1 within {tol}")
     return v
@@ -83,7 +83,7 @@ class BoundarySpherePoint(SpherePoint):
             # point in floating point, and a stored point must read back as is
             v = v.copy()
             v[-1] = 0.0
-            v = v / np.linalg.norm(v)
+            v = v / math.sqrt(v @ v)
         object.__setattr__(self, "coords", v)
 
 
@@ -116,13 +116,13 @@ def geodesic_step(point_coords, tangent, t: float):
     """Exact exponential-map step along a tangent vector (not necessarily unit)."""
     p = np.asarray(point_coords, dtype=float)
     v = np.asarray(tangent, dtype=float)
-    speed = np.linalg.norm(v)
+    speed = math.sqrt(v @ v)
     if speed * abs(t) < 1e-300:
         return p.copy()
     u = v / speed
     ang = speed * t
     q = np.cos(ang) * p + np.sin(ang) * u
-    return q / np.linalg.norm(q)
+    return q / math.sqrt(q @ q)
 
 
 def tangent_basis(point_coords, within_equator: bool = False):

@@ -68,6 +68,7 @@ import numpy as np
 
 from .bubbles import (BOUNDARY_HEIGHT_TOL, BubbleParam, epsilon, epsilon_da,
                       epsilon_dlambda)
+from .config import _number
 from .constants import ConstantsTable, compute_constants
 from .errors import InvalidConfiguration, NonFiniteBar, PoleSingularity
 from .fields import ScalarField
@@ -159,21 +160,38 @@ class Configuration:
 
     @staticmethod
     def from_json(doc: dict) -> "Configuration":
-        q, p, eps = doc["q"], doc["p"], float(doc["eps"])
+        """A state document; ``eps``, each ``alpha`` and ``lambda`` and the
+        point coordinates take JSON numbers only, a refusal naming its key."""
+        q, p, eps = doc["q"], doc["p"], _state_number(doc["eps"], "eps")
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in (q, p)):
             raise ValueError(f"q and p must be integers, got {q!r} and {p!r}")
         if q < 0 or p < 0 or q + p != len(doc["bubbles"]):
             raise ValueError(f"q = {q} and p = {p} must be at least 0 and add up to the "
                              f"number of bubbles, {len(doc['bubbles'])}")
-        alphas = tuple(float(entry["alpha"]) for entry in doc["bubbles"])
-        lams = [float(entry["lambda"]) for entry in doc["bubbles"]]
+        entries = list(enumerate(doc["bubbles"]))
+        alphas = tuple(_state_number(entry["alpha"], f"bubbles[{k}].alpha") for k, entry in entries)
+        lams = [_state_number(entry["lambda"], f"bubbles[{k}].lambda") for k, entry in entries]
+        points = [_state_point(entry["point"], f"bubbles[{k}].point") for k, entry in entries]
         if not all(map(math.isfinite, (eps, *alphas, *lams))):
             raise ValueError("alpha, lambda and eps must be finite")
         if eps <= 0:
             raise ValueError(f"eps must be positive, got {eps}")
-        bubbles = tuple(BubbleParam((BoundarySpherePoint if k < q else SpherePoint)(entry["point"]), lam)
-                        for k, (entry, lam) in enumerate(zip(doc["bubbles"], lams)))
+        bubbles = tuple(BubbleParam((BoundarySpherePoint if k < q else SpherePoint)(point), lam)
+                        for k, (point, lam) in enumerate(zip(points, lams)))
         return Configuration(alphas, bubbles, q, p, eps)
+
+
+def _state_number(value, key: str) -> float:
+    try:
+        return _number(value)
+    except (TypeError, OverflowError) as exc:
+        raise TypeError(f"{key}: {exc}") from exc
+
+
+def _state_point(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{key}: expected a list of numbers, got {value!r}")
+    return [_state_number(c, f"{key}[{i}]") for i, c in enumerate(value)]
 
 
 # ---------------------------------------------------------------------------

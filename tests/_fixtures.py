@@ -49,6 +49,22 @@ def field_h3_quadratic_flat() -> ScalarField:
     return ScalarField(N, 1.0, [("x1", 0.05), ("x6", -kap), ("x1*x6", kap)])
 
 
+def random_field(rng: np.random.Generator, n: int) -> ScalarField:
+    """Degree-2 field on S^n: distinct diagonal terms (gaps >= 0.008 keep
+    every critical point nondegenerate), small linear terms and two cross
+    terms; the recipe of the benchmark's landscape inputs."""
+    dim = n + 1
+    diag = 0.01 * (1.0 + 0.8 * np.arange(dim) + rng.uniform(0.0, 0.4, dim))
+    rng.shuffle(diag)
+    lin = rng.uniform(-0.01, 0.01, dim)
+    terms = [(f"x{i + 1}^2", float(c)) for i, c in enumerate(diag)]
+    terms += [(f"x{i + 1}", float(c)) for i, c in enumerate(lin)]
+    for _ in range(2):
+        i, j = sorted(int(k) for k in rng.choice(dim, 2, replace=False))
+        terms.append((f"x{i + 1}*x{j + 1}", float(rng.uniform(-0.005, 0.005))))
+    return ScalarField(n, 1.0, terms)
+
+
 def boundary_point(rng=None, away_from=None, min_dist=0.0, n=N):
     rng = rng or np.random.default_rng(0)
     while True:

@@ -6,7 +6,7 @@ import pytest
 from hemiflow.census import (admissible_boundary, a1_boundary_set,
                              census_report, counting_A,
                              counting_A_closed_forms, counting_B,
-                             counting_B_closed_form, entry_index, entry_level,
+                             counting_B_closed_form, entry_index, entry_level, level_terms,
                              enumerate_census, existence_check,
                              level_bands, pinch_threshold)
 from hemiflow.constants import compute_constants
@@ -105,9 +105,11 @@ class TestCensus:
             band_lo = (entry.mass * s_n) ** (2 / N) / kmax ** ((N - 2) / N)
             band_hi = (entry.mass * s_n) ** (2 / N) / kmin ** ((N - 2) / N)
             assert band_lo <= entry.level <= band_hi
-            assert entry.index == entry_index(entry.boundary_points, entry.interior_points, N)
-            assert abs(entry.level - entry_level(entry.boundary_points,
-                                                 entry.interior_points, s_n, N)) < 1e-12
+            assert entry.index == entry_index([r.iota(N) for r in entry.boundary_points],
+                                              [r.iota(N) for r in entry.interior_points])
+            assert abs(entry.level - entry_level(level_terms(entry.boundary_points, N),
+                                                 level_terms(entry.interior_points, N),
+                                                 s_n, N)) < 1e-12
 
     def test_sorted_by_level_and_no_repeats(self, diag_setup, s_n):
         K, records, *_ = diag_setup
@@ -146,7 +148,8 @@ class TestHomology:
         K, records, *_ = diag_setup
         census = enumerate_census(records, 4, s_n, N)
         for entry in census:
-            assert entry.index == entry_index(entry.boundary_points, entry.interior_points, N)
+            assert entry.index == entry_index([r.iota(N) for r in entry.boundary_points],
+                                              [r.iota(N) for r in entry.interior_points])
 
     def test_mixed_collection_arithmetic(self):
         # two trace points with indices 4 and 3 plus one interior with 5:
@@ -160,7 +163,7 @@ class TestHomology:
                 self.is_boundary = boundary
         z1, z2 = Rec(4, True), Rec(3, True)
         y = Rec(5, False)
-        assert entry_index([z1, z2], [y], N) == 3
+        assert entry_index([z1.iota(N), z2.iota(N)], [y.iota(N)]) == 3
 
 
 def chi_below(census, level: float, bands) -> int:

@@ -311,6 +311,15 @@ class TestExitCodes:
         assert f"configuration error: {key}: expected" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kappa0, coeff", [(10 ** 400, 0.05), (1.0, 10 ** 400)],
+                             ids=["kappa0_beyond_float", "coeff_beyond_float"])
+    def test_field_numbers_beyond_float_range(self, tmp_path, capsys, kappa0, coeff):
+        # float() overflows on these; the refusal used to escape as OverflowError
+        cfgp = write_config(tmp_path, kappa0=kappa0,
+                            field_terms=[{"monomial": "x1", "coeff": coeff}])
+        assert main(["--config", str(cfgp), "critical-points"]) == 2
+        assert "invalid field specification: int too large" in capsys.readouterr().err
+
     def test_integral_numbers_keep_their_artifacts(self, tmp_path):
         # JSON integers where floats are read give the float's artifacts
         as_float = write_config(tmp_path, extra={"quadrature_tol": 1.0e-8,
@@ -469,6 +478,26 @@ class TestFlowStateErrors:
         err = capsys.readouterr().err
         assert "configuration error: invalid state file" in err
         assert "q and p must be integers" in err or "add up to the number of bubbles, 1" in err
+
+    @pytest.mark.parametrize("state, key", [
+        (_one_bubble(lam="80"), "bubbles[0].lambda"),
+        (_one_bubble(eps="0.1"), "eps"),
+        (_one_bubble(alpha=True), "bubbles[0].alpha"),
+        (_one_bubble(point=["1", 0, 0, 0, 0, 0]), "bubbles[0].point[0]"),
+        (_one_bubble(lam=10 ** 400), "bubbles[0].lambda"),
+        (dict(_one_bubble(), bubbles=[{"alpha": 0.05, "point": "1,0,0,0,0,0", "lambda": 80.0}]),
+         "bubbles[0].point"),
+    ], ids=["string_lambda", "string_eps", "bool_alpha", "string_coordinate",
+            "lambda_beyond_float", "point_not_a_list"])
+    def test_state_numbers_are_json_numbers(self, tmp_path, capsys, state, key):
+        # each of these used to be parsed, and the flow ran to exit 0
+        cfgp = write_config(tmp_path)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        assert main(["--config", str(cfgp), "flow", "--state", str(path), "--t-max", "0.2"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: invalid state file" in err
+        assert f"{key}: " in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("state", [_one_bubble(lam=1e160), _one_bubble(alpha=1e300),

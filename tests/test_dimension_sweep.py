@@ -7,24 +7,8 @@ import json
 import numpy as np
 import pytest
 
+from _fixtures import random_field
 from hemiflow.cli import main
-from hemiflow.fields import ScalarField
-
-
-def random_field(rng: np.random.Generator, n: int) -> ScalarField:
-    """Degree-2 field on S^n: distinct diagonal terms (gaps >= 0.008 keep
-    every critical point nondegenerate), small linear terms and two cross
-    terms; the recipe of the benchmark's landscape inputs."""
-    dim = n + 1
-    diag = 0.01 * (1.0 + 0.8 * np.arange(dim) + rng.uniform(0.0, 0.4, dim))
-    rng.shuffle(diag)
-    lin = rng.uniform(-0.01, 0.01, dim)
-    terms = [(f"x{i + 1}^2", float(c)) for i, c in enumerate(diag)]
-    terms += [(f"x{i + 1}", float(c)) for i, c in enumerate(lin)]
-    for _ in range(2):
-        i, j = sorted(int(k) for k in rng.choice(dim, 2, replace=False))
-        terms.append((f"x{i + 1}*x{j + 1}", float(rng.uniform(-0.005, 0.005))))
-    return ScalarField(n, 1.0, terms)
 
 
 @pytest.mark.parametrize("n", range(5, 11))

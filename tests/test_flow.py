@@ -9,7 +9,7 @@ import pytest
 
 import hemiflow.flow as flow_module
 from hemiflow.bubbles import BubbleParam
-from hemiflow.census import entry_level
+from hemiflow.census import entry_level, level_terms
 from hemiflow.config import RunConfig
 from hemiflow.errors import ConfigError, NonFiniteBar, OutsideNeighborhood, StepFailure
 from hemiflow.fields import ScalarField
@@ -295,7 +295,7 @@ class TestTrajectories:
         assert all(b >= a for a, b in zip(lams, lams[1:]))
         assert all(b <= a + 1e-8 for a, b in zip(js, js[1:]))
         top = min(records, key=lambda r: np.linalg.norm(r.location.coords - E[0]))
-        level = entry_level([top], [], model.s_n, N)
+        level = entry_level(level_terms([top], N), [], model.s_n, N)
         assert js[-1] >= level - 1e-9
         assert js[-1] - level < js[0] - level
 

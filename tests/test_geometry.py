@@ -49,6 +49,50 @@ class TestPoints:
         assert abs(p.boundary_distance() - 0.3) < 1e-14
 
 
+class TestPointGuards:
+    """The unit check and the renormalisation read |v| as sqrt(v @ v)."""
+
+    @pytest.mark.parametrize("cls", [SpherePoint, BoundarySpherePoint])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_refused(self, cls, bad):
+        v = E[0].copy()
+        v[1] = bad
+        with pytest.raises(ValueError, match="is not 1 within"):
+            cls(v)
+
+    @pytest.mark.parametrize("cls", [SpherePoint, BoundarySpherePoint])
+    def test_non_unit_refused_with_a_plain_norm(self, cls):
+        with pytest.raises(ValueError) as info:
+            cls(2.0 * E[0])
+        assert str(info.value) == "|coords| = 2.0 is not 1 within 1e-12"
+
+    @pytest.mark.parametrize("cls", [SpherePoint, BoundarySpherePoint])
+    def test_two_dimensional_coordinates_refused(self, cls):
+        with pytest.raises(ValueError, match="1-d vector"):
+            cls(E[:2])
+
+    def test_zero_tangent_step_returns_a_copy(self):
+        p = E[0].copy()
+        for tangent, t in ((np.zeros(N + 1), 0.3), (E[1], 0.0)):
+            q = geodesic_step(p, tangent, t)
+            assert q is not p and q.tobytes() == p.tobytes()
+
+    def test_boundary_point_just_off_the_equator_renormalised_once(self):
+        # |flat| = 1 + 3e-13, and a second division would move a bit
+        v = np.array([0.6, 0.8000000000003, 0.0, 0.0, 0.0, 5e-13])
+        flat = v.copy()
+        flat[-1] = 0.0
+        once = flat / np.linalg.norm(flat)
+        assert (once / np.linalg.norm(once)).tobytes() != once.tobytes()
+        p = BoundarySpherePoint(v)
+        assert p.coords[-1] == 0.0 and p.coords is not v and v[-1] == 5e-13
+        assert p.coords.tobytes() == once.tobytes()
+
+    def test_boundary_point_on_the_equator_stored_as_given(self):
+        v = np.array([0.6, 0.8, 0.0, 0.0, 0.0, 0.0])
+        assert BoundarySpherePoint(v).coords is v
+
+
 class TestGeodesicDistance:
     def test_identity(self):
         assert geodesic_distance(SpherePoint(E[0]), SpherePoint(E[0])) == 0.0

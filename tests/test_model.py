@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hemiflow.bubbles import BubbleParam, ChartedBubble, epsilon_da, greens_regular_part
-from hemiflow.census import entry_level
+from hemiflow.census import entry_level, level_terms
 from hemiflow.errors import InvalidConfiguration, NonFiniteBar
 from hemiflow.fields import ScalarField
 from hemiflow.geometry import (BoundarySpherePoint, SpherePoint, geodesic_step,
@@ -222,7 +222,7 @@ class TestReducedEnergy:
         top, pole = (min(records, key=lambda r: np.linalg.norm(r.location.coords - c))
                      for c in (E[0], E[-1]))
         for boundary, interior in (([top], []), ([], [pole])):
-            level = entry_level(boundary, interior, model.s_n, N)
+            level = entry_level(level_terms(boundary, N), level_terms(interior, N), model.s_n, N)
             mass = len(boundary) + 2 * len(interior)
             lo = (mass * model.s_n) ** (2 / N) / kmax ** ((N - 2) / N)
             hi = (mass * model.s_n) ** (2 / N) / kmin ** ((N - 2) / N)
@@ -778,7 +778,7 @@ class TestNormalForm:
     def test_critical_configuration_reaches_level(self, diag_setup):
         K, model, records = diag_setup
         cfg = make_cfg(model, [BubbleParam(BoundarySpherePoint(E[0]), 1e7)], q=1)
-        level = entry_level(self._match(records, [E[0]]), [], model.s_n, N)
+        level = entry_level(level_terms(self._match(records, [E[0]]), N), [], model.s_n, N)
         assert abs(model.reduced_J(cfg).center - level) < 1e-12 * level
 
     def test_point_deviation_at_maximum_raises_value(self, diag_setup):
@@ -896,7 +896,7 @@ class TestInteriorOnlyNormalForm:
         K, model, records = diag_setup
         match = [min(records, key=lambda r: np.linalg.norm(r.location.coords - E[-1]))]
         cfg = make_cfg(model, [BubbleParam(SpherePoint(E[-1]), 5e6)], q=0)
-        level = entry_level([], match, model.s_n, N)
+        level = entry_level([], level_terms(match, N), model.s_n, N)
         assert abs(model.reduced_J(cfg).center - level) < 1e-12 * level
 
 
@@ -940,7 +940,7 @@ class TestNormalFormAtSaddle:
         K, model, saddle = saddle_setup
         from hemiflow.census import entry_index
         # q+p-1 = 0 and n-1-morse = 1: exactly the one falling direction seen
-        assert entry_index([saddle], [], N) == 1
+        assert entry_index([saddle.iota(N)], []) == 1
 
 
 # ---------------------------------------------------------------------------
