@@ -59,7 +59,7 @@ def _landscape(cfg: RunConfig):
     from .landscape import find_critical_points
     K = cfg.build_field()
     table = constants_mod.compute_constants(cfg.n, cfg.quadrature_tol)
-    records = find_critical_points(K, cfg.seeds_per_dim, seed=cfg.seed)
+    records = find_critical_points(K)
     return K, table, records
 
 
@@ -105,7 +105,7 @@ def cmd_critical_points(cfg: RunConfig, args) -> int:
 def cmd_census(cfg: RunConfig, args) -> int:
     from . import census as census_mod
     K, table, records, report = _pipeline(cfg)
-    kmin, kmax = K.min_max(cfg.grid_density)
+    kmin, kmax = K.min_max()
     doc = census_mod.census_report(records, report, kmin, kmax, table.s_n, cfg.n,
                                    mass_max=cfg.mass_max)
     out = Path(cfg.output_dir)
@@ -138,7 +138,7 @@ def cmd_counting(cfg_or_none, args) -> int:
 def cmd_existence(cfg: RunConfig, args) -> int:
     from . import census as census_mod
     K, table, records, report = _pipeline(cfg)
-    kmin, kmax = K.min_max(cfg.grid_density)
+    kmin, kmax = K.min_max()
     verdict, table_v = census_mod.existence_check(records, report, kmin, kmax, cfg.n)
     doc = _stamped(cfg, table, {
         "pinch": kmax / kmin,

@@ -7,25 +7,27 @@ Schema (all keys optional except ``field``):
       "field": {"kappa0": 1.0,
                 "terms": [{"monomial": "x1", "coeff": 0.05}, ...]},
       "quadrature_tol": 1e-8,
-      "seeds_per_dim": 10,
       "seed": 20240,
-      "grid_density": 12,
       "mass_max": 4,
       "flow": {"M0": ..., "M2": ..., "M4": ..., "eta": 0.1, "eps": 0.1,
-               "max_qp": 2, "strict_lambda_sign": true},
+               "max_qp": 2},
       "output_dir": "out"
     }
 
 Scalar values can be overridden from the command line; the field family
-itself always comes from the file.  ``seeds_per_dim`` (at least 8) and
-``seed`` are validated and stamped into artifacts, but the landscape is an
-exact enumeration and does not depend on them.  ``grid_density`` is
-validated at load (at least 10) but has no effect: the extrema are exact.
-``mass_max`` must be at least 1.  The document must be a JSON object, and
-field monomials must be strings such as ``"x1*x2"``.  Nothing is coerced:
+itself always comes from the file.  ``seed`` is validated and stamped into
+artifacts, but the landscape is an exact enumeration and does not depend on
+it.  ``mass_max`` must be at least 1.  The settable flow keys are ``M0``,
+``M2``, ``M4``, ``eta``, ``eps`` and ``max_qp``; the other flow constants
+are fixed (``SMALLNESS`` here, the step control in :mod:`hemiflow.flow`).
+Older documents still load: ``seeds_per_dim`` (at least 8) and
+``grid_density`` (at least 10) are type- and range-checked but unused, and
+``flow.strict_lambda_sign`` is accepted only as ``true``, because the rates
+grow only in the W region.  The document must be a JSON object, and field
+monomials must be strings such as ``"x1*x2"``.  Nothing is coerced:
 ``dimension``, ``seeds_per_dim``, ``seed``, ``grid_density``, ``mass_max``
-and ``max_qp`` take JSON integers only, the other scalars JSON numbers,
-``strict_lambda_sign`` true or false, and ``output_dir`` a string.
+and ``max_qp`` take JSON integers only, the other scalars (the field's
+``kappa0`` and ``coeff`` too) JSON numbers, and ``output_dir`` a string.
 Flow constants must be finite at load, ``M0``, ``M2``, ``M4``, ``eta`` and
 ``eps`` positive and ``max_qp`` at least 1; their smallness is checked by
 ``flow``.
@@ -40,12 +42,15 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .fields import ScalarField
+from .fields import ScalarField, _number
+
+SMALLNESS = 0.01  # budget of the flow constants' smallness ratios
 
 
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
+def _true(value) -> bool:
+    """The retired ``strict_lambda_sign`` switch, read only as true."""
+    if value is not True:
+        raise TypeError(f"expected true (rates grow only in the W region), got {value!r}")
     return value
 
 
@@ -57,21 +62,16 @@ def _integer(value) -> int:
     return value
 
 
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def _string(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
     return value
 
 
-# settable flow parameters and the type each is read as
+# the flow keys a document may carry and the type each is read as; all but
+# strict_lambda_sign are settable
 _FLOW_TYPES = {"M0": _number, "M2": _number, "M4": _number, "eta": _number, "eps": _number,
-              "max_qp": _integer, "strict_lambda_sign": _flag}
+              "max_qp": _integer, "strict_lambda_sign": _true}
 
 
 def _read(doc: dict, key: str, default, kind, section: str = ""):
@@ -93,13 +93,6 @@ class FlowParams:
     eta: float = 0.1
     eps: float = 0.1
     max_qp: int = 2
-    M_drift: float = 50.0   # gate for pairing drift with rate shrink
-    strict_lambda_sign: bool = True
-    smallness: float = 0.01
-    dt_init: float = 0.05
-    dt_max: float = 0.25
-    stagnation_tol: float = 1e-10
-    max_rejects: int = 10
 
     def check_values(self):
         """Every constant finite, M0, M2, M4, eta and eps positive, max_qp >= 1."""
@@ -121,9 +114,9 @@ class FlowParams:
             "M0_over_M4sq": self.M0 / self.M4**2,
             "M2_over_M0root": self.M2 / self.M0 ** (1.0 / n_free),
         }
-        if checks["M0_over_M4sq"] > self.smallness + 1e-12:
-            raise ConfigError(f"M0/M4^2 = {checks['M0_over_M4sq']} exceeds {self.smallness}")
-        if checks["M2_over_M0root"] > self.smallness + 1e-12:
+        if checks["M0_over_M4sq"] > SMALLNESS + 1e-12:
+            raise ConfigError(f"M0/M4^2 = {checks['M0_over_M4sq']} exceeds {SMALLNESS}")
+        if checks["M2_over_M0root"] > SMALLNESS + 1e-12:
             raise ConfigError("M2 too large against M0^{1/(q+p-1)}")
         return checks
 
@@ -131,7 +124,7 @@ class FlowParams:
         self.validate()
         n_free = max(self.max_qp - 1, 1)
         second = self.M2 ** ((n - 1.0) / (n - 2.0)) / self.M0 ** ((0.5 + 1.0 / (n - 2.0)) / n_free)
-        if second > self.smallness + 1e-12:
+        if second > SMALLNESS + 1e-12:
             raise ConfigError("M2^{(n-1)/(n-2)} too large against the M0 root")
         return second
 
@@ -150,7 +143,7 @@ class FlowParams:
         need = max((100.0 * m2) ** n_free,
                    (100.0 * m2 ** ((n - 1.0) / (n - 2.0))) ** (n_free / (0.5 + 1.0 / (n - 2.0))))
         m0 = 10.0 ** math.ceil(math.log10(need))
-        m4 = 10.0 ** math.ceil(0.5 * math.log10(m0 / 0.01))
+        m4 = 10.0 ** math.ceil(0.5 * math.log10(m0 / SMALLNESS))
         p = FlowParams(M0=m0, M2=m2, M4=m4, max_qp=max_qp)
         p.validate_full(n)
         return p
@@ -161,9 +154,7 @@ class RunConfig:
     n: int
     field_spec: dict
     quadrature_tol: float = 1e-8
-    seeds_per_dim: int = 10
     seed: int = 20240
-    grid_density: int = 12
     mass_max: int = 4
     flow: FlowParams | None = None  # None: FlowParams.for_mass(2, n)
     output_dir: str = "out"
@@ -173,10 +164,6 @@ class RunConfig:
             raise ConfigError("dimension must be at least 5")
         if self.quadrature_tol <= 0:
             raise ConfigError("quadrature_tol must be positive")
-        if self.seeds_per_dim < 8:
-            raise ConfigError("seeds_per_dim must be at least 8")
-        if self.grid_density < 10:
-            raise ConfigError("grid_density must be at least 10")
         if self.mass_max < 1:
             raise ConfigError("mass_max must be at least 1")
         if self.flow is None:
@@ -217,6 +204,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown flow parameters: {sorted(unknown)}")
         given = {k: _read(flow_doc, k, None, _FLOW_TYPES[k], "flow constant ") for k in flow_doc}
+        given.pop("strict_lambda_sign", None)
         if not isinstance(doc["field"], dict):
             raise ConfigError("'field' must be an object")
         try:
@@ -224,12 +212,15 @@ class RunConfig:
                 n=_read(doc, "dimension", 5, _integer),
                 field_spec=dict(doc["field"]),
                 quadrature_tol=_read(doc, "quadrature_tol", 1e-8, _number),
-                seeds_per_dim=_read(doc, "seeds_per_dim", 10, _integer),
                 seed=_read(doc, "seed", 20240, _integer),
-                grid_density=_read(doc, "grid_density", 12, _integer),
                 mass_max=_read(doc, "mass_max", 4, _integer),
                 output_dir=_read(doc, "output_dir", "out", _string),
             )
+            # older documents carry these; both are checked, neither is used
+            if _read(doc, "seeds_per_dim", 10, _integer) < 8:
+                raise ConfigError("seeds_per_dim must be at least 8")
+            if _read(doc, "grid_density", 12, _integer) < 10:
+                raise ConfigError("grid_density must be at least 10")
             cfg.flow = replace(FlowParams.for_mass(given.get("max_qp", 2), cfg.n), **given)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid configuration value: {exc}") from exc

@@ -146,7 +146,10 @@ def _radial_quad(f, n: int, weight_power: int, tol: float):
     hi = np.array([0.25 * math.pi, 0.5 * math.pi])
     done_v, done_e = [], []
     while True:
-        v, e, at_floor = _gk15(integrand, lo, hi)
+        # beyond the float range the values turn inf or NaN without a
+        # warning, and compute_constants refuses them
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, e, at_floor = _gk15(integrand, lo, hi)
         target = rel * abs(math.fsum([*done_v, *v]))
         converged = math.fsum([*done_e, *e]) <= target
         split = ~at_floor & (e > target * (hi - lo) / (0.5 * math.pi)) & (not converged)
@@ -229,7 +232,10 @@ def compute_constants(n: int, tol: float = 1e-8) -> ConstantsTable:
     if key in _CACHE:
         return _CACHE[key]
 
-    cp = float((n * (n - 2)) ** (n / 2.0))
+    try:
+        cp = float((n * (n - 2)) ** (n / 2.0))
+    except OverflowError as exc:
+        raise ToleranceNotMet(f"cp = (n(n-2))^(n/2) exceeds the float range at n={n}") from exc
     area = sphere_area(n - 1)
     vball = ball_volume(n - 1)
 
@@ -268,6 +274,9 @@ def compute_constants(n: int, tol: float = 1e-8) -> ConstantsTable:
     closed = closed_forms(n)
     for name in _ENTRY_NAMES:
         est = errors[name]
+        if not (math.isfinite(values[name]) and math.isfinite(est)):
+            raise ToleranceNotMet(f"{name}: non-finite value {values[name]!r} or error "
+                                  f"estimate {est!r} at n={n}")
         if est > tol * max(1.0, abs(values[name])):
             raise ToleranceNotMet(f"{name}: error estimate {est} above tolerance {tol}")
         ref = closed[name]

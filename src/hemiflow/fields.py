@@ -35,6 +35,13 @@ from .geometry import SpherePoint, tangent_basis
 _MONOMIAL_RE = re.compile(r"^x(\d+)(?:\^(2)|\*x(\d+))?$")
 
 
+def _number(value, key: str = "") -> float:
+    """A JSON number; a string or a bool is refused, naming ``key`` if given."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key}{': ' if key else ''}expected a number, got {value!r}")
+    return float(value)
+
+
 def parse_monomial(text: str, ambient_dim: int):
     """Parse a monomial string over x1..x{n+1} of total degree <= 2.
 
@@ -113,8 +120,9 @@ class ScalarField:
     def from_config(cfg: dict) -> "ScalarField":
         try:
             n = int(cfg["dimension"])
-            kappa0 = float(cfg["kappa0"])
-            terms = [(t["monomial"], float(t["coeff"])) for t in cfg.get("terms", [])]
+            kappa0 = _number(cfg["kappa0"], "kappa0")
+            terms = [(t["monomial"], _number(t["coeff"], f"terms[{k}].coeff"))
+                     for k, t in enumerate(cfg.get("terms", []))]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid field specification: {exc}") from exc
         for monomial, _ in terms:
@@ -310,7 +318,7 @@ class ScalarField:
         points above the equator and at those of the trace K_1, in one batch,
         read off :attr:`sphere_roots` (a continuum adds its highest point, K
         being constant on it).  ``grid_density`` is validated (at least 10)
-        but no longer used."""
+        but unused; only the benchmark workloads still pass it."""
         if grid_density < 10:
             raise ConfigError("grid_density must be at least 10")
         hemisphere, trace = self.sphere_roots

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bubbles import BubbleParam
-from .config import FlowParams
+from .config import SMALLNESS, FlowParams
 from .errors import (ConfigError, InvalidConfiguration, OutsideNeighborhood,
                      StepFailure, UnclassifiableState)
 from .geometry import BoundarySpherePoint, SpherePoint, geodesic_distance, geodesic_step
@@ -45,6 +45,11 @@ from .intervals import Bar
 from .model import Configuration, ReducedModel
 
 C_FIT = 0.1  # certified decrease rate per unit of the certificate's aggregate
+M_DRIFT = 50.0  # gate for pairing drift with rate shrink
+DT_INIT = 0.05  # first step of ``integrate``
+DT_MAX = 0.25  # longest step of ``integrate``
+STAGNATION_TOL = 1e-10  # field norm below which ``integrate`` stops
+MAX_REJECTS = 10  # consecutive rejected steps before ``integrate`` gives up
 
 
 def psi1(t: float) -> float:
@@ -149,7 +154,6 @@ class TrajectoryPoint:
     cfg: Configuration
     label_tag: str
     j_value: Bar
-    loglam_dot: tuple
     mus: tuple
 
 
@@ -228,20 +232,18 @@ class PseudogradientFlow:
 
     # -- anchors and clusters ----------------------------------------------------
 
-    def _nearest_record(self, point, boundary: bool, radius):
+    def _nearest_record(self, point, boundary: bool):
         """(record, distance) of the nearest trace (``boundary``) or interior
-        record within ``radius``, the last one on a tie; (None, radius) when
-        none is that near.
+        record, the last one on a tie; (None, pi) when there is none.
 
         The records are ranked by their cosine to the point, a float dot
         product clamped to [-1, 1] as the distance's arccos clamps it, so
         equal records and records at the point tie exactly; the winner's
-        distance, which ``radius`` bounds, is then taken from
-        ``geodesic_distance``.
+        distance is then taken from ``geodesic_distance``.
         """
         pool, rows = self._pools[boundary]
         if not pool:
-            return None, radius
+            return None, math.pi
         p = point.coords.tolist()
         mul = operator.mul
         k, best = 0, -2.0
@@ -253,8 +255,7 @@ class PseudogradientFlow:
                 c = -1.0
             if c >= best:
                 k, best = pos, c
-        d = geodesic_distance(point, pool[k].location)
-        return (pool[k], d) if d <= radius else (None, radius)
+        return pool[k], geodesic_distance(point, pool[k].location)
 
     def clusters(self, nearest, radius: float) -> dict:
         """Map from each landscape record within ``radius`` of a bubble of its
@@ -279,7 +280,7 @@ class PseudogradientFlow:
         asm = asm or self.model.assemble(cfg)
         params = self.params
         diags = [self.gamma_quantities(cfg, i, asm) for i in range(cfg.size)]
-        nearest = tuple(self._nearest_record(b.a, cfg.is_boundary_index(i), math.pi)
+        nearest = tuple(self._nearest_record(b.a, cfg.is_boundary_index(i))
                         for i, b in enumerate(cfg.bubbles))
         mus = [d.mu for d in diags]
         mu_ratio = max(mus) / min(mus)
@@ -336,27 +337,26 @@ class PseudogradientFlow:
         cfg._memo[self] = (label, None)
         return label
 
-    def _v3_subtag(self, cl: dict, nearest, eta: float):
-        has_v31 = has_v32 = has_v33 = False
-        for rec, members in cl.items():
-            if rec.is_boundary:
-                sign = rec.normal_sign
-                if sign == 0 and len(members) >= 2:
-                    has_v31 = True
-                elif sign < 0:
-                    has_v32 = True
-                elif sign == 0 and rec.laplacian > 0:
-                    has_v32 = True
-                elif sign > 0 and len(members) >= 2:
-                    has_v33 = True
-            elif rec.laplacian > 0:
-                has_v32 = True
-        if has_v31:
+    @staticmethod
+    def _cluster_kind(rec, members) -> str | None:
+        """The V3 region (V3_1, V3_2, V3_3 or None) that the bubbles
+        ``members`` clustered at record ``rec`` call for."""
+        if not rec.is_boundary:
+            return "V3_2" if rec.laplacian > 0 else None
+        sign = rec.normal_sign
+        if sign == 0 and len(members) >= 2:
             return "V3_1"
-        if has_v32:
+        if sign < 0 or (sign == 0 and rec.laplacian > 0):
             return "V3_2"
-        if has_v33:
+        if sign > 0 and len(members) >= 2:
             return "V3_3"
+        return None
+
+    def _v3_subtag(self, cl: dict, nearest, eta: float):
+        kinds = {self._cluster_kind(rec, members) for rec, members in cl.items()}
+        for tag in ("V3_1", "V3_2", "V3_3"):
+            if tag in kinds:
+                return tag
         return "W" if self._in_w_set(nearest, eta) else None
 
     @staticmethod
@@ -430,7 +430,7 @@ class PseudogradientFlow:
                             # far from critical points the drift is paired with
                             # a rate shrink; the large gate keeps the pair
                             # descending against the Laplacian term
-                            far = psi1(f.param.lam * f.grad_norm / self.params.M_drift)
+                            far = psi1(f.param.lam * f.grad_norm / M_DRIFT)
                             vel.loglam_dot[i] -= gate * far
         return vel
 
@@ -459,17 +459,12 @@ class PseudogradientFlow:
         vel = self._component_base(cfg, asm, label.per_index, interior_rates=False,
                                    interior_points=False)
         for rec, members in label.clusters.items():
-            if rec.is_boundary:
-                if rec.normal_sign < 0:
-                    for i in members:
-                        vel.loglam_dot[i] -= 1.0
-                elif rec.normal_sign == 0 and rec.laplacian > 0:
-                    for i in members:
-                        vel.loglam_dot[i] -= 1.0
-                        self._trace_drift(vel, asm, i)
-            elif rec.laplacian > 0:
-                for i in members:
-                    vel.loglam_dot[i] -= 1.0
+            if self._cluster_kind(rec, members) != "V3_2":
+                continue
+            for i in members:
+                vel.loglam_dot[i] -= 1.0
+                if rec.normal_sign == 0:
+                    self._trace_drift(vel, asm, i)
         return vel
 
     def _cluster_field(self, cfg, asm, members) -> _Drive:
@@ -508,7 +503,7 @@ class PseudogradientFlow:
         vel = self._component_base(cfg, asm, label.per_index, interior_rates=False,
                                    interior_points=False, boundary_rates=False)
         for rec, members in label.clusters.items():
-            if rec.is_boundary and rec.normal_sign > 0 and len(members) >= 2:
+            if self._cluster_kind(rec, members) == "V3_3":
                 vel.add(self._cluster_field(cfg, asm, members))
         return vel
 
@@ -547,7 +542,7 @@ class PseudogradientFlow:
             k0 = len(label.tower_set)
             m0_bar = params.M0 ** (max(k0 - 1, 1) / max(size - 1, 1))
             sub_params = replace(params, M0=max(m0_bar, 4.0),
-                                 M4=max(math.sqrt(m0_bar / params.smallness), 10.0),
+                                 M4=max(math.sqrt(m0_bar / SMALLNESS), 10.0),
                                  max_qp=max(k0, 2))
             try:
                 sub_flow = PseudogradientFlow(self.model, self.records, sub_params)
@@ -559,10 +554,9 @@ class PseudogradientFlow:
                 for si, gi in enumerate(back):
                     vel.alpha_dot[gi] += sub_alpha[si] / params.M2**2
                     vel.push(gi, sub_vel.a_dot[si] / params.M2**2)
-                    extra = sub_rates[si] / params.M2**2
-                    if params.strict_lambda_sign:
-                        extra = min(extra, 0.0)
-                    vel.loglam_dot[gi] += extra
+                    # the sub-flow's W part grows rates; here only the
+                    # shrinking part applies
+                    vel.loglam_dot[gi] += min(sub_rates[si] / params.M2**2, 0.0)
             except (ConfigError, InvalidConfiguration, UnclassifiableState,
                     OutsideNeighborhood):
                 # an inadmissible sub-problem forfeits its extra descent
@@ -595,7 +589,9 @@ class PseudogradientFlow:
         ``cfg`` is built once and kept beside it, with read-only arrays, so
         every caller shares it; any other label is evaluated afresh.  The
         weighted region fields are summed as float lists (see ``_Drive``)
-        and the arrays are built once, here.
+        and the arrays are built once, here.  Only the W field grows a rate:
+        every other builder only subtracts from the rates, and the tower's
+        sub-field is clamped in ``_field_v4``.
         """
         asm = asm or self.model.assemble(cfg)
         label = label or self.classify_region(cfg, asm)
@@ -610,12 +606,7 @@ class PseudogradientFlow:
             build = self._FIELDS.get(name)
             if build is None:
                 raise UnclassifiableState(f"unknown region weight {name}")
-            part = build(self, cfg, asm, label, depth)
-            if self.params.strict_lambda_sign and name != "W":
-                # min keeps a -0.0 that np.minimum maps to 0.0; the sum
-                # below starts from 0.0, which turns it into 0.0 as well
-                part.loglam_dot = [min(x, 0.0) for x in part.loglam_dot]
-            drive.add(part, w)
+            drive.add(build(self, cfg, asm, label, depth), w)
         total = drive.velocity(self.n + 1)
         if own:
             for arr in (total.alpha_dot, total.loglam_dot, *total.a_dot):
@@ -678,21 +669,18 @@ class PseudogradientFlow:
 
     def integrate(self, cfg0: Configuration, t_max: float) -> Trajectory:
         """Adaptive explicit descent with step rejection on energy increase."""
-        params = self.params
         cfg = cfg0
         asm = self.model.assemble(cfg)
         label = self.classify_region(cfg, asm)
         j_val = asm.j_bar
         t = 0.0
-        dt = params.dt_init
-        points = [TrajectoryPoint(t, cfg, label.tag, j_val,
-                                  tuple(), _mus(label))]
+        dt = DT_INIT
+        points = [TrajectoryPoint(t, cfg, label.tag, j_val, _mus(label))]
         reason = "t_max"
         detail = ""
         while t < t_max - 1e-12:
             vel = self.pseudogradient(cfg, label, asm)
-            points[-1].loglam_dot = tuple(vel.loglam_dot)
-            if vel.norm() < params.stagnation_tol:
+            if vel.norm() < STAGNATION_TOL:
                 reason = "stagnation"
                 break
             rejects = 0
@@ -710,7 +698,7 @@ class PseudogradientFlow:
                     break
                 rejects += 1
                 dt *= 0.5
-                if rejects >= params.max_rejects:
+                if rejects >= MAX_REJECTS:
                     raise StepFailure(
                         f"{rejects} consecutive rejected steps at t = {t}")
             if new_cfg is None:
@@ -722,13 +710,11 @@ class PseudogradientFlow:
             except OutsideNeighborhood as exc:
                 reason, detail = "neighborhood_exit", str(exc)
                 break
-            points.append(TrajectoryPoint(t, cfg, label.tag, j_val,
-                                          tuple(vel.loglam_dot), _mus(label)))
+            points.append(TrajectoryPoint(t, cfg, label.tag, j_val, _mus(label)))
             if rejects == 0:
-                dt = min(dt * 1.4, params.dt_max)
+                dt = min(dt * 1.4, DT_MAX)
         if points[-1].t < t - 1e-12:
-            points.append(TrajectoryPoint(t, cfg, label.tag, j_val,
-                                          tuple(), _mus(label)))
+            points.append(TrajectoryPoint(t, cfg, label.tag, j_val, _mus(label)))
         return Trajectory(points=points, reason=reason, detail=detail)
 
     def _advance(self, cfg: Configuration, vel: Velocity, dt: float) -> Configuration:

@@ -25,7 +25,9 @@ def _as_unit(coords, tol=UNIT_TOL):
     v = np.asarray(coords, dtype=float)
     if v.ndim != 1:
         raise ValueError("point coordinates must be a 1-d vector")
-    r = math.sqrt(v @ v)
+    # vdot is the BLAS dot of ``v @ v`` without numpy's overflow warning: a
+    # coordinate such as 1e308 gives r = inf and the refusal below
+    r = math.sqrt(np.vdot(v, v))
     if not abs(r - 1.0) <= tol:  # NaN and inf coordinates fail too
         raise ValueError(f"|coords| = {r!r} is not 1 within {tol}")
     return v

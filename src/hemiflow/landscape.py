@@ -50,7 +50,6 @@ class CriticalPointRecord:
     value: float
     laplacian: float
     normal_derivative: float | None
-    nondegenerate: bool
     classification: str        # "K_in_minus" | "K_b_plus" | "K_b_0_minus" | "other"
     hessian_eigenvalues: tuple = field(default=())
 
@@ -82,7 +81,8 @@ class CriticalPointRecord:
             "value": self.value,
             "laplacian": self.laplacian,
             "normal_derivative": self.normal_derivative,
-            "nondegenerate": self.nondegenerate,
+            # a degenerate root raises before its record is built
+            "nondegenerate": True,
             "classification": self.classification,
             "hessian_eigenvalues": [float(v) for v in self.hessian_eigenvalues],
         }
@@ -99,13 +99,14 @@ def find_critical_points(K: ScalarField, seeds_per_dim: int = 10, seed: int = 20
     trace having vanishing normal derivative, so the equator search owns
     every boundary record; the hemisphere search keeps interior roots only.
     Both are exact enumerations, read off ``K.sphere_roots``, so
-    ``seeds_per_dim`` (validated to be at least 8) and ``seed`` no longer
-    affect the result.  Raises :class:`DegenerateCriticalPoint` when a
-    Hessian eigenvalue sits below the nondegeneracy floor, when a continuum
-    of critical points reaches above ``INTERIOR_HEIGHT`` or lies on the
-    trace, or when the trace roots fail the Poincare-Hopf count on the
-    equator sphere, and :class:`AmbiguousSign` when the sign class of a trace
-    root is not certain (:func:`_classify_boundary`).
+    ``seeds_per_dim`` (validated to be at least 8) and ``seed`` do not
+    affect the result; only the benchmark workloads still pass them.
+    Raises :class:`DegenerateCriticalPoint` when a Hessian eigenvalue sits
+    below the nondegeneracy floor, when a continuum of critical points
+    reaches above ``INTERIOR_HEIGHT`` or lies on the trace, or when the
+    trace roots fail the Poincare-Hopf count on the equator sphere, and
+    :class:`AmbiguousSign` when the sign class of a trace root is not
+    certain (:func:`_classify_boundary`).
     """
     if seeds_per_dim < 8:
         raise ValueError("seeds_per_dim must be at least 8")
@@ -157,7 +158,6 @@ def _sphere_records(K: ScalarField, xs: np.ndarray, on_equator: bool) -> list:
         records.append(CriticalPointRecord(
             location=point(v), kind="boundary_of_K1" if on_equator else "interior_of_K",
             morse_index=index, value=value, laplacian=lap, normal_derivative=nu,
-            nondegenerate=True,
             classification=(_classify_boundary(nu, lap, error) if on_equator
                             else "K_in_minus" if lap < 0 else "other"),
             hessian_eigenvalues=tuple(ev),
@@ -248,6 +248,10 @@ def check_assumptions(records, K: ScalarField) -> AssumptionReport:
         geodesic spheres about z (branch i), or the ratio
         sup |dK/dnu(a)| / d(a, z) decays along shrinking radii (branch ii).
 
+    Every record is nondegenerate (``find_critical_points`` raises on a
+    degenerate root); only the boundary-located points of the full field
+    get their tangent Hessian checked here.
+
     Both suprema over a sphere are exact.  On the equator dK/dnu(a) = c + w.a
     with c = -b_{n+1} and w = -2 Q[n+1, :].  The sphere of radius rho about z
     inside the equator is a = cos(rho) z + sin(rho) u over the unit tangents u
@@ -263,7 +267,7 @@ def check_assumptions(records, K: ScalarField) -> AssumptionReport:
     h1 = True
     for r in records:
         if r.kind == "interior_of_K":
-            if not r.nondegenerate or abs(r.laplacian) < ZERO_TOL:
+            if abs(r.laplacian) < ZERO_TOL:
                 h1 = False
                 violations.append("H1: degenerate or harmonic interior point at "
                                   f"{r.location.coords.tolist()}")
@@ -280,10 +284,6 @@ def check_assumptions(records, K: ScalarField) -> AssumptionReport:
     for r in records:
         if not r.is_boundary:
             continue
-        if not r.nondegenerate:
-            h2 = False
-            violations.append(
-                f"H2: degenerate trace critical point at {r.location.coords.tolist()}")
         if not r.is_local_max() and r.normal_sign > 0:
             h2 = False
             violations.append(

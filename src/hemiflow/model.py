@@ -68,10 +68,9 @@ import numpy as np
 
 from .bubbles import (BOUNDARY_HEIGHT_TOL, BubbleParam, epsilon, epsilon_da,
                       epsilon_dlambda)
-from .config import _number
 from .constants import ConstantsTable, compute_constants
 from .errors import InvalidConfiguration, NonFiniteBar, PoleSingularity
-from .fields import ScalarField
+from .fields import ScalarField, _number
 from .geometry import POLE_TOL, BoundarySpherePoint, SpherePoint, geodesic_distance
 from .intervals import Bar
 
@@ -271,8 +270,7 @@ class Assembly:
     # no back-reference to the configuration: the configuration holds its
     # assembly, and a cycle would leave both to the cyclic collector
     frames: list
-    a_qty: float      # sum_b alpha^2 + 2 sum_in alpha^2
-    n_qty: float      # s_n * a_qty (leading squared norm)
+    n_qty: float      # s_n (sum_b alpha^2 + 2 sum_in alpha^2), the leading squared norm
     num: float
     den: float
     gamma: float      # sum m_i alpha^{2n/(n-2)} K_i
@@ -652,7 +650,7 @@ class ReducedModel:
         if min_d < SEP_DISTANCE:
             rel *= 1.0 + SEP_DISTANCE / max(min_d, 1e-12)
 
-        asm = Assembly(frames=frames, a_qty=a_qty, n_qty=n_qty, num=num,
+        asm = Assembly(frames=frames, n_qty=n_qty, num=num,
                        den=den, gamma=gamma, j_center=float(j_center), rel_bar=float(rel),
                        eps_mat=cfg.eps_mat, eps_sums=cfg.eps_mat.sum(axis=1).tolist(),
                        eps_dloglam=eps_dloglam, eps_da=eps_da, w_mat=w_mat,

@@ -6,10 +6,13 @@ record coordinates and takes the last minimum of their arccos distances;
 ``label`` classifies a state with it, with the scales mu_i in a numpy array,
 their ratio from ``np.max``/``np.min`` and the tower ranked by
 ``np.argsort``; ``field`` builds the descent field of a label with a numpy
-array for every component: zero arrays added to in place, each region's
-field clamped with ``np.minimum``, scaled and added.  The flow evaluates
-the same expressions in floats, and numpy's float64 + - * / round each
-element as Python floats do, so the two must agree bit for bit.  The one
+array for every component: zero arrays added to in place, the tower's
+sub-field in V4 clamped to shrinking rates, each region's field but W's
+clamped likewise with ``np.minimum``, scaled and added.  The flow sums the
+region fields unclamped, since no builder but W's grows a rate; the clamp
+here keeps that claim under test.  The flow evaluates the same expressions
+in floats, and numpy's float64 + - * / round each element as Python floats
+do, so the two must agree bit for bit.  The one
 difference is by design: ``np.argsort`` may order equal scales in any way
 (on AVX-512 machines it reverses some ties from four entries up), where the
 flow keeps equal scales in index order.
@@ -28,19 +31,19 @@ import numpy as np
 
 from hemiflow.errors import (ConfigError, InvalidConfiguration, OutsideNeighborhood,
                              UnclassifiableState)
-from hemiflow.flow import PseudogradientFlow, RegionLabel, Velocity, psi1, ramp
+from hemiflow.config import SMALLNESS
+from hemiflow.flow import M_DRIFT, PseudogradientFlow, RegionLabel, Velocity, psi1, ramp
 from hemiflow.geometry import geodesic_distance
 
 
-def nearest_record(flow, point, boundary: bool, radius):
+def nearest_record(flow, point, boundary: bool):
     pool = flow.trace_crit if boundary else flow.interior_crit
     coords = np.array([r.location.coords for r in pool]).reshape(len(pool), flow.n + 1)
     dist = np.arccos(np.clip((coords * point.coords).sum(axis=1), -1.0, 1.0))
     if dist.size == 0:
-        return None, radius
+        return None, math.pi
     k = dist.size - 1 - int(np.argmin(dist[::-1]))
-    d = geodesic_distance(point, pool[k].location)
-    return (pool[k], d) if d <= radius else (None, radius)
+    return pool[k], geodesic_distance(point, pool[k].location)
 
 
 def mu_ratio(mus) -> float:
@@ -66,7 +69,7 @@ def label(flow, cfg, asm) -> RegionLabel:
     """``classify_region`` in array form, without the kept result."""
     params = flow.params
     diags = [flow.gamma_quantities(cfg, i, asm) for i in range(cfg.size)]
-    nearest = tuple(nearest_record(flow, b.a, cfg.is_boundary_index(i), math.pi)
+    nearest = tuple(nearest_record(flow, b.a, cfg.is_boundary_index(i))
                     for i, b in enumerate(cfg.bubbles))
     ratio = mu_ratio([d.mu for d in diags])
     w4 = ramp(ratio, params.M0, 2.0 * params.M0)
@@ -148,7 +151,7 @@ def _component_base(flow, cfg, asm, diags, interior_rates=True, boundary_rates=T
                     vel.a_dot[i] = vel.a_dot[i] + gate * flow._unit_drift(
                         f.grad_sphere, f.grad_norm, f.param.lam)
                     if interior_rates:
-                        far = psi1(f.param.lam * f.grad_norm / flow.params.M_drift)
+                        far = psi1(f.param.lam * f.grad_norm / M_DRIFT)
                         vel.loglam_dot[i] -= gate * far
     return vel
 
@@ -269,7 +272,7 @@ def _field_v4(flow, cfg, asm, lab, depth):
         k0 = len(lab.tower_set)
         m0_bar = params.M0 ** (max(k0 - 1, 1) / max(size - 1, 1))
         sub_params = replace(params, M0=max(m0_bar, 4.0),
-                             M4=max(math.sqrt(m0_bar / params.smallness), 10.0),
+                             M4=max(math.sqrt(m0_bar / SMALLNESS), 10.0),
                              max_qp=max(k0, 2))
         try:
             sub_flow = PseudogradientFlow(flow.model, flow.records, sub_params)
@@ -279,10 +282,7 @@ def _field_v4(flow, cfg, asm, lab, depth):
             for si, gi in enumerate(back):
                 vel.alpha_dot[gi] += sub_vel.alpha_dot[si] / params.M2**2
                 vel.a_dot[gi] = vel.a_dot[gi] + sub_vel.a_dot[si] / params.M2**2
-                extra = sub_vel.loglam_dot[si] / params.M2**2
-                if params.strict_lambda_sign:
-                    extra = min(extra, 0.0)
-                vel.loglam_dot[gi] += extra
+                vel.loglam_dot[gi] += min(sub_vel.loglam_dot[si] / params.M2**2, 0.0)
         except (ConfigError, InvalidConfiguration, UnclassifiableState, OutsideNeighborhood):
             pass
     return vel
@@ -299,7 +299,7 @@ def field(flow, cfg, lab, asm, depth: int = 0) -> Velocity:
         if w <= 0:
             continue
         part = _FIELDS[name](flow, cfg, asm, lab, depth)
-        if flow.params.strict_lambda_sign and name != "W":
+        if name != "W":
             part.loglam_dot = np.minimum(part.loglam_dot, 0.0)
         _add(total, part.scaled(w))
     return total

@@ -299,11 +299,20 @@ class TestExitCodes:
         ({"flow": {"max_qp": 2.5}}, "flow constant max_qp"),
         ({"flow": {"max_qp": True}}, "flow constant max_qp"),
         ({"flow": {"M2": True}}, "flow constant M2"),
+        ({"flow": {"strict_lambda_sign": False}}, "flow constant strict_lambda_sign"),
+        ({"field": {"kappa0": "1.0"}}, "invalid field specification: kappa0"),
+        ({"field": {"kappa0": True}}, "invalid field specification: kappa0"),
+        ({"field": {"kappa0": 1.0, "terms": [{"monomial": "x1", "coeff": 0.01},
+                                             {"monomial": "x1^2", "coeff": "0.05"}]}},
+         "invalid field specification: terms[1].coeff"),
+        ({"field": {"kappa0": 1.0, "terms": [{"monomial": "x1", "coeff": False}]}},
+         "invalid field specification: terms[0].coeff"),
     ], ids=["dimension_fraction", "dimension_float", "dimension_string", "dimension_bool",
             "mass_max_string", "mass_max_float", "seed_fraction", "seeds_per_dim_bool",
             "grid_density_string", "output_dir_number", "output_dir_list",
             "quadrature_tol_string", "quadrature_tol_bool", "max_qp_fraction", "max_qp_bool",
-            "M2_bool"])
+            "M2_bool", "strict_lambda_sign_false", "kappa0_string", "kappa0_bool",
+            "coeff_string", "coeff_bool"])
     def test_no_silent_coercion(self, tmp_path, capsys, extra, key):
         # a value of the wrong JSON type is refused, not truncated or parsed
         cfgp = write_config(tmp_path, extra=extra)
@@ -319,6 +328,34 @@ class TestExitCodes:
                             field_terms=[{"monomial": "x1", "coeff": coeff}])
         assert main(["--config", str(cfgp), "critical-points"]) == 2
         assert "invalid field specification: int too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dimension", [120, 160])
+    @pytest.mark.parametrize("command", ["constants", "critical-points"])
+    def test_constants_beyond_the_float_range(self, tmp_path, capsys, command, dimension):
+        # NaN constants from n = 93 and an overflowing cp from n = 144 end in
+        # a domain error, not in NaN artifacts or a traceback
+        cfgp = write_config(tmp_path, extra={"dimension": dimension})
+        assert main(["--config", str(cfgp), command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ToleranceNotMet: ") and "Traceback" not in err
+        assert not (tmp_path / "out" / "constants.json").exists()
+
+    def test_old_configuration_keys_change_nothing(self, tmp_path):
+        # seeds_per_dim, grid_density and strict_lambda_sign = true still
+        # load, and the artifacts are those of a configuration without them
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(_one_bubble()))
+        outputs = []
+        for extra in ({}, {"seeds_per_dim": 10, "grid_density": 12,
+                           "flow": {"strict_lambda_sign": True}}):
+            out = tmp_path / f"out{len(outputs)}"
+            cfgp = write_config(tmp_path, extra=extra)
+            assert main(["--config", str(cfgp), "--output-dir", str(out), "census"]) == 0
+            assert main(["--config", str(cfgp), "--output-dir", str(out), "flow", "--state",
+                         str(state_path), "--t-max", "0.5"]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("census.json", "trajectory.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_integral_numbers_keep_their_artifacts(self, tmp_path):
         # JSON integers where floats are read give the float's artifacts

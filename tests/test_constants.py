@@ -142,6 +142,19 @@ class TestTableBehavior:
         with pytest.raises(ConfigError):
             compute_constants(4, 1e-8)
 
+    @pytest.mark.parametrize("n, message", [
+        (93, "c2: non-finite value inf"),
+        (120, "s_n: non-finite value nan"),
+        (144, "exceeds the float range at n=144"),
+    ])
+    def test_constants_beyond_the_float_range_refused(self, n, message):
+        # c2 overflows from n = 93, every quadrature from about n = 100, and
+        # cp itself from n = 144; none of them may reach a table (the
+        # pytest configuration turns a numpy warning on the way into an error)
+        with pytest.raises(ToleranceNotMet, match=message):
+            compute_constants(n, 1e-8)
+        assert compute_constants(92, 1e-8).c2 < math.inf
+
     def test_tolerance_window(self):
         with pytest.raises(ConfigError):
             compute_constants(5, 1e-2)

@@ -13,7 +13,7 @@ from hemiflow.census import entry_level, level_terms
 from hemiflow.config import RunConfig
 from hemiflow.errors import ConfigError, NonFiniteBar, OutsideNeighborhood, StepFailure
 from hemiflow.fields import ScalarField
-from hemiflow.flow import FlowParams, PseudogradientFlow, psi1, ramp
+from hemiflow.flow import M_DRIFT, FlowParams, PseudogradientFlow, psi1, ramp
 from hemiflow.geometry import BoundarySpherePoint, SpherePoint, geodesic_distance
 from hemiflow.intervals import Bar
 from hemiflow.landscape import find_critical_points
@@ -222,7 +222,7 @@ class TestFieldComponents:
         while True:
             cfg = sample_v1(model, rng)
             f = model.assemble(cfg).frames[0]
-            if cfg.bubbles[0].lam * f.grad_norm >= 2 * flow.params.M_drift:
+            if cfg.bubbles[0].lam * f.grad_norm >= 2 * M_DRIFT:
                 break
         vel = flow.pseudogradient(cfg)
         g = model.K.tangent_gradient(cfg.bubbles[0].a)
@@ -864,8 +864,8 @@ class TestOnePathPerQuantity:
 
 class TestNearestRecord:
     @staticmethod
-    def _loop(point, pool, radius):
-        best, best_d = None, radius
+    def _loop(point, pool):
+        best, best_d = None, math.pi
         for r in pool:
             d = geodesic_distance(point, r.location)
             if d <= best_d:
@@ -888,19 +888,18 @@ class TestNearestRecord:
                    for r in flow.records]
         for boundary, pool in ((True, flow.trace_crit), (False, flow.interior_crit)):
             for point in points:
-                for radius in (0.005, 0.05, 0.3, math.pi):
-                    got = flow._nearest_record(point, boundary, radius)
-                    want = self._loop(point, pool, radius)
-                    assert got[0] is want[0] and got[1] == want[1]
-                    want = ref.nearest_record(flow, point, boundary, radius)
-                    assert got[0] is want[0] and got[1] == want[1]
-                    if got[0] is not None and point == got[0].location:
-                        assert got[0] is [r for r in pool if r.location == point][-1]
+                got = flow._nearest_record(point, boundary)
+                want = self._loop(point, pool)
+                assert got[0] is want[0] and got[1] == want[1]
+                want = ref.nearest_record(flow, point, boundary)
+                assert got[0] is want[0] and got[1] == want[1]
+                if got[0] is not None and point == got[0].location:
+                    assert got[0] is [r for r in pool if r.location == point][-1]
 
     def test_empty_pool(self, lin_setup):
         model, records, flow = lin_setup
         assert flow.interior_crit == []
-        assert flow._nearest_record(SpherePoint(E[-1]), False, 0.3) == (None, 0.3)
+        assert flow._nearest_record(SpherePoint(E[-1]), False) == (None, math.pi)
 
 
 class TestScaleRanking:

@@ -45,7 +45,7 @@ def with_roots(K: ScalarField, roots) -> ScalarField:
 def record_bits(records) -> list:
     # repr tells -0.0 from 0.0 and prints every bit of a float
     return [repr((type(r.location).__name__, r.location.coords.tobytes(), r.kind,
-                  r.morse_index, r.value, r.laplacian, r.normal_derivative, r.nondegenerate,
+                  r.morse_index, r.value, r.laplacian, r.normal_derivative,
                   r.classification, r.hessian_eigenvalues)) for r in records]
 
 
