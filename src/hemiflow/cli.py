@@ -57,8 +57,10 @@ def _stamped(cfg: RunConfig, table, payload: dict) -> dict:
 def _landscape(cfg: RunConfig):
     from . import constants as constants_mod
     from .landscape import find_critical_points
-    K = cfg.build_field()
+    # the constants first: they refuse a dimension beyond the float range
+    # before the field allocates its (n+1)-sized coefficients
     table = constants_mod.compute_constants(cfg.n, cfg.quadrature_tol)
+    K = cfg.build_field()
     records = find_critical_points(K)
     return K, table, records
 

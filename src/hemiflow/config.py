@@ -28,6 +28,8 @@ monomials must be strings such as ``"x1*x2"``.  Nothing is coerced:
 ``dimension``, ``seeds_per_dim``, ``seed``, ``grid_density``, ``mass_max``
 and ``max_qp`` take JSON integers only, the other scalars (the field's
 ``kappa0`` and ``coeff`` too) JSON numbers, and ``output_dir`` a string.
+The field section may restate ``dimension`` as a JSON integer equal to the
+top-level one; any other value is refused, naming ``field.dimension``.
 Flow constants must be finite at load, ``M0``, ``M2``, ``M4``, ``eta`` and
 ``eps`` positive and ``max_qp`` at least 1; their smallness is checked by
 ``flow``.
@@ -42,7 +44,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .fields import ScalarField, _number
+from .fields import ScalarField, _integer, _number
 
 SMALLNESS = 0.01  # budget of the flow constants' smallness ratios
 
@@ -51,14 +53,6 @@ def _true(value) -> bool:
     """The retired ``strict_lambda_sign`` switch, read only as true."""
     if value is not True:
         raise TypeError(f"expected true (rates grow only in the W region), got {value!r}")
-    return value
-
-
-def _integer(value) -> int:
-    """A JSON integer; a float such as 1.5 or 5.0, a string or a bool is
-    refused instead of truncated or parsed."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
     return value
 
 
@@ -162,6 +156,15 @@ class RunConfig:
     def __post_init__(self):
         if self.n < 5:
             raise ConfigError("dimension must be at least 5")
+        if "dimension" in self.field_spec:
+            # the field's own dimension may restate the top-level one, not change it
+            try:
+                field_n = _integer(self.field_spec["dimension"])
+            except TypeError as exc:
+                raise ConfigError(f"field.dimension: {exc}") from exc
+            if field_n != self.n:
+                raise ConfigError(f"field.dimension: expected the top-level dimension "
+                                  f"{self.n}, got {field_n}")
         if self.quadrature_tol <= 0:
             raise ConfigError("quadrature_tol must be positive")
         if self.mass_max < 1:

@@ -42,6 +42,14 @@ def _number(value, key: str = "") -> float:
     return float(value)
 
 
+def _integer(value, key: str = "") -> int:
+    """A JSON integer; a float such as 1.5 or 5.0, a string or a bool is
+    refused instead of truncated or parsed, naming ``key`` if given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key}{': ' if key else ''}expected an integer, got {value!r}")
+    return value
+
+
 def parse_monomial(text: str, ambient_dim: int):
     """Parse a monomial string over x1..x{n+1} of total degree <= 2.
 
@@ -119,7 +127,7 @@ class ScalarField:
     @staticmethod
     def from_config(cfg: dict) -> "ScalarField":
         try:
-            n = int(cfg["dimension"])
+            n = _integer(cfg["dimension"], "dimension")
             kappa0 = _number(cfg["kappa0"], "kappa0")
             terms = [(t["monomial"], _number(t["coeff"], f"terms[{k}].coeff"))
                      for k, t in enumerate(cfg.get("terms", []))]

@@ -17,9 +17,11 @@ dalpha/dt = +-1.
 The per-bubble scalars run in Python floats: the nearest-record cosines,
 the scales mu_i, their ratio and ranking, and the weight and rate
 components of every field, which are summed as float lists and become
-arrays once, when ``pseudogradient`` returns the ``Velocity``.  float64
-+ - * / round each element exactly as numpy does, so the fields are the
-array form's bit for bit.  The calls whose result feeds the next state
+arrays once, when ``pseudogradient`` returns the ``Velocity``.  The weights
+are floats from the ``Configuration``, and the imbalances and the pair
+table are read as float lists, so the certificate sums run in floats too.
+float64 + - * / round each element exactly as numpy does, so the fields are
+the array form's bit for bit.  The calls whose result feeds the next state
 stay numpy: ``geodesic_step``, the renormalisation in ``_advance``, the
 cluster barycentre, and every dot product and norm of an ambient vector
 (a norm is ``math.sqrt(v @ v)``, the dot product ``np.linalg.norm`` takes
@@ -410,7 +412,7 @@ class PseudogradientFlow:
         """The shared gated components: rate shrinking, interior point drift,
         weight rebalancing."""
         vel = _Drive(cfg.size)
-        imb = asm.imbalances
+        imb = asm.imbalances.tolist()
         for i in range(cfg.size):
             f = asm.frames[i]
             d = diags[i]
@@ -472,26 +474,26 @@ class PseudogradientFlow:
         vel = _Drive(cfg.size)
         if len(members) < 2:
             return vel
-        dist = asm.dist_mat
+        dist = asm.dist_mat.tolist()
         pairs = [(i, j) for i in members for j in members if i < j]
-        seed_i, seed_j = min(pairs, key=lambda ij: dist[ij])
+        seed_i, seed_j = min(pairs, key=lambda ij: dist[ij[0]][ij[1]])
         group = {seed_i, seed_j}
-        diam = dist[seed_i, seed_j]
+        diam = dist[seed_i][seed_j]
         while True:
             added = False
             for k in members:
                 if k in group:
                     continue
-                if any(dist[k, g] <= self.params.M4 * diam for g in group):
+                if any(dist[k][g] <= self.params.M4 * diam for g in group):
                     group.add(k)
                     added = True
             if not added:
                 break
-            diam = max(dist[r, t] for r in group for t in group if r != t)
+            diam = max(dist[r][t] for r in group for t in group if r != t)
         bary = np.mean([cfg.bubbles[k].a.coords for k in group], axis=0)
         bary[-1] = 0.0
         bary /= math.sqrt(bary @ bary)
-        gamma_i = max(dist[seed_i, k] for k in group)
+        gamma_i = max(dist[seed_i][k] for k in group)
         lam_seed = cfg.bubbles[seed_i].lam
         for k in group:
             ak = cfg.bubbles[k].a.coords
@@ -643,7 +645,7 @@ class PseudogradientFlow:
             halfwidth += gbar * math.sqrt(float(move @ move)) * cfg.alphas[i]
         lhs = Bar(center, halfwidth)
 
-        imb = asm.imbalances
+        imb = asm.imbalances.tolist()
         expo = 2.0 - 1.0 / (n - 2)
         agg = 0.0
         for i in range(cfg.size):
@@ -654,9 +656,10 @@ class PseudogradientFlow:
                 f = asm.frames[i]
                 agg += f.lam_dist ** (1 - n) + (f.grad_norm / f.param.lam) ** expo
         m = cfg.size
+        eps_rows = asm.eps_mat.tolist()
         for i in range(m):
             for j in range(i + 1, m):
-                agg += 2.0 * asm.eps_mat[i, j] ** ((n - 1.0) / (n - 2.0))
+                agg += 2.0 * eps_rows[i][j] ** ((n - 1.0) / (n - 2.0))
         return {
             "lhs": lhs,
             "rhs_lower_bound": C_FIT * agg,

@@ -55,7 +55,16 @@ overhead on (m, n+1) arrays cost more than the arithmetic.  numpy stays
 where the result is an (n+1)-vector (one Q.b product and the covectors per
 bubble, the projected point pairing) and for the batched K calls.  The
 pairing evaluates its expression move by move in floats, which rounds
-exactly as the same expression over numpy arrays of moves.
+exactly as the same expression over numpy arrays of moves.  The weights
+are floats too (``Configuration`` stores them so), and the pair tables and
+the imbalances are read a row at a time with ``tolist``: float64 + - * /
+and ** round the same on numpy scalars, which cost several times more per
+operation.  The scalar ``np.arcsin``/``np.arccos`` calls (a point's
+boundary distance, ``geodesic_distance``) stay numpy: ``math.asin`` and
+``math.acos`` round differently on some inputs.  A float ** that
+overflows raises OverflowError and a float / by zero ZeroDivisionError;
+``assemble`` turns both into NonFiniteBar, as it does a negative energy
+denominator, whose float power would be complex.
 """
 
 from __future__ import annotations
@@ -105,6 +114,9 @@ class Configuration:
             raise InvalidConfiguration(f"neighborhood scale eps = {self.eps_scale} must be positive")
         if len(self.alphas) != self.q + self.p or len(self.bubbles) != self.q + self.p:
             raise InvalidConfiguration("alphas/bubbles length mismatch")
+        # the weights are Python floats whatever the caller passes (numpy
+        # scalars from a velocity or an array), so every reader computes in floats
+        object.__setattr__(self, "alphas", tuple(map(float, self.alphas)))
         if any(a <= 0 for a in self.alphas):
             raise InvalidConfiguration("weights must be positive")
         inv_eps = 1.0 / self.eps_scale
@@ -141,7 +153,7 @@ class Configuration:
 
     def replace(self, alphas=None, bubbles=None) -> "Configuration":
         return Configuration(
-            tuple(alphas if alphas is not None else self.alphas),
+            self.alphas if alphas is None else alphas,
             tuple(bubbles if bubbles is not None else self.bubbles),
             self.q, self.p, self.eps_scale,
         )
@@ -152,7 +164,7 @@ class Configuration:
             "p": self.p,
             "eps": self.eps_scale,
             "bubbles": [
-                {"alpha": float(a), "point": [float(c) for c in b.a.coords], "lambda": float(b.lam)}
+                {"alpha": a, "point": [float(c) for c in b.a.coords], "lambda": float(b.lam)}
                 for a, b in zip(self.alphas, self.bubbles)
             ],
         }
@@ -547,7 +559,8 @@ class ReducedModel:
             raise PoleSingularity("point too close to the chart pole")
         w = x - beta * f.anchor
         t = f.height
-        sq = float(w @ w) / ((1.0 + beta) * (1.0 + beta)) + t * (2.0 * x[-1] / (1.0 + beta) + t)
+        x_n = float(x[-1])
+        sq = float(w @ w) / ((1.0 + beta) * (1.0 + beta)) + t * (2.0 * x_n / (1.0 + beta) + t)
         return sq ** ((2 - self.n) / 2.0)
 
     def mutual_h(self, fi: BubbleFrame, fj: BubbleFrame) -> float:
@@ -576,10 +589,10 @@ class ReducedModel:
         """Assemble ``cfg`` from its frames (as ``frames(cfg)`` builds them)
         and keep the result as the configuration's assembly for this model."""
         n = self.n
-        alphas = np.array(cfg.alphas)
+        alphas = cfg.alphas
         # in floats, so that an overflow reaches NonFiniteBar without a numpy
         # warning; up to 7 terms this is the sum np.sum makes of the same terms
-        a_qty = sum(f.mult * (a * a) for f, a in zip(frames, map(float, cfg.alphas)))
+        a_qty = sum(f.mult * (a * a) for f, a in zip(frames, alphas))
         n_qty = self.s_n * a_qty
         pw = 2.0 * n / (n - 2)
 
@@ -604,11 +617,12 @@ class ReducedModel:
         slop_mat = np.zeros((m, m))
         min_d = math.inf
         rel = 0.0
+        eps_rows = cfg.eps_mat.tolist()
         for i in range(m):
             fi, bi = frames[i], cfg.bubbles[i]
             for j in range(i + 1, m):
                 fj, bj = frames[j], cfg.bubbles[j]
-                e = cfg.eps_mat[i, j]
+                e = eps_rows[i][j]
                 eps_dloglam[i, j], eps_dloglam[j, i] = epsilon_dlambda(bi, bj)
                 eps_da[i, j] = epsilon_da(bi, bj)
                 eps_da[j, i] = -eps_da[i, j]
@@ -631,6 +645,9 @@ class ReducedModel:
                     # image correction of the interior member, seen by the energy only
                     slop += e * (fj if fi.boundary else fi).image_distance ** (2 - n)
                 rel += INTERACTION_BAR_COEFF * alphas[i] * alphas[j] * self.c2 * slop / n_qty
+        if den < 0.0:
+            # a float power of a negative base is complex, not NaN
+            raise NonFiniteBar(f"energy denominator {den!r} is negative")
         j_center = num / den ** ((n - 2) / n)
 
         vbar = self.vbar_budget(frames, cfg.eps_mat)
@@ -673,12 +690,17 @@ class ReducedModel:
                          for f in frames])
 
     def normalize_alphas(self, cfg: Configuration) -> Configuration:
-        """alpha_i = t K_i^{-(n-2)/4} with s_n * sum m_i alpha_i^2 = 1."""
+        """alpha_i = t K_i^{-(n-2)/4} with s_n * sum m_i alpha_i^2 = 1.
+
+        K comes from one batched ``K.value`` call, whose rows carry the bits
+        of their single-point calls; the sum runs in floats in index order,
+        the order np.sum takes below eight terms."""
         n = self.n
-        raw = np.array([self.K.value(b.a) ** (-(n - 2) / 4.0) for b in cfg.bubbles])
-        mult = np.array([1.0 if i < cfg.q else 2.0 for i in range(cfg.size)])
-        t = (self.s_n * float(np.sum(mult * raw**2))) ** -0.5
-        return cfg.replace(alphas=tuple(t * raw))
+        k_vals = self.K.value(np.array([b.a.coords for b in cfg.bubbles])).tolist()
+        raw = [k ** (-(n - 2) / 4.0) for k in k_vals]
+        t = (self.s_n * sum((1.0 if i < cfg.q else 2.0) * (r * r)
+                            for i, r in enumerate(raw))) ** -0.5
+        return cfg.replace(alphas=[t * r for r in raw])
 
     # -- minimizer-residue budget ----------------------------------------------
 
@@ -701,9 +723,10 @@ class ReducedModel:
                 else:
                     total += math.log(max(ld, math.e)) / ld ** ((n + 2) / 2.0)
         m = len(frames)
+        eps_rows = eps_mat.tolist()
         for i in range(m):
             for j in range(i + 1, m):
-                e = eps_mat[i, j]
+                e = eps_rows[i][j]
                 if e <= 0.0:
                     continue
                 le = math.log(1.0 / e)
@@ -810,10 +833,11 @@ class ReducedModel:
                 + self.c2 * f.kt_val * ld ** (2 - n) / max(mu * f.height, 1.0)
             bar += 2.0 * asm.j_center * f.alpha ** (pw - 1.0) * tail / asm.den
         slop = 0.0
+        eps, slops, hmut = (x[i].tolist() for x in (asm.eps_mat, asm.slop_mat, asm.hmut_mat))
         for j, fj in enumerate(asm.frames):
-            if j != i and asm.eps_mat[i, j] > 0.0:
+            if j != i and eps[j] > 0.0:
                 # positional drift of the mutual regular part is budgeted, not tracked
-                slop += fj.alpha * self.c2 * (asm.slop_mat[i, j] + 3.0 * asm.hmut_mat[i, j])
+                slop += fj.alpha * self.c2 * (slops[j] + 3.0 * hmut[j])
         bar += 2.0 * asm.j_center / asm.n_qty * slop
         bar += 2.0 * asm.j_center / asm.n_qty * self.s_n * asm.vbar * coupling
         r1, r1b = asm.budgets
@@ -842,9 +866,10 @@ class ReducedModel:
             else:
                 r1 += 1.0 / f.lam_dist**n
         m = len(frames)
+        eps_rows = eps_mat.tolist()
         for i in range(m):
             for j in range(i + 1, m):
-                e = eps_mat[i, j]
+                e = eps_rows[i][j]
                 if e <= 0.0:
                     continue
                 term = 2.0 * e ** (n / (n - 2.0)) * math.log(1.0 / e)

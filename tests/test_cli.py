@@ -307,12 +307,17 @@ class TestExitCodes:
          "invalid field specification: terms[1].coeff"),
         ({"field": {"kappa0": 1.0, "terms": [{"monomial": "x1", "coeff": False}]}},
          "invalid field specification: terms[0].coeff"),
+        ({"field": {"kappa0": 1.0, "dimension": 6}}, "field.dimension"),
+        ({"field": {"kappa0": 1.0, "dimension": "6"}}, "field.dimension"),
+        ({"field": {"kappa0": 1.0, "dimension": 6.0}}, "field.dimension"),
+        ({"field": {"kappa0": 1.0, "dimension": True}}, "field.dimension"),
     ], ids=["dimension_fraction", "dimension_float", "dimension_string", "dimension_bool",
             "mass_max_string", "mass_max_float", "seed_fraction", "seeds_per_dim_bool",
             "grid_density_string", "output_dir_number", "output_dir_list",
             "quadrature_tol_string", "quadrature_tol_bool", "max_qp_fraction", "max_qp_bool",
             "M2_bool", "strict_lambda_sign_false", "kappa0_string", "kappa0_bool",
-            "coeff_string", "coeff_bool"])
+            "coeff_string", "coeff_bool", "field_dimension_mismatch", "field_dimension_string",
+            "field_dimension_float", "field_dimension_bool"])
     def test_no_silent_coercion(self, tmp_path, capsys, extra, key):
         # a value of the wrong JSON type is refused, not truncated or parsed
         cfgp = write_config(tmp_path, extra=extra)
@@ -339,6 +344,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ToleranceNotMet: ") and "Traceback" not in err
         assert not (tmp_path / "out" / "constants.json").exists()
+
+    def test_field_dimension_mismatch_names_both(self, tmp_path, capsys):
+        # the field section used to override the top-level dimension
+        cfgp = write_config(tmp_path, extra={"field": {"kappa0": 1.0, "dimension": 6}})
+        assert main(["--config", str(cfgp), "critical-points"]) == 2
+        assert ("configuration error: field.dimension: expected the top-level dimension 5, "
+                "got 6") in capsys.readouterr().err
+
+    def test_field_dimension_restating_the_top_level_runs(self, tmp_path):
+        field = {"kappa0": 1.0, "dimension": N, "terms": [{"monomial": "x1", "coeff": 0.05}]}
+        cfgp = write_config(tmp_path, extra={"field": field})
+        assert main(["--config", str(cfgp), "critical-points"]) == 0
+
+    @pytest.mark.parametrize("command", ["critical-points", "census", "existence", "flow"])
+    def test_dimension_beyond_memory(self, tmp_path, capsys, command):
+        # the field's (n+1)-sized arrays used to be allocated first, and the
+        # refused allocation ended in a traceback; the constants refuse first
+        cfgp = write_config(tmp_path, extra={"dimension": 10 ** 12})
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(_one_bubble()))
+        extra = ["--state", str(state_path)] if command == "flow" else []
+        assert main(["--config", str(cfgp), command, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ToleranceNotMet: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_old_configuration_keys_change_nothing(self, tmp_path):
         # seeds_per_dim, grid_density and strict_lambda_sign = true still
@@ -547,3 +577,16 @@ class TestFlowStateErrors:
         path.write_text(json.dumps(state))
         assert main(["--config", str(cfgp), "flow", "--state", str(path)]) == 1
         assert "error: NonFiniteBar: energy out of float range" in capsys.readouterr().err
+
+    def test_negative_energy_denominator(self, tmp_path, capsys):
+        # a slow bubble where K falls steeply inward: the denominator's float
+        # power was complex, and float() of it ended in a TypeError traceback
+        terms = [{"monomial": "x6", "coeff": -0.99}, {"monomial": "x1", "coeff": 0.01}]
+        terms += [{"monomial": f"x{i}^2", "coeff": c} for i, c in zip(range(1, 5),
+                                                                      (0.5, 0.3, 0.2, 0.1))]
+        cfgp = write_config(tmp_path, field_terms=terms)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(_one_bubble(lam=1.0, eps=2.0)))
+        assert main(["--config", str(cfgp), "flow", "--state", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: NonFiniteBar: energy denominator -") and "is negative" in err

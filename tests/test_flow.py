@@ -462,14 +462,15 @@ class TestTerminationReasons:
 def _audit_fields(n):
     """The audit's four fields in dimension n; at n = 5 they are the fixture
     fields ``field_linear``, ``field_boundary_max``, ``field_interior_min``
-    and ``field_diag``."""
+    and ``field_diag``.  Up to n = 10 the diagonal fields' n + 1
+    coefficients are distinct, the last one on x_{n+1}."""
     def diagonal(coeffs):
         return ScalarField(n, 1.0, [(f"x{i+1}^2", 0.01 * d) for i, d in enumerate(coeffs)])
     return {
         "lin": ScalarField(n, 1.0, [("x1", 0.05)]),
         "bmax": ScalarField(n, 1.0, [("x1", 0.05), (f"x1*x{n+1}", -0.02)]),
-        "intmin": diagonal([2.0, 3.0, 2.5, 2.2, 2.8, 2.6, 2.4][:n] + [1.0]),
-        "diag": diagonal([5.0, 1.0, 1.5, 2.0, 2.5, 2.8, 2.9][:n] + [6.0]),
+        "intmin": diagonal([2.0, 3.0, 2.5, 2.2, 2.8, 2.6, 2.4, 2.1, 2.7, 2.3][:n] + [1.0]),
+        "diag": diagonal([5.0, 1.0, 1.5, 2.0, 2.5, 2.8, 2.9, 3.2, 3.5, 3.8][:n] + [6.0]),
     }
 
 
@@ -535,7 +536,7 @@ class TestRegionSignInvariant:
             assert violations == 0, name
             assert reached > 0, name
 
-    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("n", [6, 7, 8, 10])
     def test_region_audit_in_higher_dimension(self, n):
         for name, (violations, reached) in _audit_rate_signs(n, 200, seed=77 + n).items():
             assert violations == 0, name
@@ -1001,3 +1002,49 @@ class TestFloatsMatchTheArrayForm:
         vel = drive.velocity(3)
         assert vel.a_dot[0].tobytes() == want.tobytes()
         assert vel.a_dot[1].tobytes() == np.zeros(3).tobytes()
+
+
+class TestFloatsAtTheSource:
+    """The weights, the assembly's energy parts, the pairings and the
+    certificate sums are Python floats, not numpy scalars, whose arithmetic
+    rounds the same but costs several times more per operation."""
+
+    @staticmethod
+    def _states(model):
+        # two and three interior bubbles, then two boundary ones
+        return [_v4_two_interior(model), _v4_three_interior(model),
+                sample_cluster(model, E[0], np.random.default_rng(241))]
+
+    def test_weights_after_normalizing_and_after_a_step(self, lin_setup):
+        model, records, flow = lin_setup
+        for cfg in self._states(model)[:2]:
+            assert all(type(a) is float for a in cfg.alphas)
+            traj = flow.integrate(cfg, 0.05)
+            assert len(traj.points) == 2
+            assert all(type(a) is float for a in traj.points[1].cfg.alphas)
+
+    def test_numpy_weights_are_stored_as_floats(self, lin_setup):
+        model = lin_setup[0]
+        cfg = self._states(model)[0]
+        again = cfg.replace(alphas=np.array(cfg.alphas))
+        assert all(type(a) is float for a in again.alphas) and again == cfg
+
+    def test_assembly_pairings_and_certificate(self, lin_setup, monkeypatch):
+        model, records, flow = lin_setup
+        centres = []
+        pairing = ReducedModel._pairing
+
+        def recorded(self, *args):
+            out = pairing(self, *args)
+            centres.extend(out)
+            return out
+
+        monkeypatch.setattr(ReducedModel, "_pairing", recorded)
+        for cfg in self._states(model):
+            asm = model.assemble(cfg)
+            assert type(asm.num) is float and type(asm.den) is float
+            cert = flow.decrease_certificate(cfg)
+            for x in (cert["lhs"].center, cert["lhs"].halfwidth, cert["aggregate"],
+                      cert["rhs_lower_bound"]):
+                assert type(x) is float
+        assert len(centres) == 7 * (N + 2) and all(type(c) is float for c in centres)
