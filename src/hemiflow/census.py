@@ -19,7 +19,6 @@ bounds of the form ((k+1)/k)^{1/(n-2)}.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -172,8 +171,13 @@ def _alternating_sums(indices, depth: int) -> tuple:
     the coefficients of t^1..t^depth in (1 + t)^even (1 - t)^odd."""
     odd = sum(int(i) % 2 for i in indices)
     even = len(indices) - odd
-    return tuple(sum((-1) ** j * math.comb(odd, j) * math.comb(even, k - j) for j in range(k + 1))
-                 for k in range(1, depth + 1))
+    # the first coefficients of (1 + t)^even and (1 - t)^odd, by the exact
+    # integer recurrence c_k = c_{k-1} (m - k + 1) / k, then their product
+    plus, minus = [1], [1]
+    for k in range(1, depth + 1):
+        plus.append(plus[-1] * (even - k + 1) // k)
+        minus.append(minus[-1] * (k - 1 - odd) // k)
+    return tuple(sum(plus[j] * minus[k - j] for j in range(k + 1)) for k in range(1, depth + 1))
 
 
 def counting_A(indices):

@@ -10,8 +10,9 @@ by Newton steps, with sign tests fixing the count between each two poles.
 Each field enumerates each sphere once (:attr:`ScalarField.sphere_roots`),
 and ``ScalarField.min_max`` reads the same result.  The root list is
 complete by construction (and checked by the Poincare-Hopf count on the
-equator).  Roots are classified by the exact signs of the Laplacian and the
-outward normal derivative:
+equator).  The roots of both searches are classified in one batched pass,
+the trace's Hessians being a block of the sphere's (:func:`_records`), by
+the exact signs of the Laplacian and the outward normal derivative:
 
     interior points with vanishing gradient and negative Laplacian,
     boundary points with positive normal derivative,
@@ -100,7 +101,10 @@ def find_critical_points(K: ScalarField, seeds_per_dim: int = 10, seed: int = 20
     every boundary record; the hemisphere search keeps interior roots only.
     Both are exact enumerations, read off ``K.sphere_roots``, so
     ``seeds_per_dim`` (validated to be at least 8) and ``seed`` do not
-    affect the result; only the benchmark workloads still pass them.
+    affect the result; only the benchmark workloads still pass them.  The
+    interior roots and then the trace roots, written into one batch, are
+    classified in one pass (:func:`_records`): one sphere Hessian, value and
+    Laplacian call for all of them, whose records are sorted by coordinates.
     Raises :class:`DegenerateCriticalPoint` when a Hessian eigenvalue sits
     below the nondegeneracy floor, when a continuum of critical points
     reaches above ``INTERIOR_HEIGHT`` or lies on the trace, or when the
@@ -119,47 +123,59 @@ def find_critical_points(K: ScalarField, seeds_per_dim: int = 10, seed: int = 20
     inner = hemisphere.points[hemisphere.points[:, -1] > INTERIOR_HEIGHT]
     z = equator.points
     trace = np.concatenate([z, np.zeros((len(z), 1))], axis=1)
-    records = _sphere_records(K, inner, False) + _sphere_records(K, trace, True)
+    xs = np.concatenate([inner, trace])
+    records = _records(K, xs, len(inner))
     if poincare_hopf_boundary(records, n) != 1 + (-1) ** (n - 1):
         raise DegenerateCriticalPoint(
             "trace critical points fail the Poincare-Hopf count on the equator sphere")
-    keys = np.round(np.concatenate([inner, trace]), 9).tolist()
+    keys = np.round(xs, 9).tolist()
     return [records[i] for i in sorted(range(len(records)), key=keys.__getitem__)]
 
 
-def _sphere_records(K: ScalarField, xs: np.ndarray, on_equator: bool) -> list:
-    """Classify the roots xs (k, n+1) of one sphere, the hemisphere or the
-    equator trace, from one batched Hessian, eigenvalue, Laplacian, value
-    and normal-derivative pass."""
-    hess = K.boundary_hessian(xs) if on_equator else K.tangent_hessian(xs)
-    evals = np.linalg.eigvalsh(hess)
-    degenerate = np.min(np.abs(evals), axis=1) < DEGENERACY_FLOOR
-    indices = np.sum(evals < 0, axis=1).tolist()
+def _records(K: ScalarField, xs: np.ndarray, k1: int) -> list:
+    """Classify the roots xs (k, n+1), the k1 interior roots of K and then
+    the trace roots (last coordinate zero), from one batched Hessian,
+    eigenvalue, value, Laplacian and normal-derivative pass; the records
+    come out in the order of xs, and each error is raised at its root.
+
+    One sphere Hessian serves both kinds.  At a trace root z, z_{n+1} = 0,
+    so the largest |z_j| has j <= n, and the reflection H = I - v v^T / v_j,
+    v = e_j + s z, of :func:`hemiflow.fields.reflection_bases` has
+    v_{n+1} = 0: its last row is e_{n+1}, and the basis less that row is
+    the trace's default basis.  The equator is totally geodesic and
+    <dK(z), z> = <dK_1(z), z>, so on its tangent vectors both Hessians read
+    X.2Q.Y - <dK(z), z> X.Y, and the leading (n-1) block of the sphere
+    Hessian is the matrix of ``ScalarField.boundary_hessian``, entry for
+    entry the same products.
+    """
+    hess = K.tangent_hessian(xs)
+    evals = (np.linalg.eigvalsh(hess[:k1]).tolist()
+             + np.linalg.eigvalsh(hess[k1:, :-1, :-1]).tolist())
     values = K.value(xs).tolist()
     laps = K.laplace_beltrami(xs).tolist()
-    if on_equator:
-        nus = K.normal_derivative(xs)
-        size = np.abs(nus)
-        # an error bound is needed only inside the dead band
-        near = (ZERO_TOL <= size) & (size < DEAD_BAND * ZERO_TOL)
-        errors = np.zeros(len(xs))
-        if near.any():
-            errors[near] = _normal_derivative_error(K, xs[near], evals[near])
-        nus, errors = nus.tolist(), errors.tolist()
-    else:
-        nus = errors = [None] * len(xs)
-    point = BoundarySpherePoint if on_equator else SpherePoint
+    trace = xs[k1:]
+    nus = K.normal_derivative(trace)
+    size = np.abs(nus)
+    # an error bound is needed only inside the dead band
+    near = (ZERO_TOL <= size) & (size < DEAD_BAND * ZERO_TOL)
+    errors = np.zeros(len(trace))
+    if near.any():
+        errors[near] = _normal_derivative_error(K, trace[near], np.array(evals[k1:])[near])
+    nus = [None] * k1 + nus.tolist()
+    errors = [None] * k1 + errors.tolist()
     records = []
-    for v, bad, index, value, lap, nu, error, ev in zip(xs, degenerate, indices, values, laps,
-                                                        nus, errors, evals.tolist()):
-        if bad:
-            where = "boundary" if on_equator else "interior"
+    for i, (v, value, lap, nu, error, ev) in enumerate(zip(xs, values, laps, nus, errors, evals)):
+        inside = i < k1
+        if min(map(abs, ev)) < DEGENERACY_FLOOR:
+            where = "interior" if inside else "boundary"
             raise DegenerateCriticalPoint(f"degenerate {where} critical point at {v.tolist()}")
         records.append(CriticalPointRecord(
-            location=point(v), kind="boundary_of_K1" if on_equator else "interior_of_K",
-            morse_index=index, value=value, laplacian=lap, normal_derivative=nu,
-            classification=(_classify_boundary(nu, lap, error) if on_equator
-                            else "K_in_minus" if lap < 0 else "other"),
+            location=SpherePoint(v) if inside else BoundarySpherePoint(v),
+            kind="interior_of_K" if inside else "boundary_of_K1",
+            morse_index=len([e for e in ev if e < 0]), value=value, laplacian=lap,
+            normal_derivative=nu,
+            classification=(("K_in_minus" if lap < 0 else "other") if inside
+                            else _classify_boundary(nu, lap, error)),
             hessian_eigenvalues=tuple(ev),
         ))
     return records

@@ -1,11 +1,13 @@
 """The landscape op in the form it had before its array passes were trimmed:
-an oracle for ``hemiflow.fields`` and ``hemiflow.census``.
+an oracle for ``hemiflow.fields``, ``hemiflow.landscape`` and ``hemiflow.census``.
 
 ``secular_roots`` scores every candidate with all three moment sums and
 builds the root stage's candidates with ``broadcast_to`` and
 ``column_stack``; ``sphere_critical_points`` normalises its rows with
 ``unit_rows`` also when there are none, and ``min_max`` pads and
-concatenates the trace rows.  ``census_report`` recomputes each point's
+concatenates the trace rows.  ``find_critical_points`` classifies the
+hemisphere's and the trace's roots in two passes, the trace's through
+``boundary_hessian``.  ``census_report`` recomputes each point's
 level term, iota and JSON coordinates for every entry that holds it, and
 ``entry_level`` reads the records themselves.  The library must agree with
 all of them bit for bit.
@@ -19,9 +21,12 @@ import numpy as np
 
 from hemiflow.census import (CensusEntry, a1_boundary_set, admissible_boundary, counting_A,
                              counting_B, existence_check, level_bands)
-from hemiflow.errors import NonPositiveField
+from hemiflow.errors import DegenerateCriticalPoint, NonPositiveField
 from hemiflow.fields import SphereRoots
-from hemiflow.landscape import classify
+from hemiflow.geometry import BoundarySpherePoint, SpherePoint
+from hemiflow.landscape import (DEAD_BAND, DEGENERACY_FLOOR, INTERIOR_HEIGHT, ZERO_TOL,
+                                CriticalPointRecord, _classify_boundary,
+                                _normal_derivative_error, classify, poincare_hopf_boundary)
 
 
 def secular_roots(p: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -118,6 +123,58 @@ def min_max(K, roots) -> tuple:
     if kmin <= 0.0:
         raise NonPositiveField(f"field takes values <= 0 (minimum {kmin})")
     return kmin, kmax
+
+
+def find_critical_points(K) -> list:
+    n = K.n
+    hemisphere, equator = K.sphere_roots
+    if len(equator.tops) or np.any(hemisphere.tops[:, -1] > INTERIOR_HEIGHT):
+        raise DegenerateCriticalPoint(
+            "tangent gradient vanishes on a continuum; the field has no "
+            "isolated critical points")
+    inner = hemisphere.points[hemisphere.points[:, -1] > INTERIOR_HEIGHT]
+    z = equator.points
+    trace = np.concatenate([z, np.zeros((len(z), 1))], axis=1)
+    records = sphere_records(K, inner, False) + sphere_records(K, trace, True)
+    if poincare_hopf_boundary(records, n) != 1 + (-1) ** (n - 1):
+        raise DegenerateCriticalPoint(
+            "trace critical points fail the Poincare-Hopf count on the equator sphere")
+    keys = np.round(np.concatenate([inner, trace]), 9).tolist()
+    return [records[i] for i in sorted(range(len(records)), key=keys.__getitem__)]
+
+
+def sphere_records(K, xs: np.ndarray, on_equator: bool) -> list:
+    hess = K.boundary_hessian(xs) if on_equator else K.tangent_hessian(xs)
+    evals = np.linalg.eigvalsh(hess)
+    degenerate = np.min(np.abs(evals), axis=1) < DEGENERACY_FLOOR
+    indices = np.sum(evals < 0, axis=1).tolist()
+    values = K.value(xs).tolist()
+    laps = K.laplace_beltrami(xs).tolist()
+    if on_equator:
+        nus = K.normal_derivative(xs)
+        size = np.abs(nus)
+        near = (ZERO_TOL <= size) & (size < DEAD_BAND * ZERO_TOL)
+        errors = np.zeros(len(xs))
+        if near.any():
+            errors[near] = _normal_derivative_error(K, xs[near], evals[near])
+        nus, errors = nus.tolist(), errors.tolist()
+    else:
+        nus = errors = [None] * len(xs)
+    point = BoundarySpherePoint if on_equator else SpherePoint
+    records = []
+    for v, bad, index, value, lap, nu, error, ev in zip(xs, degenerate, indices, values, laps,
+                                                        nus, errors, evals.tolist()):
+        if bad:
+            where = "boundary" if on_equator else "interior"
+            raise DegenerateCriticalPoint(f"degenerate {where} critical point at {v.tolist()}")
+        records.append(CriticalPointRecord(
+            location=point(v), kind="boundary_of_K1" if on_equator else "interior_of_K",
+            morse_index=index, value=value, laplacian=lap, normal_derivative=nu,
+            classification=(_classify_boundary(nu, lap, error) if on_equator
+                            else "K_in_minus" if lap < 0 else "other"),
+            hessian_eigenvalues=tuple(ev),
+        ))
+    return records
 
 
 def entry_level(boundary, interior, s_n: float, n: int) -> float:

@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from hemiflow.census import (admissible_boundary, a1_boundary_set,
+from hemiflow.census import (_alternating_sums, admissible_boundary, a1_boundary_set,
                              census_report, counting_A,
                              counting_A_closed_forms, counting_B,
                              counting_B_closed_form, entry_index, entry_level, level_terms,
@@ -244,6 +245,16 @@ class TestCountingFormulas:
             sums = tuple(brute_force_alternating_sums(idx, depth) for depth in range(1, 5))
             assert counting_A(idx) == sums
             assert counting_B(idx) == sums[:2]
+
+    def test_recurrence_matches_the_binomial_double_sum(self):
+        # the coefficient of t^k in (1 + t)^even (1 - t)^odd, summed term by term
+        for length in range(31):
+            for odd in range(length + 1):
+                idx = [2] * (length - odd) + [1] * odd
+                for depth in range(1, 5):
+                    want = tuple(sum((-1) ** j * math.comb(odd, j) * math.comb(length - odd, k - j)
+                                     for j in range(k + 1)) for k in range(1, depth + 1))
+                    assert _alternating_sums(idx, depth) == want
 
 
 class TestExistence:

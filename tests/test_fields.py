@@ -11,7 +11,7 @@ from hemiflow.model import ReducedModel
 from _chart_route import chart_frame, to_sphere
 from _fixtures import (N, E, boundary_point, field_all_positive_laplacian, field_boundary_max,
                        field_diag, field_h3_quadratic_flat, field_interior_min, field_linear,
-                       interior_point, make_cfg, sample_cluster, sample_v4)
+                       interior_point, make_cfg, random_field, sample_cluster, sample_v4)
 
 FIXTURE_FIELDS = (field_linear, field_diag, field_all_positive_laplacian, field_boundary_max,
                   field_interior_min, field_h3_quadratic_flat)
@@ -222,6 +222,23 @@ class TestCalculus:
         for z, h in zip(zs, K.boundary_hessian(zs)):
             want = np.linalg.eigvalsh(K.boundary_hessian(z))
             assert np.allclose(np.linalg.eigvalsh(h), want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_trace_hessian_is_a_block_of_the_sphere_hessian(self, n):
+        # at a point of the equator the reflection basis keeps e_{n+1} last,
+        # so the trace's Hessian is the leading block of the sphere's
+        rng = np.random.default_rng([15, n])
+        for _ in range(10):
+            K = random_field(rng, n)
+            raw = rng.standard_normal((24, n + 1))
+            # near-axis rows: one coordinate dominates by up to 1e8
+            raw[12:, 1:] *= 10.0 ** -rng.integers(1, 9, size=(12, 1))
+            raw[:, -1] = 0.0
+            zs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+            bases = reflection_bases(zs)
+            assert np.array_equal(bases[:, -1], np.tile(np.eye(n + 1)[-1], (24, 1)))
+            block = K.tangent_hessian(zs)[:, :-1, :-1]
+            assert block.tobytes() == K.boundary_hessian(zs).tobytes()
 
     @pytest.mark.parametrize("offset", [0.0, 1.26e-8, 0.3])
     def test_reflection_bases_are_orthonormal_and_tangent(self, offset):

@@ -793,6 +793,26 @@ class TestOneEnumerationPerField:
                     rows[...] = 0.0
 
 
+class TestOneClassificationPass:
+    @pytest.mark.parametrize("make_field", [field_general, field_diag, field_linear],
+                             ids=["general", "diag", "linear"])
+    def test_one_batch_per_field(self, monkeypatch, make_field):
+        # the interior and the trace roots share one Hessian, value and
+        # Laplacian call; the trace Hessian is a block of the sphere's
+        K = make_field()
+        K.sphere_roots
+        calls = []
+        for name in ("tangent_hessian", "boundary_hessian", "value", "laplace_beltrami",
+                     "normal_derivative"):
+            def counted(self, *args, _name=name, _method=getattr(ScalarField, name), **kw):
+                calls.append(_name)
+                return _method(self, *args, **kw)
+            monkeypatch.setattr(ScalarField, name, counted)
+        find_critical_points(K, 8)
+        assert sorted(calls) == ["laplace_beltrami", "normal_derivative", "tangent_hessian",
+                                 "value"]
+
+
 class TestIndexSums:
     def test_equator_euler_characteristic(self, linear_records, diag_records):
         expected = 1 + (-1) ** (N - 1)

@@ -24,6 +24,8 @@ KEPT_METHODS = {
     "intervals.Bar.contains": "exported API of the error bars",
     "intervals.Bar.overlaps": "exported API of the error bars",
     "fields.ScalarField.boundary_gradient": "test oracle for the frames' trace gradient",
+    "fields.ScalarField.boundary_hessian":
+        "the benchmark tracer wraps it, and the tests use it as the trace-Hessian oracle",
     "flow.Velocity.scaled":
         "a scaled, writable copy of a shared read-only field: how a caller hands "
         "``decrease_certificate`` a trial velocity",
