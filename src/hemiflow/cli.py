@@ -158,21 +158,17 @@ def cmd_existence(cfg: RunConfig, args) -> int:
 def cmd_flow(cfg: RunConfig, args) -> int:
     if not (math.isfinite(args.t_max) and args.t_max >= 0.0):
         raise ConfigError(f"--t-max must be finite and not negative, got {args.t_max}")
+    from .config import read_state
     from .flow import PseudogradientFlow
-    from .model import Configuration, ReducedModel
+    from .model import ReducedModel
     K, table, records = _landscape(cfg)
     model = ReducedModel(K, table)
     flow = PseudogradientFlow(model, records, cfg.flow)
     try:
         state_doc = json.loads(Path(args.state).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read state file {args.state}: {exc}") from exc
-    try:
-        state = Configuration.from_json(state_doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid state file {args.state}: {exc!r}") from exc
-    if any(b.n != cfg.n for b in state.bubbles):
-        raise ConfigError(f"state file {args.state}: points must have {cfg.n + 1} coordinates")
+    state = read_state(state_doc, f"state file {args.state}", cfg.n)
     traj = flow.integrate(state, args.t_max)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

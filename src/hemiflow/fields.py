@@ -35,21 +35,6 @@ from .geometry import SpherePoint, tangent_basis
 _MONOMIAL_RE = re.compile(r"^x(\d+)(?:\^(2)|\*x(\d+))?$")
 
 
-def _number(value, key: str = "") -> float:
-    """A JSON number; a string or a bool is refused, naming ``key`` if given."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{key}{': ' if key else ''}expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, key: str = "") -> int:
-    """A JSON integer; a float such as 1.5 or 5.0, a string or a bool is
-    refused instead of truncated or parsed, naming ``key`` if given."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{key}{': ' if key else ''}expected an integer, got {value!r}")
-    return value
-
-
 def parse_monomial(text: str, ambient_dim: int):
     """Parse a monomial string over x1..x{n+1} of total degree <= 2.
 
@@ -126,19 +111,9 @@ class ScalarField:
 
     @staticmethod
     def from_config(cfg: dict) -> "ScalarField":
-        try:
-            n = _integer(cfg["dimension"], "dimension")
-            kappa0 = _number(cfg["kappa0"], "kappa0")
-            terms = [(t["monomial"], _number(t["coeff"], f"terms[{k}].coeff"))
-                     for k, t in enumerate(cfg.get("terms", []))]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"invalid field specification: {exc}") from exc
-        for monomial, _ in terms:
-            # index tuples are for programmatic construction only
-            if not isinstance(monomial, str):
-                raise ConfigError(
-                    f"invalid field specification: monomial {monomial!r} is not a string")
-        return ScalarField(n, kappa0, terms)
+        """A field specification, ``to_config``'s form (``config.read_field``)."""
+        from .config import read_field
+        return read_field(cfg)
 
     def to_config(self) -> dict:
         terms = []

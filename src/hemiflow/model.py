@@ -79,8 +79,8 @@ from .bubbles import (BOUNDARY_HEIGHT_TOL, BubbleParam, epsilon, epsilon_da,
                       epsilon_dlambda)
 from .constants import ConstantsTable, compute_constants
 from .errors import InvalidConfiguration, NonFiniteBar, PoleSingularity
-from .fields import ScalarField, _number
-from .geometry import POLE_TOL, BoundarySpherePoint, SpherePoint, geodesic_distance
+from .fields import ScalarField
+from .geometry import POLE_TOL, geodesic_distance
 from .intervals import Bar
 
 
@@ -171,38 +171,9 @@ class Configuration:
 
     @staticmethod
     def from_json(doc: dict) -> "Configuration":
-        """A state document; ``eps``, each ``alpha`` and ``lambda`` and the
-        point coordinates take JSON numbers only, a refusal naming its key."""
-        q, p, eps = doc["q"], doc["p"], _state_number(doc["eps"], "eps")
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (q, p)):
-            raise ValueError(f"q and p must be integers, got {q!r} and {p!r}")
-        if q < 0 or p < 0 or q + p != len(doc["bubbles"]):
-            raise ValueError(f"q = {q} and p = {p} must be at least 0 and add up to the "
-                             f"number of bubbles, {len(doc['bubbles'])}")
-        entries = list(enumerate(doc["bubbles"]))
-        alphas = tuple(_state_number(entry["alpha"], f"bubbles[{k}].alpha") for k, entry in entries)
-        lams = [_state_number(entry["lambda"], f"bubbles[{k}].lambda") for k, entry in entries]
-        points = [_state_point(entry["point"], f"bubbles[{k}].point") for k, entry in entries]
-        if not all(map(math.isfinite, (eps, *alphas, *lams))):
-            raise ValueError("alpha, lambda and eps must be finite")
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        bubbles = tuple(BubbleParam((BoundarySpherePoint if k < q else SpherePoint)(point), lam)
-                        for k, (point, lam) in enumerate(zip(points, lams)))
-        return Configuration(alphas, bubbles, q, p, eps)
-
-
-def _state_number(value, key: str) -> float:
-    try:
-        return _number(value)
-    except (TypeError, OverflowError) as exc:
-        raise TypeError(f"{key}: {exc}") from exc
-
-
-def _state_point(value, key: str) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"{key}: expected a list of numbers, got {value!r}")
-    return [_state_number(c, f"{key}[{i}]") for i, c in enumerate(value)]
+        """A state document, ``to_json``'s form (``config.read_state``)."""
+        from .config import read_state
+        return read_state(doc)
 
 
 # ---------------------------------------------------------------------------

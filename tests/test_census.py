@@ -10,6 +10,7 @@ from hemiflow.census import (_alternating_sums, admissible_boundary, a1_boundary
                              counting_B_closed_form, entry_index, entry_level, level_terms,
                              enumerate_census, existence_check,
                              level_bands, pinch_threshold)
+from hemiflow.config import mass_limit
 from hemiflow.constants import compute_constants
 from hemiflow.landscape import (CriticalPointRecord, check_assumptions, classify,
                                 find_critical_points)
@@ -18,7 +19,7 @@ from hemiflow.oracles import brute_force_alternating_sums
 from hemiflow.fields import ScalarField
 
 from _fixtures import (N, field_all_positive_laplacian, field_boundary_max,
-                       field_diag, field_linear)
+                       field_diag, field_linear, random_field)
 
 
 @pytest.fixture(scope="module")
@@ -368,3 +369,15 @@ class TestCountingProperties:
             r = (len(indices) - k) // 2
             if len(indices) == 2 * r + k:
                 assert b2 == counting_B_closed_form(k, r)
+
+
+def test_mass_limit_bounds_every_census_entry():
+    # the premise of config.mass_limit: at most 2n critical points of the
+    # trace and 2(n+1) of K on the sphere, so no entry outweighs 6n + 4
+    rng = np.random.default_rng(26)
+    for n in (5, 6, 7):
+        for _ in range(20):
+            records = find_critical_points(random_field(rng, n))
+            boundary = sum(r.is_boundary for r in records)
+            assert boundary <= 2 * n and len(records) - boundary <= 2 * (n + 1)
+            assert boundary + 2 * (len(records) - boundary) <= mass_limit(n) == 6 * n + 4

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,7 +164,8 @@ class TestExitCodes:
     def test_monomial_not_a_string(self, tmp_path, capsys, monomial):
         cfgp = write_config(tmp_path, field_terms=[{"monomial": monomial, "coeff": 0.05}])
         assert main(["--config", str(cfgp), "critical-points"]) == 2
-        assert "is not a string" in capsys.readouterr().err
+        assert ("invalid field specification: terms[0].monomial: expected a string"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("mass_max", [0, -1])
     def test_mass_max_below_one(self, tmp_path, capsys, mass_max):
@@ -325,14 +327,16 @@ class TestExitCodes:
         assert f"configuration error: {key}: expected" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("kappa0, coeff", [(10 ** 400, 0.05), (1.0, 10 ** 400)],
+    @pytest.mark.parametrize("kappa0, coeff, key", [(10 ** 400, 0.05, "kappa0"),
+                                                    (1.0, 10 ** 400, "terms[0].coeff")],
                              ids=["kappa0_beyond_float", "coeff_beyond_float"])
-    def test_field_numbers_beyond_float_range(self, tmp_path, capsys, kappa0, coeff):
+    def test_field_numbers_beyond_float_range(self, tmp_path, capsys, kappa0, coeff, key):
         # float() overflows on these; the refusal used to escape as OverflowError
         cfgp = write_config(tmp_path, kappa0=kappa0,
                             field_terms=[{"monomial": "x1", "coeff": coeff}])
         assert main(["--config", str(cfgp), "critical-points"]) == 2
-        assert "invalid field specification: int too large" in capsys.readouterr().err
+        assert (f"invalid field specification: {key}: expected a number, got an integer "
+                "beyond the float range") in capsys.readouterr().err
 
     @pytest.mark.parametrize("dimension", [120, 160])
     @pytest.mark.parametrize("command", ["constants", "critical-points"])
@@ -397,6 +401,131 @@ class TestExitCodes:
         second = tmp_path / "b"
         assert main(["--config", str(as_int), "--output-dir", str(second), "census"]) == 0
         assert (first / "census.json").read_bytes() == (second / "census.json").read_bytes()
+
+
+    @pytest.mark.parametrize("mass_max, code", [(6 * N + 4, 0), (6 * N + 5, 2), (10 ** 9, 2)],
+                             ids=["at_the_limit", "above_the_limit", "billion"])
+    def test_mass_max_bounded_by_the_census(self, tmp_path, capsys, monkeypatch, mass_max,
+                                            code):
+        # bands above 6n + 4 hold no entry; a larger mass_max used to grow the
+        # band list until memory ran out, and is refused before any band
+        import hemiflow.census as census
+        built = []
+        bands = census.level_bands
+        monkeypatch.setattr(census, "level_bands", lambda *a: built.append(a) or bands(*a))
+        cfgp = write_config(tmp_path, extra={"mass_max": mass_max})
+        assert main(["--config", str(cfgp), "census"]) == code
+        if code == 0:
+            doc = json.loads((tmp_path / "out" / "census.json").read_text())
+            assert len(doc["bands"]) == 6 * N + 4
+        else:
+            assert built == []
+            assert (f"configuration error: mass_max must be at most {6 * N + 4} in dimension "
+                    f"{N}, got {mass_max}") in capsys.readouterr().err
+
+
+def _edited(doc, change):
+    doc = json.loads(json.dumps(doc))
+    return change(doc) or doc
+
+
+_S, _F = "invalid state file {state}: ", "invalid field specification: "
+# (document edited, edit of the valid document, refusal; {state} is the state file)
+REFUSALS = {
+    "state_missing_alpha": ("state", lambda d: d["bubbles"][0].pop("alpha") and None,
+                            _S + "bubbles[0].alpha: missing"),
+    "state_missing_q": ("state", lambda d: d.pop("q") and None, _S + "q: missing"),
+    "bubble_not_an_object": ("state", lambda d: d["bubbles"].__setitem__(0, 5),
+                             _S + "bubbles[0]: expected an object, got 5"),
+    "bubbles_not_a_list": ("state", lambda d: d.__setitem__("bubbles", 5),
+                           _S + "bubbles: expected a list, got 5"),
+    "state_not_an_object": ("state", lambda d: [1], "state file {state} must be a JSON object"),
+    "state_misspelt_eps": ("state", lambda d: d.__setitem__("epsilon", 0.5),
+                           _S + "epsilon: unknown key"),
+    "bubble_misspelt_lambda": ("state", lambda d: d["bubbles"][0].__setitem__("lamda", 5000.0),
+                               _S + "bubbles[0].lamda: unknown key"),
+    "point_of_another_dimension": ("state", lambda d: d["bubbles"][0]["point"].pop() and None,
+                                   _S + "bubbles[0].point: expected 6 coordinates, got 5"),
+    "point_off_the_sphere": ("state", lambda d: d["bubbles"][0].__setitem__("point",
+                                                                           [2, 0, 0, 0, 0, 0]),
+                             _S + "bubbles[0].point: |coords| = 2.0 is not 1"),
+    "field_missing_kappa0": ("config", lambda d: d["field"].pop("kappa0") and None,
+                             _F + "kappa0: missing"),
+    "terms_not_a_list": ("config", lambda d: d["field"].__setitem__("terms", 5),
+                         _F + "terms: expected a list, got 5"),
+    "term_not_an_object": ("config", lambda d: d["field"]["terms"].__setitem__(0, 3),
+                           _F + "terms[0]: expected an object, got 3"),
+    "term_missing_coeff": ("config", lambda d: d["field"]["terms"][0].pop("coeff") and None,
+                           _F + "terms[0].coeff: missing"),
+    "field_misspelt_kappa0": ("config", lambda d: d["field"].__setitem__("kapa0", 2.0),
+                              _F + "kapa0: unknown key"),
+    "term_misspelt_coeff": ("config", lambda d: d["field"]["terms"][0].__setitem__("coef", 1.0),
+                            _F + "terms[0].coef: unknown key"),
+    "monomial_out_of_range": ("config",
+                              lambda d: d["field"]["terms"][0].__setitem__("monomial", "x9"),
+                              _F + "terms[0].monomial: variable x9 out of range in 'x9'"),
+    "misspelt_dimension": ("config", lambda d: d.__setitem__("dimensoin", 6),
+                           "dimensoin: unknown key"),
+    "misspelt_mass_max": ("config", lambda d: d.update({"mass-max": 9, "mass_max": 2}),
+                          "mass-max: unknown key"),
+    "unknown_flow_constant": ("config", lambda d: d.__setitem__("flow", {"M9": 1.0}),
+                              "flow constant M9: unknown key"),
+    "tolerance_out_of_range": ("config", lambda d: d.__setitem__("quadrature_tol", 1e-3),
+                               "quadrature_tol must be between 1e-12 and 1e-4, got 0.001"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusal_names_the_key_path(tmp_path, capsys, case):
+    # each of these used to print a Python exception or run to exit 0
+    document, change, message = REFUSALS[case]
+    cfgp, state = write_config(tmp_path), tmp_path / "state.json"
+    state_doc = _one_bubble()
+    if document == "state":
+        state_doc = _edited(state_doc, change)
+    else:
+        cfgp.write_text(json.dumps(_edited(json.loads(cfgp.read_text()), change)))
+    state.write_text(json.dumps(state_doc))
+    assert main(["--config", str(cfgp), "flow", "--state", str(state), "--t-max", "0.2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message.format(state=state)}")
+    assert "Error(" not in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('{"q": 1' + "0" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    (b"\xff", "can't decode byte 0xff"),
+], ids=["integer_beyond_the_digit_limit", "not_utf8"])
+@pytest.mark.parametrize("document", ["configuration", "state file"], ids=["config", "state"])
+def test_unreadable_document(tmp_path, capsys, text, problem, document):
+    # a ValueError that is no JSONDecodeError used to end in a traceback
+    cfgp, state = write_config(tmp_path), tmp_path / "state.json"
+    state.write_text(json.dumps(_one_bubble()))
+    path = cfgp if document == "configuration" else state
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    assert main(["--config", str(cfgp), "flow", "--state", str(state)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read {document} {path}: ")
+    assert problem in err
+
+
+def test_readme_lists_every_key():
+    # the README's key tables are the schema's, row for row and in its order
+    from hemiflow.config import CONFIG_KEYS, KINDS, REQUIRED, STATE_KEYS
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for keys in (CONFIG_KEYS, STATE_KEYS):
+        rows = []
+        for key in keys:
+            default = ("" if key.path.endswith("[]") else "retired" if key.retired
+                       else "required" if key.default is REQUIRED
+                       else "derived" if key.default is None else json.dumps(key.default))
+            rows.append(f"| `{key.path}` | {KINDS[key.kind]} | "
+                        f"{key.bound.name if key.bound else ''} | {default} |")
+        assert "\n".join(rows) in readme
 
 
 class TestDeterminism:
@@ -532,19 +661,23 @@ class TestFlowStateErrors:
         assert main(["--config", str(cfgp), "flow", "--state", str(path)]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("q, p", [(1.5, 0), (1.0, 0), ("1", 0), (True, 0), (1, 0.0),
-                                      (2, 0), (1, 1), (0, 0), (-1, 2)],
-                             ids=["q_fraction", "q_float", "q_string", "q_bool", "p_float",
-                                  "q_exceeds_bubbles", "q_plus_p_exceeds_bubbles",
-                                  "fewer_than_bubbles", "negative_q"])
-    def test_state_counts_are_integers_matching_the_bubbles(self, tmp_path, capsys, q, p):
+    @pytest.mark.parametrize("q, p, message", [
+        (1.5, 0, "q: expected an integer, got 1.5"), (1.0, 0, "q: expected an integer, got 1.0"),
+        ("1", 0, "q: expected an integer, got '1'"), (True, 0, "q: expected an integer, got True"),
+        (1, 0.0, "p: expected an integer, got 0.0"),
+        (2, 0, "add up to the number of bubbles, 1"), (1, 1, "add up to the number of bubbles, 1"),
+        (0, 0, "add up to the number of bubbles, 1"), (-1, 2, "q must be at least 0, got -1"),
+    ], ids=["q_fraction", "q_float", "q_string", "q_bool", "p_float", "q_exceeds_bubbles",
+            "q_plus_p_exceeds_bubbles", "fewer_than_bubbles", "negative_q"])
+    def test_state_counts_are_integers_matching_the_bubbles(self, tmp_path, capsys, q, p,
+                                                            message):
         cfgp = write_config(tmp_path)
         path = tmp_path / "state.json"
         path.write_text(json.dumps(dict(_one_bubble(), q=q, p=p)))
         assert main(["--config", str(cfgp), "flow", "--state", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "configuration error: invalid state file" in err
-        assert "q and p must be integers" in err or "add up to the number of bubbles, 1" in err
+        assert f"configuration error: invalid state file {path}: " in err
+        assert message in err
 
     @pytest.mark.parametrize("state, key", [
         (_one_bubble(lam="80"), "bubbles[0].lambda"),

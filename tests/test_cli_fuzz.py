@@ -1,20 +1,24 @@
 """Fuzzed configuration and state documents: whatever a document holds
-(wrong types, numbers as strings, missing keys, NaN and inf, non-unit
-points, wrong dimensions), ``cli.main`` answers with exit code 0, 1 or 2
-and never raises.
+(wrong types, numbers as strings, missing or misspelt keys, NaN and inf,
+non-unit points, wrong dimensions), ``cli.main`` answers with exit code 0,
+1 or 2 and never raises.  The edited paths are drawn from the documents'
+key tables, so a new key is fuzzed as soon as the table holds it.
 
-No drawn value asks the program for much memory or time: the configuration
-fuzz runs subcommands that do not enumerate the census, whose size grows
-with ``mass_max``, and the flow runs to ``--t-max 0.05``."""
+No drawn value asks the program for much memory or time: ``mass_max`` is
+bounded at load, and the flow runs to ``--t-max 0.05``."""
 
+import contextlib
 import copy
+import io
 import json
 import math
+import re
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hemiflow.cli import main
+from hemiflow.config import CONFIG_KEYS, STATE_KEYS
 
 BASE_CONFIG = {
     "dimension": 5,
@@ -31,24 +35,24 @@ BASE_STATE = {"q": 1, "p": 0, "eps": 0.1,
 ODD = [None, True, False, "5", "0.1", "", "x1", [], [1], {}, {"a": 1}, math.nan, math.inf,
        -math.inf, -1, 0, 1, 1.5, 5.0, 1e-300, 1e308, 10 ** 400]
 
-CONFIG_PATHS = [(), ("dimension",), ("field",), ("field", "kappa0"), ("field", "terms"),
-                ("field", "terms", 0), ("field", "terms", 0, "monomial"),
-                ("field", "terms", 1, "coeff"), ("quadrature_tol",), ("seeds_per_dim",),
-                ("seed",), ("grid_density",), ("mass_max",), ("flow",), ("flow", "eta"),
-                ("flow", "max_qp"), ("flow", "M0"), ("flow", "strict_lambda_sign"),
-                ("output_dir",)]
-STATE_PATHS = [(), ("q",), ("p",), ("eps",), ("bubbles",), ("bubbles", 0),
-               ("bubbles", 0, "alpha"), ("bubbles", 0, "lambda"), ("bubbles", 0, "point"),
-               *(("bubbles", 0, "point", k) for k in range(6))]
+
+def key_paths(keys):
+    """Each key's path as a tuple of steps, ``"[]"`` standing for a list index."""
+    return [tuple(re.findall(r"\[\]|[^.\[\]]+", key.path)) for key in keys]
+
+
+CONFIG_PATHS = [()] + key_paths(CONFIG_KEYS)
+STATE_PATHS = [()] + key_paths(STATE_KEYS)
 
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
 
 def edit(doc, path, action):
-    """``doc`` with the value at ``path`` deleted (action None) or replaced
-    by action[0]; a path that no longer exists leaves the document as is."""
+    """``doc`` with the value at ``path`` deleted (action None), replaced by
+    action[0], or moved to a misspelt key (action ``("misspell", k)``); a
+    path that no longer exists leaves the document as is."""
     if not path:
-        return doc if action is None else action[0]
+        return doc if action is None or len(action) == 2 else action[0]
     parent = doc
     for step in path[:-1]:
         try:
@@ -58,6 +62,9 @@ def edit(doc, path, action):
     try:
         if action is None:
             del parent[path[-1]]
+        elif len(action) == 2:
+            if isinstance(parent, dict) and path[-1] in parent:
+                parent[misspell(path[-1], action[1])] = parent.pop(path[-1])
         else:
             parent[path[-1]] = action[0]
     except (KeyError, IndexError, TypeError):
@@ -65,9 +72,29 @@ def edit(doc, path, action):
     return doc
 
 
+def misspell(key, k):
+    """``key`` with one character dropped, doubled or swapped with the
+    next, chosen by ``k``."""
+    i = k // 3 % len(key)
+    return [key[:i] + key[i + 1:], key[:i] + key[i] + key[i:],
+            key[:i] + key[i + 1:i + 2] + key[i] + key[i + 2:]][k % 3]
+
+
+def concrete(paths):
+    """A drawn path, each ``"[]"`` replaced by an index into the list."""
+    return st.sampled_from(paths).flatmap(lambda path: st.tuples(
+        *(st.integers(0, 5) if step == "[]" else st.just(step) for step in path)))
+
+
+def keyed(paths):
+    """A drawn path that ends in a key, not in a list index."""
+    return concrete([path for path in paths if path and path[-1] != "[]"])
+
+
 def edits(paths):
-    action = st.one_of(st.none(), st.tuples(st.sampled_from(ODD)))
-    return st.lists(st.tuples(st.sampled_from(paths), action), max_size=3)
+    action = st.one_of(st.none(), st.tuples(st.sampled_from(ODD)),
+                       st.tuples(st.just("misspell"), st.integers(0, 40)))
+    return st.lists(st.tuples(concrete(paths), action), max_size=3)
 
 
 def point_change():
@@ -76,20 +103,19 @@ def point_change():
                             ("drop", None), ("add", 0.0)])
 
 
-def run(tmp, config, command, state=None):
+def run(tmp, config, command, state=None, code=None):
     config_path, state_path = tmp / "config.json", tmp / "state.json"
     config_path.write_text(json.dumps(config))
     argv = ["--config", str(config_path), "--output-dir", str(tmp / "out"), command]
     if command == "flow":
         state_path.write_text(json.dumps(state))
         argv += ["--state", str(state_path), "--t-max", "0.05"]
-    code = main(argv)
-    assert code in (0, 1, 2)
+    assert main(argv) in ((0, 1, 2) if code is None else (code,))
 
 
 @FUZZ
 @given(changes=edits(CONFIG_PATHS),
-       command=st.sampled_from(["critical-points", "existence", "constants"]))
+       command=st.sampled_from(["critical-points", "existence", "constants", "census"]))
 def test_configuration_documents(tmp_path_factory, changes, command):
     doc = copy.deepcopy(BASE_CONFIG)
     for path, action in changes:
@@ -113,3 +139,20 @@ def test_state_documents(tmp_path_factory, changes, point):
     for path, action in changes:
         doc = edit(doc, path, action)
     run(tmp_path_factory.mktemp("state"), copy.deepcopy(BASE_CONFIG), "flow", doc)
+
+
+@FUZZ
+@given(path=st.one_of(st.tuples(st.just("config"), keyed(CONFIG_PATHS)),
+                      st.tuples(st.just("state"), keyed(STATE_PATHS))),
+       k=st.integers(0, 40))
+def test_a_misspelt_key_is_refused_by_name(tmp_path_factory, path, k):
+    # a key of the valid documents, misspelt, exits 2 naming the misspelling
+    document, path = path
+    docs = {"config": copy.deepcopy(BASE_CONFIG), "state": copy.deepcopy(BASE_STATE)}
+    before, wrong = json.dumps(docs[document]), misspell(path[-1], k)
+    edit(docs[document], path, ("misspell", k))
+    assume(wrong != path[-1] and json.dumps(docs[document]) != before)  # the key was there
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        run(tmp_path_factory.mktemp("misspelt"), docs["config"], "flow", docs["state"], code=2)
+    assert f"{wrong}: unknown key" in err.getvalue()
