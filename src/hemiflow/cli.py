@@ -54,27 +54,31 @@ def _stamped(cfg: RunConfig, table, payload: dict) -> dict:
     return doc
 
 
-def _landscape(cfg: RunConfig):
+def _constants(cfg: RunConfig):
     from . import constants as constants_mod
+    return constants_mod.compute_constants(cfg.n, cfg.quadrature_tol)
+
+
+def _landscape(cfg: RunConfig):
+    """The field and its critical points.  Callers compute the constants
+    first: they refuse a dimension beyond their range before the field
+    allocates its (n+1)-sized coefficients."""
     from .landscape import find_critical_points
-    # the constants first: they refuse a dimension beyond the float range
-    # before the field allocates its (n+1)-sized coefficients
-    table = constants_mod.compute_constants(cfg.n, cfg.quadrature_tol)
     K = cfg.build_field()
-    records = find_critical_points(K)
-    return K, table, records
+    return K, find_critical_points(K)
 
 
 def _pipeline(cfg: RunConfig):
-    """The landscape plus its assumption report."""
+    """The constants, the landscape and its assumption report."""
     from .landscape import check_assumptions
-    K, table, records = _landscape(cfg)
+    table = _constants(cfg)
+    K, records = _landscape(cfg)
     return K, table, records, check_assumptions(records, K)
 
 
 def cmd_constants(cfg: RunConfig, args) -> int:
     from . import constants as constants_mod
-    table = constants_mod.compute_constants(cfg.n, cfg.quadrature_tol)
+    table = _constants(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     constants_mod.save_report(table, out / "constants.json", out / "constants.txt")
@@ -159,16 +163,17 @@ def cmd_flow(cfg: RunConfig, args) -> int:
     if not (math.isfinite(args.t_max) and args.t_max >= 0.0):
         raise ConfigError(f"--t-max must be finite and not negative, got {args.t_max}")
     from .config import read_state
-    from .flow import PseudogradientFlow
-    from .model import ReducedModel
-    K, table, records = _landscape(cfg)
-    model = ReducedModel(K, table)
-    flow = PseudogradientFlow(model, records, cfg.flow)
+    table = _constants(cfg)
+    # the state before the landscape, so that a malformed one is refused at once
     try:
         state_doc = json.loads(Path(args.state).read_text())
     except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read state file {args.state}: {exc}") from exc
     state = read_state(state_doc, f"state file {args.state}", cfg.n)
+    from .flow import PseudogradientFlow
+    from .model import ReducedModel
+    K, records = _landscape(cfg)
+    flow = PseudogradientFlow(ReducedModel(K, table), records, cfg.flow)
     traj = flow.integrate(state, args.t_max)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -210,9 +215,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         results[name] = {"passed": passed, "detail": detail}
         print(f"suite {name}: {'PASS' if passed else 'FAIL'} ({detail})")
         ok = ok and passed
-    from . import constants as constants_mod
-    table = constants_mod.compute_constants(cfg.n, cfg.quadrature_tol)
-    _write_json(Path(cfg.output_dir) / "verify.json", _stamped(cfg, table, results))
+    _write_json(Path(cfg.output_dir) / "verify.json", _stamped(cfg, _constants(cfg), results))
     return 0 if ok else 1
 
 

@@ -50,7 +50,7 @@ class FlowParams:
         self.check_values()
         n_free = max(self.max_qp - 1, 1)
         checks = {
-            "M0_over_M4sq": self.M0 / self.M4**2,
+            "M0_over_M4sq": self.M0 / self.M4 / self.M4,  # M4**2 may overflow
             "M2_over_M0root": self.M2 / self.M0 ** (1.0 / n_free),
         }
         if checks["M0_over_M4sq"] > SMALLNESS + 1e-12:
@@ -62,7 +62,11 @@ class FlowParams:
     def validate_full(self, n: int):
         self.validate()
         n_free = max(self.max_qp - 1, 1)
-        second = self.M2 ** ((n - 1.0) / (n - 2.0)) / self.M0 ** ((0.5 + 1.0 / (n - 2.0)) / n_free)
+        try:
+            m2_power = self.M2 ** ((n - 1.0) / (n - 2.0))
+        except OverflowError:  # beyond the float range, and so far beyond the budget
+            m2_power = math.inf
+        second = m2_power / self.M0 ** ((0.5 + 1.0 / (n - 2.0)) / n_free)
         if second > SMALLNESS + 1e-12:
             raise ConfigError("M2^{(n-1)/(n-2)} too large against the M0 root")
         return second
@@ -130,12 +134,15 @@ class RunConfig:
         if mass_max > mass_limit(n):
             raise ConfigError(f"mass_max must be at most {mass_limit(n)} in dimension {n}, "
                               f"got {mass_max}")
+        given = {k: v for k, v in flow.items() if v is not None}
         try:
-            base = FlowParams.for_mass(flow["max_qp"], n)
+            # M0, M2 and M4 default by max_qp, computed only when one is unset
+            base = (FlowParams() if {"M0", "M2", "M4"} <= given.keys()
+                    else FlowParams.for_mass(flow["max_qp"], n))
         except OverflowError:
             raise ConfigError(f"flow constant max_qp: the default M0 for {flow['max_qp']} "
                               f"bubbles is beyond the float range") from None
-        flow = replace(base, **{k: v for k, v in flow.items() if v is not None})
+        flow = replace(base, **given)
         return RunConfig(n, dict(doc["field"]), values["quadrature_tol"], values["seed"],
                          mass_max, flow, values["output_dir"])
 

@@ -77,7 +77,7 @@ import numpy as np
 
 from .bubbles import (BOUNDARY_HEIGHT_TOL, BubbleParam, epsilon, epsilon_da,
                       epsilon_dlambda)
-from .constants import ConstantsTable, compute_constants
+from .constants import ConstantsTable, compute_constants, sphere_area
 from .errors import InvalidConfiguration, NonFiniteBar, PoleSingularity
 from .fields import ScalarField
 from .geometry import POLE_TOL, geodesic_distance
@@ -299,10 +299,10 @@ class ReducedModel:
         self.cp_i2h = t.c6 * n * n / (n - 2)           # cp * int_H |x|^2 (1+r^2)^-n
         self.c4 = t.c4
         self.c5 = t.c5
-        # cp * int_H |x|^3 (1+r^2)^-n, for cubic remainders
-        from .constants import radial_moment, sphere_area
-        v, _ = radial_moment(n, 3, float(n), 1e-6)
-        self.cp_i3h = t.cp * 0.5 * sphere_area(n - 1) * v
+        # cp * int_H |x|^3 (1+r^2)^-n, for cubic remainders: its radial
+        # moment int_0^inf r^{n+2} (1+r^2)^-n dr is B((n+3)/2, (n-3)/2) / 2
+        beta = math.gamma((n + 3) / 2.0) * math.gamma((n - 3) / 2.0) / math.gamma(n)
+        self.cp_i3h = t.cp * 0.5 * sphere_area(n - 1) * 0.5 * beta
         # one third-derivative bound for every chart of K (see _cubic_remainder)
         lam_q = np.linalg.eigvalsh(K.quadratic)
         self.m3 = float(4.0 * np.linalg.norm(K.linear) + 12.0 * (lam_q[-1] - lam_q[0]))

@@ -34,29 +34,49 @@ def _quad(f, a, b, **kwargs):
 # Independent radial route for the constants
 # ---------------------------------------------------------------------------
 
-def _radial_gauss(f, n: int, weight_power: int, panels: int = 24, order: int = 16):
-    """Fixed composite Gauss-Legendre scheme on r = tan(theta); the
-    independent second route to the adaptive Gauss-Kronrod quadrature of
-    :mod:`hemiflow.constants`."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    total = 0.0
-    edges = np.linspace(0.0, 0.5 * math.pi, panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        theta = mid + half * nodes
-        r = np.tan(theta)
-        jac = 1.0 / np.cos(theta) ** 2
-        vals = r ** (n - 1 + weight_power) * np.array([f(ri) for ri in r]) * jac
-        total += half * float(weights @ vals)
-    return total
+# the 8-point Gauss-Legendre rule on [-1, 1]: its positive nodes and their weights
+_GL_NODES = np.array([0.183434642495649804939476142360, 0.525532409916328985817739049189,
+                      0.796666477413626739591553936476, 0.960289856497536231683560868569])
+_GL_WEIGHTS = np.array([0.362683783378361982965150449277, 0.313706645877887287337962201987,
+                        0.222381034453374470544355994426, 0.101228536290376259152531354310])
 
 
-def c2_scheme_crosscheck(n: int, panels: int = 24) -> float:
-    """c2 via the fixed Gauss-Legendre route (independent scheme)."""
+def radial_gauss_constants(n: int, panels: int = 48) -> dict:
+    """Every entry of the constants table by a fixed composite Gauss-Legendre
+    rule: the independent route to the closed forms of
+    :mod:`hemiflow.constants`, whose docstring lists the integrals.
+
+    Each entry but c0 is a scale times a radial moment
+        int_0^inf r^{n-1+w} (1+r^2)^{-p} h(r) dr,
+    with h = 1, or h = (r^2-1)/(1+r^2) for the ring entries c3 and c9.  The
+    substitution r = tan(theta) makes it
+        int_0^{pi/2} sin^{n-1+w}(theta) cos^{2p-n-1-w}(theta) h dtheta,
+    h = sin^2 - cos^2, whose factors lie in [0, 1] at every n, so no power
+    overflows, as r^{n-1+w} does near pi/2 at large n.  The eight entries
+    are one array pass over ``panels`` equal panels of the 8-point rule.  c0
+    is the profile's normalization.
+    """
     cp = float((n * (n - 2)) ** (n / 2.0))
-    area = sphere_area(n - 1)
-    val = _radial_gauss(lambda r: (1.0 + r * r) ** (-(n + 2) / 2.0), n, 0, panels=panels)
-    return cp * area * val
+    half_area, vball = 0.5 * sphere_area(n - 1), ball_volume(n - 1)
+    rows = {  # name: (scale, w, p, ring)
+        "s_n": (cp * half_area, 0, n, False),
+        "c2": (2.0 * cp * half_area, 0, (n + 2) / 2.0, False),
+        "c3": ((n - 2) / 2.0 * cp * vball, 1, n, True),
+        "c4": ((n - 2) * cp * vball, 1, n + 1, False),
+        "c5": ((n - 2) / n**2 * cp * half_area, 2, n + 1, False),
+        "c6": ((n - 2) / n**2 * cp * half_area, 2, n, False),
+        "c7": (2.0 * (n - 2) / n * cp * vball, 1, n, False),
+        "c9": ((n - 2) / (4.0 * n) * cp * half_area, 2, n, True),
+    }
+    scale, w, p, ring = (np.array(col) for col in zip(*rows.values()))
+    half = 0.25 * math.pi / panels
+    mids = half * (2.0 * np.arange(panels) + 1.0)
+    theta = (mids[:, None] + half * np.concatenate((-_GL_NODES, _GL_NODES))).ravel()
+    s, c = np.sin(theta), np.cos(theta)
+    f = s ** (n - 1 + w)[:, None] * c ** (2 * p - n - 1 - w)[:, None]
+    f[ring] *= s * s - c * c
+    vals = scale * (f @ np.tile(_GL_WEIGHTS, 2 * panels)) * half
+    return {"c0": bubble_normalization(n), **dict(zip(rows, vals.tolist()))}
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +295,14 @@ def quadrature_J_interior(K: ScalarField, point: SpherePoint, lam: float) -> Int
 PDE_STEP = 0.02  # the coarse stencil step of flat_bubble_pde_residual; the fine one is half
 
 
-def flat_bubble_pde_residual(n: int, radii, relative: bool = False) -> float:
-    """Max residual of -Lap(U) = U^{(n+2)/(n-2)} for the flat unit-rate bubble.
+def flat_bubble_pde_residual(n: int, radii) -> tuple:
+    """Residual |-Lap(U) - U^{(n+2)/(n-2)}| of the flat unit-rate bubble at
+    each radius, and the right-hand side U^{(n+2)/(n-2)} there: two arrays.
 
     The Laplacian is evaluated by Richardson-extrapolated five-point radial
     stencils at steps ``PDE_STEP`` and ``PDE_STEP / 2``, so the check is
     independent of the closed-form derivative.  ``flat_bubble_pde_bound``
-    bounds what it reads at one radius.
+    bounds the relative residual at one radius.
     """
     c0 = bubble_normalization(n)
     prof = lambda r: c0 * (1.0 + r * r) ** (-(n - 2) / 2.0)
@@ -291,22 +312,19 @@ def flat_bubble_pde_residual(n: int, radii, relative: bool = False) -> float:
         d1 = (-prof(r + 2 * h) + 8 * prof(r + h) - 8 * prof(r - h) + prof(r - 2 * h)) / (12 * h)
         return d2 + (n - 1) / r * d1
 
-    worst = 0.0
+    res, rhs = [], []
     for r in np.atleast_1d(radii):
         l1 = lap_numeric(r, PDE_STEP)
         l2 = lap_numeric(r, PDE_STEP / 2)
         lap = (16.0 * l2 - l1) / 15.0
-        rhs = prof(r) ** ((n + 2.0) / (n - 2.0))
-        res = abs(-lap - rhs)
-        if relative:
-            res /= abs(rhs)
-        worst = max(worst, res)
-    return worst
+        rhs.append(prof(r) ** ((n + 2.0) / (n - 2.0)))
+        res.append(abs(-lap - rhs[-1]))
+    return np.array(res), np.array(rhs)
 
 
 def flat_bubble_pde_bound(n: int, r: float) -> float:
-    """Bound on the relative residual ``flat_bubble_pde_residual(n, [r],
-    relative=True)`` of the exact profile at a radius r > 2 ``PDE_STEP``,
+    """Bound on the relative residual ``res / rhs`` of
+    ``flat_bubble_pde_residual(n, [r])`` at a radius r > 2 ``PDE_STEP``,
     from the stencils' truncation and rounding error.
 
     Truncation.  With h = ``PDE_STEP``, Taylor expansion of the five-point

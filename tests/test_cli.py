@@ -283,6 +283,20 @@ class TestExitCodes:
         assert main(["--config", str(cfgp), "census"]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
+    def test_set_flow_constants_need_no_defaults(self, tmp_path, capsys):
+        # with M0, M2 and M4 set, their defaults for 200 bubbles (beyond the
+        # float range) are not computed; the flow's smallness check, whose
+        # M4**2 used to overflow, refuses the set values
+        flow = {"max_qp": 200, "M0": 1e300, "M2": 10, "M4": 1e160}
+        cfgp = write_config(tmp_path, extra={"flow": flow})
+        assert main(["--config", str(cfgp), "census"]) == 0
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(_one_bubble()))
+        capsys.readouterr()
+        assert main(["--config", str(cfgp), "flow", "--state", str(state_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: M2 too large against M0^{1/(q+p-1)}" in err
+
 
     @pytest.mark.parametrize("extra, key", [
         ({"dimension": 5.5}, "dimension"),
@@ -628,6 +642,22 @@ class TestFlowStateErrors:
         cfgp = write_config(tmp_path)
         assert main(["--config", str(cfgp), "flow", "--state",
                      str(tmp_path / "nope.json")]) == 2
+
+    def test_malformed_state_refused_before_the_landscape(self, tmp_path, capsys,
+                                                          monkeypatch):
+        from hemiflow import landscape
+
+        def never(*args):
+            raise AssertionError("the landscape was built")
+
+        monkeypatch.setattr(landscape, "find_critical_points", never)
+        cfgp = write_config(tmp_path)
+        state = _one_bubble()
+        del state["p"]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        assert main(["--config", str(cfgp), "flow", "--state", str(path)]) == 2
+        assert "p: missing" in capsys.readouterr().err
 
     def test_invalid_state_configuration(self, tmp_path):
         cfgp = write_config(tmp_path)

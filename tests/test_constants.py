@@ -1,16 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
 from scipy.special import gamma
 
-from hemiflow import constants
-from hemiflow.constants import (ConstantsTable, closed_forms,
-                                compute_constants, radial_moment)
+from hemiflow.constants import N_MAX, ConstantsTable, compute_constants
 from hemiflow.errors import ConfigError, ToleranceNotMet
-from hemiflow.oracles import (c2_scheme_crosscheck, flat_bubble_pde_residual, flat_epsilon,
-                              flat_two_bubble_overlap)
+from hemiflow.oracles import (flat_bubble_pde_residual, flat_epsilon, flat_two_bubble_overlap,
+                              radial_gauss_constants)
 
 
 @pytest.fixture(scope="module")
@@ -18,13 +16,44 @@ def table5():
     return compute_constants(5, 1e-8)
 
 
+def _beta_forms(n):
+    """Every entry at 50 digits from the Beta forms of its defining
+    integrals, differences and all (the constants module docstring)."""
+    with mpmath.workdps(50):
+        n = mpmath.mpf(n)
+        cp = (n * (n - 2)) ** (n / 2)
+        g = lambda p: mpmath.pi ** (n / 2) * mpmath.gamma(p - n / 2) / mpmath.gamma(p)
+        x = lambda p: (mpmath.pi ** ((n - 1) / 2) * mpmath.gamma(p - (n + 1) / 2)
+                       / (2 * mpmath.gamma(p)))
+        return {
+            "c0": (n * (n - 2)) ** ((n - 2) / 4),
+            "s_n": cp * g(n) / 2,
+            "c2": cp * g((n + 2) / 2),
+            "c3": (n - 2) / 2 * cp * (x(n) - 2 * x(n + 1)),
+            "c4": (n - 2) * cp * x(n + 1),
+            "c5": (n - 2) / (2 * n**2) * cp * (g(n) - g(n + 1)),
+            "c6": (n - 2) / (2 * n**2) * cp * (g(n - 1) - g(n)),
+            "c7": 2 * (n - 2) / n * cp * x(n),
+            "c9": (n - 2) / (8 * n) * cp * (g(n - 1) - 3 * g(n) + 2 * g(n + 1)),
+        }
+
+
 class TestClosedFormAgreement:
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_every_entry(self, n):
+        # the table against the independent Gauss-Legendre route
         table = compute_constants(n, 1e-8)
-        closed = closed_forms(n)
-        for key, ref in closed.items():
+        for key, ref in radial_gauss_constants(n).items():
             assert abs(table.values[key] - ref) <= 1e-6 * abs(ref), key
+
+    def test_every_entry_within_its_rounding_bound(self):
+        # every dimension the table accepts, against 50-digit values
+        for n in range(5, N_MAX + 1):
+            table = compute_constants(n, 1e-8)
+            for key, ref in _beta_forms(n).items():
+                with mpmath.workdps(50):
+                    err = abs(mpmath.mpf(table.values[key]) - ref)
+                assert err <= table.errors[key], (n, key, float(err / abs(ref)))
 
     def test_radial_core_value(self):
         # int_0^inf r^{n-1} (1+r^2)^{-n} dr at n = 5
@@ -50,66 +79,41 @@ class TestClosedFormAgreement:
 
 class TestToleranceWindow:
     """Every dimension/tolerance pair the run configuration accepts yields a
-    table within the requested tolerance of the closed forms."""
+    table within the requested tolerance of the Gauss-Legendre route."""
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
     @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 12])
     def test_table_returned(self, n, tol):
         table = compute_constants(n, tol)
-        for key, ref in closed_forms(n).items():
+        for key, ref in radial_gauss_constants(n).items():
             assert table.errors[key] <= tol * max(1.0, abs(table.values[key])), key
             assert abs(table.values[key] - ref) <= tol * max(1.0, abs(ref)), key
 
 
-class TestRadialQuadrature:
-    def test_kronrod_and_gauss_rules_exact_on_polynomials(self):
-        # qk15's Kronrod rule is exact to degree 22 and its Gauss rule to 13
-        lo, hi = np.array([0.0]), np.array([1.0])
-        for deg in range(23):
-            val, _, _ = constants._gk15(lambda x: x ** deg, lo, hi)
-            assert abs(val[0] - 1.0 / (deg + 1)) <= 1e-15, deg
-        half = 0.5 * (constants._NODES + 1.0)
-        for deg in range(14):
-            assert abs(0.5 * constants._GAUSS @ half ** deg - 1.0 / (deg + 1)) <= 1e-15, deg
-
-    @pytest.mark.parametrize("n, weight, power", [(5, 0, 5.0), (6, 3, 6.0), (8, 1, 6.5),
-                                                  (12, 2, 13.0)])
-    def test_against_scipy_quad(self, n, weight, power):
-        val, err = radial_moment(n, weight, power, 1e-10)
-        ref, _ = integrate.quad(lambda r: r ** (n - 1 + weight) * (1.0 + r * r) ** -power,
-                                0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
-        assert abs(val - ref) <= 1e-13 * ref
-        assert err <= 1e-12 * ref
-
-    def test_closed_form_moment(self):
-        # int_0^inf r^{n-1+w} (1+r^2)^{-p} dr = B((n+w)/2, p-(n+w)/2) / 2
-        n, w, p = 7, 3, 9.0
-        s = (n + w) / 2.0
-        ref = 0.5 * math.gamma(s) * math.gamma(p - s) / math.gamma(p)
-        val, err = radial_moment(n, w, p, 1e-12)
-        assert abs(val - ref) <= 1e-14 * ref
-        assert err <= 1e-13 * ref
-
-    def test_panel_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(constants, "_MAX_PANELS", 3)
-        with pytest.raises(ToleranceNotMet, match="panels"):
-            radial_moment(16, 0, 16.0, 1e-12)
+class TestGaussLegendreRoute:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 92])
+    def test_agrees_with_the_table(self, n):
+        # the trig form of the integrand overflows no power, up to n = 92
+        table = compute_constants(n, 1e-8)
+        for key, val in radial_gauss_constants(n).items():
+            assert abs(val - table.values[key]) <= 1e-14 * abs(table.values[key]), (n, key)
 
 
 class TestProfileEquation:
     def test_residual_at_random_points(self):
         rng = np.random.default_rng(77)
-        res = flat_bubble_pde_residual(5, rng.uniform(0.3, 3.0, 100))
-        assert res <= 1e-8
+        res, _ = flat_bubble_pde_residual(5, rng.uniform(0.3, 3.0, 100))
+        assert res.max() <= 1e-8
 
 
 class TestInteractionConstant:
     def test_two_schemes_agree(self, table5):
-        assert abs(table5.c2 - c2_scheme_crosscheck(5, 24)) < 1e-7 * table5.c2
+        assert abs(table5.c2 - radial_gauss_constants(5)["c2"]) < 1e-7 * table5.c2
 
     def test_doubling_resolution_stable(self, table5):
-        a = c2_scheme_crosscheck(5, 24)
-        b = c2_scheme_crosscheck(5, 48)
+        a = radial_gauss_constants(5, 48)["c2"]
+        b = radial_gauss_constants(5, 96)["c2"]
         assert abs(a - b) <= max(1e-12 * abs(a), 1e-7)
 
     def test_positive(self, table5):
@@ -142,16 +146,11 @@ class TestTableBehavior:
         with pytest.raises(ConfigError):
             compute_constants(4, 1e-8)
 
-    @pytest.mark.parametrize("n, message", [
-        (93, "c2: non-finite value inf"),
-        (120, "s_n: non-finite value nan"),
-        (144, "exceeds the float range at n=144"),
-    ])
-    def test_constants_beyond_the_float_range_refused(self, n, message):
-        # c2 overflows from n = 93, every quadrature from about n = 100, and
-        # cp itself from n = 144; none of them may reach a table (the
-        # pytest configuration turns a numpy warning on the way into an error)
-        with pytest.raises(ToleranceNotMet, match=message):
+    @pytest.mark.parametrize("n", [93, 120, 144])
+    def test_constants_beyond_the_float_range_refused(self, n):
+        # the rounding bounds are certified up to n = 92; cp itself leaves
+        # the float range from n = 144
+        with pytest.raises(ToleranceNotMet, match=f"certified for dimensions up to 92, got {n}"):
             compute_constants(n, 1e-8)
         assert compute_constants(92, 1e-8).c2 < math.inf
 
@@ -160,10 +159,3 @@ class TestTableBehavior:
             compute_constants(5, 1e-2)
         with pytest.raises(ConfigError):
             compute_constants(5, 1e-14)
-
-    def test_doubling_quadrature_within_reported_errors(self):
-        t1 = compute_constants(5, 1e-8)
-        t2 = compute_constants(5, 1e-10)
-        for key in t1.values:
-            tol = max(t1.errors[key], t2.errors[key], 1e-12 * abs(t1.values[key]))
-            assert abs(t1.values[key] - t2.values[key]) <= 10 * tol + 1e-13

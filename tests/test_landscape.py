@@ -482,7 +482,8 @@ def per_record_oracle(K):
 
 
 class TestBatchedRecords:
-    """The records built in one batched pass per sphere against the
+    """The records built in one batched classification pass for both
+    spheres (the interior roots, then the trace roots) against the
     per-record classification."""
 
     @staticmethod
