@@ -164,8 +164,9 @@ def _separation(bi: BubbleParam, bj: BubbleParam) -> float:
 
 
 def _interaction_terms(li, lj, t, n):
-    """(eps, lam_i d/dlam_i eps, lam_j d/dlam_j eps) from the rates and t, for
-    floats or for arrays of pairs, with the same bits pair by pair.
+    """(eps, lam_i d/dlam_i eps, lam_j d/dlam_j eps, g^{-n/2}) from the rates
+    and t, g^{-n/2} being the power in ``epsilon_da``, for floats or for
+    arrays of pairs, with the same bits pair by pair.
 
     Arrays take ``np.float_power``, the C library's pow that floats take too:
     numpy's ``**`` on arrays may use a SIMD pow that differs in the last bit.
@@ -173,8 +174,9 @@ def _interaction_terms(li, lj, t, n):
     power = np.float_power if isinstance(t, np.ndarray) else pow
     r, s, cross = li / lj, lj / li, 2.0 * li * lj * t
     g = r + s + cross
-    scale = -(n - 2) / 2.0 * power(g, -n / 2.0)
-    return power(g, -(n - 2) / 2.0), scale * (r - s + cross), scale * (s - r + cross)
+    g_pow = power(g, -n / 2.0)
+    scale = -(n - 2) / 2.0 * g_pow
+    return power(g, -(n - 2) / 2.0), scale * (r - s + cross), scale * (s - r + cross), g_pow
 
 
 def epsilon(bi: BubbleParam, bj: BubbleParam) -> float:
@@ -184,7 +186,7 @@ def epsilon(bi: BubbleParam, bj: BubbleParam) -> float:
 
 def epsilon_dlambda(bi: BubbleParam, bj: BubbleParam):
     """Scaled rate-derivatives (lam_i d/dlam_i eps, lam_j d/dlam_j eps)."""
-    _, di, dj = _interaction_terms(bi.lam, bj.lam, _separation(bi, bj), bi.n)
+    _, di, dj, _ = _interaction_terms(bi.lam, bj.lam, _separation(bi, bj), bi.n)
     return float(di), float(dj)
 
 

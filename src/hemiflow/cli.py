@@ -202,6 +202,7 @@ def cmd_flow(cfg: RunConfig, args) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     from . import verify as verify_mod
+    table = _constants(cfg)   # first: a dimension beyond range prints no suite line
     suites = verify_mod.available_suites()
     chosen = args.suite if args.suite != "all" else list(suites)
     if isinstance(chosen, str):
@@ -215,7 +216,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         results[name] = {"passed": passed, "detail": detail}
         print(f"suite {name}: {'PASS' if passed else 'FAIL'} ({detail})")
         ok = ok and passed
-    _write_json(Path(cfg.output_dir) / "verify.json", _stamped(cfg, _constants(cfg), results))
+    _write_json(Path(cfg.output_dir) / "verify.json", _stamped(cfg, table, results))
     return 0 if ok else 1
 
 

@@ -655,11 +655,8 @@ class PseudogradientFlow:
             else:
                 f = asm.frames[i]
                 agg += f.lam_dist ** (1 - n) + (f.grad_norm / f.param.lam) ** expo
-        m = cfg.size
-        eps_rows = asm.eps_mat.tolist()
-        for i in range(m):
-            for j in range(i + 1, m):
-                agg += 2.0 * eps_rows[i][j] ** ((n - 1.0) / (n - 2.0))
+        for _, _, e, _, _ in asm.interacting:
+            agg += 2.0 * e ** ((n - 1.0) / (n - 2.0))
         return {
             "lhs": lhs,
             "rhs_lower_bound": C_FIT * agg,

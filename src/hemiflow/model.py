@@ -30,16 +30,17 @@ these derivatives coincide with the classical first-order gradient
 expansions in the rate, point and weight directions; the test suite checks
 both routes against honest quadrature.
 
-Each state is evaluated once: ``frames`` builds every bubble's chart data
-in closed ambient form (every chart quantity lives in the bubble's meridian
-plane, so no chart rotation or pullback call is made), with the sphere and
-trace gradients of K and the scaled boundary distance lam * d(a, dS+);
-``assemble`` makes one pass over
-the unordered pairs for the pair table, the interaction cross terms and
-each pair's error-bar slop, and computes the weight imbalances, the residue
-budget and the gradient remainder budgets once from the frames and the pair
-table; eps itself comes from the configuration's admissibility check.  The
-gradient pairings and the flow read what they need off the ``Assembly``.
+Each state is evaluated once.  The configuration's admissibility check
+evaluates each unordered pair once (``Configuration``); ``frames`` builds
+every bubble's chart data in closed ambient form (every chart quantity
+lives in the bubble's meridian plane, so no chart rotation or pullback
+call is made), with the sphere and trace gradients of K and the scaled
+boundary distance lam * d(a, dS+); ``assemble`` makes one pass over the
+configuration's pairs for the point derivatives, distances, cross terms
+and error-bar slop, keeping each interacting pair's log(1/eps) and
+eps^{n/(n-2)} for the budgets and the flow's certificate, and computes the
+weight imbalances and budgets once.  The gradient pairings and the flow
+read what they need off the ``Assembly``.
 ``gradient_components`` is the one gradient path: it asks ``grad_a`` for
 each bubble's weight, rate and point pairings and keeps the bundle on the
 ``Assembly``.  The bar constants are module constants.
@@ -60,7 +61,7 @@ are floats too (``Configuration`` stores them so), and the pair tables and
 the imbalances are read a row at a time with ``tolist``: float64 + - * /
 and ** round the same on numpy scalars, which cost several times more per
 operation.  The scalar ``np.arcsin``/``np.arccos`` calls (a point's
-boundary distance, ``geodesic_distance``) stay numpy: ``math.asin`` and
+boundary distance, a pair's distance) stay numpy: ``math.asin`` and
 ``math.acos`` round differently on some inputs.  A float ** that
 overflows raises OverflowError and a float / by zero ZeroDivisionError;
 ``assemble`` turns both into NonFiniteBar, as it does a negative energy
@@ -75,12 +76,11 @@ from operator import mul
 
 import numpy as np
 
-from .bubbles import (BOUNDARY_HEIGHT_TOL, BubbleParam, epsilon, epsilon_da,
-                      epsilon_dlambda)
+from .bubbles import BOUNDARY_HEIGHT_TOL, BubbleParam, _interaction_terms
 from .constants import ConstantsTable, compute_constants, sphere_area
 from .errors import InvalidConfiguration, NonFiniteBar, PoleSingularity
 from .fields import ScalarField
-from .geometry import POLE_TOL, geodesic_distance
+from .geometry import POLE_TOL
 from .intervals import Bar
 
 
@@ -91,6 +91,11 @@ from .intervals import Bar
 @dataclass(frozen=True)
 class Configuration:
     """q boundary + p interior weighted bubbles inside V(q+2p, q, p, eps).
+
+    The admissibility check evaluates each pair i < j once: one dot product
+    c = a_i.a_j and one ``bubbles._interaction_terms`` call give the
+    read-only tables ``eps_mat`` and ``eps_dloglam`` (lam_i d eps_ij/d lam_i
+    at [i, j]) and ``pairs``, (i, j, c, eps_ij, g^{-n/2}) in row order.
 
     ``_memo`` holds what each evaluator computed for this configuration: its
     ``Assembly`` per ``ReducedModel`` (see ``ReducedModel.assemble``) and its
@@ -104,7 +109,9 @@ class Configuration:
     q: int
     p: int
     eps_scale: float = 0.1
-    eps_mat: np.ndarray = field(init=False, repr=False, compare=False)  # read-only eps_ij
+    eps_mat: np.ndarray = field(init=False, repr=False, compare=False)
+    eps_dloglam: np.ndarray = field(init=False, repr=False, compare=False)
+    pairs: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -130,19 +137,24 @@ class Configuration:
             else:
                 if ld <= inv_eps:
                     raise InvalidConfiguration(f"bubble {i}: interior slot but lam*d = {ld}")
-        eps_mat = np.zeros((self.size, self.size))
-        for i in range(self.size):
-            for j in range(i + 1, self.size):
-                e = epsilon(self.bubbles[i], self.bubbles[j])
+        m = self.size
+        eps_mat = np.zeros((m, m))
+        eps_dloglam = np.zeros((m, m))
+        pairs = []
+        for i, bi in enumerate(self.bubbles):
+            for j in range(i + 1, m):
+                bj = self.bubbles[j]
+                c = float(np.dot(bi.a.coords, bj.a.coords))
+                e, di, dj, g_pow = _interaction_terms(bi.lam, bj.lam, 1.0 - c, bi.n)
                 if e >= self.eps_scale:
                     raise InvalidConfiguration(f"eps[{i}][{j}] = {e} >= neighborhood scale")
                 eps_mat[i, j] = eps_mat[j, i] = e
-        eps_mat.flags.writeable = False
+                eps_dloglam[i, j], eps_dloglam[j, i] = di, dj
+                pairs.append((i, j, c, float(e), g_pow))
+        eps_mat.flags.writeable = eps_dloglam.flags.writeable = False
         object.__setattr__(self, "eps_mat", eps_mat)
-
-    @property
-    def mass(self) -> int:
-        return self.q + 2 * self.p
+        object.__setattr__(self, "eps_dloglam", eps_dloglam)
+        object.__setattr__(self, "pairs", tuple(pairs))
 
     @property
     def size(self) -> int:
@@ -247,7 +259,7 @@ PAIR_OVERLAP_COEFF = 0.5     # half-space halving of boundary pairs
 
 @dataclass
 class Assembly:
-    """A state's frames, energy with its relative bar, pair table, weight
+    """A state's frames, energy with its relative bar, pair tables, weight
     imbalances and budgets; the gradient bundle joins it on first use."""
 
     # no back-reference to the configuration: the configuration holds its
@@ -259,16 +271,18 @@ class Assembly:
     gamma: float      # sum m_i alpha^{2n/(n-2)} K_i
     j_center: float
     rel_bar: float
-    # the pair table, one entry per ordered pair (i, j), built in one pass
-    # over the unordered pairs; diagonals are zero
+    # the pair tables, one entry per ordered pair (i, j); diagonals are zero
     eps_mat: np.ndarray       # interaction coefficients eps_ij (the configuration's)
     eps_sums: list            # each bubble's row sum of eps_mat, as np.sum sums the row
-    eps_dloglam: np.ndarray   # lam_i d eps_ij / d lam_i
+    eps_dloglam: np.ndarray   # lam_i d eps_ij / d lam_i (the configuration's)
     eps_da: np.ndarray        # (m, m, n+1): d eps_ij / d a_i; [j, i] = -[i, j]
     w_mat: np.ndarray     # pair overlap weights (1/2 when a boundary bubble is involved)
     hmut_mat: np.ndarray  # mutual regular-part terms H_ij / (mu_i mu_j)^{(n-2)/2}
     dist_mat: np.ndarray  # geodesic distances between the concentration points
     slop_mat: np.ndarray  # next-order interaction slop, shared by the energy and gradient bars
+    # (i, j, eps_ij, log(1/eps_ij), eps_ij^{n/(n-2)}) per pair with eps_ij > 0, in
+    # the order of ``Configuration.pairs``, for the budgets and the certificate
+    interacting: list
     vbar: float
     budgets: tuple        # (R1, R1_boundary)
     imbalances: np.ndarray  # 1 - alpha_i^{4/(n-2)} K_i A/Gamma per bubble
@@ -576,52 +590,50 @@ class ReducedModel:
             den += f.alpha**pw * self._t_value(f)
             gamma += f.mult * f.alpha**pw * f.k_val
 
-        # one pass over the unordered pairs: the pair table, the interaction
-        # cross terms (attraction channel) and each pair's slop, whose share
-        # of the relative error bar opens ``rel``
+        # one pass over the configuration's pairs: d eps_ij/d a_i = (n-2) lam_i
+        # lam_j (a_j - a_i) g^{-n/2}, the distance arccos(a_i.a_j), the cross
+        # terms (attraction channel) and each interacting pair's slop, whose
+        # share of the relative error bar opens ``rel``
         m = cfg.size
-        eps_dloglam = np.zeros((m, m))
         eps_da = np.zeros((m, m, n + 1))
         w_mat = np.zeros((m, m))
         hmut_mat = np.zeros((m, m))
         dist_mat = np.zeros((m, m))
         slop_mat = np.zeros((m, m))
+        interacting = []
         min_d = math.inf
         rel = 0.0
-        eps_rows = cfg.eps_mat.tolist()
-        for i in range(m):
-            fi, bi = frames[i], cfg.bubbles[i]
-            for j in range(i + 1, m):
-                fj, bj = frames[j], cfg.bubbles[j]
-                e = eps_rows[i][j]
-                eps_dloglam[i, j], eps_dloglam[j, i] = epsilon_dlambda(bi, bj)
-                eps_da[i, j] = epsilon_da(bi, bj)
-                eps_da[j, i] = -eps_da[i, j]
-                d = dist_mat[i, j] = dist_mat[j, i] = geodesic_distance(bi.a, bj.a)
-                min_d = min(min_d, d)
-                w = PAIR_OVERLAP_COEFF if fi.boundary or fj.boundary else 1.0
-                w_mat[i, j] = w_mat[j, i] = w
-                hm = hmut_mat[i, j] = hmut_mat[j, i] = self.mutual_h(fi, fj)
-                pair = self.c2 * w * (e + hm)
-                num += 2.0 * alphas[i] * alphas[j] * pair
-                den += pw * pair * (alphas[i] ** (pw - 1.0) * fi.k_val * alphas[j]
-                                    + alphas[j] ** (pw - 1.0) * fj.k_val * alphas[i])
-                if e <= 0.0:
-                    continue
-                slop = slop_mat[i, j] = slop_mat[j, i] = (
-                    6.0 * e ** (n / (n - 2.0)) * math.log(1.0 / e)
-                    + e * d * (fi.grad_norm + fj.grad_norm)
-                    + hm * e ** (1.0 / (n - 2.0)))
-                if fi.boundary != fj.boundary:
-                    # image correction of the interior member, seen by the energy only
-                    slop += e * (fj if fi.boundary else fi).image_distance ** (2 - n)
-                rel += INTERACTION_BAR_COEFF * alphas[i] * alphas[j] * self.c2 * slop / n_qty
+        for i, j, c, e, g_pow in cfg.pairs:
+            fi, fj = frames[i], frames[j]
+            bi, bj = fi.param, fj.param
+            eps_da[i, j] = (n - 2) * bi.lam * bj.lam * (bj.a.coords - bi.a.coords) * g_pow
+            eps_da[j, i] = -eps_da[i, j]
+            d = dist_mat[i, j] = dist_mat[j, i] = float(np.arccos(min(max(c, -1.0), 1.0)))
+            min_d = min(min_d, d)
+            w = PAIR_OVERLAP_COEFF if fi.boundary or fj.boundary else 1.0
+            w_mat[i, j] = w_mat[j, i] = w
+            hm = hmut_mat[i, j] = hmut_mat[j, i] = self.mutual_h(fi, fj)
+            pair = self.c2 * w * (e + hm)
+            num += 2.0 * alphas[i] * alphas[j] * pair
+            den += pw * pair * (alphas[i] ** (pw - 1.0) * fi.k_val * alphas[j]
+                                + alphas[j] ** (pw - 1.0) * fj.k_val * alphas[i])
+            if e <= 0.0:
+                continue
+            le, e_pow = math.log(1.0 / e), e ** (n / (n - 2.0))
+            interacting.append((i, j, e, le, e_pow))
+            slop = slop_mat[i, j] = slop_mat[j, i] = (
+                6.0 * e_pow * le + e * d * (fi.grad_norm + fj.grad_norm)
+                + hm * e ** (1.0 / (n - 2.0)))
+            if fi.boundary != fj.boundary:
+                # image correction of the interior member, seen by the energy only
+                slop += e * (fj if fi.boundary else fi).image_distance ** (2 - n)
+            rel += INTERACTION_BAR_COEFF * alphas[i] * alphas[j] * self.c2 * slop / n_qty
         if den < 0.0:
             # a float power of a negative base is complex, not NaN
             raise NonFiniteBar(f"energy denominator {den!r} is negative")
         j_center = num / den ** ((n - 2) / n)
 
-        vbar = self.vbar_budget(frames, cfg.eps_mat)
+        vbar = self.vbar_budget(frames, interacting)
 
         for f in frames:
             rel += f.alpha**pw * f.mult * self._cubic_remainder(f) / den
@@ -641,9 +653,10 @@ class ReducedModel:
         asm = Assembly(frames=frames, n_qty=n_qty, num=num,
                        den=den, gamma=gamma, j_center=float(j_center), rel_bar=float(rel),
                        eps_mat=cfg.eps_mat, eps_sums=cfg.eps_mat.sum(axis=1).tolist(),
-                       eps_dloglam=eps_dloglam, eps_da=eps_da, w_mat=w_mat,
-                       hmut_mat=hmut_mat, dist_mat=dist_mat, slop_mat=slop_mat, vbar=vbar,
-                       budgets=self.remainder_budgets(frames, cfg.eps_mat),
+                       eps_dloglam=cfg.eps_dloglam, eps_da=eps_da, w_mat=w_mat,
+                       hmut_mat=hmut_mat, dist_mat=dist_mat, slop_mat=slop_mat,
+                       interacting=interacting, vbar=vbar,
+                       budgets=self.remainder_budgets(frames, interacting),
                        imbalances=self.imbalances(frames, a_qty, gamma))
         cfg._memo[self] = asm
         return asm
@@ -675,12 +688,12 @@ class ReducedModel:
 
     # -- minimizer-residue budget ----------------------------------------------
 
-    def vbar_budget(self, frames: list, eps_mat: np.ndarray) -> float:
+    def vbar_budget(self, frames: list, interacting: list) -> float:
         """Norm budget for the orthogonal remainder of the representation.
 
         sum_i |grad K(a_i)|/lam_i + 1/lam_i^2, plus the dimension-split
         interaction terms and interior tail terms.  ``assemble`` evaluates it
-        from the frames and the configuration's eps and keeps it as ``vbar``.
+        from the frames and its interacting pairs and keeps it as ``vbar``.
         """
         n = self.n
         total = 0.0
@@ -693,18 +706,11 @@ class ReducedModel:
                     total += 1.0 / ld**3
                 else:
                     total += math.log(max(ld, math.e)) / ld ** ((n + 2) / 2.0)
-        m = len(frames)
-        eps_rows = eps_mat.tolist()
-        for i in range(m):
-            for j in range(i + 1, m):
-                e = eps_rows[i][j]
-                if e <= 0.0:
-                    continue
-                le = math.log(1.0 / e)
-                if n == 5:
-                    total += 2.0 * e * le ** (3.0 / 5.0)
-                else:
-                    total += 2.0 * e ** ((n + 2) / (2.0 * (n - 2))) * le ** ((n + 2) / (2.0 * n))
+        for _, _, e, le, _ in interacting:
+            if n == 5:
+                total += 2.0 * e * le ** (3.0 / 5.0)
+            else:
+                total += 2.0 * e ** ((n + 2) / (2.0 * (n - 2))) * le ** ((n + 2) / (2.0 * n))
         return total
 
     # -- movement calculus ------------------------------------------------------
@@ -817,14 +823,14 @@ class ReducedModel:
 
     # -- gradient components -----------------------------------------------------
 
-    def remainder_budgets(self, frames: list, eps_mat: np.ndarray) -> tuple:
+    def remainder_budgets(self, frames: list, interacting: list) -> tuple:
         """(R1, R1_boundary): the gradient remainder aggregates.
 
         R1 sums (|grad K|/lam)^{n/2} + (1/lam^2)^{(n+1)/3} over every profile,
         the log-weighted interaction powers over every pair, and the interior
         chart tails; the boundary variant restricts to boundary indices.
-        ``assemble`` evaluates the pair from the frames and the configuration's
-        eps and keeps it as ``budgets``.
+        ``assemble`` evaluates the pair from the frames and its interacting
+        pairs and keeps it as ``budgets``.
         """
         n = self.n
         r1 = r1b = 0.0
@@ -836,29 +842,22 @@ class ReducedModel:
                 r1b += own
             else:
                 r1 += 1.0 / f.lam_dist**n
-        m = len(frames)
-        eps_rows = eps_mat.tolist()
-        for i in range(m):
-            for j in range(i + 1, m):
-                e = eps_rows[i][j]
-                if e <= 0.0:
-                    continue
-                term = 2.0 * e ** (n / (n - 2.0)) * math.log(1.0 / e)
-                r1 += term
-                if frames[i].boundary and frames[j].boundary:
-                    r1b += term
+        for i, j, _, le, e_pow in interacting:
+            term = 2.0 * e_pow * le
+            r1 += term
+            if frames[i].boundary and frames[j].boundary:
+                r1b += term
         return float(r1), float(r1b)
 
     def gradient_components(self, cfg: Configuration, asm: Assembly | None = None) -> "GradientComponents":
         """Bundle of every pairing, built once per assembly and kept on it;
-        its arrays, and the assembly's eps_dloglam table, are read-only.
-        Each bubble's pairings come from one ``grad_a`` call."""
+        its arrays are read-only.  Each bubble's pairings come from one
+        ``grad_a`` call."""
         asm = asm or self.assemble(cfg)
         if asm.grads is not None:
             return asm.grads
         alpha_pairings, lam_pairings, a_pairings = zip(*(self.grad_a(asm, i)
                                                          for i in range(cfg.size)))
-        asm.eps_dloglam.flags.writeable = False
         for vec, _ in a_pairings:
             vec.flags.writeable = False
         asm.grads = GradientComponents(alpha_pairings=alpha_pairings, lam_pairings=lam_pairings,

@@ -72,7 +72,7 @@ def _suite_interaction(cfg) -> tuple:
     # exp of uniform(0, 6) is already a rate >= 1
     li, lj = np.exp(rng.uniform(0.0, 6.0, (2, count)))
     cos_d = np.einsum("ki,ki->k", u, v)
-    eps, di, dj = _interaction_terms(li, lj, 1.0 - cos_d, n)
+    eps, di, dj, _ = _interaction_terms(li, lj, 1.0 - cos_d, n)
     viol_sum = int(np.count_nonzero(-(di + dj) < -1e-12 * eps))
     d = np.arccos(np.clip(cos_d, -1, 1))
     viol_rate = int(np.count_nonzero((li * d >= 2.0) & (-di < 0.1 * eps)))

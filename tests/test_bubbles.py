@@ -166,10 +166,15 @@ class TestInteractionKernel:
         li = np.array([bi.lam for bi, _ in pairs])
         lj = np.array([bj.lam for _, bj in pairs])
         t = np.array([1.0 - float(np.dot(bi.a.coords, bj.a.coords)) for bi, bj in pairs])
-        eps, di, dj = _interaction_terms(li, lj, t, N)
+        eps, di, dj, g_pow = _interaction_terms(li, lj, t, N)
         assert np.array_equal(eps, [epsilon(bi, bj) for bi, bj in pairs])
         assert np.array_equal(np.stack([di, dj], axis=1),
                               [epsilon_dlambda(bi, bj) for bi, bj in pairs])
+        # the last term is the power epsilon_da takes
+        assert np.array_equal(
+            [(N - 2) * bi.lam * bj.lam * (bj.a.coords - bi.a.coords) * p
+             for (bi, bj), p in zip(pairs, g_pow)],
+            [epsilon_da(bi, bj) for bi, bj in pairs])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_verify_interaction_suite_passes(self, seed):

@@ -353,14 +353,16 @@ class TestExitCodes:
                 "beyond the float range") in capsys.readouterr().err
 
     @pytest.mark.parametrize("dimension", [120, 160])
-    @pytest.mark.parametrize("command", ["constants", "critical-points"])
+    @pytest.mark.parametrize("command", ["constants", "critical-points", "verify"])
     def test_constants_beyond_the_float_range(self, tmp_path, capsys, command, dimension):
         # NaN constants from n = 93 and an overflowing cp from n = 144 end in
-        # a domain error, not in NaN artifacts or a traceback
+        # a domain error, not in NaN artifacts or a traceback; verify refuses
+        # before any suite runs
         cfgp = write_config(tmp_path, extra={"dimension": dimension})
         assert main(["--config", str(cfgp), command]) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ToleranceNotMet: ") and "Traceback" not in err
+        assert "suite " not in out
         assert not (tmp_path / "out" / "constants.json").exists()
 
     def test_field_dimension_mismatch_names_both(self, tmp_path, capsys):
@@ -375,7 +377,8 @@ class TestExitCodes:
         cfgp = write_config(tmp_path, extra={"field": field})
         assert main(["--config", str(cfgp), "critical-points"]) == 0
 
-    @pytest.mark.parametrize("command", ["critical-points", "census", "existence", "flow"])
+    @pytest.mark.parametrize("command", ["critical-points", "census", "existence", "flow",
+                                         "verify"])
     def test_dimension_beyond_memory(self, tmp_path, capsys, command):
         # the field's (n+1)-sized arrays used to be allocated first, and the
         # refused allocation ended in a traceback; the constants refuse first
@@ -384,8 +387,9 @@ class TestExitCodes:
         state_path.write_text(json.dumps(_one_bubble()))
         extra = ["--state", str(state_path)] if command == "flow" else []
         assert main(["--config", str(cfgp), command, *extra]) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ToleranceNotMet: ") and "Traceback" not in err
+        assert "suite " not in out
         assert not (tmp_path / "out").exists()
 
     def test_old_configuration_keys_change_nothing(self, tmp_path):

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hemiflow.bubbles import BubbleParam, ChartedBubble, epsilon_da, greens_regular_part
+from hemiflow.bubbles import (BubbleParam, ChartedBubble, epsilon, epsilon_da, epsilon_dlambda,
+                              greens_regular_part)
 from hemiflow.census import entry_level, level_terms
 from hemiflow.errors import InvalidConfiguration, NonFiniteBar
 from hemiflow.fields import ScalarField
-from hemiflow.geometry import (BoundarySpherePoint, SpherePoint, geodesic_step,
-                               tangent_basis)
+from hemiflow.geometry import (BoundarySpherePoint, SpherePoint, geodesic_distance,
+                               geodesic_step, tangent_basis)
 from hemiflow.landscape import find_critical_points
 from hemiflow.model import SEP_DISTANCE, Assembly, BubbleFrame, Configuration, ReducedModel
 from hemiflow.oracles import quadrature_J_boundary, quadrature_J_interior
@@ -133,13 +134,6 @@ class TestConfiguration:
         moved = build(0.6 + 1e-9)
         assert moved.bubbles[1] != b.bubbles[1]
         assert moved != b
-
-    def test_mass(self, model_lin):
-        cfg = make_cfg(model_lin, [
-            BubbleParam(BoundarySpherePoint(E[0]), 50.0),
-            BubbleParam(SpherePoint(E[-1]), 70.0),
-        ], q=1)
-        assert cfg.mass == 3
 
 
 class TestNormalization:
@@ -362,34 +356,48 @@ class TestPointGradient:
         # the weight-imbalance term dominates and flips with the sign
         assert (vec_up[-1] - up) * (vec_dn[-1] - up) < 0
 
-    def test_pair_terms_evaluated_once_per_pair_per_assembly(self, model_lin, monkeypatch):
+    def test_pair_terms_evaluated_once_per_pair_per_configuration(self, model_lin, monkeypatch):
+        import hemiflow.bubbles as bubbles_mod
+        import hemiflow.flow as flow_mod
+        import hemiflow.geometry as geometry_mod
         import hemiflow.model as model_mod
-        cfg = make_cfg(model_lin, [
-            BubbleParam(BoundarySpherePoint(E[0]), 50.0),
-            BubbleParam(BoundarySpherePoint(E[1]), 60.0),
-            BubbleParam(SpherePoint(E[-1]), 70.0),
-        ], q=2)
-        calls = {"epsilon_dlambda": 0, "epsilon_da": 0}
+        from hemiflow.config import FlowParams
+        from hemiflow.flow import PseudogradientFlow
+        calls = {}
 
-        def counted(name):
-            fn = getattr(model_mod, name)
+        def count(module, name):
+            fn = getattr(module, name)
 
-            def wrapper(bi, bj):
-                calls[name] += 1
-                return fn(bi, bj)
-            return wrapper
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(model_mod, name, counted(name))
+        # the kernel at every binding, and the four one-pair routes
+        for module in (bubbles_mod, model_mod):
+            count(module, "_interaction_terms")
+        for name in ("epsilon", "epsilon_dlambda", "epsilon_da"):
+            count(bubbles_mod, name)
+        for module in (geometry_mod, flow_mod):
+            count(module, "geodesic_distance")
+        bubbles = [BubbleParam(BoundarySpherePoint(E[0]), 50.0),
+                   BubbleParam(BoundarySpherePoint(E[1]), 60.0),
+                   BubbleParam(SpherePoint(E[-1]), 70.0)]
+        for m in (1, 2, 3):
+            calls.clear()
+            cfg = make_cfg(model_lin, bubbles[:m], q=min(m, 2), normalize=False)
+            assert calls == ({"_interaction_terms": m * (m - 1) // 2} if m > 1 else {})
+        cfg = model_lin.normalize_alphas(cfg)
+        flow = PseudogradientFlow(model_lin, find_critical_points(model_lin.K, 8), FlowParams())
+        # the region label and the descent field are the flow's; the pairs are not
+        flow.pseudogradient(cfg)
+        calls.clear()
         asm = model_lin.assemble(cfg)
-        model_lin.gradient_components(cfg, asm)
-        pairs = cfg.size * (cfg.size - 1) // 2
-        assert calls == {"epsilon_dlambda": pairs, "epsilon_da": pairs}
-        # a second bundle, and per-bubble pairings outside it, read the stored table
         model_lin.gradient_components(cfg, asm)
         for i in range(cfg.size):
             model_lin.grad_a(asm, i)
-        assert calls == {"epsilon_dlambda": pairs, "epsilon_da": pairs}
+        flow.decrease_certificate(cfg)
+        assert calls == {}
 
     def test_point_gradient_table_is_antisymmetric(self, model_lin):
         cfg = make_cfg(model_lin, [
@@ -402,9 +410,41 @@ class TestPointGradient:
             assert np.array_equal(table[i, i], np.zeros(N + 1))
             for j in range(cfg.size):
                 if i != j:
-                    want = epsilon_da(cfg.bubbles[i], cfg.bubbles[j])
-                    assert np.allclose(table[i, j], want, rtol=1e-15, atol=0.0)
+                    assert np.array_equal(table[i, j],
+                                          epsilon_da(cfg.bubbles[i], cfg.bubbles[j]))
                     assert np.array_equal(table[j, i], -table[i, j])
+        # random 3-bubble states mixing boundary and interior bubbles: each
+        # unordered pair i < j carries the bits of the one-pair routes, in
+        # both of its entries
+        for n in range(5, 11):
+            model = ReducedModel(ScalarField(n, 1.0))
+            rng = np.random.default_rng(n)
+            checked = 0
+            while checked < 20:
+                q = int(rng.integers(0, 4))
+                pts = rng.standard_normal((3, n + 1))
+                pts[:, -1] = np.abs(pts[:, -1])
+                pts[:q, -1] = 0.0
+                pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+                bubbles = tuple(
+                    BubbleParam((BoundarySpherePoint if k < q else SpherePoint)(p),
+                                float(np.exp(rng.uniform(np.log(300.0), np.log(3000.0)))))
+                    for k, p in enumerate(pts))
+                try:
+                    cfg = Configuration((1.0, 1.0, 1.0), bubbles, q, 3 - q, 0.1)
+                except InvalidConfiguration:
+                    continue
+                asm = model.assemble(cfg)
+                for i, j in ((0, 1), (0, 2), (1, 2)):
+                    bi, bj = bubbles[i], bubbles[j]
+                    assert asm.eps_mat[i, j] == asm.eps_mat[j, i] == epsilon(bi, bj)
+                    assert (asm.eps_dloglam[i, j], asm.eps_dloglam[j, i]) == \
+                        epsilon_dlambda(bi, bj)
+                    assert np.array_equal(asm.eps_da[i, j], epsilon_da(bi, bj))
+                    assert np.array_equal(asm.eps_da[j, i], -asm.eps_da[i, j])
+                    assert asm.dist_mat[i, j] == asm.dist_mat[j, i] == \
+                        geodesic_distance(bi.a, bj.a)
+                checked += 1
 
     @staticmethod
     def _per_direction(model, cfg, i, asm):

@@ -1,13 +1,17 @@
 """The package holds only what runs: every module-level function and class
 in ``src/hemiflow``, and every method of its classes, is referenced
-somewhere else in the package or exported in ``hemiflow.__all__``; a
-method counts as referenced where a receiver that can be its class reads
+somewhere else in the package, exported in ``hemiflow.__all__`` or traced
+by the benchmark (``TRACED`` in ``bench/tracer.py``, read from its source);
+a method counts as referenced where a receiver that can be its class reads
 it (``method_references``), not wherever its bare name is read.  Code
 that only the tests call lives under ``tests/``.  Dunders, the console
 entry point ``cli.main`` and the independent routes in ``oracles.py`` are
-exempt, and so are the methods of ``KEPT_METHODS``, each for its reason."""
+exempt, and so are the methods of ``KEPT_METHODS``, each for its reason.
+Every traced path resolves in the package, so a name the benchmark stops
+tracing is checked like any other."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -15,19 +19,28 @@ import hemiflow
 
 SRC = Path(hemiflow.__file__).parent
 EXEMPT = {("cli", "main")}
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def traced_paths(tracer: Path = TRACER) -> set:
+    """``module.attribute path`` of every function the benchmark tracer
+    wraps, read off the ``TRACED`` literal without importing the tracer."""
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                             for t in node.targets] == ["TRACED"]:
+            return {f"{layer}.{path}" for layer, path in ast.literal_eval(node.value)}
+    raise AssertionError(f"no TRACED tuple in {tracer}")
+
+
+TRACED = traced_paths()
 
 # methods nothing in the package calls, kept on purpose
 KEPT_METHODS = {
-    "fields.ScalarField.chart_data":
-        "the benchmark tracer wraps it, and the tests use it as the chart-route oracle",
-    "model.ReducedModel.normalize_alphas": "the benchmark workloads call it",
     "model.ReducedModel.reduced_J": "exported API: the energy of a configuration",
     "fields.ScalarField.to_config": "exported API: the inverse of ``ScalarField.from_config``",
     "intervals.Bar.contains": "exported API of the error bars",
     "intervals.Bar.overlaps": "exported API of the error bars",
     "fields.ScalarField.boundary_gradient": "test oracle for the frames' trace gradient",
-    "fields.ScalarField.boundary_hessian":
-        "the benchmark tracer wraps it, and the tests use it as the trace-Hessian oracle",
     "fields.ScalarField.from_config":
         "exported API: a field specification, read against the configuration's field keys",
     "model.Configuration.from_json": "exported API: the inverse of ``Configuration.to_json``",
@@ -69,7 +82,8 @@ def unreferenced_definitions(src: Path = SRC) -> list:
             if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
                 continue
             name = node.name
-            if name.startswith("__") or (module, name) in EXEMPT or name in hemiflow.__all__:
+            if (name.startswith("__") or (module, name) in EXEMPT or name in hemiflow.__all__
+                    or f"{module}.{name}" in TRACED):
                 continue
             # a definition's references to itself (recursion) do not count
             if everywhere[name] - _references(node)[name] == 0:
@@ -240,7 +254,8 @@ def method_references(trees) -> Counter:
 
 def unreferenced_methods(src: Path = SRC) -> list:
     """``module.Class.method`` for every method that the package never reads
-    on a receiver that can be its class (``method_references``)."""
+    on a receiver that can be its class (``method_references``) and the
+    benchmark does not trace."""
     trees, _ = _definitions(src)
     refs = method_references(trees)
     unused = []
@@ -252,9 +267,22 @@ def unreferenced_methods(src: Path = SRC) -> list:
                 continue
             for node in cls.body:
                 if isinstance(node, FUNCTIONS) and not node.name.startswith("__"):
-                    if refs[f"{module}.{cls.name}.{node.name}"] == 0:
-                        unused.append(f"{module}.{cls.name}.{node.name}")
+                    key = f"{module}.{cls.name}.{node.name}"
+                    if refs[key] == 0 and key not in TRACED:
+                        unused.append(key)
     return unused
+
+
+def test_every_traced_path_resolves():
+    missing = []
+    for path in sorted(TRACED):
+        module, *attrs = path.split(".")
+        owner = importlib.import_module(f"hemiflow.{module}")
+        for attr in attrs:
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            missing.append(path)
+    assert missing == []
 
 
 def test_every_definition_is_used_or_exported():
