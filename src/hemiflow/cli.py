@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 domain error, 2 configuration error.
 
 Each subcommand imports the layers it runs when it runs, so a process loads
 only those: the census for census, existence and counting, the model and
-the flow for flow.  ``counting`` without ``--config`` loads no numpy.
+the flow for flow.  ``counting`` without ``--config``, ``constants`` and a
+configuration refused with exit code 2 load no numpy.
 """
 
 from __future__ import annotations

@@ -5,21 +5,50 @@ The configuration and the flow's state file are read by one walker
 the README lists them).  A document is refused at its first key that is
 unknown, missing, of the wrong JSON kind or out of range, naming its path;
 nothing is coerced.  ``seed`` is stamped into artifacts, but the landscape
-is an exact enumeration and does not depend on it.
+is an exact enumeration and does not depend on it.  The field's monomials
+are parsed here and ``ScalarField`` is imported only to build a field, so
+reading or refusing a configuration loads no numpy.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ConfigError
-from .fields import ScalarField, parse_monomial
+
+if TYPE_CHECKING:
+    from .fields import ScalarField
 
 SMALLNESS = 0.01  # budget of the flow constants' smallness ratios
+
+_MONOMIAL_RE = re.compile(r"^x(\d+)(?:\^(2)|\*x(\d+))?$")
+
+
+def parse_monomial(text: str, ambient_dim: int):
+    """Parse a monomial string over x1..x{n+1} of total degree <= 2.
+
+    Accepted forms: ``x3``, ``x3^2``, ``x1*x2`` (1-based variables).
+    Returns a tuple of 0-based variable indices of length 1 or 2.
+    """
+    m = _MONOMIAL_RE.match(text.replace(" ", ""))
+    if not m:
+        raise ConfigError(f"cannot parse monomial {text!r}")
+    i = int(m.group(1))
+    if m.group(2):
+        j = i
+    elif m.group(3):
+        j = int(m.group(3))
+    else:
+        j = None
+    for k in (i, j):
+        if k is not None and not (1 <= k <= ambient_dim):
+            raise ConfigError(f"variable x{k} out of range in {text!r}")
+    return (i - 1,) if j is None else (i - 1, j - 1)
 
 
 @dataclass(frozen=True)
@@ -165,6 +194,7 @@ def mass_limit(n: int) -> int:
 def read_field(spec, n: int | None = None) -> ScalarField:
     """A configuration's ``field`` section as a field; ``n``, if given, is
     the configuration's dimension, which the section may restate, not change."""
+    from .fields import ScalarField
     return ScalarField(*_field_args(spec, n))
 
 

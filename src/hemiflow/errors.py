@@ -54,4 +54,9 @@ class UnclassifiableState(DomainError):
 
 
 class StepFailure(DomainError):
-    """Flow integrator rejected too many consecutive steps."""
+    """Flow integrator rejected too many consecutive steps; ``trajectory``
+    holds the points it accepted before."""
+
+    def __init__(self, message: str, trajectory=None):
+        super().__init__(message)
+        self.trajectory = trajectory

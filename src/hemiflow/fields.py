@@ -22,40 +22,15 @@ Conventions
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import parse_monomial
 from .errors import ConfigError, NonPositiveField
 from .geometry import SpherePoint, tangent_basis
-
-_MONOMIAL_RE = re.compile(r"^x(\d+)(?:\^(2)|\*x(\d+))?$")
-
-
-def parse_monomial(text: str, ambient_dim: int):
-    """Parse a monomial string over x1..x{n+1} of total degree <= 2.
-
-    Accepted forms: ``x3``, ``x3^2``, ``x1*x2`` (1-based variables).
-    Returns a tuple of 0-based variable indices of length 1 or 2.
-    """
-    m = _MONOMIAL_RE.match(text.replace(" ", ""))
-    if not m:
-        raise ConfigError(f"cannot parse monomial {text!r}")
-    i = int(m.group(1))
-    if m.group(2):
-        j = i
-    elif m.group(3):
-        j = int(m.group(3))
-    else:
-        j = None
-    for k in (i, j):
-        if k is not None and not (1 <= k <= ambient_dim):
-            raise ConfigError(f"variable x{k} out of range in {text!r}")
-    return (i - 1,) if j is None else (i - 1, j - 1)
-
 
 @dataclass(frozen=True)
 class ScalarField:

@@ -163,7 +163,7 @@ class TrajectoryPoint:
 class Trajectory:
     points: list
     reason: str
-    detail: str = ""  # message of the exception behind a neighborhood_exit
+    detail: str = ""  # message of the exception behind a neighborhood_exit or a step_failure
 
     def csv_rows(self):
         rows = []
@@ -699,8 +699,8 @@ class PseudogradientFlow:
                 rejects += 1
                 dt *= 0.5
                 if rejects >= MAX_REJECTS:
-                    raise StepFailure(
-                        f"{rejects} consecutive rejected steps at t = {t}")
+                    message = f"{rejects} consecutive rejected steps at t = {t}"
+                    raise StepFailure(message, Trajectory(points, "step_failure", message))
             if new_cfg is None:
                 break
             t += dt_step

@@ -18,8 +18,26 @@ evaluated through each bubble's adapted half-space chart:
 with mu the chart rate, Kt the pullback of K in the bubble's own chart
 (evaluated at the chart center C), cpXn = cp * int_H x_n (1+|x|^2)^{-n} and
 cpI2h = cp * int_H |x|^2 (1+|x|^2)^{-n}.  Every value carries an error bar
-assembled from third-order Taylor remainders, dropped interactions, far
-tails and the minimizer-residue budget.
+summed from the terms of one bar ledger, each computed once per assembly
+and kept on the ``Assembly``.  The bars that read a term: E the energy's
+relative bar ``rel_bar``, G bubble i's rate bar (its point bar is G/lam_i),
+W its weight bar; ld = 2 mu C_n is an interior frame's image distance.
+
+    terms[i].cubic        the pullback's cubic Taylor remainder       E G
+    terms[i].chart_tail   ld^{-n}: the chart integral's far tail      E G
+    terms[i].image_error  ld^{1-n}: the image-charge correction error E G
+    terms[i].charge       ld^{2-n}: the image charge                  W G
+    terms[i].grad_tail    the gradient's interior tail                  G
+    pair_terms[k]         interacting pair k's slop, and its member's
+                          image correction e ld^{2-n} if it is mixed  E
+    pair_bars[i]          sum_j alpha_j c2 (slop_ij + 3 H_ij)           G
+    vbar, budgets         the residue budget, the remainder aggregates
+                          (E reads vbar^2, G both)                    E G
+    sep_factor            1 + SEP_DISTANCE/min_d for crowded points   E
+
+rel_bar sums the pair terms, the frame terms and vbar^2 in that order,
+times sep_factor.  The gradient tail is not the derivative of the energy's
+tail terms (``ReducedModel._frame_terms`` says by how much).
 
 Gradient components are the exact parameter derivatives of this expansion
 plus the pairing-only contributions the smooth formula cannot see: the
@@ -37,7 +55,7 @@ lives in the bubble's meridian plane, so no chart rotation or pullback
 call is made), with the sphere and trace gradients of K and the scaled
 boundary distance lam * d(a, dS+); ``assemble`` makes one pass over the
 configuration's pairs for the point derivatives, distances, cross terms
-and error-bar slop, keeping each interacting pair's log(1/eps) and
+and the ledger's pair terms, keeping each interacting pair's log(1/eps) and
 eps^{n/(n-2)} for the budgets and the flow's certificate, and computes the
 weight imbalances and budgets once.  The gradient pairings and the flow
 read what they need off the ``Assembly``.
@@ -71,6 +89,7 @@ denominator, whose float power would be complex.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -241,11 +260,6 @@ class BubbleFrame:
         """Energy multiplicity: interior profiles carry twice the mass."""
         return 1 if self.boundary else 2
 
-    @property
-    def image_distance(self) -> float:
-        """2 mu C_n, the scaled distance from the chart center to its mirror image."""
-        return 2.0 * self.rate * max(self.height, 1e-300)
-
 
 # ---------------------------------------------------------------------------
 # Bar constants and assembly
@@ -257,10 +271,15 @@ INTERACTION_BAR_COEFF = 4.0  # weight of the pair slop in the energy bar
 PAIR_OVERLAP_COEFF = 0.5     # half-space halving of boundary pairs
 
 
+# one frame's bar terms (module docstring); a boundary frame's ld terms are 0
+FrameTerms = namedtuple("FrameTerms", "cubic chart_tail image_error charge grad_tail")
+
+
 @dataclass
 class Assembly:
-    """A state's frames, energy with its relative bar, pair tables, weight
-    imbalances and budgets; the gradient bundle joins it on first use."""
+    """A state's frames, energy with its relative bar and bar ledger, pair
+    tables, weight imbalances and budgets; the gradient bundle joins it on
+    first use."""
 
     # no back-reference to the configuration: the configuration holds its
     # assembly, and a cycle would leave both to the cyclic collector
@@ -279,23 +298,24 @@ class Assembly:
     w_mat: np.ndarray     # pair overlap weights (1/2 when a boundary bubble is involved)
     hmut_mat: np.ndarray  # mutual regular-part terms H_ij / (mu_i mu_j)^{(n-2)/2}
     dist_mat: np.ndarray  # geodesic distances between the concentration points
-    slop_mat: np.ndarray  # next-order interaction slop, shared by the energy and gradient bars
     # (i, j, eps_ij, log(1/eps_ij), eps_ij^{n/(n-2)}) per pair with eps_ij > 0, in
     # the order of ``Configuration.pairs``, for the budgets and the certificate
     interacting: list
     vbar: float
     budgets: tuple        # (R1, R1_boundary)
     imbalances: np.ndarray  # 1 - alpha_i^{4/(n-2)} K_i A/Gamma per bubble
+    terms: list           # FrameTerms per frame
+    pair_terms: list      # (slop, image correction) per interacting pair
+    pair_bars: list       # per bubble, summed over j ascending
+    sep_factor: float
     grads: GradientComponents | None = None  # stored by gradient_components
+    j_bar: Bar = field(init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.j_center) and math.isfinite(self.rel_bar)):
             raise NonFiniteBar(
                 f"non-finite energy {self.j_center!r} with relative bar {self.rel_bar!r}")
-
-    @property
-    def j_bar(self) -> Bar:
-        return Bar(self.j_center, abs(self.j_center) * self.rel_bar)
+        self.j_bar = Bar(self.j_center, abs(self.j_center) * self.rel_bar)
 
 
 class ReducedModel:
@@ -317,7 +337,7 @@ class ReducedModel:
         # moment int_0^inf r^{n+2} (1+r^2)^-n dr is B((n+3)/2, (n-3)/2) / 2
         beta = math.gamma((n + 3) / 2.0) * math.gamma((n - 3) / 2.0) / math.gamma(n)
         self.cp_i3h = t.cp * 0.5 * sphere_area(n - 1) * 0.5 * beta
-        # one third-derivative bound for every chart of K (see _cubic_remainder)
+        # one third-derivative bound for every chart of K (see _frame_terms)
         lam_q = np.linalg.eigvalsh(K.quadratic)
         self.m3 = float(4.0 * np.linalg.norm(K.linear) + 12.0 * (lam_q[-1] - lam_q[0]))
         # what ``frames`` reads of K as floats, and the fixed rows of its
@@ -515,13 +535,14 @@ class ReducedModel:
                 + self.cp_i2h * f.kt_lap / (n * mu * mu)
                 + (2.0 * n / (n - 2)) * f.kt_val * self.c2 * f.h_self / mu ** (n - 2))
 
-    def _cubic_remainder(self, f: BubbleFrame) -> float:
-        """Cubic Taylor remainder of the pullback against the third moment.
+    def _frame_terms(self, f: BubbleFrame) -> FrameTerms:
+        """Frame f's bar terms.
 
-        Each chart pulls K back to Kt = kappa0 + c + b'.p + p.A.p with
-        p(y) = (1 - |y|^2, 2y)/(1 + |y|^2), b' = R^T b (R the chart rotation)
-        and, as |p| = 1, A = R^T Q R - cI; c = (lmax + lmin)/2 of Q gives
-        ||A|| = d/2 with d = lmax - lmin.
+        The cubic remainder bounds the pullback's Taylor remainder against
+        the third moment.  Each chart pulls K back to Kt = kappa0 + c + b'.p
+        + p.A.p with p(y) = (1 - |y|^2, 2y)/(1 + |y|^2), b' = R^T b (R the
+        chart rotation) and, as |p| = 1, A = R^T Q R - cI; c = (lmax + lmin)/2
+        of Q gives ||A|| = d/2 with d = lmax - lmin.
         On a line y + t u (|u| = 1) put w = y - (y.u) u, tau = t + y.u and
         h^2 = 1 + |w|^2: p = (2F - 1, 2(w + tau u) F) with F = 1/(tau^2 + h^2)
         and tau F + i h F = 1/(tau - i h), so for k >= 1
@@ -530,8 +551,25 @@ class ReducedModel:
         d^3/ds^3 Kt(C + s z) = b'.P_3 + 2 P_0.A P_3 + 6 P_1.A P_2 is at most
         (12 |b| + 36 d) |z|^3, so |Kt(C + z) - T_2(z)| <= 0.5 m3 |z|^3 with
         m3 = 4 |b| + 12 d, one number per field (``self.m3``).
+
+        The gradient tail is s_n Kt (n ld^{-n} + ld^{1-n}) + c2 Kt ld^{2-n}
+        / max(mu C_n, 1).  It is not the derivative of the energy's tail
+        s_n Kt ld^{-n} + c2 Kt ld^{1-n}: along lam d/dlam, dlog(ld)/dlog(lam)
+        = (lam^2 + 1)/(lam^2 - 1) >= 1, so that derivative is at least
+        n s_n Kt ld^{-n} + (n - 1) c2 Kt ld^{1-n} in size.  The tail has the
+        first term, but as mu C_n = ld/2 its others are at most (s_n + 2 c2)
+        Kt ld^{1-n}, and s_n/c2 is 0.092 at n = 5 and falls with n: short of
+        (n - 1) c2 Kt ld^{1-n} by a factor of about (n - 1)/2.  It is kept
+        until an independent two-profile energy can check a new tail.
         """
-        return REM3_COEFF * self.m3 * self.cp_i3h / f.rate**3
+        cubic = REM3_COEFF * self.m3 * self.cp_i3h / f.rate**3
+        if f.boundary:
+            return FrameTerms(cubic, 0.0, 0.0, 0.0, 0.0)
+        n, ld = self.n, 2.0 * f.rate * max(f.height, 1e-300)
+        chart_tail, image_error, charge = ld ** (-n), ld ** (1 - n), ld ** (2 - n)
+        grad_tail = (self.s_n * f.kt_val * (n * chart_tail + image_error)
+                     + self.c2 * f.kt_val * charge / max(f.rate * f.height, 1.0))
+        return FrameTerms(cubic, chart_tail, image_error, charge, grad_tail)
 
     def _regular_part(self, f: BubbleFrame, x: np.ndarray) -> float:
         """H(C, X) = |X - C*|^{2-n}, C* = -t e_n the mirror of f's chart
@@ -592,15 +630,15 @@ class ReducedModel:
 
         # one pass over the configuration's pairs: d eps_ij/d a_i = (n-2) lam_i
         # lam_j (a_j - a_i) g^{-n/2}, the distance arccos(a_i.a_j), the cross
-        # terms (attraction channel) and each interacting pair's slop, whose
-        # share of the relative error bar opens ``rel``
+        # terms (attraction channel) and each interacting pair's bar terms,
+        # whose share of the relative error bar opens ``rel``
         m = cfg.size
         eps_da = np.zeros((m, m, n + 1))
         w_mat = np.zeros((m, m))
         hmut_mat = np.zeros((m, m))
         dist_mat = np.zeros((m, m))
-        slop_mat = np.zeros((m, m))
-        interacting = []
+        terms = [self._frame_terms(f) for f in frames]
+        interacting, pair_terms, pair_bars = [], [], [0.0] * m
         min_d = math.inf
         rel = 0.0
         for i, j, c, e, g_pow in cfg.pairs:
@@ -621,13 +659,17 @@ class ReducedModel:
                 continue
             le, e_pow = math.log(1.0 / e), e ** (n / (n - 2.0))
             interacting.append((i, j, e, le, e_pow))
-            slop = slop_mat[i, j] = slop_mat[j, i] = (
-                6.0 * e_pow * le + e * d * (fi.grad_norm + fj.grad_norm)
-                + hm * e ** (1.0 / (n - 2.0)))
-            if fi.boundary != fj.boundary:
-                # image correction of the interior member, seen by the energy only
-                slop += e * (fj if fi.boundary else fi).image_distance ** (2 - n)
-            rel += INTERACTION_BAR_COEFF * alphas[i] * alphas[j] * self.c2 * slop / n_qty
+            slop = 6.0 * e_pow * le + e * d * (fi.grad_norm + fj.grad_norm) \
+                + hm * e ** (1.0 / (n - 2.0))
+            # the image correction of a mixed pair's interior member is the
+            # energy's alone; the gradient bars budget the mutual part's drift
+            image = (e * terms[j if fi.boundary else i].charge
+                     if fi.boundary != fj.boundary else 0.0)
+            pair_terms.append((slop, image))
+            rel += INTERACTION_BAR_COEFF * alphas[i] * alphas[j] * self.c2 * (slop + image) / n_qty
+            drift = slop + 3.0 * hm
+            pair_bars[i] += alphas[j] * self.c2 * drift
+            pair_bars[j] += alphas[i] * self.c2 * drift
         if den < 0.0:
             # a float power of a negative base is complex, not NaN
             raise NonFiniteBar(f"energy denominator {den!r} is negative")
@@ -635,29 +677,26 @@ class ReducedModel:
 
         vbar = self.vbar_budget(frames, interacting)
 
-        for f in frames:
-            rel += f.alpha**pw * f.mult * self._cubic_remainder(f) / den
-            if not f.boundary:
-                # far tail of the chart integral below the boundary, plus the
-                # next-order error of the image-charge correction itself
-                ld = f.image_distance
-                rel += f.alpha**pw * f.mult * f.kt_val * self.s_n * ld ** (-n) / den
-                rel += f.alpha**pw * f.mult * f.kt_val * self.c2 * ld ** (1 - n) / den
+        for f, t in zip(frames, terms):
+            w = f.alpha**pw * f.mult
+            rel += w * t.cubic / den
+            rel += w * f.kt_val * self.s_n * t.chart_tail / den
+            rel += w * f.kt_val * self.c2 * t.image_error / den
         # the residue bound is stated for the unit-norm representation, so its
         # square is already a relative correction
         rel += vbar**2
         # dropped-hypothesis penalty when points crowd below the separation scale
-        if min_d < SEP_DISTANCE:
-            rel *= 1.0 + SEP_DISTANCE / max(min_d, 1e-12)
+        sep_factor = 1.0 + SEP_DISTANCE / max(min_d, 1e-12) if min_d < SEP_DISTANCE else 1.0
 
-        asm = Assembly(frames=frames, n_qty=n_qty, num=num,
-                       den=den, gamma=gamma, j_center=float(j_center), rel_bar=float(rel),
+        asm = Assembly(frames=frames, n_qty=n_qty, num=num, den=den, gamma=gamma,
+                       j_center=float(j_center), rel_bar=float(rel * sep_factor),
                        eps_mat=cfg.eps_mat, eps_sums=cfg.eps_mat.sum(axis=1).tolist(),
                        eps_dloglam=cfg.eps_dloglam, eps_da=eps_da, w_mat=w_mat,
-                       hmut_mat=hmut_mat, dist_mat=dist_mat, slop_mat=slop_mat,
+                       hmut_mat=hmut_mat, dist_mat=dist_mat,
                        interacting=interacting, vbar=vbar,
                        budgets=self.remainder_budgets(frames, interacting),
-                       imbalances=self.imbalances(frames, a_qty, gamma))
+                       imbalances=self.imbalances(frames, a_qty, gamma), terms=terms,
+                       pair_terms=pair_terms, pair_bars=pair_bars, sep_factor=sep_factor)
         cfg._memo[self] = asm
         return asm
 
@@ -791,36 +830,6 @@ class ReducedModel:
             out.append(jc * (dnum / num - den_ratio * dden / den))
         return out
 
-    def _grad_bar_common(self, asm: Assembly, i: int, coupling: float) -> float:
-        """Shared error-bar aggregate for the rate/point gradients of bubble i.
-
-        Covers the cubic Taylor remainder, interior chart tails, the
-        next-order interaction corrections (the stored pair slop), the
-        remainder aggregates, and the coupling to the residue budget
-        (``coupling``, bubble i's residue coupling).
-        """
-        n = self.n
-        f = asm.frames[i]
-        mu = f.rate
-        pw = 2.0 * n / (n - 2)
-        bar = 2.0 * asm.j_center * f.alpha ** (pw - 1.0) / asm.den * self._cubic_remainder(f)
-        if not f.boundary:
-            ld = f.image_distance
-            tail = self.s_n * f.kt_val * (n * ld ** (-n) + ld ** (1 - n)) \
-                + self.c2 * f.kt_val * ld ** (2 - n) / max(mu * f.height, 1.0)
-            bar += 2.0 * asm.j_center * f.alpha ** (pw - 1.0) * tail / asm.den
-        slop = 0.0
-        eps, slops, hmut = (x[i].tolist() for x in (asm.eps_mat, asm.slop_mat, asm.hmut_mat))
-        for j, fj in enumerate(asm.frames):
-            if j != i and eps[j] > 0.0:
-                # positional drift of the mutual regular part is budgeted, not tracked
-                slop += fj.alpha * self.c2 * (slops[j] + 3.0 * hmut[j])
-        bar += 2.0 * asm.j_center / asm.n_qty * slop
-        bar += 2.0 * asm.j_center / asm.n_qty * self.s_n * asm.vbar * coupling
-        r1, r1b = asm.budgets
-        bar += 2.0 * asm.j_center / asm.n_qty * (r1b if f.boundary else r1)
-        return float(bar)
-
     # -- gradient components -----------------------------------------------------
 
     def remainder_budgets(self, frames: list, interacting: list) -> tuple:
@@ -878,7 +887,8 @@ class ReducedModel:
         plus the inward normal e_n of a boundary bubble: the vector is
         g - (a_i . g) a_i.  Bubble i's residue coupling
         |grad K|/lam + 1/lam^2 + sum_j eps_ij enters the weight and point
-        bars; it is computed once.
+        bars; it is computed once, and the bars read their other terms off
+        the assembly's bar ledger.
 
         The n+2 columns are built as float lists straight from the frame's
         covectors and the assembly's pair tables; a one-bubble state has no
@@ -896,8 +906,8 @@ class ReducedModel:
         dnum = 2.0 * alpha * w_i
         dden = (2.0 * n / (n - 2)) * alpha ** ((n + 2) / (n - 2)) * self._t_value(f)
         w_center = asm.j_center * (dnum / asm.num - (n - 2) / n * dden / asm.den)
-        bar_terms = coupling if f.boundary else coupling + f.image_distance ** (2 - n)
-        w_bar = 2.0 * asm.j_center * f.mult * self.s_n / asm.n_qty * bar_terms
+        terms = asm.terms[i]
+        w_bar = 2.0 * asm.j_center * f.mult * self.s_n / asm.n_qty * (coupling + terms.charge)
         weight = Bar(float(w_center), abs(w_bar))
 
         # column 0: the rate direction; columns 1..: the ambient axes
@@ -931,7 +941,13 @@ class ReducedModel:
         dJ = [x / alpha for x in self._pairing(asm, i, moves, deps, dh_mut)]
         g = np.array(dJ[1:])
         vec = g - (a @ g) * a
-        bar = abs(self._grad_bar_common(asm, i, coupling))
+
+        # the rate/point bar: its ledger terms, summed left to right
+        pre = 2.0 * asm.j_center * alpha ** (2.0 * n / (n - 2) - 1.0)
+        scale = 2.0 * asm.j_center / asm.n_qty
+        bar = abs(float(pre / asm.den * terms.cubic + pre * terms.grad_tail / asm.den
+                        + scale * asm.pair_bars[i] + scale * self.s_n * asm.vbar * coupling
+                        + scale * asm.budgets[1 if f.boundary else 0]))
         return weight, Bar(float(dJ[0]), bar), (vec, float(bar / lam))
 
 

@@ -623,6 +623,33 @@ print(json.dumps([code, "numpy" in sys.modules]))
     assert set(json.loads(out.read_text())) == {"A", "B"}
 
 
+@pytest.mark.parametrize("case", ["constants", "unknown_flow_key", "monomial_out_of_range"])
+def test_constants_and_refusals_load_no_numpy(tmp_path, case):
+    # constants needs no array, and a configuration is read and refused
+    # before any field is built
+    if case == "unknown_flow_key":
+        cfgp = write_config(tmp_path, extra={"flow": {"M9": 1.0}})
+    elif case == "monomial_out_of_range":
+        cfgp = write_config(tmp_path, field_terms=[{"monomial": "x9^2", "coeff": 0.01}])
+    else:
+        cfgp = write_config(tmp_path)
+    command = "constants" if case == "constants" else "critical-points"
+    code = f"""
+import json, sys
+from hemiflow.cli import main
+code = main(["--config", {str(cfgp)!r}, {command!r}])
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    code, numpy_loaded = json.loads(res.stdout.strip().splitlines()[-1])
+    assert code == (0 if case == "constants" else 2)
+    assert not numpy_loaded
+    if case != "constants":
+        assert res.stderr.startswith("configuration error: ")
+
+
 def test_every_exported_name_resolves():
     import hemiflow
     import hemiflow.config

@@ -1,11 +1,14 @@
-"""The column-wise float pairing against the array form it replaced.
+"""The column-wise float pairing and the bar ledger against the array form
+and the frozen bars they replaced.
 
 ``ReducedModel._pairing`` pairs each move in Python floats with the
 move-independent prefixes hoisted, and ``grad_a`` builds its columns from
 the frame covectors and the pair tables.  Both must reproduce the array
 form of ``tests/_pairing_reference.py`` bit for bit, the weight pairing
-must reproduce its closed form there, and so must the stored eps row sums
-that the residue coupling and the flow diagnostics read.
+must reproduce its closed form there, the energy's relative bar and the
+rate and point bars must reproduce the reference's own copies, and so must
+the stored eps row sums that the residue coupling and the flow diagnostics
+read.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ import numpy as np
 import pytest
 
 from _fixtures import boundary_point, interior_point, make_cfg, near
-from _pairing_reference import rate_and_point, residue_coupling, weight_pairing
+from _pairing_reference import (rate_and_point, rate_point_bar, rel_bar, residue_coupling,
+                                 weight_pairing)
 from hemiflow.bubbles import BubbleParam
 from hemiflow.errors import InvalidConfiguration
 from hemiflow.fields import ScalarField
 from hemiflow.flow import FlowParams, PseudogradientFlow
 from hemiflow.landscape import find_critical_points
-from hemiflow.model import GradientComponents, ReducedModel
+from hemiflow.model import SEP_DISTANCE, GradientComponents, ReducedModel
 
 STATES_PER_DIMENSION = 110
 
@@ -34,7 +38,8 @@ def random_field(n, rng) -> ScalarField:
 def state_stream(model, rng, count):
     """``count`` normalized states of 1-3 bubbles, every split into q
     boundary and p interior ones; a third of the later bubbles sit near the
-    first, so that some pairs interact strongly."""
+    first, some of them closer than the separation scale, so that some
+    pairs interact strongly."""
     n = model.n
     while count:
         m = int(rng.integers(1, 4))
@@ -43,7 +48,8 @@ def state_stream(model, rng, count):
         for k in range(m):
             boundary = k < q
             if k and rng.random() < 1.0 / 3.0 and (k < q) == (0 < q):
-                pts.append(near(pts[0].coords, rng, 0.05, within_equator=boundary))
+                radius = rng.choice((0.05, 0.1))
+                pts.append(near(pts[0].coords, rng, radius, within_equator=boundary))
             else:
                 pts.append(boundary_point(rng, n=n) if boundary else interior_point(rng, n=n))
         bubbles = [BubbleParam(pt, rng.uniform(40.0, 400.0)) for pt in pts]
@@ -55,15 +61,20 @@ def state_stream(model, rng, count):
         yield cfg
 
 
-@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
 def test_pairings_match_the_array_form_bit_for_bit(n):
     rng = np.random.default_rng(1900 + n)
     model = ReducedModel(random_field(n, rng))
     flow = PseudogradientFlow(model, find_critical_points(model.K), FlowParams.for_mass(3, n))
-    kinds = set()
+    kinds, pair_kinds = set(), set()
     for cfg in state_stream(model, rng, STATES_PER_DIMENSION):
         kinds.add((cfg.q, cfg.p))
         asm = model.assemble(cfg)
+        for i, j, *_ in asm.interacting:
+            pair_kinds.add((i < cfg.q) + (j < cfg.q))
+            if asm.dist_mat[i, j] < SEP_DISTANCE:
+                pair_kinds.add("crowded")
+        assert asm.rel_bar == rel_bar(model, cfg, asm)
         assert asm.eps_sums == [float(np.sum(row)) for row in asm.eps_mat]
         grads = model.gradient_components(cfg, asm)
         ref_alpha, ref_lam, ref_a = [], [], []
@@ -86,8 +97,10 @@ def test_pairings_match_the_array_form_bit_for_bit(n):
                                        lam_pairings=tuple(ref_lam), a_pairings=tuple(ref_a))
         ref_lhs = flow.decrease_certificate(cfg, vel)["lhs"]
         assert (lhs.center, lhs.halfwidth) == (ref_lhs.center, ref_lhs.halfwidth)
-    # boundary, interior and mixed states of every size
+    # boundary, interior and mixed states of every size, with interacting
+    # interior, mixed, boundary and crowded pairs
     assert kinds == {(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)}
+    assert pair_kinds == {0, 1, 2, "crowded"}
 
 
 def test_one_column_pairs_as_its_stacked_column():
@@ -108,13 +121,10 @@ def test_one_column_pairs_as_its_stacked_column():
                                       dh_mut[:, one].tolist()) == [stacked[c]]
 
 
-def test_stored_eps_row_sums_are_np_sum_of_each_row():
-    # up to three bubbles any order of the row sum gives the same bits; a
-    # larger state tells the summation orders apart
-    rng = np.random.default_rng(1898)
-    model = ReducedModel(random_field(5, rng))
-    checked = 0
-    while checked < 20:
+def large_states(model, rng, count):
+    """``count`` states of 4-7 bubbles crowded around one point and its
+    shadow on the equator."""
+    while count:
         m = int(rng.integers(4, 8))
         q = int(rng.integers(0, m + 1))
         up = interior_point(rng, min_height=0.5).coords
@@ -126,6 +136,28 @@ def test_stored_eps_row_sums_are_np_sum_of_each_row():
             cfg = make_cfg(model, [BubbleParam(pt, rng.uniform(100.0, 400.0)) for pt in pts], q=q)
         except InvalidConfiguration:
             continue
-        checked += 1
+        count -= 1
+        yield cfg
+
+
+def test_stored_eps_row_sums_are_np_sum_of_each_row():
+    # up to three bubbles any order of the row sum gives the same bits; a
+    # larger state tells the summation orders apart
+    rng = np.random.default_rng(1898)
+    model = ReducedModel(random_field(5, rng))
+    for cfg in large_states(model, rng, 20):
         asm = model.assemble(cfg)
         assert asm.eps_sums == [float(np.sum(row)) for row in asm.eps_mat]
+
+
+def test_bars_sum_their_terms_in_the_frozen_order():
+    # a bubble's pair sum has three or more terms only from four bubbles on
+    rng = np.random.default_rng(1897)
+    model = ReducedModel(random_field(5, rng))
+    for cfg in large_states(model, rng, 20):
+        asm = model.assemble(cfg)
+        assert asm.rel_bar == rel_bar(model, cfg, asm)
+        grads = model.gradient_components(cfg, asm)
+        for i, (rate, (_, point_bar)) in enumerate(zip(grads.lam_pairings, grads.a_pairings)):
+            bar = abs(rate_point_bar(model, asm, i, residue_coupling(asm, i)))
+            assert (rate.halfwidth, point_bar) == (bar, bar / cfg.bubbles[i].lam)

@@ -333,14 +333,28 @@ class TestTrajectories:
         model, records, flow = lin_setup
 
         class Ascending(PseudogradientFlow):
+            descents = 0   # steps taken along the descent field before it turns
+
             def pseudogradient(self, cfg, label=None, asm=None, depth=0):
                 vel = super().pseudogradient(cfg, label, asm, depth)
+                if depth == 0 and self.descents > 0:
+                    self.descents -= 1
+                    return vel
                 return vel.scaled(-1.0)
 
         bad = Ascending(model, records, FlowParams())
         cfg = make_cfg(model, [BubbleParam(BoundarySpherePoint(E[0]), 80.0)], q=1)
         with pytest.raises(StepFailure):
             bad.integrate(cfg, 1.0)
+        # after three descending steps the failure keeps the accepted points
+        bad.descents = 3
+        with pytest.raises(StepFailure) as failure:
+            bad.integrate(cfg, 1.0)
+        assert str(failure.value).startswith("10 consecutive rejected steps at t = ")
+        points = failure.value.trajectory.points
+        assert len(points) == 4 and points[0].cfg is cfg and points[0].t == 0.0
+        assert all(a.t < b.t for a, b in zip(points, points[1:]))
+        assert failure.value.trajectory.detail == str(failure.value)
 
 
 class TestCertificates:

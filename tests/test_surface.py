@@ -274,15 +274,21 @@ def unreferenced_methods(src: Path = SRC) -> list:
 
 
 def test_every_traced_path_resolves():
-    missing = []
+    # the tracer takes a method from its class's own namespace and a
+    # function from its module, so each path names a function defined
+    # there under that name, not an inherited or re-exported one
+    wrong = []
     for path in sorted(TRACED):
         module, *attrs = path.split(".")
         owner = importlib.import_module(f"hemiflow.{module}")
-        for attr in attrs:
+        for attr in attrs[:-1]:
             owner = getattr(owner, attr, None)
-        if owner is None:
-            missing.append(path)
-    assert missing == []
+        raw = vars(owner).get(attrs[-1]) if owner is not None else None
+        fn = getattr(raw, "__func__", raw)   # a staticmethod's function
+        if not (callable(fn) and fn.__module__ == f"hemiflow.{module}"
+                and fn.__qualname__ == ".".join(attrs)):
+            wrong.append(path)
+    assert wrong == []
 
 
 def test_every_definition_is_used_or_exported():
