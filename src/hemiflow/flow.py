@@ -621,26 +621,40 @@ class PseudogradientFlow:
     def decrease_certificate(self, cfg: Configuration, velocity: Velocity | None = None) -> dict:
         """-dJ along the velocity (``lhs``, the pairings summed with their
         bars) against C_FIT times the decrease aggregate, which reads each
-        bubble's scale mu_i off the state's region label."""
+        bubble's scale mu_i off the state's region label.
+
+        The pairings come from the assembly's gradient bundle when a caller
+        has built it (``ReducedModel.gradient_components``): the point
+        pairing is then the bundle's point vector . move.  Otherwise each
+        bubble's pairings come from ``ReducedModel.pairings_along``, which
+        pairs the rate direction and the move itself, two columns instead
+        of the bundle's n + 2, and no bundle is built.  The two routes give
+        the same weight and rate terms and the same halfwidth bit for bit;
+        the point pairings agree to rounding."""
         asm = self.model.assemble(cfg)
         label = self.classify_region(cfg, asm)
         vel = velocity if velocity is not None else self.pseudogradient(cfg, label, asm)
-        grads = self.model.gradient_components(cfg, asm)
+        grads = asm.grads
         n = self.n
         # centers and halfwidths summed as floats, in the order of a chain of
         # Bar sums; a NaN or inf term survives to the one Bar built at the end
         center = halfwidth = 0.0
         alpha_dot, loglam_dot = vel.alpha_dot.tolist(), vel.loglam_dot.tolist()
         for i in range(cfg.size):
-            w = -alpha_dot[i]
-            center += grads.alpha_pairings[i].center * w
-            halfwidth += abs(w) * grads.alpha_pairings[i].halfwidth
-            w = -loglam_dot[i] * cfg.alphas[i]
-            center += grads.lam_pairings[i].center * w
-            halfwidth += abs(w) * grads.lam_pairings[i].halfwidth
-            gv, gbar = grads.a_pairings[i]
             move = cfg.bubbles[i].lam * vel.a_dot[i]
-            center += -float(gv @ move) * cfg.alphas[i]
+            if grads is None:
+                weight, rate, (point, gbar) = self.model.pairings_along(asm, i, move)
+            else:
+                weight, rate = grads.alpha_pairings[i], grads.lam_pairings[i]
+                gv, gbar = grads.a_pairings[i]
+                point = float(gv @ move)
+            w = -alpha_dot[i]
+            center += weight.center * w
+            halfwidth += abs(w) * weight.halfwidth
+            w = -loglam_dot[i] * cfg.alphas[i]
+            center += rate.center * w
+            halfwidth += abs(w) * rate.halfwidth
+            center += -point * cfg.alphas[i]
             # np.linalg.norm of a vector is the square root of its dot product
             halfwidth += gbar * math.sqrt(float(move @ move)) * cfg.alphas[i]
         lhs = Bar(center, halfwidth)

@@ -59,15 +59,24 @@ and the ledger's pair terms, keeping each interacting pair's log(1/eps) and
 eps^{n/(n-2)} for the budgets and the flow's certificate, and computes the
 weight imbalances and budgets once.  The gradient pairings and the flow
 read what they need off the ``Assembly``.
-``gradient_components`` is the one gradient path: it asks ``grad_a`` for
-each bubble's weight, rate and point pairings and keeps the bundle on the
-``Assembly``.  The bar constants are module constants.
+The gradients take one of two routes.  ``gradient_components`` asks
+``grad_a`` for each bubble's weight, rate and point pairings and keeps the
+bundle on the ``Assembly``; a caller that needs the gradient itself builds
+it.  ``pairings_along`` gives a bubble's weight and rate pairings and its
+pairing along one move of its point, with no bundle: the flow's decrease
+certificate takes this route unless the bundle is already there.  Both
+read the weight pairing and the rate/point bar from one routine
+(``_bars``) and build their pairing columns with another, so the weight
+and rate pairings and the bars are the same bits on both, and the pairing
+along a move is the bundle's point vector . move to rounding.  The bar
+constants are module constants.
 
 A bubble's point pairing needs no tangent basis: the pairing is linear in
 the move, so one call pairs the rate direction and the n+1 ambient axes,
 whose chart shifts are the frame's four move covectors, and the orthogonal
 projector onto the admissible moves, g - (a.g) a, turns the ambient
-covector g into the tangent vector.
+covector g into the tangent vector.  Along one move x the projector moves
+onto x, as (g - (a.g) a).x = g.(x - (a.x) a), and one column pairs it.
 
 Per-bubble scalars are Python floats: with m <= 3 bubbles, numpy's call
 overhead on (m, n+1) arrays cost more than the arithmetic.  numpy stays
@@ -885,18 +894,46 @@ class ReducedModel:
         the admissible moves.  For an interior bubble these span a_i^perp,
         the sphere's tangent space, and so do the equator-tangential moves
         plus the inward normal e_n of a boundary bubble: the vector is
-        g - (a_i . g) a_i.  Bubble i's residue coupling
-        |grad K|/lam + 1/lam^2 + sum_j eps_ij enters the weight and point
-        bars; it is computed once, and the bars read their other terms off
-        the assembly's bar ledger.
-
-        The n+2 columns are built as float lists straight from the frame's
-        covectors and the assembly's pair tables; a one-bubble state has no
-        pair shifts.
+        g - (a_i . g) a_i.
         """
-        n = self.n
         f = asm.frames[i]
         a = f.param.a.coords
+        weight, bar = self._bars(asm, i)
+        dJ = self._rate_and_point_pairings(
+            asm, i, [x.tolist() for x in (f.move_g, f.move_w, f.move_v, f.move_l)],
+            asm.eps_da[i].tolist())
+        g = np.array(dJ[1:])
+        vec = g - (a @ g) * a
+        return weight, Bar(float(dJ[0]), bar), (vec, float(bar / f.param.lam))
+
+    def pairings_along(self, asm: Assembly, i: int, move: np.ndarray) -> tuple:
+        """Bubble i's pairings along a move of its point: (weight pairing,
+        rate pairing, (pairing along ``move``, point bar)).
+
+        ``grad_a``'s pairings without its point vector: the point column is
+        the move itself, x = move - (a_i . move) a_i, the component tangent
+        at a_i that the point vector keeps, contracted into the frame's four
+        move covectors and the eps_da rows.  As the pairing is linear in the
+        move, the third entry is grad_a's point vector . move, one pairing
+        column instead of n+1; the two agree to rounding, and the weight and
+        rate pairings and the bars are grad_a's bit for bit.
+        """
+        f = asm.frames[i]
+        a = f.param.a.coords
+        x = move - float(a.dot(move)) * a
+        weight, bar = self._bars(asm, i)
+        shifts = np.array((f.move_g, f.move_w, f.move_v, f.move_l)).dot(x).tolist()
+        rate, point = self._rate_and_point_pairings(
+            asm, i, [[c] for c in shifts], [[e] for e in asm.eps_da[i].dot(x).tolist()])
+        return weight, Bar(rate, bar), (point, bar / f.param.lam)
+
+    def _bars(self, asm: Assembly, i: int) -> tuple:
+        """(weight pairing, rate bar) of bubble i; its point bar is the rate
+        bar over lam_i.  The residue coupling |grad K|/lam + 1/lam^2 +
+        sum_j eps_ij enters the weight and point bars; it is computed once,
+        and the bars read their other terms off the assembly's bar ledger."""
+        n = self.n
+        f = asm.frames[i]
         lam = f.param.lam
         alpha = f.alpha
         coupling = f.grad_norm / lam + 1.0 / lam**2 + asm.eps_sums[i]
@@ -910,13 +947,31 @@ class ReducedModel:
         w_bar = 2.0 * asm.j_center * f.mult * self.s_n / asm.n_qty * (coupling + terms.charge)
         weight = Bar(float(w_center), abs(w_bar))
 
-        # column 0: the rate direction; columns 1..: the ambient axes
-        # e_0..e_n; rows as the pairing reads them
+        # the rate/point bar: its ledger terms, summed left to right
+        pre = 2.0 * asm.j_center * alpha ** (2.0 * n / (n - 2) - 1.0)
+        scale = 2.0 * asm.j_center / asm.n_qty
+        bar = abs(float(pre / asm.den * terms.cubic + pre * terms.grad_tail / asm.den
+                        + scale * asm.pair_bars[i] + scale * self.s_n * asm.vbar * coupling
+                        + scale * asm.budgets[1 if f.boundary else 0]))
+        return weight, bar
+
+    def _rate_and_point_pairings(self, asm: Assembly, i: int, covectors, eps_rows) -> list:
+        """dJ/alpha_i along lam_i d/dlam_i, then along each point move of
+        bubble i per unit of (1/lam_i) d/da_i.  ``covectors`` holds the
+        frame's move_g, move_w, move_v and move_l, and ``eps_rows[j]`` the
+        row d eps_ij/d a_i, each as a list with one entry per point move
+        (the covector contracted with the move); j runs over every bubble,
+        its own zero row included.  The columns are built as float lists
+        straight from them and the assembly's pair tables; a one-bubble
+        state has no pair shifts.
+        """
+        n = self.n
+        f = asm.frames[i]
+        lam = f.param.lam
         s = f.dh_dloglam
         g_n, h_nn = f.g_n, f.h_nn
-        move_g, move_w, move_v, move_l = (
-            x.tolist() for x in (f.move_g, f.move_w, f.move_v, f.move_l))
-        zeros = [0.0] * (n + 1)   # 0/lam
+        move_g, move_w, move_v, move_l = covectors
+        zeros = [0.0] * len(move_g)   # 0/lam
         if f.boundary:
             # tangential moves keep the center on the chart boundary; the
             # vertical displacement is handled by the domain-variation term
@@ -926,29 +981,20 @@ class ReducedModel:
             rows = ([(x + g_n * v) / lam for x, v in zip(move_g, move_v)],
                     [(x + h_nn * v) / lam for x, v in zip(move_w, move_v)],
                     [x / lam for x in move_v], [x / lam for x in move_l], zeros)
+        # column 0: the rate direction; then the point moves; rows as the
+        # pairing reads them
         moves = [[c0] + row for c0, row in zip((g_n * s, h_nn * s, s, f.dl_dloglam, 0.0), rows)]
         # each other bubble's shifts along the same columns
         eps_dloglam = asm.eps_dloglam[i].tolist()
-        eps_da = asm.eps_da[i].tolist()
         hmut = asm.hmut_mat[i].tolist()
         deps, dh_mut = [], []
-        for j in range(len(asm.frames)):
+        for j, row in enumerate(eps_rows):
             if j == i:
                 continue
-            deps.append([eps_dloglam[j]] + [x / lam for x in eps_da[j]])
+            deps.append([eps_dloglam[j]] + [x / lam for x in row])
             rate_mut = 0.0 if f.boundary else -(n - 2) / 2.0 * hmut[j] * f.dl_dloglam
             dh_mut.append([rate_mut] + zeros)
-        dJ = [x / alpha for x in self._pairing(asm, i, moves, deps, dh_mut)]
-        g = np.array(dJ[1:])
-        vec = g - (a @ g) * a
-
-        # the rate/point bar: its ledger terms, summed left to right
-        pre = 2.0 * asm.j_center * alpha ** (2.0 * n / (n - 2) - 1.0)
-        scale = 2.0 * asm.j_center / asm.n_qty
-        bar = abs(float(pre / asm.den * terms.cubic + pre * terms.grad_tail / asm.den
-                        + scale * asm.pair_bars[i] + scale * self.s_n * asm.vbar * coupling
-                        + scale * asm.budgets[1 if f.boundary else 0]))
-        return weight, Bar(float(dJ[0]), bar), (vec, float(bar / lam))
+        return [x / f.alpha for x in self._pairing(asm, i, moves, deps, dh_mut)]
 
 
 @dataclass(frozen=True)

@@ -549,13 +549,20 @@ def test_readme_lists_every_key():
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         cfgp = write_config(tmp_path)
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps({
+            "q": 1, "p": 0, "eps": 0.1,
+            "bubbles": [{"alpha": 0.05, "point": [1, 0, 0, 0, 0, 0], "lambda": 80.0}]}))
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         for out in (out_a, out_b):
             assert main(["--config", str(cfgp), "--output-dir", str(out), "census"]) == 0
             assert main(["--config", str(cfgp), "--output-dir", str(out), "critical-points"]) == 0
-        assert (out_a / "census.json").read_bytes() == (out_b / "census.json").read_bytes()
-        assert (out_a / "landscape.json").read_bytes() == (out_b / "landscape.json").read_bytes()
+            assert main(["--config", str(cfgp), "--output-dir", str(out), "flow",
+                         "--state", str(state_path), "--t-max", "5", "--certificates"]) == 0
+        for name in ("census.json", "landscape.json", "trajectory.csv", "trajectory_meta.json",
+                     "certificates.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_console_entry_point(self):
         res = subprocess.run([sys.executable, "-m", "hemiflow.cli", "counting",

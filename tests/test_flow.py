@@ -729,6 +729,35 @@ class TestOneFieldPerState:
         assert calls == list(range(cfg.size))
         assert asm.grads is grads
 
+    @pytest.mark.parametrize("which", ["two_interior", "cluster"])
+    def test_certificate_alone_pairs_each_bubble_along_its_move(self, lin_setup, bmax_setup,
+                                                                which, monkeypatch):
+        if which == "two_interior":
+            model, records, flow = lin_setup
+            cfg = _v4_two_interior(model)
+        else:
+            model, records, flow = bmax_setup
+            cfg = sample_cluster(model, E[0], np.random.default_rng(5), count=2)
+        calls = []
+
+        def refused(name):
+            def wrapper(self, *args):
+                calls.append(name)
+            return wrapper
+
+        pairing = ReducedModel._pairing
+
+        def columns(self, asm, i, moves, deps, dh_mut):
+            calls.append((i, len(moves[0])))
+            return pairing(self, asm, i, moves, deps, dh_mut)
+
+        for name in ("gradient_components", "grad_a"):
+            monkeypatch.setattr(ReducedModel, name, refused(name))
+        monkeypatch.setattr(ReducedModel, "_pairing", columns)
+        flow.decrease_certificate(cfg)
+        assert calls == [(i, 2) for i in range(cfg.size)]
+        assert model.assemble(cfg).grads is None
+
     @pytest.mark.parametrize("region", ["V1", "V3_3", "V4"])
     def test_shared_results_equal_a_fresh_evaluation(self, lin_setup, bmax_setup, region):
         if region == "V1":
@@ -1018,6 +1047,30 @@ class TestFloatsMatchTheArrayForm:
         assert vel.a_dot[1].tobytes() == np.zeros(3).tobytes()
 
 
+class TestCertificateRoutes:
+    """The certificate reads the gradient bundle when a caller built it and
+    pairs each bubble along its own move otherwise; the routes agree."""
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_bundle_and_move_pairings_agree(self, n):
+        seen = set()
+        for kind, flow, cfg in _float_oracle_states(n, 4, seed=3200 + n):
+            alone, with_bundle = cfg.replace(), cfg.replace()
+            got = flow.decrease_certificate(alone)
+            assert flow.model.assemble(alone).grads is None
+            flow.model.gradient_components(with_bundle)
+            want = flow.decrease_certificate(with_bundle)
+            assert got["lhs"].halfwidth == want["lhs"].halfwidth, kind
+            assert got["aggregate"] == want["aggregate"], kind
+            assert got["satisfied"] == want["satisfied"], kind
+            assert abs(got["lhs"].center - want["lhs"].center) \
+                <= 1e-13 * abs(want["lhs"].center), kind
+            seen.add((cfg.size, cfg.q > 0, cfg.p > 0))
+        # one to three bubbles: boundary, interior and mixed states
+        assert {size for size, _, _ in seen} == {1, 2, 3}
+        assert {(b, i) for _, b, i in seen} == {(True, False), (False, True), (True, True)}
+
+
 class TestFloatsAtTheSource:
     """The weights, the assembly's energy parts, the pairings and the
     certificate sums are Python floats, not numpy scalars, whose arithmetic
@@ -1057,8 +1110,15 @@ class TestFloatsAtTheSource:
         for cfg in self._states(model):
             asm = model.assemble(cfg)
             assert type(asm.num) is float and type(asm.den) is float
+            # a certificate alone pairs two columns per bubble and the
+            # bundle n + 2; a certificate on the bundle pairs nothing more
+            del centres[:]
             cert = flow.decrease_certificate(cfg)
             for x in (cert["lhs"].center, cert["lhs"].halfwidth, cert["aggregate"],
                       cert["rhs_lower_bound"]):
                 assert type(x) is float
-        assert len(centres) == 7 * (N + 2) and all(type(c) is float for c in centres)
+            assert len(centres) == 2 * cfg.size
+            model.gradient_components(cfg, asm)
+            flow.decrease_certificate(cfg)
+            assert len(centres) == (2 + N + 2) * cfg.size
+            assert all(type(c) is float for c in centres)
