@@ -19,6 +19,7 @@ part of the half-space Green function with Neumann boundary condition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,9 @@ class BubbleParam:
     lam: float
 
     def __post_init__(self):
-        if self.lam < 1.0:
-            raise InvalidConfiguration(f"concentration rate {self.lam} must be >= 1")
+        # written so that NaN fails it too
+        if not 1.0 <= self.lam < math.inf:
+            raise InvalidConfiguration(f"concentration rate {self.lam} must be finite and >= 1")
 
     @property
     def n(self) -> int:

@@ -559,10 +559,11 @@ class PseudogradientFlow:
                     # the sub-flow's W part grows rates; here only the
                     # shrinking part applies
                     vel.loglam_dot[gi] += min(sub_rates[si] / params.M2**2, 0.0)
-            except (ConfigError, InvalidConfiguration, UnclassifiableState,
-                    OutsideNeighborhood):
-                # an inadmissible sub-problem forfeits its extra descent
-                # content; the ranked components above still apply
+            except (ConfigError, UnclassifiableState, OutsideNeighborhood):
+                # an unclassifiable sub-problem forfeits its extra descent
+                # content; the ranked components above still apply.  The
+                # sub-configuration shares its parent's checks, so it cannot
+                # raise InvalidConfiguration
                 pass
         return vel
 
@@ -571,13 +572,11 @@ class PseudogradientFlow:
 
     def _restrict(self, cfg: Configuration, asm, indices):
         """(sub-configuration on the sorted ``indices``, map back to ``cfg``'s
-        indices, its assembly).  The assembly is built from the parent's
-        frames and kept on the sub-configuration.  Raises
-        InvalidConfiguration when the sub-state leaves the neighborhood."""
-        q_sub = sum(1 for i in indices if i < cfg.q)
-        sub = Configuration(tuple(cfg.alphas[i] for i in indices),
-                            tuple(cfg.bubbles[i] for i in indices),
-                            q_sub, len(indices) - q_sub, cfg.eps_scale)
+        indices, its assembly).  The sub-configuration shares the parent's
+        checks and pair tables (``Configuration._restricted``), so it is
+        admissible; the assembly is built from the parent's frames and kept
+        on the sub-configuration."""
+        sub = cfg._restricted(indices)
         sub_asm = self.model.assemble_frames(sub, [asm.frames[i] for i in indices])
         return sub, list(indices), sub_asm
 

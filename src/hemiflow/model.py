@@ -48,8 +48,10 @@ these derivatives coincide with the classical first-order gradient
 expansions in the rate, point and weight directions; the test suite checks
 both routes against honest quadrature.
 
-Each state is evaluated once.  The configuration's admissibility check
-evaluates each unordered pair once (``Configuration``); ``frames`` builds
+Each state is evaluated once.  The admissibility check evaluates each
+unordered pair once per tuple of bubbles: a weight-only change
+(``Configuration.replace``, as ``normalize_alphas`` makes) and the flow's
+tower restriction share the pair table (``Configuration``); ``frames`` builds
 every bubble's chart data in closed ambient form (every chart quantity
 lives in the bubble's meridian plane, so no chart rotation or pullback
 call is made), with the sphere and trace gradients of K and the scaled
@@ -116,6 +118,20 @@ from .intervals import Bar
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _checked_weights(alphas, size: int) -> tuple:
+    """The weights as a tuple of Python floats, whatever the caller passes
+    (numpy scalars from a velocity or an array), so every reader computes in
+    floats; refuses a count other than ``size`` and a weight that is not
+    positive and finite (a NaN passes a plain a <= 0 test)."""
+    if len(alphas) != size:
+        raise InvalidConfiguration("alphas/bubbles length mismatch")
+    alphas = tuple(map(float, alphas))
+    for i, a in enumerate(alphas):
+        if not 0.0 < a < math.inf:
+            raise InvalidConfiguration(f"weights must be positive and finite: bubble {i} has {a}")
+    return alphas
+
+
 @dataclass(frozen=True)
 class Configuration:
     """q boundary + p interior weighted bubbles inside V(q+2p, q, p, eps).
@@ -124,6 +140,10 @@ class Configuration:
     c = a_i.a_j and one ``bubbles._interaction_terms`` call give the
     read-only tables ``eps_mat`` and ``eps_dloglam`` (lam_i d eps_ij/d lam_i
     at [i, j]) and ``pairs``, (i, j, c, eps_ij, g^{-n/2}) in row order.
+    The slot conditions and these tables read only the points and the
+    rates, so they are built once per tuple of bubbles: ``replace`` with
+    the bubbles unchanged checks only the new weights and shares the
+    tables, and ``_restricted`` cuts a sub-tuple's tables out of them.
 
     ``_memo`` holds what each evaluator computed for this configuration: its
     ``Assembly`` per ``ReducedModel`` (see ``ReducedModel.assemble``) and its
@@ -147,13 +167,9 @@ class Configuration:
             raise InvalidConfiguration("need q, p >= 0 with q + p >= 1")
         if not self.eps_scale > 0:
             raise InvalidConfiguration(f"neighborhood scale eps = {self.eps_scale} must be positive")
-        if len(self.alphas) != self.q + self.p or len(self.bubbles) != self.q + self.p:
+        if len(self.bubbles) != self.q + self.p:
             raise InvalidConfiguration("alphas/bubbles length mismatch")
-        # the weights are Python floats whatever the caller passes (numpy
-        # scalars from a velocity or an array), so every reader computes in floats
-        object.__setattr__(self, "alphas", tuple(map(float, self.alphas)))
-        if any(a <= 0 for a in self.alphas):
-            raise InvalidConfiguration("weights must be positive")
+        object.__setattr__(self, "alphas", _checked_weights(self.alphas, self.q + self.p))
         inv_eps = 1.0 / self.eps_scale
         for i, b in enumerate(self.bubbles):
             if b.lam <= inv_eps:
@@ -192,11 +208,39 @@ class Configuration:
         return i < self.q
 
     def replace(self, alphas=None, bubbles=None) -> "Configuration":
-        return Configuration(
-            self.alphas if alphas is None else alphas,
-            tuple(bubbles if bubbles is not None else self.bubbles),
-            self.q, self.p, self.eps_scale,
-        )
+        """This configuration with new weights or bubbles and an empty
+        ``_memo``.  With the bubbles unchanged only the weights are checked,
+        and the bubble tables are shared."""
+        if bubbles is not None:
+            return Configuration(self.alphas if alphas is None else alphas, tuple(bubbles),
+                                 self.q, self.p, self.eps_scale)
+        alphas = self.alphas if alphas is None else _checked_weights(alphas, self.size)
+        return self._on_tables(alphas, self.bubbles, self.q, self.p,
+                               self.eps_mat, self.eps_dloglam, self.pairs)
+
+    def _restricted(self, indices) -> "Configuration":
+        """The configuration of the bubbles at the ascending ``indices``,
+        its tables cut out of this one's: the sub-blocks, and the pairs
+        within the sub-tuple re-indexed in row order.  A sub-tuple keeps
+        its slots, its pairs and its scale, so it is admissible unchecked."""
+        pos = {i: k for k, i in enumerate(indices)}
+        q_sub = sum(1 for i in indices if i < self.q)
+        eps_mat = self.eps_mat.take(indices, 0).take(indices, 1)
+        eps_dloglam = self.eps_dloglam.take(indices, 0).take(indices, 1)
+        eps_mat.flags.writeable = eps_dloglam.flags.writeable = False
+        pairs = tuple((pos[i], pos[j], c, e, g) for i, j, c, e, g in self.pairs
+                      if i in pos and j in pos)
+        return self._on_tables(tuple(self.alphas[i] for i in indices),
+                               tuple(self.bubbles[i] for i in indices),
+                               q_sub, len(indices) - q_sub, eps_mat, eps_dloglam, pairs)
+
+    def _on_tables(self, alphas, bubbles, q, p, eps_mat, eps_dloglam, pairs) -> "Configuration":
+        # the dataclass constructor without __post_init__: the caller vouches
+        # that the tables belong to the bubbles and the weights are checked
+        cfg = object.__new__(Configuration)
+        vars(cfg).update(alphas=alphas, bubbles=bubbles, q=q, p=p, eps_scale=self.eps_scale,
+                         eps_mat=eps_mat, eps_dloglam=eps_dloglam, pairs=pairs, _memo={})
+        return cfg
 
     def to_json(self) -> dict:
         return {

@@ -61,6 +61,11 @@ class TestDelta:
         with pytest.raises(InvalidConfiguration):
             BubbleParam(SpherePoint(E[-1]), 0.5)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, lam):
+        with pytest.raises(InvalidConfiguration, match="must be finite and >= 1"):
+            BubbleParam(SpherePoint(E[-1]), lam)
+
 
 class TestProjectedApproximation:
     def test_boundary_center_raises(self):

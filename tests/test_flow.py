@@ -1122,3 +1122,87 @@ class TestFloatsAtTheSource:
             flow.decrease_certificate(cfg)
             assert len(centres) == (2 + N + 2) * cfg.size
             assert all(type(c) is float for c in centres)
+
+
+class TestTablesPerTuple:
+    """A configuration's slot checks and pair table are built once per tuple
+    of bubbles: a weight-only change and the tower's sub-state share them,
+    and equal a fresh configuration's bit for bit."""
+
+    @staticmethod
+    def _same(got, want):
+        def bits(x):
+            return type(x), float(x).hex()
+
+        assert got == want and hash(got) == hash(want)
+        assert (got.q, got.p, got.eps_scale) == (want.q, want.p, want.eps_scale)
+        for name in ("eps_mat", "eps_dloglam"):
+            u, v = getattr(got, name), getattr(want, name)
+            assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+            assert not u.flags.writeable
+        assert ([tuple(map(bits, pair)) for pair in got.pairs]
+                == [tuple(map(bits, pair)) for pair in want.pairs])
+        assert got._memo == {}
+
+    @staticmethod
+    def _fresh(cfg, indices=None, alphas=None):
+        """A configuration checked anew on ``cfg``'s bubbles at the
+        ascending ``indices`` (all by default), with ``alphas`` or cfg's."""
+        indices = range(cfg.size) if indices is None else indices
+        alphas = cfg.alphas if alphas is None else alphas
+        return Configuration(tuple(alphas[i] for i in indices),
+                             tuple(cfg.bubbles[i] for i in indices),
+                             sum(1 for i in indices if i < cfg.q),
+                             sum(1 for i in indices if i >= cfg.q), cfg.eps_scale)
+
+    def test_weight_only_change_equals_a_fresh_configuration(self):
+        seen = set()
+        for kind, flow, cfg in _float_oracle_states(5, 3, seed=3300):
+            flow.decrease_certificate(cfg)   # a filled memo stays behind
+            w = tuple(a * (1.0 + 0.1 * k) for k, a in enumerate(cfg.alphas))
+            self._same(cfg.replace(alphas=w), self._fresh(cfg, alphas=w))
+            self._same(cfg.replace(), self._fresh(cfg))
+            self._same(flow.model.normalize_alphas(cfg), flow.model.normalize_alphas(self._fresh(cfg)))
+            seen.add((cfg.q > 0, cfg.p > 0, cfg.size))
+        # boundary, interior and mixed states of one to three bubbles
+        assert {(q, p) for q, p, _ in seen} == {(True, False), (False, True), (True, True)}
+        assert {m for _, _, m in seen} == {1, 2, 3}
+
+    def test_sub_tuples_equal_fresh_configurations(self):
+        for kind, flow, cfg in _float_oracle_states(5, 2, seed=3400):
+            for k in range(1, cfg.size + 1):
+                for indices in itertools.combinations(range(cfg.size), k):
+                    self._same(cfg._restricted(list(indices)), self._fresh(cfg, indices))
+
+    def test_tower_sub_state_equals_a_fresh_configuration(self, lin_setup, diag_setup):
+        model, records, flow = lin_setup
+        mass3 = PseudogradientFlow(diag_setup[0], diag_setup[1], FlowParams.for_mass(3))
+        for flow, cfg in ((flow, _v4_two_interior(model)),
+                          (mass3, _v4_three_interior(diag_setup[0]))):
+            asm = flow.model.assemble(cfg)
+            label = flow.classify_region(cfg, asm)
+            assert label.tag == "V4" and 0 < len(label.tower_set) < cfg.size
+            sub_cfg, back, _ = flow._restrict(cfg, asm, sorted(label.tower_set))
+            assert set(sub_cfg._memo) == {flow.model}   # the sub-assembly only
+            sub_cfg._memo.clear()
+            self._same(sub_cfg, self._fresh(cfg, back))
+
+    def test_no_pair_kernel_call_on_reuse(self, lin_setup, diag_setup, monkeypatch):
+        import hemiflow.model as model_module
+
+        calls = []
+        kernel = model_module._interaction_terms
+        monkeypatch.setattr(model_module, "_interaction_terms",
+                            lambda *args: calls.append(args) or kernel(*args))
+        model, records, flow = lin_setup
+        cfg = _v4_two_interior(model)
+        mass3 = PseudogradientFlow(diag_setup[0], diag_setup[1], FlowParams.for_mass(3))
+        cfg3 = _v4_three_interior(diag_setup[0])
+        assert len(calls) == 1 + 3
+        calls.clear()
+        model.normalize_alphas(cfg)
+        diag_setup[0].normalize_alphas(cfg3)
+        cfg.replace(alphas=(1.0, 2.0))
+        flow.pseudogradient(cfg)      # V4 with its tower's sub-flow
+        mass3.pseudogradient(cfg3)
+        assert calls == []

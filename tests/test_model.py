@@ -135,6 +135,38 @@ class TestConfiguration:
         assert moved.bubbles[1] != b.bubbles[1]
         assert moved != b
 
+    def _two_boundary(self):
+        return (BubbleParam(BoundarySpherePoint(E[0]), 50.0),
+                BubbleParam(BoundarySpherePoint(-E[0]), 60.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_weight_refused_on_both_paths_naming_the_bubble(self, bad):
+        # a NaN weight passes a plain a <= 0 test and would surface only as
+        # a NonFiniteBar from the assembly
+        bubbles = self._two_boundary()
+        with pytest.raises(InvalidConfiguration) as fresh:
+            Configuration((1.0, bad), bubbles, 2, 0, 0.12)
+        with pytest.raises(InvalidConfiguration) as shared:
+            Configuration((1.0, 1.0), bubbles, 2, 0, 0.12).replace(alphas=(1.0, bad))
+        assert str(fresh.value) == str(shared.value)
+        assert str(fresh.value) == f"weights must be positive and finite: bubble 1 has {bad}"
+
+    def test_length_mismatch_refused_on_both_paths(self):
+        bubbles = self._two_boundary()
+        with pytest.raises(InvalidConfiguration) as fresh:
+            Configuration((1.0,), bubbles, 2, 0, 0.12)
+        with pytest.raises(InvalidConfiguration) as shared:
+            Configuration((1.0, 1.0), bubbles, 2, 0, 0.12).replace(alphas=(1.0,))
+        assert str(fresh.value) == str(shared.value) == "alphas/bubbles length mismatch"
+
+    def test_weight_only_replace_shares_the_tables(self):
+        cfg = Configuration((1.0, 1.0), self._two_boundary(), 2, 0, 0.12)
+        moved = cfg.replace(alphas=np.array([0.5, 2.0]))
+        assert moved.alphas == (0.5, 2.0) and all(type(a) is float for a in moved.alphas)
+        assert moved.eps_mat is cfg.eps_mat and moved.eps_dloglam is cfg.eps_dloglam
+        assert moved.pairs is cfg.pairs
+        assert moved == Configuration((0.5, 2.0), cfg.bubbles, 2, 0, 0.12)
+
 
 class TestNormalization:
     def test_constant_field_balance(self, model_const):
