@@ -20,12 +20,12 @@ part of the half-space Green function with Neumann boundary condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundaryPoint, InvalidConfiguration
 from .geometry import RotatedChart, SpherePoint
+from .record import FrozenRecord, set_field
 
 BOUNDARY_HEIGHT_TOL = 1e-12
 
@@ -35,17 +35,18 @@ def bubble_normalization(n: int) -> float:
     return float((n * (n - 2)) ** ((n - 2) / 4.0))
 
 
-@dataclass(frozen=True)
-class BubbleParam:
+class BubbleParam(FrozenRecord):
     """Concentration point and rate of one profile."""
 
     a: SpherePoint
     lam: float
 
-    def __post_init__(self):
+    def __init__(self, a, lam):
         # written so that NaN fails it too
-        if not 1.0 <= self.lam < math.inf:
-            raise InvalidConfiguration(f"concentration rate {self.lam} must be finite and >= 1")
+        if not 1.0 <= lam < math.inf:
+            raise InvalidConfiguration(f"concentration rate {lam} must be finite and >= 1")
+        set_field(self, "a", a)
+        set_field(self, "lam", lam)
 
     @property
     def n(self) -> int:
@@ -58,8 +59,7 @@ class BubbleParam:
         return self.a.boundary_distance()
 
 
-@dataclass(frozen=True)
-class ChartedBubble:
+class ChartedBubble(FrozenRecord):
     """A bubble together with its adapted half-space chart data.
 
     chart  : stereographic chart whose pole is opposite the bubble's anchor
@@ -75,6 +75,14 @@ class ChartedBubble:
     rate: float
     height: float
     a_chart: np.ndarray
+
+    def __init__(self, param, chart, center, rate, height, a_chart):
+        set_field(self, "param", param)
+        set_field(self, "chart", chart)
+        set_field(self, "center", center)
+        set_field(self, "rate", rate)
+        set_field(self, "height", height)
+        set_field(self, "a_chart", a_chart)
 
     @staticmethod
     def build(param: BubbleParam) -> "ChartedBubble":
@@ -116,8 +124,7 @@ def greens_regular_part(a, x) -> float:
     return float(np.sum((x - mirror) ** 2) ** ((2 - n) / 2.0))
 
 
-@dataclass(frozen=True)
-class PhiApprox:
+class PhiApprox(FrozenRecord):
     """Two-term chart expansion of the boundary-corrected profile.
 
     value(x) = delta_flat(x) + c0 * H(C, x) / rate^{(n-2)/2}; the dropped
@@ -126,6 +133,10 @@ class PhiApprox:
 
     charted: ChartedBubble
     budget: float
+
+    def __init__(self, charted, budget):
+        set_field(self, "charted", charted)
+        set_field(self, "budget", budget)
 
     def delta_term(self, x) -> float:
         return self.charted.flat_value(x)

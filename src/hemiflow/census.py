@@ -19,8 +19,9 @@ bounds of the form ((k+1)/k)^{1/(n-2)}.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .record import FrozenRecord, Record, set_field
 
 if TYPE_CHECKING:
     from .landscape import AssumptionReport
@@ -30,11 +31,15 @@ if TYPE_CHECKING:
 # Level bands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LevelBand:
+class LevelBand(FrozenRecord):
     mass: int
     lo: float   # (mass s_n)^{2/n} / K_max^{(n-2)/n}
     hi: float   # (mass s_n)^{2/n} / K_min^{(n-2)/n}
+
+    def __init__(self, mass, lo, hi):
+        set_field(self, "mass", mass)
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
 
 
 def level_bands(k_min: float, k_max: float, s_n: float, n: int, ell_max: int):
@@ -65,12 +70,17 @@ def pinch_threshold(k: int, n: int) -> float:
 # Census
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(FrozenRecord):
     boundary_points: tuple
     interior_points: tuple
     level: float
     index: int
+
+    def __init__(self, boundary_points, interior_points, level, index):
+        set_field(self, "boundary_points", boundary_points)
+        set_field(self, "interior_points", interior_points)
+        set_field(self, "level", level)
+        set_field(self, "index", index)
 
     @property
     def mass(self) -> int:
@@ -204,11 +214,15 @@ def counting_B_closed_form(k: int, r: int) -> int:
 # Existence verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExistenceVerdict:
+class ExistenceVerdict(Record):
     theorem: str
     hypotheses: dict
     conclusion: str   # "solution_exists" | "inconclusive"
+
+    def __init__(self, theorem, hypotheses, conclusion):
+        self.theorem = theorem
+        self.hypotheses = hypotheses
+        self.conclusion = conclusion
 
     def to_json(self) -> dict:
         return {"theorem": self.theorem, "hypotheses": self.hypotheses,

@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 domain error, 2 configuration error.
 Each subcommand imports the layers it runs when it runs, so a process loads
 only those: the census for census, existence and counting, the model and
 the flow for flow.  ``counting`` without ``--config``, ``constants`` and a
-configuration refused with exit code 2 load no numpy.
+configuration refused with exit code 2 load neither numpy nor ``inspect``.
+No hemiflow module imports ``dataclasses`` (see ``hemiflow.record``), so
+no subcommand compiles generated methods at import.
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ unknown, missing, of the wrong JSON kind or out of range, naming its path;
 nothing is coerced.  ``seed`` is stamped into artifacts, but the landscape
 is an exact enumeration and does not depend on it.  The field's monomials
 are parsed here and ``ScalarField`` is imported only to build a field, so
-reading or refusing a configuration loads no numpy.
+reading or refusing a configuration loads no numpy.  ``FlowParams`` and
+``RunConfig`` are plain classes on ``hemiflow.record``'s bases, as every
+hemiflow record is: no hemiflow module imports ``dataclasses``, so reading
+a configuration loads neither it nor ``inspect``.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ConfigError
+from .record import FrozenRecord, Record, set_field
 
 if TYPE_CHECKING:
     from .fields import ScalarField
@@ -51,8 +54,7 @@ def parse_monomial(text: str, ambient_dim: int):
     return (i - 1,) if j is None else (i - 1, j - 1)
 
 
-@dataclass(frozen=True)
-class FlowParams:
+class FlowParams(FrozenRecord):
     """The ``flow`` section: the constants of the descent field."""
 
     M0: float = 1.0e4
@@ -62,9 +64,18 @@ class FlowParams:
     eps: float = 0.1
     max_qp: int = 2
 
+    def __init__(self, M0=M0, M2=M2, M4=M4, eta=eta, eps=eps, max_qp=max_qp):
+        set_field(self, "M0", M0)
+        set_field(self, "M2", M2)
+        set_field(self, "M4", M4)
+        set_field(self, "eta", eta)
+        set_field(self, "eps", eps)
+        set_field(self, "max_qp", max_qp)
+
     def check_values(self):
         """Every constant finite, M0, M2, M4, eta and eps positive, max_qp >= 1."""
-        for name, value in vars(self).items():
+        for name in self._fields:
+            value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigError(f"flow constant {name} must be finite, got {value}")
         for name in ("M0", "M2", "M4", "eta", "eps"):
@@ -121,8 +132,7 @@ class FlowParams:
         return p
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     n: int
     field_spec: dict
     quadrature_tol: float = 1e-8
@@ -131,9 +141,15 @@ class RunConfig:
     flow: FlowParams | None = None  # None: FlowParams.for_mass(2, n)
     output_dir: str = "out"
 
-    def __post_init__(self):
-        if self.flow is None:
-            self.flow = FlowParams.for_mass(2, self.n)
+    def __init__(self, n, field_spec, quadrature_tol=quadrature_tol, seed=seed,
+                 mass_max=mass_max, flow=flow, output_dir=output_dir):
+        self.n = n
+        self.field_spec = field_spec
+        self.quadrature_tol = quadrature_tol
+        self.seed = seed
+        self.mass_max = mass_max
+        self.flow = FlowParams.for_mass(2, n) if flow is None else flow
+        self.output_dir = output_dir
 
     def build_field(self) -> ScalarField:
         return read_field(self.field_spec, self.n)
@@ -171,7 +187,7 @@ class RunConfig:
         except OverflowError:
             raise ConfigError(f"flow constant max_qp: the default M0 for {flow['max_qp']} "
                               f"bubbles is beyond the float range") from None
-        flow = replace(base, **given)
+        flow = base.replace(**given)
         return RunConfig(n, dict(doc["field"]), values["quadrature_tol"], values["seed"],
                          mass_max, flow, values["output_dir"])
 

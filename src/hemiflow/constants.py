@@ -69,9 +69,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 from .errors import ConfigError, ToleranceNotMet
+from .record import FrozenRecord, set_field
 
 _ENTRY_NAMES = ("c0", "s_n", "c2", "c3", "c4", "c5", "c6", "c7", "c9")
 _DERIVED_ENTRIES = frozenset({"c9"})
@@ -89,19 +89,21 @@ def ball_volume(m: int) -> float:
     return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
 
 
-@dataclass(frozen=True)
-class ConstantsTable:
+class ConstantsTable(FrozenRecord):
     """The constants with per-entry absolute rounding bounds."""
 
     n: int
     values: dict
     errors: dict
     tol: float
-    version: str = field(default="")
+    version: str = ""  # "": made from n and tol
 
-    def __post_init__(self):
-        if not self.version:
-            object.__setattr__(self, "version", f"constants-v1-n{self.n}-tol{self.tol:.0e}")
+    def __init__(self, n, values, errors, tol, version=version):
+        set_field(self, "n", n)
+        set_field(self, "values", values)
+        set_field(self, "errors", errors)
+        set_field(self, "tol", tol)
+        set_field(self, "version", version or f"constants-v1-n{n}-tol{tol:.0e}")
 
     def __getattr__(self, name):
         values = object.__getattribute__(self, "values")

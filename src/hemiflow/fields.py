@@ -22,7 +22,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -31,9 +30,9 @@ import numpy as np
 from .config import parse_monomial
 from .errors import ConfigError, NonPositiveField
 from .geometry import SpherePoint, tangent_basis
+from .record import FrozenRecord, set_field
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(FrozenRecord):
     """Positive curvature candidate on the closed upper hemisphere."""
 
     n: int
@@ -63,10 +62,10 @@ class ScalarField:
                 q[j, i] += coeff / 2.0
         b.flags.writeable = False
         q.flags.writeable = False
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "kappa0", float(kappa0))
-        object.__setattr__(self, "linear", b)
-        object.__setattr__(self, "quadratic", q)
+        set_field(self, "n", int(n))
+        set_field(self, "kappa0", float(kappa0))
+        set_field(self, "linear", b)
+        set_field(self, "quadratic", q)
         if self.positivity_lower_bound() <= 0.0:
             self.min_max()  # raises NonPositiveField
 

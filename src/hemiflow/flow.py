@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .errors import (ConfigError, InvalidConfiguration, OutsideNeighborhood,
 from .geometry import BoundarySpherePoint, SpherePoint, geodesic_distance, geodesic_step
 from .intervals import Bar
 from .model import Configuration, ReducedModel
+from .record import Record
 
 C_FIT = 0.1  # certified decrease rate per unit of the certificate's aggregate
 M_DRIFT = 50.0  # gate for pairing drift with rate shrink
@@ -73,17 +73,22 @@ def ramp(x: float, lo: float, hi: float) -> float:
     return (x - lo) / (hi - lo)
 
 
-@dataclass
-class IndexDiagnostics:
+class IndexDiagnostics(Record):
     mu: float
     gamma_lambda: float
     gamma_alpha: float
     gamma_a: float      # point ratio (trace version for boundary indices)
     gamma_h: float      # interior self-interaction ratio (0 for boundary)
 
+    def __init__(self, mu, gamma_lambda, gamma_alpha, gamma_a, gamma_h):
+        self.mu = mu
+        self.gamma_lambda = gamma_lambda
+        self.gamma_alpha = gamma_alpha
+        self.gamma_a = gamma_a
+        self.gamma_h = gamma_h
 
-@dataclass
-class RegionLabel:
+
+class RegionLabel(Record):
     tag: str
     weights: dict
     per_index: list
@@ -92,12 +97,25 @@ class RegionLabel:
     tower_set: tuple     # comparable-scale index set in the spread regime
     mu_ratio: float
 
+    def __init__(self, tag, weights, per_index, nearest, clusters, tower_set, mu_ratio):
+        self.tag = tag
+        self.weights = weights
+        self.per_index = per_index
+        self.nearest = nearest
+        self.clusters = clusters
+        self.tower_set = tower_set
+        self.mu_ratio = mu_ratio
 
-@dataclass
-class Velocity:
+
+class Velocity(Record):
     alpha_dot: np.ndarray
     a_dot: list
     loglam_dot: np.ndarray
+
+    def __init__(self, alpha_dot, a_dot, loglam_dot):
+        self.alpha_dot = alpha_dot
+        self.a_dot = a_dot
+        self.loglam_dot = loglam_dot
 
     def scaled(self, w: float) -> "Velocity":
         return Velocity(self.alpha_dot * w, [v * w for v in self.a_dot], self.loglam_dot * w)
@@ -150,20 +168,30 @@ class _Drive:
                         np.array(self.loglam_dot))
 
 
-@dataclass
-class TrajectoryPoint:
+class TrajectoryPoint(Record):
     t: float
     cfg: Configuration
     label_tag: str
     j_value: Bar
     mus: tuple
 
+    def __init__(self, t, cfg, label_tag, j_value, mus):
+        self.t = t
+        self.cfg = cfg
+        self.label_tag = label_tag
+        self.j_value = j_value
+        self.mus = mus
 
-@dataclass
-class Trajectory:
+
+class Trajectory(Record):
     points: list
     reason: str
     detail: str = ""  # message of the exception behind a neighborhood_exit or a step_failure
+
+    def __init__(self, points, reason, detail=detail):
+        self.points = points
+        self.reason = reason
+        self.detail = detail
 
     def csv_rows(self):
         rows = []
@@ -543,9 +571,9 @@ class PseudogradientFlow:
         if tower and len(tower) < size and depth == 0:
             k0 = len(label.tower_set)
             m0_bar = params.M0 ** (max(k0 - 1, 1) / max(size - 1, 1))
-            sub_params = replace(params, M0=max(m0_bar, 4.0),
-                                 M4=max(math.sqrt(m0_bar / SMALLNESS), 10.0),
-                                 max_qp=max(k0, 2))
+            sub_params = params.replace(M0=max(m0_bar, 4.0),
+                                        M4=max(math.sqrt(m0_bar / SMALLNESS), 10.0),
+                                        max_qp=max(k0, 2))
             try:
                 sub_flow = PseudogradientFlow(self.model, self.records, sub_params)
                 sub_cfg, back, sub_asm = self._restrict(cfg, asm, sorted(tower))

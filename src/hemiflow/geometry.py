@@ -10,11 +10,11 @@ equator, which maps the hemisphere conformally onto the upper half-space
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PoleSingularity
+from .record import FrozenRecord, set_field
 
 UNIT_TOL = 1e-12
 HEIGHT_TOL = 1e-12
@@ -33,8 +33,7 @@ def _as_unit(coords, tol=UNIT_TOL):
     return v
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class SpherePoint(FrozenRecord):
     """Point on the closed upper hemisphere, stored in ambient coordinates."""
 
     coords: np.ndarray
@@ -43,7 +42,7 @@ class SpherePoint:
         v = _as_unit(coords)
         if v[-1] < -HEIGHT_TOL:
             raise ValueError("point lies below the equator")
-        object.__setattr__(self, "coords", v)
+        set_field(self, "coords", v)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -86,11 +85,10 @@ class BoundarySpherePoint(SpherePoint):
             v = v.copy()
             v[-1] = 0.0
             v = v / math.sqrt(v @ v)
-        object.__setattr__(self, "coords", v)
+        set_field(self, "coords", v)
 
 
-@dataclass(frozen=True)
-class HalfSpacePoint:
+class HalfSpacePoint(FrozenRecord):
     """Point of the closed upper half-space {x_n >= 0} in R^n."""
 
     coords: np.ndarray
@@ -101,7 +99,7 @@ class HalfSpacePoint:
             raise ValueError("half-space coordinates must be a 1-d vector")
         if v[-1] < -HEIGHT_TOL:
             raise ValueError("half-space point must have x_n >= 0")
-        object.__setattr__(self, "coords", v)
+        set_field(self, "coords", v)
 
     @property
     def height(self) -> float:
@@ -182,8 +180,7 @@ def stereographic_to_halfspace(p: SpherePoint) -> HalfSpacePoint:
     return HalfSpacePoint(x)
 
 
-@dataclass(frozen=True)
-class RotatedChart:
+class RotatedChart(FrozenRecord):
     """Stereographic chart whose pole is opposite a chosen equator anchor.
 
     The rotation fixes the vertical axis e_{n+1} and maps e_1 to the anchor,
@@ -192,6 +189,9 @@ class RotatedChart:
     """
 
     rotation: np.ndarray  # (n+1, n+1) orthogonal, fixes e_{n+1}
+
+    def __init__(self, rotation):
+        set_field(self, "rotation", rotation)
 
     @staticmethod
     def for_anchor(anchor_coords) -> "RotatedChart":

@@ -7,23 +7,24 @@ checks compare intervals instead of bare floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NonFiniteBar
+from .record import FrozenRecord, set_field
 
 
-@dataclass(frozen=True)
-class Bar:
+class Bar(FrozenRecord):
     """A value with a symmetric error bar: ``center +/- halfwidth``."""
 
     center: float
     halfwidth: float = 0.0
 
-    def __post_init__(self):
-        if not (math.isfinite(self.center) and math.isfinite(self.halfwidth)):
-            raise NonFiniteBar(f"non-finite bar {self.center!r} +/- {self.halfwidth!r}")
-        if self.halfwidth < 0:
+    def __init__(self, center, halfwidth=halfwidth):
+        if not (math.isfinite(center) and math.isfinite(halfwidth)):
+            raise NonFiniteBar(f"non-finite bar {center!r} +/- {halfwidth!r}")
+        if halfwidth < 0:
             raise ValueError("halfwidth must be nonnegative")
+        set_field(self, "center", center)
+        set_field(self, "halfwidth", halfwidth)
 
     @property
     def lo(self) -> float:

@@ -28,13 +28,13 @@ ZERO_TOL`` up.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AmbiguousSign, DegenerateCriticalPoint
 from .fields import ScalarField
 from .geometry import BoundarySpherePoint, SpherePoint, tangent_basis
+from .record import FrozenRecord, Record, set_field
 
 DEGENERACY_FLOOR = 1e-8
 ZERO_TOL = 1e-9
@@ -43,8 +43,7 @@ INTERIOR_HEIGHT = 1e-9  # hemisphere roots at or below this height belong to the
 H3_BALL_RADIUS = 0.05  # largest equatorial radius of the H3 sphere chain
 
 
-@dataclass(frozen=True)
-class CriticalPointRecord:
+class CriticalPointRecord(FrozenRecord):
     location: SpherePoint
     kind: str                  # "interior_of_K" | "boundary_of_K1"
     morse_index: int
@@ -52,7 +51,18 @@ class CriticalPointRecord:
     laplacian: float
     normal_derivative: float | None
     classification: str        # "K_in_minus" | "K_b_plus" | "K_b_0_minus" | "other"
-    hessian_eigenvalues: tuple = field(default=())
+    hessian_eigenvalues: tuple = ()
+
+    def __init__(self, location, kind, morse_index, value, laplacian, normal_derivative,
+                 classification, hessian_eigenvalues=hessian_eigenvalues):
+        set_field(self, "location", location)
+        set_field(self, "kind", kind)
+        set_field(self, "morse_index", morse_index)
+        set_field(self, "value", value)
+        set_field(self, "laplacian", laplacian)
+        set_field(self, "normal_derivative", normal_derivative)
+        set_field(self, "classification", classification)
+        set_field(self, "hessian_eigenvalues", hessian_eigenvalues)
 
     @property
     def is_boundary(self) -> bool:
@@ -236,13 +246,19 @@ def classify(records) -> dict:
 # Assumption report
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AssumptionReport:
+class AssumptionReport(Record):
     h1: bool
     h2: bool
     h3: bool
     h3_branches: dict
     violations: list
+
+    def __init__(self, h1, h2, h3, h3_branches, violations):
+        self.h1 = h1
+        self.h2 = h2
+        self.h3 = h3
+        self.h3_branches = h3_branches
+        self.violations = violations
 
     def to_json(self) -> dict:
         return {

@@ -101,7 +101,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
@@ -112,6 +111,7 @@ from .errors import InvalidConfiguration, NonFiniteBar, PoleSingularity
 from .fields import ScalarField
 from .geometry import POLE_TOL
 from .intervals import Bar
+from .record import FrozenRecord, Record, set_field
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +132,7 @@ def _checked_weights(alphas, size: int) -> tuple:
     return alphas
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(FrozenRecord):
     """q boundary + p interior weighted bubbles inside V(q+2p, q, p, eps).
 
     The admissibility check evaluates each pair i < j once: one dot product
@@ -149,7 +148,8 @@ class Configuration:
     ``Assembly`` per ``ReducedModel`` (see ``ReducedModel.assemble``) and its
     region label and descent field per ``PseudogradientFlow`` (see
     ``PseudogradientFlow.classify_region``).  It lives and dies with the
-    configuration and takes no part in equality or hashing.
+    configuration and, like the tables, takes no part in equality, hashing
+    or the repr.
     """
 
     alphas: tuple
@@ -157,48 +157,50 @@ class Configuration:
     q: int
     p: int
     eps_scale: float = 0.1
-    eps_mat: np.ndarray = field(init=False, repr=False, compare=False)
-    eps_dloglam: np.ndarray = field(init=False, repr=False, compare=False)
-    pairs: tuple = field(init=False, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.q < 0 or self.p < 0 or self.q + self.p < 1:
+    def __init__(self, alphas, bubbles, q, p, eps_scale=eps_scale):
+        if q < 0 or p < 0 or q + p < 1:
             raise InvalidConfiguration("need q, p >= 0 with q + p >= 1")
-        if not self.eps_scale > 0:
-            raise InvalidConfiguration(f"neighborhood scale eps = {self.eps_scale} must be positive")
-        if len(self.bubbles) != self.q + self.p:
+        if not eps_scale > 0:
+            raise InvalidConfiguration(f"neighborhood scale eps = {eps_scale} must be positive")
+        m = q + p
+        if len(bubbles) != m:
             raise InvalidConfiguration("alphas/bubbles length mismatch")
-        object.__setattr__(self, "alphas", _checked_weights(self.alphas, self.q + self.p))
-        inv_eps = 1.0 / self.eps_scale
-        for i, b in enumerate(self.bubbles):
+        alphas = _checked_weights(alphas, m)
+        inv_eps = 1.0 / eps_scale
+        for i, b in enumerate(bubbles):
             if b.lam <= inv_eps:
                 raise InvalidConfiguration(f"bubble {i}: rate {b.lam} <= 1/eps")
             ld = b.lam * b.boundary_distance()
-            if i < self.q:
-                if not b.is_boundary() and ld >= self.eps_scale:
+            if i < q:
+                if not b.is_boundary() and ld >= eps_scale:
                     raise InvalidConfiguration(f"bubble {i}: boundary slot but lam*d = {ld}")
             else:
                 if ld <= inv_eps:
                     raise InvalidConfiguration(f"bubble {i}: interior slot but lam*d = {ld}")
-        m = self.size
         eps_mat = np.zeros((m, m))
         eps_dloglam = np.zeros((m, m))
         pairs = []
-        for i, bi in enumerate(self.bubbles):
+        for i, bi in enumerate(bubbles):
             for j in range(i + 1, m):
-                bj = self.bubbles[j]
+                bj = bubbles[j]
                 c = float(np.dot(bi.a.coords, bj.a.coords))
                 e, di, dj, g_pow = _interaction_terms(bi.lam, bj.lam, 1.0 - c, bi.n)
-                if e >= self.eps_scale:
+                if e >= eps_scale:
                     raise InvalidConfiguration(f"eps[{i}][{j}] = {e} >= neighborhood scale")
                 eps_mat[i, j] = eps_mat[j, i] = e
                 eps_dloglam[i, j], eps_dloglam[j, i] = di, dj
                 pairs.append((i, j, c, float(e), g_pow))
         eps_mat.flags.writeable = eps_dloglam.flags.writeable = False
-        object.__setattr__(self, "eps_mat", eps_mat)
-        object.__setattr__(self, "eps_dloglam", eps_dloglam)
-        object.__setattr__(self, "pairs", tuple(pairs))
+        set_field(self, "alphas", alphas)
+        set_field(self, "bubbles", bubbles)
+        set_field(self, "q", q)
+        set_field(self, "p", p)
+        set_field(self, "eps_scale", eps_scale)
+        set_field(self, "eps_mat", eps_mat)
+        set_field(self, "eps_dloglam", eps_dloglam)
+        set_field(self, "pairs", tuple(pairs))
+        set_field(self, "_memo", {})
 
     @property
     def size(self) -> int:
@@ -235,8 +237,8 @@ class Configuration:
                                q_sub, len(indices) - q_sub, eps_mat, eps_dloglam, pairs)
 
     def _on_tables(self, alphas, bubbles, q, p, eps_mat, eps_dloglam, pairs) -> "Configuration":
-        # the dataclass constructor without __post_init__: the caller vouches
-        # that the tables belong to the bubbles and the weights are checked
+        # the constructor without its checks: the caller vouches that the
+        # tables belong to the bubbles and the weights are checked
         cfg = object.__new__(Configuration)
         vars(cfg).update(alphas=alphas, bubbles=bubbles, q=q, p=p, eps_scale=self.eps_scale,
                          eps_mat=eps_mat, eps_dloglam=eps_dloglam, pairs=pairs, _memo={})
@@ -264,8 +266,7 @@ class Configuration:
 # Per-bubble frame: chart data and movement calculus
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BubbleFrame:
+class BubbleFrame(Record):
     """One bubble's chart data and movement calculus; ``ReducedModel.frames``
     builds all of a state's frames in one pass.
 
@@ -308,6 +309,33 @@ class BubbleFrame:
     move_v: np.ndarray
     move_l: np.ndarray
 
+    def __init__(self, boundary, alpha, param, anchor, rate, height, k_val, grad_sphere, grad_norm,
+                 grad_k1, grad_k1_norm, lam_dist, kt_val, g_n, h_nn, kt_lap, h_self, dl_dloglam,
+                 dh_dloglam, move_g, move_w, move_v, move_l):
+        self.boundary = boundary
+        self.alpha = alpha
+        self.param = param
+        self.anchor = anchor
+        self.rate = rate
+        self.height = height
+        self.k_val = k_val
+        self.grad_sphere = grad_sphere
+        self.grad_norm = grad_norm
+        self.grad_k1 = grad_k1
+        self.grad_k1_norm = grad_k1_norm
+        self.lam_dist = lam_dist
+        self.kt_val = kt_val
+        self.g_n = g_n
+        self.h_nn = h_nn
+        self.kt_lap = kt_lap
+        self.h_self = h_self
+        self.dl_dloglam = dl_dloglam
+        self.dh_dloglam = dh_dloglam
+        self.move_g = move_g
+        self.move_w = move_w
+        self.move_v = move_v
+        self.move_l = move_l
+
     @property
     def mult(self) -> int:
         """Energy multiplicity: interior profiles carry twice the mass."""
@@ -328,8 +356,7 @@ PAIR_OVERLAP_COEFF = 0.5     # half-space halving of boundary pairs
 FrameTerms = namedtuple("FrameTerms", "cubic chart_tail image_error charge grad_tail")
 
 
-@dataclass
-class Assembly:
+class Assembly(Record):
     """A state's frames, energy with its relative bar and bar ledger, pair
     tables, weight imbalances and budgets; the gradient bundle joins it on
     first use."""
@@ -362,13 +389,37 @@ class Assembly:
     pair_bars: list       # per bubble, summed over j ascending
     sep_factor: float
     grads: GradientComponents | None = None  # stored by gradient_components
-    j_bar: Bar = field(init=False)
+    # and j_bar, the energy's Bar, made from j_center and rel_bar
 
-    def __post_init__(self):
-        if not (math.isfinite(self.j_center) and math.isfinite(self.rel_bar)):
-            raise NonFiniteBar(
-                f"non-finite energy {self.j_center!r} with relative bar {self.rel_bar!r}")
-        self.j_bar = Bar(self.j_center, abs(self.j_center) * self.rel_bar)
+    def __init__(self, frames, n_qty, num, den, gamma, j_center, rel_bar, eps_mat, eps_sums,
+                 eps_dloglam, eps_da, w_mat, hmut_mat, dist_mat, interacting, vbar, budgets,
+                 imbalances, terms, pair_terms, pair_bars, sep_factor, grads=grads):
+        if not (math.isfinite(j_center) and math.isfinite(rel_bar)):
+            raise NonFiniteBar(f"non-finite energy {j_center!r} with relative bar {rel_bar!r}")
+        self.frames = frames
+        self.n_qty = n_qty
+        self.num = num
+        self.den = den
+        self.gamma = gamma
+        self.j_center = j_center
+        self.rel_bar = rel_bar
+        self.eps_mat = eps_mat
+        self.eps_sums = eps_sums
+        self.eps_dloglam = eps_dloglam
+        self.eps_da = eps_da
+        self.w_mat = w_mat
+        self.hmut_mat = hmut_mat
+        self.dist_mat = dist_mat
+        self.interacting = interacting
+        self.vbar = vbar
+        self.budgets = budgets
+        self.imbalances = imbalances
+        self.terms = terms
+        self.pair_terms = pair_terms
+        self.pair_bars = pair_bars
+        self.sep_factor = sep_factor
+        self.grads = grads
+        self.j_bar = Bar(j_center, abs(j_center) * rel_bar)
 
 
 class ReducedModel:
@@ -1041,8 +1092,7 @@ class ReducedModel:
         return [x / f.alpha for x in self._pairing(asm, i, moves, deps, dh_mut)]
 
 
-@dataclass(frozen=True)
-class GradientComponents:
+class GradientComponents(FrozenRecord):
     """Per-index pairings; the interaction data and the remainder budgets
     they read are on the ``Assembly``.
 
@@ -1054,3 +1104,8 @@ class GradientComponents:
     alpha_pairings: tuple
     lam_pairings: tuple
     a_pairings: tuple
+
+    def __init__(self, alpha_pairings, lam_pairings, a_pairings):
+        set_field(self, "alpha_pairings", alpha_pairings)
+        set_field(self, "lam_pairings", lam_pairings)
+        set_field(self, "a_pairings", a_pairings)

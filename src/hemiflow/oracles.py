@@ -14,7 +14,6 @@ scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .bubbles import BubbleParam, ChartedBubble, bubble_normalization
 from .constants import ball_volume, sphere_area
 from .fields import ScalarField
 from .geometry import SpherePoint
+from .record import Record
 
 
 def _quad(f, a, b, **kwargs):
@@ -224,14 +224,19 @@ def hemisphere_zonal_integral_interior(K: ScalarField, a_coords, lam: float,
     return total
 
 
-@dataclass
-class InteriorEnergyOracle:
+class InteriorEnergyOracle(Record):
     """Honest energy pieces for a single interior corrected profile."""
 
     norm_sq: float
     curvature_integral: float
     j_value: float
     uncertainty: float
+
+    def __init__(self, norm_sq, curvature_integral, j_value, uncertainty):
+        self.norm_sq = norm_sq
+        self.curvature_integral = curvature_integral
+        self.j_value = j_value
+        self.uncertainty = uncertainty
 
 
 def quadrature_J_interior(K: ScalarField, point: SpherePoint, lam: float) -> InteriorEnergyOracle:

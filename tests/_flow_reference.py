@@ -25,7 +25,6 @@ parameters, records, ``gamma_quantities``, ``clusters``, ``_v3_subtag``,
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -271,9 +270,9 @@ def _field_v4(flow, cfg, asm, lab, depth):
     if tower and len(tower) < size and depth == 0:
         k0 = len(lab.tower_set)
         m0_bar = params.M0 ** (max(k0 - 1, 1) / max(size - 1, 1))
-        sub_params = replace(params, M0=max(m0_bar, 4.0),
-                             M4=max(math.sqrt(m0_bar / SMALLNESS), 10.0),
-                             max_qp=max(k0, 2))
+        sub_params = params.replace(M0=max(m0_bar, 4.0),
+                                    M4=max(math.sqrt(m0_bar / SMALLNESS), 10.0),
+                                    max_qp=max(k0, 2))
         try:
             sub_flow = PseudogradientFlow(flow.model, flow.records, sub_params)
             sub_cfg, back, sub_asm = flow._restrict(cfg, asm, sorted(tower))

@@ -586,7 +586,7 @@ def test_cli_import_loads_no_scipy():
 def test_each_subcommand_loads_only_its_layers(tmp_path):
     # a bare package import loads no submodule; the CLI module loads neither
     # the flow layers nor the census; the landscape subcommands never load
-    # numpy.random
+    # numpy.random, nor dataclasses
     cfgp = write_config(tmp_path)
     code = f"""
 import json, sys
@@ -599,41 +599,45 @@ heavy = sorted(set(loaded()) & {{"hemiflow.flow", "hemiflow.model", "hemiflow.bu
                                  "hemiflow.census"}})
 codes = [hemiflow.cli.main(["--config", {str(cfgp)!r}, c])
          for c in ("critical-points", "census", "existence")]
-print(json.dumps([bare, heavy, codes, "numpy.random" in sys.modules]))
+print(json.dumps([bare, heavy, codes, "numpy.random" in sys.modules,
+                  "dataclasses" in sys.modules]))
 """
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120)
     assert res.returncode == 0, res.stderr
-    bare, heavy, codes, random_loaded = json.loads(res.stdout.strip().splitlines()[-1])
+    bare, heavy, codes, random_loaded, dataclasses_loaded = json.loads(
+        res.stdout.strip().splitlines()[-1])
     assert bare == []
     assert heavy == []
     assert codes == [0, 0, 0]
     assert not random_loaded
+    assert not dataclasses_loaded
 
 
 def test_counting_loads_no_numpy(tmp_path):
     # counting is pure integer arithmetic: without --config it loads neither
-    # the field layers nor numpy
+    # the field layers nor numpy, and no record class loads dataclasses or
+    # inspect
     out = tmp_path / "counting.json"
     code = f"""
 import json, sys
 from hemiflow.cli import main
 code = main(["counting", "--indices", "4,4,3", "--A", "--B", "--out", {str(out)!r}])
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code] + [m in sys.modules for m in ("numpy", "dataclasses", "inspect")]))
 """
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120)
     assert res.returncode == 0, res.stderr
-    code, numpy_loaded = json.loads(res.stdout.strip().splitlines()[-1])
+    code, *loaded = json.loads(res.stdout.strip().splitlines()[-1])
     assert code == 0
-    assert not numpy_loaded
+    assert loaded == [False, False, False]
     assert set(json.loads(out.read_text())) == {"A", "B"}
 
 
 @pytest.mark.parametrize("case", ["constants", "unknown_flow_key", "monomial_out_of_range"])
 def test_constants_and_refusals_load_no_numpy(tmp_path, case):
     # constants needs no array, and a configuration is read and refused
-    # before any field is built
+    # before any field is built; neither loads dataclasses or inspect
     if case == "unknown_flow_key":
         cfgp = write_config(tmp_path, extra={"flow": {"M9": 1.0}})
     elif case == "monomial_out_of_range":
@@ -645,14 +649,14 @@ def test_constants_and_refusals_load_no_numpy(tmp_path, case):
 import json, sys
 from hemiflow.cli import main
 code = main(["--config", {str(cfgp)!r}, {command!r}])
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code] + [m in sys.modules for m in ("numpy", "dataclasses", "inspect")]))
 """
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120)
     assert res.returncode == 0, res.stderr
-    code, numpy_loaded = json.loads(res.stdout.strip().splitlines()[-1])
+    code, *loaded = json.loads(res.stdout.strip().splitlines()[-1])
     assert code == (0 if case == "constants" else 2)
-    assert not numpy_loaded
+    assert loaded == [False, False, False]
     if case != "constants":
         assert res.stderr.startswith("configuration error: ")
 
