@@ -27,8 +27,6 @@ from .errors import BoundaryPoint, InvalidConfiguration
 from .geometry import RotatedChart, SpherePoint
 from .record import FrozenRecord, set_field
 
-BOUNDARY_HEIGHT_TOL = 1e-12
-
 
 def bubble_normalization(n: int) -> float:
     """c0 = (n(n-2))^{(n-2)/4}."""
@@ -53,7 +51,7 @@ class BubbleParam(FrozenRecord):
         return self.a.n
 
     def is_boundary(self) -> bool:
-        return self.a.is_boundary(BOUNDARY_HEIGHT_TOL)
+        return self.a.is_boundary()
 
     def boundary_distance(self) -> float:
         return self.a.boundary_distance()

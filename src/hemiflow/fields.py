@@ -83,6 +83,11 @@ class ScalarField(FrozenRecord):
 
     # -- construction helpers ------------------------------------------------
 
+    def replace(self, **changes):
+        """Refused: the constructor takes monomial terms, not the fields."""
+        raise TypeError("ScalarField.replace is not supported; build a changed field "
+                        "with ScalarField(n, kappa0, terms) or from an edited to_config()")
+
     @staticmethod
     def from_config(cfg: dict) -> "ScalarField":
         """A field specification, ``to_config``'s form (``config.read_field``)."""
@@ -143,15 +148,12 @@ class ScalarField(FrozenRecord):
 
         Hess(X, Y) = X . D^2K . Y - <dK(p), p> <X, Y> (geodesics curve back
         toward the origin with acceleration -p).  ``p`` is one point (n+1,)
-        with an (n, n+1) basis, by default :func:`tangent_basis`, or a batch
-        (k, n+1) with bases (k, n, n+1), by default :func:`reflection_bases`,
-        giving (k, n, n); each row of a batch agrees with its single-point
-        call in the same basis.
+        with an (n, n+1) basis or a batch (k, n+1) with bases (k, n, n+1), by
+        default :func:`tangent_basis`, giving (k, n, n), each row with the
+        bits of its single-point call.
         """
         v = np.asarray(p.coords if isinstance(p, SpherePoint) else p, dtype=float)
-        if basis is None:
-            basis = tangent_basis(v) if v.ndim == 1 else reflection_bases(v)
-        return self._hessian(v, basis)
+        return self._hessian(v, tangent_basis(v) if basis is None else basis)
 
     def laplace_beltrami(self, p):
         """Laplace-Beltrami value on S^n; for K = x_k this is -n x_k.
@@ -186,20 +188,11 @@ class ScalarField(FrozenRecord):
         return g
 
     def boundary_hessian(self, z, basis=None) -> np.ndarray:
-        """Riemannian Hessian of K_1 on the equator S^{n-1}.
-
-        ``z`` is one point (n+1,) with an (n-1, n+1) basis, by default
-        :func:`tangent_basis` within the equator, or a batch (k, n+1) with
-        bases (k, n-1, n+1), by default :func:`reflection_bases` less their
-        last row e_{n+1}, giving (k, n-1, n-1); each row of a batch agrees
-        with its single-point call in the same basis.
-        """
+        """Riemannian Hessian of K_1 on the equator S^{n-1}: as
+        :meth:`tangent_hessian`, with bases (n-1, n+1) or (k, n-1, n+1), by
+        default :func:`tangent_basis` within the equator."""
         v = np.asarray(z.coords if isinstance(z, SpherePoint) else z, dtype=float)
-        if basis is None:
-            # with v_{n+1} = 0, j <= n and the reflection keeps e_{n+1} last
-            basis = (tangent_basis(v, within_equator=True) if v.ndim == 1
-                     else reflection_bases(v)[:, :-1])
-        return self._hessian(v, basis)
+        return self._hessian(v, tangent_basis(v, within_equator=True) if basis is None else basis)
 
     def _hessian(self, v, basis):
         # the ambient Hessian 2Q in the basis, less the radial term <dK(v), v>
@@ -301,24 +294,6 @@ class SphereRoots(NamedTuple):
 
     points: np.ndarray  # the isolated critical points, at every height
     tops: np.ndarray    # the highest point of each continuum of critical points
-
-
-def reflection_bases(x: np.ndarray) -> np.ndarray:
-    """Orthonormal bases of the tangent spaces at unit rows x (k, d), as (k, d-1, d).
-
-    Row i is the Householder reflection H = I - v v^T / v_j, v = e_j + s x
-    with j = argmax |x_j| and s = sign(x_j), without its row j: H is
-    symmetric and orthogonal and maps e_j to -s x, so its other rows are
-    orthonormal and orthogonal to x.  Since |x_j| >= 1/sqrt(d), v_j >= 1 and
-    no cancellation enters, however close x lies to a coordinate axis.
-    """
-    k, d = x.shape
-    rows = np.arange(k)
-    j = np.argmax(np.abs(x), axis=1)
-    v = np.where(x[rows, j] < 0.0, -1.0, 1.0)[:, None] * x
-    v[rows, j] += 1.0
-    h = np.eye(d) - v[:, :, None] * v[:, None, :] / v[rows, j][:, None, None]
-    return h[np.arange(d) != j[:, None]].reshape(k, d - 1, d)
 
 
 def _secular_roots(p: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -66,8 +66,8 @@ class SpherePoint(FrozenRecord):
         """Geodesic distance to the equator (the latitude angle)."""
         return float(np.arcsin(min(max(float(self.coords[-1]), -1.0), 1.0)))
 
-    def is_boundary(self, tol: float = HEIGHT_TOL) -> bool:
-        return abs(self.coords[-1]) <= tol
+    def is_boundary(self) -> bool:
+        return abs(self.coords[-1]) <= HEIGHT_TOL
 
 
 class BoundarySpherePoint(SpherePoint):
@@ -126,40 +126,38 @@ def geodesic_step(point_coords, tangent, t: float):
 
 
 def tangent_basis(point_coords, within_equator: bool = False):
-    """Orthonormal tangent basis at a point.
+    """Orthonormal tangent basis at one unit point p (d,), as (d-1, d), or at
+    each row of a batch (k, d), as (k, d-1, d), with the bits of its
+    single-point call.
 
-    With ``within_equator`` the basis spans the tangent space of the equator
-    sphere (dimension n-1), otherwise of the full sphere (dimension n).
-    Gram-Schmidt over the coordinate axes, in order, against the point (and
-    the vertical axis); a residual that lost more than half its length is
-    projected a second time, since it then carries rounding noise of the
-    size of the removed components.
+    The rows are the Gram-Schmidt residuals of the coordinate axes, in order,
+    against p, in closed form: with s_k = p_k^2 + ... + p_{d-1}^2, the unit
+    residual of e_k is sqrt(s_{k+1} / s_k) on axis k and
+    -p_k p_i / sqrt(s_k s_{k+1}) on each axis i after k.  No entry is a
+    difference, so no cancellation enters, however close p lies to an axis.
+    The axis m left out is the first whose residual is shorter than 1e-8: the
+    last axis unless p lies within about 1e-8 of the span of e_0, ..., e_m,
+    and m then counts as the last axis.  ``within_equator`` drops the last row,
+    e_{n+1} at a point of the equator, and refuses any other point.
     """
     p = np.asarray(point_coords, dtype=float)
-    dim = p.shape[0]
-    frame = np.zeros((dim, dim))
-    frame[0] = p
-    r = 1
-    if within_equator:
-        frame[1, -1] = 1.0
-        r = 2
-    first = r
-    for k in range(dim):
-        if r == dim:
-            break
-        q = frame[:r]
-        # e_k minus its projection, with q @ e_k = q[:, k] (copied, since matmul
-        # rounds a strided vector through another loop)
-        w = -(q.T @ q[:, k].copy())
-        w[k] += 1.0
-        nrm = math.sqrt(w @ w)
-        if nrm < 0.5:
-            w = w - q.T @ (q @ w)
-            nrm = math.sqrt(w @ w)
-        if nrm > 1e-8:
-            frame[r] = w / nrm
-            r += 1
-    return frame[first:r]
+    if within_equator and np.any(p[..., -1] != 0.0):
+        raise ValueError("a basis within the equator needs a point on it (last coordinate 0)")
+    d = p.shape[-1]
+    axes = np.arange(d)
+    sq = p * p
+    # tail[..., k] = s_k, tail[..., d] = 0
+    tail = np.zeros(p.shape[:-1] + (d + 1,))
+    tail[..., :d] = np.cumsum(sq[..., ::-1], axis=-1)[..., ::-1]
+    m = np.argmax(tail[..., 1:] <= 1e-16 * tail[..., :-1], axis=-1)[..., None]
+    at_m = axes == m
+    # s_k and the "axis i comes after axis k" mask, m counting last
+    s = tail + (np.arange(d + 1) > m) * np.sum(sq * at_m, axis=-1, keepdims=True)
+    after = np.where(at_m, d, axes)[..., None, :] > axes[:, None]
+    frame = np.where(after, -(p / np.sqrt(s[..., :-1] * s[..., 1:]))[..., None] * p[..., None, :], 0.0)
+    frame[..., axes, axes] = np.sqrt(s[..., 1:] / s[..., :-1])
+    frame = frame[~at_m].reshape(p.shape[:-1] + (d - 1, d))
+    return frame[..., :-1, :] if within_equator else frame
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import AmbiguousSign, DegenerateCriticalPoint
 from .fields import ScalarField
-from .geometry import BoundarySpherePoint, SpherePoint, tangent_basis
+from .geometry import BoundarySpherePoint, SpherePoint
 from .record import FrozenRecord, Record, set_field
 
 DEGENERACY_FLOOR = 1e-8
@@ -149,10 +149,9 @@ def _records(K: ScalarField, xs: np.ndarray, k1: int) -> list:
     come out in the order of xs, and each error is raised at its root.
 
     One sphere Hessian serves both kinds.  At a trace root z, z_{n+1} = 0,
-    so the largest |z_j| has j <= n, and the reflection H = I - v v^T / v_j,
-    v = e_j + s z, of :func:`hemiflow.fields.reflection_bases` has
-    v_{n+1} = 0: its last row is e_{n+1}, and the basis less that row is
-    the trace's default basis.  The equator is totally geodesic and
+    so the last row of the default :func:`hemiflow.geometry.tangent_basis` is
+    e_{n+1}, and the basis less that row is the trace's default basis, row
+    for row the same bits.  The equator is totally geodesic and
     <dK(z), z> = <dK_1(z), z>, so on its tangent vectors both Hessians read
     X.2Q.Y - <dK(z), z> X.Y, and the leading (n-1) block of the sphere
     Hessian is the matrix of ``ScalarField.boundary_hessian``, entry for
@@ -209,12 +208,15 @@ def _normal_derivative_error(K: ScalarField, zs: np.ndarray, evals: np.ndarray) 
     z = zs[:, :n]
     rounding = gamma * (abs(K.linear[-1]) + np.abs(z) @ np.abs(w))
     g = K.ambient_gradient(zs)[:, :n]
-    g_t = g - np.vecdot(g, z, keepdims=True) * z
-    w_t = w - np.vecdot(w, z, keepdims=True) * z
     # a degenerate root raises before its sign class is asked for
     floor = np.maximum(np.min(np.abs(evals), axis=1), DEGENERACY_FLOOR)
-    step = np.linalg.norm(g_t, axis=1) / floor
-    return rounding + np.linalg.norm(w_t, axis=1) * step
+    step = np.linalg.norm(_equator_tangent(g, z), axis=1) / floor
+    return rounding + np.linalg.norm(_equator_tangent(w, z), axis=1) * step
+
+
+def _equator_tangent(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """w - (w.z) z: the part of w tangent to the equator sphere at z, in R^n."""
+    return w - np.vecdot(w, z, keepdims=True) * z
 
 
 def _classify_boundary(nu: float, lap: float, error: float = np.inf) -> str:
@@ -282,12 +284,12 @@ def check_assumptions(records, K: ScalarField) -> AssumptionReport:
 
     Every record is nondegenerate (``find_critical_points`` raises on a
     degenerate root); only the boundary-located points of the full field
-    get their tangent Hessian checked here.
+    get their tangent Hessian, in the default basis, checked here.
 
     Both suprema over a sphere are exact.  On the equator dK/dnu(a) = c + w.a
     with c = -b_{n+1} and w = -2 Q[n+1, :].  The sphere of radius rho about z
     inside the equator is a = cos(rho) z + sin(rho) u over the unit tangents u
-    at z, so with w_T = basis @ w (w projected on the tangent space) and
+    at z, so with w_T the part of w tangent there (:func:`_equator_tangent`) and
     mid = c + cos(rho) w.z, dK/dnu(a) ranges over mid + sin(rho) [-|w_T|, |w_T|]:
 
         sup lap * dK/dnu = lap * mid + |lap| sin(rho) |w_T|,
@@ -305,8 +307,7 @@ def check_assumptions(records, K: ScalarField) -> AssumptionReport:
                                   f"{r.location.coords.tolist()}")
         elif r.normal_sign == 0:
             # boundary-located critical point of the full field
-            basis = tangent_basis(r.location.coords)
-            evals = np.linalg.eigvalsh(K.tangent_hessian(r.location, basis))
+            evals = np.linalg.eigvalsh(K.tangent_hessian(r.location))
             if np.min(np.abs(evals)) < DEGENERACY_FLOOR or abs(r.laplacian) < ZERO_TOL:
                 h1 = False
                 violations.append("H1: boundary-located field critical point degenerate at "
@@ -337,7 +338,7 @@ def check_assumptions(records, K: ScalarField) -> AssumptionReport:
             continue
         z = r.location.coords
         mid = c + np.cos(radii) * (w @ z)
-        spread = np.sin(radii) * np.linalg.norm(tangent_basis(z, within_equator=True) @ w)
+        spread = np.sin(radii) * np.linalg.norm(_equator_tangent(w[:-1], z[:-1]))
         branch_i = bool(np.all(r.laplacian * mid + abs(r.laplacian) * spread <= 1e-12))
         ratio_chain = ((np.abs(mid) + spread) / radii).tolist()
         branch_ii = ratio_chain[-1] <= max(0.01 * ratio_chain[0], 1e-12)

@@ -105,11 +105,11 @@ from operator import mul
 
 import numpy as np
 
-from .bubbles import BOUNDARY_HEIGHT_TOL, BubbleParam, _interaction_terms
+from .bubbles import BubbleParam, _interaction_terms
 from .constants import ConstantsTable, compute_constants, sphere_area
 from .errors import InvalidConfiguration, NonFiniteBar, PoleSingularity
 from .fields import ScalarField
-from .geometry import POLE_TOL
+from .geometry import HEIGHT_TOL, POLE_TOL
 from .intervals import Bar
 from .record import FrozenRecord, Record, set_field
 
@@ -572,7 +572,7 @@ class ReducedModel:
             s = a_n / r1
             l2, s2 = lam * lam, s * s
             denom = l2 + s2
-            t = 0.0 if abs(a_n) <= BOUNDARY_HEIGHT_TOL else s * ((l2 - 1.0) / denom)
+            t = 0.0 if abs(a_n) <= HEIGHT_TOL else s * ((l2 - 1.0) / denom)
             d = 1.0 + t * t
             d2 = d * d
             cos, sin = (1.0 - t * t) / d, 2.0 * t / d

@@ -8,7 +8,8 @@ rest from that field list once per class (``operator.attrgetter``):
 
 - ``Record``: a repr naming the fields, equality field by field between
   instances of one class (and so no hash, as a mutable dataclass), and
-  ``replace``;
+  ``replace`` (``ScalarField``, whose constructor does not take its
+  fields, refuses it);
 - ``FrozenRecord``: also refuses assignment and deletion with
   ``AttributeError`` and hashes the field tuple, as a frozen dataclass
   does.  Its constructors write their fields with ``set_field``.

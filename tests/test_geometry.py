@@ -194,10 +194,69 @@ class TestRotatedChart:
             assert np.allclose(jac @ e, fd, atol=1e-7)
 
 
+def gram_schmidt_frame(p, within_equator):
+    """The coordinate axes in order, each projected twice against p (and
+    e_{n+1}) and the frame so far, skipping a residual shorter than 1e-8."""
+    frame = [p] + ([E[-1]] if within_equator else [])
+    first = len(frame)
+    for e in np.eye(len(p)):
+        w = e
+        for _ in range(2):
+            w = w - sum((q @ w) * q for q in frame)
+        if np.linalg.norm(w) > 1e-8:
+            frame.append(w / np.linalg.norm(w))
+    return np.array(frame[first:])
+
+
+def axis_neighbours(offset):
+    """Random unit points, then every coordinate axis and its negative moved
+    by ``offset`` along the third axis."""
+    rng = np.random.default_rng(14)
+    x = np.concatenate([rng.standard_normal((30, N + 1)), E, -E])
+    x[30:, 2] += offset
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
 class TestTangentBasis:
+    @pytest.mark.parametrize("offset", [0.0, 1.26e-8, 0.3])
+    def test_batch_rows_are_orthonormal_and_tangent(self, offset):
+        x = axis_neighbours(offset)
+        bases = tangent_basis(x)
+        assert bases.shape == (len(x), N, N + 1)
+        for v, basis in zip(x, bases):
+            assert tangent_basis(v).tobytes() == basis.tobytes()
+            assert np.allclose(basis @ basis.T, np.eye(N), rtol=0.0, atol=1e-14)
+            assert np.max(np.abs(basis @ v)) <= 1e-15
+
+    @pytest.mark.parametrize("within_equator", [False, True])
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, 1.26e-8, 0.3])
+    def test_rows_are_the_gram_schmidt_frame(self, offset, within_equator):
+        x = axis_neighbours(offset)
+        if within_equator:
+            x[:, -1] = 0.0
+            x = x[np.linalg.norm(x, axis=1) > 0.1]
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+        for v, basis in zip(x, tangent_basis(x, within_equator=within_equator)):
+            want = gram_schmidt_frame(v, within_equator)
+            assert np.max(np.abs(basis - want)) <= 1e-14
+
+    def test_equator_rows_end_in_zero_and_off_equator_points_are_refused(self):
+        z = axis_neighbours(1.26e-8)
+        z[:, -1] = 0.0
+        z = z[np.linalg.norm(z, axis=1) > 0.1]
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        bases = tangent_basis(z, within_equator=True)
+        assert bases.shape == (len(z), N - 1, N + 1)
+        assert np.all(bases[..., -1] == 0.0)
+        assert np.array_equal(tangent_basis(z)[:, :-1], bases)
+        lifted = z[0] + 1e-13 * E[-1]
+        for point in (lifted, np.array([z[1], lifted])):
+            with pytest.raises(ValueError, match="equator"):
+                tangent_basis(point, within_equator=True)
+
     @pytest.mark.parametrize("within_equator", [False, True])
     def test_point_just_off_a_coordinate_axis(self, within_equator):
-        # one first-pass residual here is pure cancellation noise of size 1e-8
+        # the residual of E[0] is 1.26e-8 long, just above the 1e-8 cut
         p = E[0] + 1.26e-8 * E[2]
         p /= np.linalg.norm(p)
         basis = tangent_basis(p, within_equator=within_equator)

@@ -511,7 +511,7 @@ class TestBatchedRecords:
         ids=["linear", "diag", "all_positive_laplacian", "boundary_max", "interior_min",
              "h3_quadratic_flat", "general", "readme"])
     def test_fixture_fields_match_the_per_record_loop(self, make_field):
-        # roots on coordinate axes, where the reflection bases are exact
+        # roots on coordinate axes, where the tangent bases are exact
         self.assert_matches_oracle(make_field())
 
     def test_degenerate_message_writes_plain_coordinates(self):

@@ -26,6 +26,7 @@ from hemiflow.intervals import Bar
 from hemiflow.landscape import AssumptionReport, CriticalPointRecord, find_critical_points
 from hemiflow.model import Assembly, BubbleFrame, Configuration, GradientComponents
 from hemiflow.oracles import InteriorEnergyOracle
+from hemiflow.record import FrozenRecord, Record
 
 E0 = np.eye(6)[0]
 UP = np.array([0.0, 0.0, 0.0, 0.0, 0.6, 0.8])
@@ -156,6 +157,30 @@ def test_frozen_classes_refuse_assignment(cls, names, real, defaults):
         replacement = object()
         setattr(obj, name, replacement)
         assert getattr(obj, name) is replacement
+
+
+def _record_classes(cls=Record):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("hemiflow."):
+            yield sub
+        yield from _record_classes(sub)
+
+
+def test_cases_cover_every_record_class():
+    assert set(_record_classes()) - {FrozenRecord} == set(FIELDS) | {ScalarField}
+
+
+@pytest.mark.parametrize("obj", [case[0](*_arguments(case[1], case[2])) for case in CASES]
+                         + [ScalarField(5, 1.0, [("x1", 0.05), ("x2*x6", 0.02)])],
+                         ids=IDS + ["ScalarField"])
+def test_replace_without_changes_is_equal_or_refused(obj):
+    try:
+        twin = obj.replace()
+    except TypeError as exc:
+        assert type(obj) is ScalarField
+        assert "ScalarField(n, kappa0, terms)" in str(exc) and "to_config()" in str(exc)
+    else:
+        assert type(twin) is type(obj) and twin is not obj and twin == obj
 
 
 def test_frozen_scalar_field_refuses_assignment():
